@@ -19,7 +19,7 @@ import subprocess
 import sys
 import time
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
@@ -98,42 +98,94 @@ def timed_child(argv: List[str], env: Dict[str, str], timeout: float) -> float:
     return elapsed
 
 
-def cpu_ticks() -> Tuple[int, int]:
-    """Machine-wide ``(busy, steal)`` CPU ticks from ``/proc/stat``."""
-    try:
-        with open("/proc/stat") as stat:
-            fields = [int(x) for x in stat.readline().split()[1:9]]
-    except (OSError, ValueError):
-        return 0, 0
-    user, nice, system, _idle, _iowait, irq, softirq, steal = fields
-    return user + nice + system + irq + softirq, steal
+def adopt_orphans() -> None:
+    """Make this process the parent of its orphaned descendants.
 
-
-def stolen_share(start: Tuple[int, int], end: Tuple[int, int]) -> float:
-    """Share of runnable CPU time stolen between two :func:`cpu_ticks`."""
-    busy, steal = end[0] - start[0], end[1] - start[1]
-    return steal / (busy + steal) if busy + steal > 0 else 0.0
-
-
-class CpuShare:
-    """Share of runnable CPU time the hypervisor stole since creation.
-
-    On a shared virtual machine the stolen share moves from ~0 to ~50%
-    between runs, and wall times of CPU-bound work stretch by
-    ``1 / (1 - share)``.  :meth:`adjust` removes that stretch so that
-    timings compare across runs; on a host without steal it returns
-    the wall time unchanged.  Raw wall times go to the report lines.
+    A process that uses shared memory starts a ``resource_tracker``
+    helper that outlives it for a moment; as a child subreaper
+    (Linux ``prctl``) the benchmark inherits such helpers of its
+    children and can wait for them in :func:`reap_children`.
     """
+    try:
+        import ctypes
 
-    def __init__(self) -> None:
-        self._start = cpu_ticks()
+        libc = ctypes.CDLL(None, use_errno=True)
+        libc.prctl(36, 1, 0, 0, 0)  # PR_SET_CHILD_SUBREAPER
+    except (OSError, AttributeError):
+        pass
 
-    def stolen(self) -> float:
-        return stolen_share(self._start, cpu_ticks())
 
-    def adjust(self, seconds: float) -> float:
-        """``seconds`` of wall time with the stolen share taken out."""
-        return seconds * (1.0 - self.stolen())
+def _child_pids() -> List[int]:
+    """Live or unreaped children of this process, from ``/proc``."""
+    me = str(os.getpid())
+    pids = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat") as stat:
+                fields = stat.read().rsplit(")", 1)[1].split()
+        except (OSError, IndexError):
+            continue
+        if fields[1] == me:
+            pids.append(int(entry))
+    return pids
+
+
+def reap_children(grace_s: float = 20.0) -> None:
+    """Stop and wait for every process this one started or adopted.
+
+    This process's own ``resource_tracker`` ends when its pipe closes;
+    the rest are waited for, and killed if still running after
+    ``grace_s`` seconds.
+    """
+    import signal
+    from multiprocessing import resource_tracker
+
+    stop = getattr(resource_tracker._resource_tracker, "_stop", None)
+    if stop is not None:
+        stop()
+    deadline = time.monotonic() + grace_s
+    while True:
+        try:
+            while os.waitpid(-1, os.WNOHANG)[0] != 0:
+                pass
+        except ChildProcessError:
+            pass
+        pids = _child_pids()
+        if not pids:
+            return
+        if time.monotonic() > deadline:
+            for pid in pids:
+                try:
+                    os.kill(pid, signal.SIGKILL)
+                except ProcessLookupError:
+                    pass
+            for pid in pids:
+                try:
+                    os.waitpid(pid, 0)
+                except ChildProcessError:
+                    pass
+            return
+        time.sleep(0.02)
+
+
+def cpu_s() -> float:
+    """CPU seconds (user + system) of this process and every
+    waited-for child."""
+    total = 0.0
+    for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN):
+        usage = resource.getrusage(who)
+        total += usage.ru_utime + usage.ru_stime
+    return total
+
+
+def process_cpu_s(pid: int) -> float:
+    """CPU seconds (user + system) of the running process ``pid``."""
+    with open(f"/proc/{pid}/stat") as stat:
+        fields = stat.read().rsplit(")", 1)[1].split()
+    # utime and stime are fields 14 and 15 of stat(5).
+    return (int(fields[11]) + int(fields[12])) / os.sysconf("SC_CLK_TCK")
 
 
 def median(values: List[float]) -> float:

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Dict, Optional
+from typing import Dict
 
 from tracing import (
     Tracer,

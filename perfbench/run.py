@@ -1,7 +1,7 @@
 """The repository benchmark: one workload per run, or all of them.
 
-    python3 perfbench/run.py --workload sweep_cold --seed 1 --seconds 15 --trace 0
-    python3 perfbench/run.py --workload all --seed 1 --seconds 15
+    python3 perfbench/run.py --workload sweep_cold --seed 1 --seconds 20 --trace 0
+    python3 perfbench/run.py --workload all --seed 1 --seconds 20
 
 Workloads (see ``BENCHMARK.json`` and the module docstrings of
 ``sweeps.py`` and ``serve_mixed.py``): ``sweep_cold``, ``sweep_warm``
@@ -16,7 +16,9 @@ latency percentiles with their sample counts and failures by kind.
 The last line is the result object.  The exit code is 0 when every
 output check passed, 1 when one failed, 2 when the checkout has no
 library sources (nothing is printed then) and 3 when a workload could
-not run (a traceback goes to standard error).
+not run (a traceback goes to standard error).  Before it exits, the
+benchmark waits for every process it started, and for the helper
+processes (``resource_tracker``) its children left behind.
 """
 
 from __future__ import annotations
@@ -37,16 +39,13 @@ WORKLOADS = ("sweep_cold", "sweep_warm", "serve_mixed")
 
 def _parse(argv):
     parser = argparse.ArgumentParser(description="repository benchmark")
-    parser.add_argument("--workload", choices=WORKLOADS + ("all",))
+    parser.add_argument(
+        "--workload", choices=WORKLOADS + ("all",), required=True
+    )
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float, default=15.0)
+    parser.add_argument("--seconds", type=float, default=20.0)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
-    # The set-up step sweep_warm runs in a child process.
-    parser.add_argument("--fill-store", metavar="DIR", help=argparse.SUPPRESS)
-    args = parser.parse_args(argv)
-    if args.workload is None and args.fill_store is None:
-        parser.error("--workload is required")
-    return args
+    return parser.parse_args(argv)
 
 
 def _spec() -> dict:
@@ -187,19 +186,16 @@ def main(argv=None) -> int:
             file=sys.stderr,
         )
         return 2
-    if args.fill_store is not None:
-        sys.path.insert(0, str(common.SRC))
-        from sweeps import fill_store
-
-        fill_store(args.fill_store, args.seed)
-        return 0
-    if args.workload == "all":
-        return run_all(args)
+    common.adopt_orphans()
     try:
+        if args.workload == "all":
+            return run_all(args)
         return run_workload(args)
     except Exception:
         traceback.print_exc()
         return 3
+    finally:
+        common.reap_children()
 
 
 if __name__ == "__main__":

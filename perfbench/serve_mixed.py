@@ -39,13 +39,11 @@ from typing import Dict, List, Optional, Tuple
 from common import (
     BENCH_DIR,
     ROOT,
-    CpuShare,
     Outcome,
     child_env,
-    cpu_ticks,
-    median,
+    cpu_s,
     peak_rss_mib,
-    stolen_share,
+    process_cpu_s,
 )
 
 HOT_SET = "hilbert@2x256;z@2x256;gray@2x256"
@@ -64,7 +62,8 @@ OPS_PER_STEP = 64
 HOT_SHARE, COLD_SHARE = 0.5, 0.1
 COLD_PER_S = 20.0
 CLIENTS = 2
-SETUPS = 3
+#: Set-ups per run; the one that used the least CPU is reported.
+SETUPS = 5
 REQUEST_TIMEOUT_S = 30.0
 START_TIMEOUT_S = 120.0
 
@@ -355,7 +354,7 @@ def _phase(server: Server, clients: List[Client], seconds: float):
         client.latency = {k: [] for k in client.latency}
         client.done_at = []
     before = _stats(server.port)
-    share = CpuShare()
+    cpu = process_cpu_s(server.proc.pid)
     lo = time.perf_counter_ns()
     start = time.perf_counter()
     for client in clients:
@@ -367,16 +366,10 @@ def _phase(server: Server, clients: List[Client], seconds: float):
     ]
     for thread in threads:
         thread.start()
-    # Stolen share of every whole second, for the per-second rates.
-    ticks = [cpu_ticks()]
-    while time.perf_counter() < deadline:
-        time.sleep(max(0.0, start + len(ticks) - time.perf_counter()))
-        ticks.append(cpu_ticks())
-    per_second = [stolen_share(a, b) for a, b in zip(ticks, ticks[1:])]
     for thread in threads:
-        thread.join(timeout=2 * REQUEST_TIMEOUT_S)
+        thread.join(timeout=seconds + 2 * REQUEST_TIMEOUT_S)
     hi = time.perf_counter_ns()
-    stolen = share.stolen()
+    cpu = process_cpu_s(server.proc.pid) - cpu
     if any(thread.is_alive() for thread in threads):
         raise RuntimeError("a client did not finish")
     after = _stats(server.port)
@@ -386,7 +379,7 @@ def _phase(server: Server, clients: List[Client], seconds: float):
         else:
             client.fail("wrong_output", f"{client.session}: no verify step")
         client.close()
-    return lo, hi, before, after, stolen, per_second
+    return lo, hi, before, after, cpu
 
 
 def _check_sweeps(clients: List[Client], out: Outcome) -> int:
@@ -440,25 +433,6 @@ def _collect(clients: List[Client], out: Outcome) -> Dict[str, List[float]]:
     return latency
 
 
-def _median_rate(clients: List[Client], lo: int, stolen: List[float]) -> float:
-    """Median per-second completion rate of the timed phase.
-
-    Each whole second's count is divided by the share of CPU time the
-    hypervisor left that second (see :class:`common.CpuShare`); the
-    median ignores a stall of a second or two that a plain total would
-    spread over the run.
-    """
-    start = lo / 1e9
-    counts = [0] * max(1, len(stolen))
-    for client in clients:
-        for end in client.done_at:
-            slot = int(end - start)
-            if 0 <= slot < len(counts):
-                counts[slot] += 1
-    shares = stolen or [0.0]
-    return median([n / (1.0 - s) for n, s in zip(counts, shares)])
-
-
 def _cache_delta(before: dict, after: dict) -> Dict[str, float]:
     def total(payload, key):
         value = payload["cache"][key]
@@ -479,37 +453,39 @@ def run_serve_workload(seed: int, seconds: float, trace: bool, run_dir) -> Outco
 
     if not trace:
         setups: List[float] = []
-        raw_setups: List[float] = []
+        setup_cpu: List[float] = []
         server = None
         for _ in range(SETUPS):
             if server is not None:
                 for client in clients:
                     client.close()
                 server.stop()
-            share = CpuShare()
+            cpu = cpu_s()
             server, clients, elapsed = _setup(env, run_dir, seed)
-            raw_setups.append(elapsed)
-            setups.append(share.adjust(elapsed))
+            setups.append(elapsed)
+            setup_cpu.append(cpu_s() - cpu + process_cpu_s(server.proc.pid))
         try:
-            lo, hi, before, after, stolen, per_second = _phase(
-                server, clients, seconds
-            )
+            lo, hi, before, after, server_cpu = _phase(server, clients, seconds)
         finally:
             server.stop()
+        # Read before the in-process reference Sweep of _check_sweeps,
+        # whose memory is not the workload's.
+        peak = peak_rss_mib()
         out.backends = dict(after["cache"]["backends"])
         latency = _collect(clients, out)
         cold_cells = _check_sweeps(clients, out)
         wall = (hi - lo) / 1e9
+        requests = sum(len(v) for v in latency.values())
         out.metrics = {
-            "setup_s": median(setups),
-            "peak_rss_mib": peak_rss_mib(),
+            "setup_s": min(setup_cpu),
+            "peak_rss_mib": peak,
             "ok_ratio": 1.0 - out.failed / max(out.attempted, 1),
-            "ops_per_s": _median_rate(clients, lo, per_second),
+            "cpu_ms_per_op": 1e3 * server_cpu / max(requests, 1),
         }
         out.report.update(
-            setup_adjusted_s=setups,
-            setup_wall_s=raw_setups,
-            steal_share=round(stolen, 4),
+            setup_wall_s=setups,
+            setup_cpu_s=setup_cpu,
+            server_cpu_s=server_cpu,
             latency=latency,
             wall_s=wall,
             requests={k: len(v) for k, v in latency.items()},
@@ -523,7 +499,7 @@ def run_serve_workload(seed: int, seconds: float, trace: bool, run_dir) -> Outco
 
     server, clients, _ = _setup(env, run_dir, seed)
     try:
-        lo, hi, _, _, _, _ = _phase(server, clients, seconds / 2)
+        lo, hi, _, _, _ = _phase(server, clients, seconds / 2)
     finally:
         server.stop()
     plain_rate = sum(len(v) for c in clients for v in c.latency.values()) / (
@@ -535,7 +511,7 @@ def run_serve_workload(seed: int, seconds: float, trace: bool, run_dir) -> Outco
     spans = run_dir.path / "spans.json"
     server, clients, _ = _setup(env, run_dir, seed, spans)
     try:
-        lo, hi, before, after, _, _ = _phase(server, clients, seconds / 2)
+        lo, hi, before, after, _ = _phase(server, clients, seconds / 2)
         Path(str(spans) + ".window").write_text(json.dumps({"lo": lo, "hi": hi}))
     finally:
         server.stop()

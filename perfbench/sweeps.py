@@ -34,9 +34,9 @@ from typing import Dict, List, Optional
 
 from common import (
     BENCH_DIR,
-    CpuShare,
     Outcome,
     child_env,
+    cpu_s,
     median,
     peak_rss_mib,
     timed_child,
@@ -50,13 +50,21 @@ CHUNKED_METRICS = ("davg", "dmax", "nn_mean")
 CHUNK_CELLS = 2**18
 WARM_PROCESSES = 2
 WARM_THREADS = 2
-#: Set-ups per run (the median is reported) and the fewest timed passes.
-SETUPS = {"sweep_cold": 5, "sweep_warm": 3}
+#: Set-ups per run; the one that used the least CPU is reported.
+#: Passes report their median instead: the process pool of
+#: ``sweep_warm`` spreads cells over workers differently from pass to
+#: pass, so its cheapest pass is a lucky draw.
+SETUPS = {"sweep_cold": 9, "sweep_warm": 2}
 MIN_PASSES = 3
 SETUP_TIMEOUT_S = 170.0
 
 _IMPORTS = (
     "import repro.engine.sweep, repro.engine.native as n; n.load_kernels()"
+)
+#: The set-up of ``sweep_warm``, run in a fresh interpreter.
+_FILL = (
+    "import sys; sys.path.insert(0, {bench!r}); "
+    "import sweeps; sweeps.fill_store({store!r}, {seed})"
 )
 
 
@@ -127,12 +135,11 @@ def _records(results) -> list:
     return [record for result in results for record in result.records]
 
 
-def check_pass(results, reference: Optional[list]) -> List[str]:
+def check_pass(records: list, reference: Optional[list]) -> List[str]:
     """Output checks of one pass; one message per failing cell."""
     from repro.core.lower_bounds import davg_lower_bound
 
     problems = []
-    records = _records(results)
     for record in records:
         bound = record.values.get("lower_bound")
         if bound is None:
@@ -178,6 +185,27 @@ def _backends(results) -> Dict[str, int]:
     return out
 
 
+def _check_passes(
+    out: Outcome, specs: List[str], warm: bool, passes: List[list]
+) -> None:
+    """Every timed pass against its reference, after the timed phase.
+
+    ``sweep_cold`` passes must equal the first; ``sweep_warm`` passes
+    must equal an untimed ``sweep_cold`` pass of the same seed.
+    """
+    if warm:
+        _, cold = run_pass(specs, warm=False, store=None)
+        reference = _records(cold)
+        for problem in check_pass(reference, None):
+            out.fail("wrong_output", f"reference pass: {problem}")
+    else:
+        reference = passes[0]
+    for records in passes:
+        out.attempted += len(records)
+        for problem in check_pass(records, reference):
+            out.fail("wrong_output", problem)
+
+
 def run_sweep_workload(
     name: str, seed: int, seconds: float, trace: bool, run_dir
 ) -> Outcome:
@@ -191,95 +219,78 @@ def run_sweep_workload(
     n_setups = (1 if warm else 0) if trace else SETUPS[name]
     store = None
     setups: List[float] = []
-    raw_setups: List[float] = []
+    setup_cpu: List[float] = []
     for k in range(n_setups):
-        share = CpuShare()
         if warm:
             if store is not None:
                 shutil.rmtree(store, ignore_errors=True)
             store = str(run_dir.path / f"store-{k}")
-            argv = [
-                sys.executable,
-                str(BENCH_DIR / "run.py"),
-                "--fill-store",
-                store,
-                "--seed",
-                str(seed),
-            ]
+            code = _FILL.format(bench=str(BENCH_DIR), store=store, seed=seed)
         else:
-            argv = [sys.executable, "-c", _IMPORTS]
-        raw_setups.append(timed_child(argv, env, SETUP_TIMEOUT_S))
-        setups.append(share.adjust(raw_setups[-1]))
-
-    reference = None
-    if warm:
-        # The sweep_cold records of this seed, computed untimed.
-        _, cold = run_pass(specs, warm=False, store=None)
-        for problem in check_pass(cold, None):
-            out.fail("wrong_output", f"reference pass: {problem}")
-        reference = _records(cold)
+            code = _IMPORTS
+        argv = [sys.executable, "-c", code]
+        cpu = cpu_s()
+        setups.append(timed_child(argv, env, SETUP_TIMEOUT_S))
+        setup_cpu.append(cpu_s() - cpu)
 
     # -- timed passes ----------------------------------------------------
-    raw_times: List[float] = []
+    # Records of every timed pass, checked after the timed phase.
+    passes: List[list] = []
 
     def measure(budget: float, min_passes: int, tracer=None):
-        nonlocal reference
         times: List[float] = []
+        cpu_times: List[float] = []
         counts: List[Dict[str, float]] = []
         deadline = time.perf_counter() + budget
         while len(times) < min_passes or time.perf_counter() < deadline:
             handle = tracer.open("bench.pass") if tracer else None
-            share = CpuShare()
+            cpu = cpu_s()
             try:
                 elapsed, results = run_pass(specs, warm, store)
             finally:
                 if tracer:
                     tracer.close(handle)
-            raw_times.append(elapsed)
-            times.append(share.adjust(elapsed))
-            cells = len(_records(results))
-            out.attempted += cells
-            for problem in check_pass(results, reference):
-                out.fail("wrong_output", problem)
-            if reference is None:
-                reference = _records(results)
+            times.append(elapsed)
+            cpu_times.append(cpu_s() - cpu)
+            passes.append(_records(results))
             counts.append(_cache_counts(results))
             out.backends = _backends(results)
-            out.report["cells_per_pass"] = cells
+            out.report["cells_per_pass"] = len(passes[-1])
             out.report["skipped_per_pass"] = sum(
                 len(r.skipped) for r in results
             )
-        return times, counts
+        return times, cpu_times, counts
 
     if not trace:
-        share = CpuShare()
-        times, _ = measure(seconds, MIN_PASSES)
-        out.report["steal_share"] = round(share.stolen(), 4)
-        out.report["pass_wall_s"] = raw_times
-        out.report["setup_wall_s"] = raw_setups
+        times, cpu_times, _ = measure(seconds, MIN_PASSES)
+        peak = peak_rss_mib()
+        _check_passes(out, specs, warm, passes)
         out.metrics = {
-            "setup_s": median(setups),
-            "peak_rss_mib": peak_rss_mib(),
+            "setup_s": min(setup_cpu),
+            "peak_rss_mib": peak,
             "ok_ratio": 1.0 - out.failed / max(out.attempted, 1),
-            "ops_per_s": out.report["cells_per_pass"] / median(times),
+            "cpu_ms_per_op": 1e3
+            * median(cpu_times)
+            / out.report["cells_per_pass"],
         }
+        out.report["pass_wall_s"] = times
+        out.report["setup_wall_s"] = setups
         out.report["sweep_s"] = median(times)
-        out.report["pass_adjusted_s"] = times
-        out.report["setup_adjusted_s"] = setups
+        out.report["pass_cpu_s"] = cpu_times
+        out.report["setup_cpu_s"] = setup_cpu
         return out
 
     # -- traced run: untraced passes, then the same passes traced --------
     from layers import install_engine, layer_metrics
     from tracing import Tracer
 
-    measure(seconds / 2, 2)
-    plain = list(raw_times)
+    plain, _, _ = measure(seconds / 2, 2)
     tracer = Tracer()
     install_engine(tracer)
     lo = time.perf_counter_ns()
-    _, counts = measure(seconds / 2, 2, tracer)
+    traced, _, counts = measure(seconds / 2, 2, tracer)
     hi = time.perf_counter_ns()
-    traced = raw_times[len(plain):]
+    _check_passes(out, specs, warm, passes)
     summary = tracer.summary(lo, hi)
     main = tracer.summary(lo, hi, thread=threading.get_ident())
     cache = {
@@ -288,12 +299,19 @@ def run_sweep_workload(
     cache["serve.service.rejected"] = 0.0
     metrics = layer_metrics(summary, len(traced), cache)
     pass_total = summary["total_s"].get("bench.pass", 0.0)
-    # Fastest pass of each kind: the first pass in a process also pays
-    # lazy imports, which would otherwise read as (negative) overhead.
-    metrics["trace.overhead_ratio"] = min(traced) / min(plain) - 1.0
-    metrics["trace.self_sum_ratio"] = sum(main["self_s"].values()) / (
-        min(plain) * len(traced)
+    # Both ratios are per traced pass against the fastest untraced pass:
+    # the first pass in a process also pays lazy imports, which would
+    # otherwise read as (negative) overhead.
+    plain_s = min(plain)
+    metrics["trace.overhead_ratio"] = (
+        sum(traced) / (plain_s * len(traced)) - 1.0
     )
+    # How much of the untraced wall time the main thread's layer spans
+    # account for; the bench.pass root (unattributed time) is left out.
+    layer_self = sum(
+        value for span, value in main["self_s"].items() if span != "bench.pass"
+    )
+    metrics["trace.self_sum_ratio"] = layer_self / (plain_s * len(traced))
     metrics["trace.unattributed_ratio"] = (
         summary["self_s"].get("bench.pass", 0.0) / pass_total
         if pass_total
