@@ -124,6 +124,8 @@ class SpaceFillingCurve(abc.ABC):
         """Dense ``(side,)*d`` int64 array: ``key_grid[tuple(α)] = π(α)``.
 
         Cached; this is the input to every exact stretch computation.
+        Always built by the pure-NumPy reference :meth:`index`; see
+        :meth:`batch_key_grid` for the batch-codec build.
         """
         if self._key_grid_cache is None:
             coords = self.universe.all_coords()
@@ -136,6 +138,28 @@ class SpaceFillingCurve(abc.ABC):
             )
             self._key_grid_cache = grid
         return self._key_grid_cache
+
+    def batch_key_grid(self, backend: str = "auto") -> np.ndarray:
+        """:meth:`key_grid`, built through :meth:`keys_of` when a native
+        codec serves ``backend``.
+
+        The same cached array either way, holding the same bytes (the
+        codecs are bit-for-bit equal to :meth:`index`): only the cost
+        of the first build differs.  Cells are encoded in grid (C)
+        order, so the encoded keys are the grid with no reshape copy.
+        """
+        if (
+            self._key_grid_cache is None
+            and self._native_codec(backend) is not None
+        ):
+            universe = self.universe
+            coords = np.empty(universe.shape + (universe.d,), dtype=np.int64)
+            axes = np.ix_(*[np.arange(universe.side)] * universe.d)
+            for axis, values in enumerate(axes):
+                coords[..., axis] = values
+            keys = self.keys_of(coords.reshape(-1, universe.d), backend)
+            self._key_grid_cache = keys.reshape(universe.shape)
+        return self.key_grid()
 
     def order(self) -> np.ndarray:
         """Cells in curve order: ``order()[j]`` is ``π^{-1}(j)``, shape (n, d).

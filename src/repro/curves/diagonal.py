@@ -24,9 +24,15 @@ class DiagonalCurve(PermutationCurve):
     _deterministic = True  # mapping pinned by type + universe
 
     def __init__(self, universe: Universe) -> None:
-        cells = universe.all_coords()
-        sums = cells.sum(axis=1)
-        # lexsort: last key is primary -> order by (sum, x_d, ..., x_1).
-        sort_keys = tuple(cells[:, i] for i in range(universe.d)) + (sums,)
-        visit = np.lexsort(sort_keys)
-        super().__init__(universe, order=cells[visit], name=self.name)
+        # Visit order: by coordinate sum, ties by (x_d, ..., x_1) — which
+        # is rank order, so a stable sort of the per-rank sums yields it.
+        # (The sum is symmetric in the axes, so the C-order flattening of
+        # the grid of sums is also its rank-order flattening.)
+        sums = sum(universe.coordinate_grids()).reshape(-1)
+        visit = np.argsort(sums, kind="stable")
+        # ``visit[j]`` is the rank of the cell visited j-th: scatter the
+        # keys straight into rank order.
+        flat = np.empty(universe.n, dtype=np.int64)
+        flat[visit] = np.arange(universe.n, dtype=np.int64)
+        grid = np.ascontiguousarray(flat.reshape(universe.shape, order="F"))
+        super().__init__(universe, key_grid=grid, name=self.name)

@@ -20,26 +20,29 @@ def spiral_order(side: int) -> np.ndarray:
     """Visit order of the inward spiral on a ``side × side`` grid."""
     if side < 1:
         raise ValueError(f"side must be >= 1, got {side}")
-    cells: list[tuple[int, int]] = []
+    out = np.empty((side * side, 2), dtype=np.int64)
+    pos = 0
     for ring in range((side + 1) // 2):
         hi = side - 1 - ring
         if ring == hi:
-            cells.append((ring, ring))
+            out[pos] = ring
+            pos += 1
             continue
-        # Bottom edge: left -> right.
-        for x in range(ring, hi + 1):
-            cells.append((x, ring))
-        # Right edge: bottom -> top.
-        for y in range(ring + 1, hi + 1):
-            cells.append((hi, y))
-        # Top edge: right -> left.
-        for x in range(hi - 1, ring - 1, -1):
-            cells.append((x, hi))
-        # Left edge: top -> bottom, stopping above the ring start so the
-        # walk ends adjacent to the next ring's start (ring+1, ring+1).
-        for y in range(hi - 1, ring, -1):
-            cells.append((ring, y))
-    return np.asarray(cells, dtype=np.int64)
+        up = np.arange(ring, hi + 1, dtype=np.int64)
+        edges = (
+            (up, ring),  # bottom edge: left -> right
+            (hi, up[1:]),  # right edge: bottom -> top
+            (up[-2::-1], hi),  # top edge: right -> left
+            # Left edge: top -> bottom, stopping above the ring start so
+            # the walk ends adjacent to the next ring's start.
+            (ring, up[-2:0:-1]),
+        )
+        for xs, ys in edges:
+            count = np.broadcast(xs, ys).size
+            out[pos : pos + count, 0] = xs
+            out[pos : pos + count, 1] = ys
+            pos += count
+    return out
 
 
 class SpiralCurve(PermutationCurve):

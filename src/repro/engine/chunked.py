@@ -97,16 +97,23 @@ def pairwise_sum_stream(
     if total == 0:
         return 0.0
     cursor = _BlockCursor(blocks)
-    leaf = max(int(leaf), 8)
+    return float(_pairwise_reduce(cursor, total, max(int(leaf), 8)))
 
-    def reduce(count: int):
-        if count <= leaf:
-            return np.add.reduce(cursor.take(count))
-        half = count // 2
-        half -= half % 8
-        return reduce(half) + reduce(count - half)
 
-    return float(reduce(total))
+def _pairwise_reduce(cursor: _BlockCursor, count: int, leaf: int):
+    """The recursion of :func:`pairwise_sum_stream`.
+
+    A module-level function rather than a self-referencing closure: the
+    closure's cell would form a reference cycle holding the cursor, and
+    through it the block generator and its slabs, until a full ``gc``.
+    """
+    if count <= leaf:
+        return np.add.reduce(cursor.take(count))
+    half = count // 2
+    half -= half % 8
+    return _pairwise_reduce(cursor, half, leaf) + _pairwise_reduce(
+        cursor, count - half, leaf
+    )
 
 
 def slab_neighbor_counts(

@@ -509,6 +509,10 @@ class MetricContext:
         #: spill, or ``None``.  See :meth:`_spill_grid_view`.
         self._spill = None
         self._spill_grid: object = False  # False = unresolved memo
+        #: Guards the ``_spill_grid`` memo.  Not ``_scalar_lock``: a
+        #: scalar compute holds that lock while it waits on the block
+        #: scheduler, whose workers resolve the spill view.
+        self._spill_lock = threading.Lock()
         #: The wired :class:`repro.engine.store.GridStore`, or ``None``.
         if store is None and store_dir is not None:
             from repro.engine.store import GridStore
@@ -566,7 +570,7 @@ class MetricContext:
         """
         if self._spill is None:
             return None
-        with self._scalar_lock:
+        with self._spill_lock:
             if self._spill_grid is False:
                 grid_store, skey = self._spill
                 view = grid_store.get(skey, "key_grid")
@@ -681,11 +685,15 @@ class MetricContext:
         read-only *view* of the curve's own cache, so the curve's
         public ``key_grid()`` (which predates the engine and stays
         writable) is untouched, no bytes are copied, and the store's
-        budget accounting is unchanged.
+        budget accounting is unchanged.  On the native backend the
+        curve fills that cache through its batch codec
+        (:meth:`~repro.curves.base.SpaceFillingCurve.batch_key_grid`);
+        the bytes equal the reference ``key_grid()``.
         """
         self._require_dense("key_grid", "iter_key_slabs()")
         return self._cached(
-            "key_grid", lambda: self.curve.key_grid().view()
+            "key_grid",
+            lambda: self.curve.batch_key_grid(self.backend).view(),
         )
 
     def order(self) -> np.ndarray:

@@ -80,7 +80,30 @@ _load_attempted = False
 _load_error: Optional[str] = None
 _warned_unavailable = False
 
-_i64_array = np.ctypeslib.ndpointer(dtype=np.int64, flags="C_CONTIGUOUS")
+
+class _I64Array:
+    """ctypes argtype for a C-contiguous int64 array, passed by address.
+
+    Checks exactly what ``np.ctypeslib.ndpointer(dtype=np.int64,
+    flags="C_CONTIGUOUS")`` checks, but hands ctypes a bare
+    ``c_void_p``: the ``ndpointer`` conversion leaves a
+    ``c_void_p``/``dict`` reference cycle per array argument, which
+    keeps the call's arrays alive until a full ``gc`` pass.
+    """
+
+    @classmethod
+    def from_param(cls, obj):
+        if not isinstance(obj, np.ndarray):
+            raise TypeError("argument must be an ndarray")
+        if obj.dtype != np.int64:
+            raise TypeError(
+                f"array must have data type int64, got {obj.dtype}"
+            )
+        if not obj.flags.c_contiguous:
+            raise TypeError("array must be C_CONTIGUOUS")
+        return ctypes.c_void_p(obj.ctypes.data)
+
+
 _i64 = ctypes.c_int64
 
 #: Sentinel distinguishing "use the env config" from an explicit None.
@@ -215,26 +238,26 @@ class NativeKernels:
         self.so_path = so_path
         lib = ctypes.CDLL(str(so_path))
         lib.repro_nn_block_pairs.argtypes = [
-            _i64_array, _i64, _i64, _i64, _i64_array, _i64_array, _i64_array
+            _I64Array, _i64, _i64, _i64, _I64Array, _I64Array, _I64Array
         ]
         lib.repro_nn_block_pairs.restype = None
         lib.repro_neighbor_counts.argtypes = [
-            _i64, _i64, _i64, _i64, _i64_array
+            _i64, _i64, _i64, _i64, _I64Array
         ]
         lib.repro_neighbor_counts.restype = None
         for name in ("repro_window_max_manhattan",
                      "repro_window_max_euclidean_sq"):
             fn = getattr(lib, name)
-            fn.argtypes = [_i64_array, _i64_array, _i64, _i64]
+            fn.argtypes = [_I64Array, _I64Array, _i64, _i64]
             fn.restype = _i64
-        lib.repro_delta_fold.argtypes = [_i64_array, _i64_array, _i64]
+        lib.repro_delta_fold.argtypes = [_I64Array, _I64Array, _i64]
         lib.repro_delta_fold.restype = _i64
         for name in ("repro_z_encode", "repro_z_decode",
                      "repro_gray_encode", "repro_gray_decode",
                      "repro_hilbert_encode", "repro_hilbert_decode",
                      "repro_snake_encode", "repro_snake_decode"):
             fn = getattr(lib, name)
-            fn.argtypes = [_i64_array, _i64, _i64, _i64, _i64_array]
+            fn.argtypes = [_I64Array, _i64, _i64, _i64, _I64Array]
             fn.restype = None
         self._lib = lib
 

@@ -156,7 +156,9 @@ class Universe:
             raise ValueError(
                 f"coords last axis must be d={self.d}, got shape {arr.shape}"
             )
-        if not np.all(self.contains(arr)):
+        # Same test as ``np.all(self.contains(arr))`` without the
+        # (..., d) boolean temporaries: this runs on every batch encode.
+        if arr.size and (arr.min() < 0 or arr.max() >= self.side):
             raise ValueError("coordinates outside the universe")
         return arr
 

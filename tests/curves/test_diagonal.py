@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro import Universe
+from repro.curves.base import PermutationCurve
 from repro.curves.diagonal import DiagonalCurve
 
 
@@ -40,3 +41,18 @@ class TestDiagonalCurve:
 
     def test_not_continuous(self):
         assert not DiagonalCurve(Universe(d=2, side=4)).is_continuous()
+
+    @pytest.mark.parametrize(
+        "d,side",
+        [(1, 1), (1, 7), (2, 1), (2, 5), (2, 16), (3, 4), (3, 7), (4, 3)],
+    )
+    def test_table_equals_order_built(self, d, side):
+        """The directly scattered key table equals the one built from
+        the lexsorted visit order through ``PermutationCurve(order=)``."""
+        u = Universe(d=d, side=side)
+        cells = u.all_coords()
+        keys = tuple(cells[:, i] for i in range(d)) + (cells.sum(axis=1),)
+        reference = PermutationCurve(u, order=cells[np.lexsort(keys)])
+        grid = DiagonalCurve(u).key_grid()
+        assert grid.dtype == np.int64 and grid.flags["C_CONTIGUOUS"]
+        assert np.array_equal(grid, reference.key_grid())

@@ -7,7 +7,35 @@ from repro import Universe
 from repro.curves.spiral import SpiralCurve, spiral_order
 
 
+def _spiral_order_loop(side):
+    """The original per-cell loop, kept as the oracle of the vectorized
+    :func:`spiral_order`."""
+    cells = []
+    for ring in range((side + 1) // 2):
+        hi = side - 1 - ring
+        if ring == hi:
+            cells.append((ring, ring))
+            continue
+        for x in range(ring, hi + 1):
+            cells.append((x, ring))
+        for y in range(ring + 1, hi + 1):
+            cells.append((hi, y))
+        for x in range(hi - 1, ring - 1, -1):
+            cells.append((x, hi))
+        for y in range(hi - 1, ring, -1):
+            cells.append((ring, y))
+    return np.asarray(cells, dtype=np.int64)
+
+
 class TestSpiralOrder:
+    @pytest.mark.parametrize("side", list(range(1, 41)) + [1024])
+    def test_equals_loop_oracle(self, side):
+        order = spiral_order(side)
+        expected = _spiral_order_loop(side)
+        assert order.dtype == expected.dtype
+        assert order.shape == expected.shape
+        assert np.array_equal(order, expected)
+
     def test_side_one(self):
         assert spiral_order(1).tolist() == [[0, 0]]
 

@@ -1,0 +1,211 @@
+"""The dense cold path: codec-built key grids, reference cycles, locks.
+
+* A context on the native backend fills the curve's key grid through
+  the batch codec; the grid must equal the pure-NumPy reference
+  ``key_grid()`` of a fresh curve instance, byte for byte.
+* Per-cell arrays are released by reference counting: a dense plus a
+  chunked sweep leaves no cyclic garbage for ``gc`` to find, on either
+  backend.
+* A threaded chunked sweep against a grid store completes (its spill
+  view used to wait on the lock the scalar compute held).
+"""
+
+from __future__ import annotations
+
+import ctypes
+import gc
+import os
+import subprocess
+import sys
+import textwrap
+
+import numpy as np
+import pytest
+
+import repro
+from repro.curves.registry import available_curves, make_curve
+from repro.engine import native
+from repro.engine.context import MetricContext
+from repro.engine.sweep import Sweep
+from repro.grid.universe import Universe
+
+requires_native = pytest.mark.skipif(
+    not native.available(),
+    reason=f"native backend unavailable: {native.unavailable_reason()}",
+)
+
+#: 2D/3D universes with power-of-two and odd sides (odd sides only
+#: have a codec for ``snake``).
+UNIVERSES = [(2, 16), (2, 64), (3, 8), (2, 9), (3, 5)]
+
+
+def _codec_cases():
+    cases = []
+    for d, side in UNIVERSES:
+        universe = Universe(d=d, side=side)
+        for name in available_curves():
+            try:
+                curve = make_curve(name, universe)
+            except ValueError:
+                continue
+            if native.encoder_for(curve) is not None:
+                cases.append((name, d, side))
+    return cases
+
+
+class TestNativeKeyGridParity:
+    @requires_native
+    def test_every_codec_family_is_covered(self):
+        names = {name for name, _, _ in _codec_cases()}
+        assert names == {"gray", "hilbert", "snake", "z"}
+        odd = {name for name, _, side in _codec_cases() if side % 2}
+        assert odd == {"snake"}
+
+    @requires_native
+    @pytest.mark.parametrize("name,d,side", _codec_cases())
+    def test_context_grid_equals_reference(self, name, d, side):
+        universe = Universe(d=d, side=side)
+        ctx = MetricContext(make_curve(name, universe), backend="native")
+        assert ctx.backend == "native"
+        grid = ctx.key_grid()
+        reference = make_curve(name, universe).key_grid()
+        assert grid.dtype == reference.dtype == np.int64
+        assert grid.shape == reference.shape
+        assert grid.flags["C_CONTIGUOUS"]
+        assert np.array_equal(grid, reference)
+        # The context hands out a frozen view of the curve's own grid.
+        assert not grid.flags.writeable
+        assert np.shares_memory(grid, ctx.curve.key_grid())
+
+    @pytest.mark.parametrize("backend", ["numpy", "native", "auto"])
+    def test_metrics_equal_across_backends(self, backend):
+        universe = Universe(d=2, side=32)
+        reference = MetricContext(
+            make_curve("hilbert", universe), backend="numpy"
+        )
+        ctx = MetricContext(make_curve("hilbert", universe), backend=backend)
+        assert np.array_equal(ctx.key_grid(), reference.key_grid())
+        assert ctx.davg() == reference.davg()
+        assert ctx.dmax() == reference.dmax()
+
+    def test_numpy_context_keeps_reference_build(self, monkeypatch):
+        curve = make_curve("z", Universe(d=2, side=16))
+
+        def no_codec(*args, **kwargs):
+            raise AssertionError("numpy backend must not batch-encode")
+
+        monkeypatch.setattr(curve, "keys_of", no_codec)
+        grid = MetricContext(curve, backend="numpy").key_grid()
+        assert np.array_equal(
+            grid, make_curve("z", Universe(d=2, side=16)).key_grid()
+        )
+
+    def test_codec_less_curves_use_reference(self):
+        universe = Universe(d=2, side=8)
+        for name in ("simple", "moore", "spiral", "diagonal"):
+            ctx = MetricContext(make_curve(name, universe), backend="auto")
+            assert np.array_equal(
+                ctx.key_grid(), make_curve(name, universe).key_grid()
+            )
+
+
+class TestArgtypes:
+    @requires_native
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            np.arange(8, dtype=np.int32),
+            np.arange(16, dtype=np.int64)[::2],
+            list(range(8)),
+        ],
+    )
+    def test_rejects_what_ndpointer_rejected(self, bad):
+        lib = native.load_kernels()._lib
+        good = np.arange(8, dtype=np.int64)
+        with pytest.raises(ctypes.ArgumentError):
+            lib.repro_delta_fold(bad, good, 8)
+
+    @requires_native
+    def test_native_calls_leave_no_cycles(self):
+        kernels = native.load_kernels()
+        a = np.arange(64, dtype=np.int64)
+        b = a[::-1].copy()
+        gc.collect()
+        gc.disable()
+        try:
+            for _ in range(10):
+                kernels.delta_fold(a, b)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+
+def _dense_and_chunked(backend):
+    Sweep(
+        universes=[Universe(d=2, side=16), Universe(d=3, side=8)],
+        curves=available_curves() + ["random:seed=3"],
+        metrics=["davg", "dmax", "lower_bound", "davg_ratio", "lambdas",
+                 "nn_mean"],
+        reports=False,
+        chunk_cells=0,
+        backend=backend,
+    ).run()
+    Sweep(
+        universes=[Universe(d=2, side=32)],
+        curves=["hilbert", "z", "random:seed=1"],
+        metrics=["davg", "dmax", "nn_mean"],
+        reports=False,
+        chunk_cells=64,
+        backend=backend,
+    ).run()
+
+
+class TestNoReferenceCycles:
+    @pytest.mark.parametrize("backend", ["numpy", "native"])
+    def test_sweeps_leave_no_garbage(self, backend):
+        if backend == "native" and not native.available():
+            pytest.skip(f"native unavailable: {native.unavailable_reason()}")
+        _dense_and_chunked(backend)  # first-use imports and caches
+        gc.collect()
+        gc.disable()
+        try:
+            _dense_and_chunked(backend)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+
+class TestThreadedChunkedStore:
+    def test_threaded_chunked_sweep_with_store_completes(self, tmp_path):
+        script = textwrap.dedent(
+            f"""
+            from repro import Universe
+            from repro.engine.sweep import Sweep
+
+            def run(threads):
+                return Sweep(
+                    universes=[Universe(d=2, side=64)],
+                    curves=["hilbert", "random:seed=2"],
+                    metrics=["davg", "dmax", "nn_mean"],
+                    reports=False,
+                    chunk_cells=256,
+                    threads=threads,
+                    store_dir={str(tmp_path / "store")!r},
+                ).run().records
+
+            assert run(2) == run(None)
+            assert run(2) == run(None)  # again, with the store filled
+            print("ok")
+            """
+        )
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "ok"

@@ -116,6 +116,37 @@ class TestValidation:
         with pytest.raises(ValueError, match="outside"):
             u.validate_coords([[4, 0]])
 
+    @pytest.mark.parametrize(
+        "coords",
+        [[[-1, 0]], [[0, -3]], [[4, 0]], [[0, 4]], [[1, 2], [3, 4]]],
+    )
+    def test_validate_coords_out_of_range(self, coords):
+        u = Universe(d=2, side=4)
+        assert not np.all(u.contains(np.asarray(coords)))
+        with pytest.raises(
+            ValueError, match="^coordinates outside the universe$"
+        ):
+            u.validate_coords(coords)
+
+    def test_validate_coords_edges_pass(self):
+        u = Universe(d=3, side=4)
+        out = u.validate_coords([[0, 0, 0], [3, 3, 3], [0, 3, 1]])
+        assert out.tolist() == [[0, 0, 0], [3, 3, 3], [0, 3, 1]]
+
+    @pytest.mark.parametrize("shape", [(0, 2), (3, 0, 2)])
+    def test_validate_coords_empty(self, shape):
+        u = Universe(d=2, side=4)
+        out = u.validate_coords(np.empty(shape, dtype=np.int64))
+        assert out.shape == shape and out.dtype == np.int64
+
+    @pytest.mark.parametrize("coords", [np.zeros((3, 3)), np.zeros((0, 1))])
+    def test_validate_coords_wrong_last_axis(self, coords):
+        u = Universe(d=2, side=4)
+        with pytest.raises(
+            ValueError, match=r"^coords last axis must be d=2, got shape"
+        ):
+            u.validate_coords(coords)
+
     def test_validate_ranks_pass(self):
         u = Universe(d=2, side=4)
         assert u.validate_ranks([0, 15]).tolist() == [0, 15]
