@@ -174,12 +174,22 @@ def test_p2_pooled_multimetric_no_regression(results_writer):
     assert speedup > 1.1, f"pooled path regressed: {speedup:.2f}x"
 
 
-def test_p2_context_computes_each_intermediate_once():
+def test_p2_context_computes_each_intermediate_once(monkeypatch):
+    from repro.engine import chunked
+
+    folds = []
+    original = chunked.nn_block_reduction
+
+    def counting(ctx):
+        folds.append(ctx)
+        return original(ctx)
+
+    monkeypatch.setattr(chunked, "nn_block_reduction", counting)
     universe = CASES["d2_k8"]
     ctx = MetricContext(ZCurve(universe))
     _full_metric_set(ctx)
     ctx.stretch_report()
-    for axis in range(universe.d):
-        assert ctx.stats.compute_count(f"axis_dist[{axis}]") == 1
+    assert folds == [ctx]
+    assert ctx.stats.compute_count("key_grid") == 1
     assert ctx.stats.compute_count("neighbor_counts") == 1
     assert ctx.stats.hits > 0

@@ -19,8 +19,8 @@ paper's dimension ``i`` and ``Λ_i(π) = Σ_{(α,β)∈G_i} ∆π(α,β)``;
 The functions below are thin wrappers over the shared per-curve
 :class:`repro.engine.MetricContext` (via
 :func:`repro.engine.get_context`): repeated metric calls on the same
-curve object reuse the cached key grid, per-axis distance arrays and
-neighbor counts instead of rebuilding them.  Array results are cached
+curve object reuse the cached key grid, neighbor counts and NN fold
+result instead of rebuilding them.  Array results are cached
 and therefore returned **read-only** — copy before mutating.
 """
 

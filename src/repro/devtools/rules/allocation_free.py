@@ -36,12 +36,11 @@ HOT_KERNELS: Dict[str, FrozenSet[str]] = {
         {
             "slab_neighbor_counts",
             "accumulate_block_pairs",
-            "nn_block_reduction",
+            "nn_planes",
+            "_nn_range_kernel",
         }
     ),
-    "engine/threads.py": frozenset(
-        {"_nn_range_kernel", "_block_max_distance"}
-    ),
+    "engine/threads.py": frozenset({"_block_max_distance"}),
     "engine/context.py": frozenset({"_nn_values_blockwise"}),
 }
 

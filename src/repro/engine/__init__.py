@@ -11,7 +11,8 @@
   whose dense ``(side,)*d`` arrays would not fit the budget.
 * :mod:`repro.engine.chunked` — the block-streaming machinery
   (``pairwise_sum_stream`` replicating NumPy's summation order, the
-  one-pass NN reduction, per-slab neighbor counts).
+  engine's one NN fold ``nn_block_reduction`` that every mode runs,
+  per-slab neighbor counts).
 * :mod:`repro.engine.threads` — :class:`BlockScheduler`, fanning the
   block iterators of one context out over a thread pool (the NumPy
   block kernels release the GIL) with per-thread scratch buffers and

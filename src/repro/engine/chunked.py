@@ -6,9 +6,11 @@ one of three orders, each serving a different consumer:
 
 * **grid slabs** along axis 0 (C order) — the unit of the NN-pair
   reductions (``D^avg``, ``D^max``, ``Λ_i``, partition edge cuts).  A
-  slab is ``planes × side^{d-1}`` cells; only the last hyperplane of
-  the previous slab is carried across a slab boundary, so working
-  memory is ``O(block)``.
+  slab is ``planes × side^{d-1}`` cells; the NN fold
+  (:func:`nn_block_reduction`) reads the two hyperplanes adjacent to a
+  slab itself, so working memory is ``O(block)`` and no state crosses
+  slabs.  Dense contexts run the same fold over one whole-grid range
+  (or ``~threads × 4`` ranges when threaded).
 * **rank blocks** (simple-curve order) — the ``flat_keys`` stream.
 * **key blocks** (curve order) — the inverse-permutation and
   window-shift streams.
@@ -31,7 +33,7 @@ Bit-for-bit parity with the dense path is engineered, not hoped for:
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Tuple
+from typing import Iterable, Iterator, Tuple
 
 import numpy as np
 
@@ -41,6 +43,8 @@ __all__ = [
     "slab_neighbor_counts",
     "slab_axis_slices",
     "accumulate_block_pairs",
+    "fold_ranges",
+    "nn_planes",
     "nn_block_reduction",
 ]
 
@@ -51,32 +55,39 @@ DEFAULT_CHUNK_CELLS = 1 << 20
 #: :func:`pairwise_sum_stream`; bounds the stream's buffer.
 _PW_LEAF = 1 << 15
 
+#: Dense-mode fold ranges per worker thread: mild oversubscription so
+#: one slow block (cache-cold plane, uneven tail) cannot stall the merge.
+_DENSE_OVERSUBSCRIPTION = 4
+
 
 class _BlockCursor:
-    """Sequential float64 reader over a stream of array blocks."""
+    """Sequential float64 reader over a stream of array blocks.
+
+    Values are handed out as views of the current head block; blocks
+    are joined only when a request straddles a block boundary, so a
+    stream of ``B`` values costs ``O(B)`` copies at most, never
+    ``O(B²/leaf)``.
+    """
 
     def __init__(self, blocks: Iterable[np.ndarray]) -> None:
         self._blocks = iter(blocks)
-        self._buffer: List[np.ndarray] = []
-        self._available = 0
+        self._head = np.empty(0, dtype=np.float64)
 
     def take(self, count: int) -> np.ndarray:
         """The next ``count`` values as one contiguous float64 array."""
-        while self._available < count:
-            block = np.asarray(next(self._blocks), dtype=np.float64)
-            flat = block.reshape(-1)
-            if flat.size:
-                self._buffer.append(flat)
-                self._available += flat.size
-        if len(self._buffer) == 1 and self._buffer[0].size == count:
-            out = self._buffer.pop()
-            self._available = 0
-            return out
-        joined = np.concatenate(self._buffer)
-        out, rest = joined[:count], joined[count:]
-        self._buffer = [rest] if rest.size else []
-        self._available = rest.size
-        return out
+        head = self._head
+        if head.size < count:
+            parts = [head] if head.size else []
+            available = head.size
+            while available < count:
+                block = np.asarray(next(self._blocks), dtype=np.float64)
+                flat = block.reshape(-1)
+                if flat.size:
+                    parts.append(flat)
+                    available += flat.size
+            head = parts[0] if len(parts) == 1 else np.concatenate(parts)
+        self._head = head[count:]
+        return head[:count]
 
 
 def pairwise_sum_stream(
@@ -195,11 +206,8 @@ def accumulate_block_pairs(
     pairs along axes >= 1 and interior axis-0 pairs (both endpoints in
     the block) update the per-cell ``sums``/``best`` grids and the
     per-axis ``lambdas`` totals in place.  Boundary axis-0 pairs (one
-    endpoint outside the block) are the caller's job — the serial
-    reduction handles them with its carry, the threaded kernel with
-    its adjacent boundary planes — so this single ufunc chain is the
-    shared core of both, and a change here keeps them bit-for-bit
-    aligned by construction.  Distance temporaries live in ``scratch``
+    endpoint outside the block) are the caller's job —
+    :func:`nn_planes` reads the adjacent boundary planes itself.  Distance temporaries live in ``scratch``
     (a :class:`repro.engine.threads.ScratchBuffers`).  When ``kernels``
     (a loaded :class:`repro.engine.native.NativeKernels`) is given and
     the arrays are contiguous, the whole fold runs as one compiled
@@ -235,108 +243,179 @@ def accumulate_block_pairs(
         np.maximum(best[1:], dist0, out=best[1:])
 
 
-def nn_block_reduction(ctx) -> dict:
-    """All NN-stretch scalars of ``ctx`` in one pass over key slabs.
+# ----------------------------------------------------------------------
+# The NN fold
+# ----------------------------------------------------------------------
+def fold_ranges(ctx) -> list:
+    """Axis-0 plane ranges ``(lo, hi)`` the NN fold walks.
 
-    Returns ``{"davg", "dmax", "lambdas", "nn_sum"}`` with values
-    bit-for-bit equal to the dense metric methods (see the module
-    docstring for why).  Requires ``side >= 2``; the degenerate cases
-    are handled by the calling metric methods.
+    Chunked contexts use the slab partition (so the LRU-cached slabs
+    are the fold's units); a serial dense context folds the whole grid
+    as one range; a threaded dense context splits it into
+    ``~threads × 4`` ranges of contiguous planes — mild
+    oversubscription, so one slow range cannot stall the merge.
+    """
+    if ctx.chunked or not ctx.threaded:
+        return ctx._slab_ranges()
+    side = ctx.universe.side
+    parts = min(side, ctx.threads * _DENSE_OVERSUBSCRIPTION)
+    per = -(-side // parts)
+    return [(lo, min(side, lo + per)) for lo in range(0, side, per)]
+
+
+def _plane_keys(ctx, x0: int) -> np.ndarray:
+    """Keys of the single plane ``x0`` (shape ``(1,) + (side,)*(d-1)``).
+
+    Dense boundary planes are free grid views.  In chunked mode the
+    plane belongs to a *neighboring* canonical slab, which is peeked
+    (silently: no cache traffic, no stats) and sliced zero-copy when
+    resident; otherwise the single plane is evaluated directly
+    (honoring pool-installed block derivations) — one plane, never a
+    full slab, and no overlapping cache keys in the slab partition.
+    """
+    if not ctx.chunked:
+        return ctx.key_grid()[x0 : x0 + 1]
+    lo, hi = ctx._slab_span(x0)
+    slab = ctx._store.peek(f"key_slab[{lo}:{hi}]")
+    if slab is not None:
+        return slab[x0 - lo : x0 - lo + 1]
+    return ctx._key_slab_values(x0, x0 + 1)
+
+
+def nn_planes(
+    ctx,
+    lo: int,
+    hi: int,
+    sums: np.ndarray,
+    best: np.ndarray,
+    lambdas: list,
+    scratch,
+) -> None:
+    """Final per-cell NN sums and maxima of the planes ``x_0 ∈ [lo, hi)``.
+
+    Self-contained: besides its own key planes the kernel reads the
+    boundary planes ``lo - 1`` and ``hi`` itself, so the ``sums`` and
+    ``best`` it writes (int64 arrays of the range's shape, overwritten)
+    are final — no carry crosses ranges, and ranges can run in any
+    order or concurrently.  The range's ``Λ`` partials are added to
+    ``lambdas``: the axis-0 boundary pair ``(lo-1, lo)`` counts here,
+    the pair ``(hi-1, hi)`` only updates per-cell state and is counted
+    by the next range.  All updates are integer sums and maxima, so
+    any range partition gives the same grids and totals.
+    """
+    d, side = ctx.universe.d, ctx.universe.side
+    body = ctx._key_slab(lo, hi) if ctx.chunked else ctx.key_grid()[lo:hi]
+    sums[...] = 0
+    best[...] = 0
+    accumulate_block_pairs(
+        body, d, side, sums, best, lambdas, scratch, kernels=ctx.kernels
+    )
+    plane_shape = (1,) + body.shape[1:]
+    if lo > 0:
+        bdist = scratch.take("nn_bdist", plane_shape, np.int64)
+        np.subtract(body[:1], _plane_keys(ctx, lo - 1), out=bdist)
+        np.abs(bdist, out=bdist)
+        lambdas[0] += int(bdist.sum())
+        sums[:1] += bdist
+        np.maximum(best[:1], bdist, out=best[:1])
+    if hi < side:
+        udist = scratch.take("nn_bdist", plane_shape, np.int64)
+        np.subtract(_plane_keys(ctx, hi), body[-1:], out=udist)
+        np.abs(udist, out=udist)
+        sums[-1:] += udist
+        np.maximum(best[-1:], udist, out=best[-1:])
+
+
+def _nn_range_kernel(ctx, lo: int, hi: int, scratch):
+    """One fold task: ``(avg values, Λ partials, Σ per-cell max)``.
+
+    Runs :func:`nn_planes` into scratch grids and divides by the
+    neighbor counts: dense ranges slice the context's resolved
+    ``neighbor_counts()`` grid (shared across the pool's curves,
+    attached from shared memory or the grid store); chunked ranges
+    compute the slab's counts in place.  Only the per-cell average
+    array — the task's result — is freshly allocated.
+    """
+    shape = (hi - lo,) + (ctx.universe.side,) * (ctx.universe.d - 1)
+    sums = scratch.take("nn_sums", shape, np.int64)
+    best = scratch.take("nn_best", shape, np.int64)
+    lambdas = [0] * ctx.universe.d
+    nn_planes(ctx, lo, hi, sums, best, lambdas, scratch)
+    if ctx.chunked:
+        counts = slab_neighbor_counts(
+            ctx.universe,
+            lo,
+            hi,
+            out=scratch.take("nn_counts", shape, np.int64),
+            kernels=ctx.kernels,
+        )
+    else:
+        counts = ctx.neighbor_counts()[lo:hi]
+    # repro: allow[R004] — the task's *result* array: it leaves the
+    # scratch arena and is merged in range order, so it cannot reuse a
+    # per-thread buffer
+    avg = np.empty(shape, dtype=np.float64)
+    np.divide(sums, counts, out=avg)
+    return avg.reshape(-1), lambdas, int(best.sum())
+
+
+def nn_block_reduction(ctx) -> dict:
+    """All NN-stretch scalars of ``ctx``: the engine's one NN fold.
+
+    Walks :func:`fold_ranges`, running one :func:`_nn_range_kernel`
+    task per range — inline on a per-call scratch set when the context
+    is serial, through ``ctx.scheduler`` when it is threaded — and
+    merges the per-cell averages in range order through
+    :func:`pairwise_sum_stream`.  Returns ``{"davg", "dmax",
+    "lambdas", "nn_sum"}``, bit-for-bit equal in every mode (see the
+    module docstring for why).  Requires ``side >= 2``; the degenerate
+    cases are handled by the calling metric methods.
     """
     # Lazy import: threads.py imports this module at its top level.
-    from repro.engine.threads import ScratchBuffers
+    from repro.engine.threads import ScratchBuffers, _warm_curve_caches
 
     universe = ctx.universe
-    d, side, n = universe.d, universe.side, universe.n
+    d, n = universe.d, universe.n
+    # Resolve the shared state once in the calling thread, so range
+    # tasks only read it (racing the first resolution across workers
+    # would compute or attach it once per thread).
+    if ctx.chunked:
+        _warm_curve_caches(ctx, inverse=False)
+    else:
+        ctx.key_grid()
+        ctx.neighbor_counts()
+    ranges = fold_ranges(ctx)
+    if ctx.threaded:
+        scheduler = ctx.scheduler
+        results = scheduler.imap(
+            (
+                lambda lo=lo, hi=hi: _nn_range_kernel(
+                    ctx, lo, hi, scheduler.scratch()
+                )
+            )
+            for lo, hi in ranges
+        )
+    else:
+        # A per-call scratch set: the serial fold's buffers are freed
+        # with the call instead of living as long as the context.
+        scratch = ScratchBuffers()
+        results = (
+            _nn_range_kernel(ctx, lo, hi, scratch) for lo, hi in ranges
+        )
     lambdas = [0] * d
-    state = {"max_total": 0}
-    scratch = ScratchBuffers()
+    max_total = [0]
 
-    def avg_planes() -> Iterator[np.ndarray]:
-        """Per-cell average-stretch values, streamed in C order.
+    def avg_blocks() -> Iterator[np.ndarray]:
+        for avg, partial, max_part in results:
+            for axis in range(d):
+                lambdas[axis] += partial[axis]
+            max_total[0] += max_part
+            yield avg
 
-        Every plane of per-cell sums is finalized once all its pair
-        contributions arrived: planes ``[lo, hi-1)`` of a slab within
-        the slab, the last plane when the next slab (or the end of the
-        grid) supplies the axis-0 boundary pairs.  All integer state
-        (sums, maxima, distances, the boundary-plane carry) lives in
-        reused scratch buffers; the only steady-state allocations are
-        the yielded float planes, which the pairwise-sum cursor may
-        hold across iterations and therefore cannot be recycled.
-        """
-        plane_shape = None
-        prev_keys = None
-        pending_sums = None
-        pending_max = None
-        pending_x0 = -1
-        for lo, hi, slab in ctx.iter_key_slabs():
-            thickness = hi - lo
-            sums = scratch.take("sums", slab.shape, np.int64)
-            sums[...] = 0
-            best = scratch.take("best", slab.shape, np.int64)
-            best[...] = 0
-            accumulate_block_pairs(
-                slab, d, side, sums, best, lambdas, scratch,
-                kernels=ctx.kernels,
-            )
-            if plane_shape is None:
-                plane_shape = (1,) + slab.shape[1:]
-            if prev_keys is not None:
-                boundary = scratch.take("boundary", plane_shape, np.int64)
-                np.subtract(slab[:1], prev_keys, out=boundary)
-                np.abs(boundary, out=boundary)
-                lambdas[0] += int(boundary.sum())
-                sums[:1] += boundary
-                np.maximum(best[:1], boundary, out=best[:1])
-                pending_sums += boundary
-                np.maximum(pending_max, boundary, out=pending_max)
-                counts = slab_neighbor_counts(
-                    universe,
-                    pending_x0,
-                    pending_x0 + 1,
-                    out=scratch.take("plane_counts", plane_shape, np.int64),
-                    kernels=ctx.kernels,
-                )
-                state["max_total"] += int(pending_max.sum())
-                yield (pending_sums / counts).reshape(-1)
-            if thickness > 1:
-                counts = slab_neighbor_counts(
-                    universe,
-                    lo,
-                    hi - 1,
-                    out=scratch.take(
-                        "counts", sums[:-1].shape, np.int64
-                    ),
-                    kernels=ctx.kernels,
-                )
-                state["max_total"] += int(best[:-1].sum())
-                yield (sums[:-1] / counts).reshape(-1)
-            if prev_keys is None:
-                prev_keys = scratch.take("prev_keys", plane_shape, np.int64)
-                pending_sums = scratch.take(
-                    "pending_sums", plane_shape, np.int64
-                )
-                pending_max = scratch.take(
-                    "pending_max", plane_shape, np.int64
-                )
-            np.copyto(prev_keys, slab[-1:])
-            np.copyto(pending_sums, sums[-1:])
-            np.copyto(pending_max, best[-1:])
-            pending_x0 = hi - 1
-        if pending_sums is not None:
-            counts = slab_neighbor_counts(
-                universe,
-                pending_x0,
-                pending_x0 + 1,
-                out=scratch.take("plane_counts", plane_shape, np.int64),
-            )
-            state["max_total"] += int(pending_max.sum())
-            yield (pending_sums / counts).reshape(-1)
-
-    davg = pairwise_sum_stream(avg_planes(), n) / n
+    davg = pairwise_sum_stream(avg_blocks(), n) / n
     return {
         "davg": davg,
-        "dmax": float(state["max_total"]) / n,
+        "dmax": float(max_total[0]) / n,
         "lambdas": tuple(lambdas),
         "nn_sum": sum(lambdas),
     }

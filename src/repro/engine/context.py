@@ -4,10 +4,11 @@ Every exact stretch metric (Definitions 1–4, Lemma 5 groups, all-pairs
 stretch) consumes the same handful of intermediates:
 
 * the dense **key grid** ``π(α)`` (one ``O(n)`` curve evaluation),
-* the per-axis **pair curve-distance arrays** ``∆π`` over ``G_{i}``
-  (one ``O(n)`` slice-subtract per axis),
 * the **neighbor-count grid** ``|N(α)|``,
-* the derived per-cell sum / max grids,
+* the **NN fold** over every nearest-neighbour key pair — one integer
+  pass (:func:`repro.engine.chunked.nn_block_reduction`) that yields
+  ``D^avg``, ``D^max``, ``Λ_i`` and the NN mean together,
+* the per-cell sum / max grids, on request,
 * the **inverse permutation** (rank grid), the rank-ordered flat key
   array, and the **windowed curve-shift distance arrays** consumed by
   the analysis and application layers.
@@ -27,8 +28,8 @@ metric.  Copy first if you need a scratch buffer.
 
 **Chunked mode** (``chunk_cells=...``) serves universes whose dense
 ``(side,)*d`` arrays would not fit the cache budget (or memory): the key
-grid, flat keys, inverse permutation and per-axis NN-distance state are
-produced as iterators of fixed-size blocks
+grid, flat keys and inverse permutation are produced as iterators of
+fixed-size blocks
 (:meth:`MetricContext.iter_key_slabs`, :meth:`~MetricContext.iter_key_blocks`,
 :meth:`~MetricContext.iter_inverse_blocks`,
 :meth:`~MetricContext.iter_window_pairs`), recently used blocks are kept
@@ -44,18 +45,26 @@ to use instead.  The ``O(block)`` guarantee holds for procedural curves
 ``random`` or ``peano``) are already defined by a dense table and gain
 no memory over the dense mode.
 
-**Threaded mode** (``threads=N`` / ``threads="auto"``): the block
-reductions behind the NN and window metrics fan out over a
-:class:`repro.engine.threads.BlockScheduler` thread pool — the NumPy
-block kernels release the GIL, so one context saturates several cores.
-Composes with both dense and chunked execution, and results stay
-bit-for-bit identical to the serial paths (the order-sensitive
-``D^avg`` mean is merged in block order through the same pairwise-sum
-replication the chunked mode uses).
+**One NN fold.**  Every NN metric reads one memoized result of
+:func:`repro.engine.chunked.nn_block_reduction`, which walks axis-0
+plane ranges with the self-contained range kernel
+:func:`~repro.engine.chunked.nn_planes` (it reads its own boundary
+planes, so the per-cell state it leaves is final).  The modes differ
+only in the ranges: a dense context folds its grid as one range, a
+chunked one folds its slab partition.
 
-**Native backend** (``backend="native"``/``"auto"``): the hot block
-kernels — the NN pair fold, neighbor counts, window max, batch curve
-encode/decode — dispatch to the compiled C library of
+**Threaded mode** (``threads=N`` / ``threads="auto"``): the same fold
+runs its range tasks over a :class:`repro.engine.threads.BlockScheduler`
+thread pool — a dense grid splits into ``~threads × 4`` ranges — and
+the window metrics fan out the same way.  The NumPy block kernels
+release the GIL, so one context saturates several cores.  Results stay
+bit-for-bit identical to serial runs: the order-sensitive ``D^avg``
+mean is merged in range order through the pairwise-sum replication of
+:func:`~repro.engine.chunked.pairwise_sum_stream`.
+
+**Native backend** (``backend="native"``/``"auto"``): a kernel-table
+swap.  The range kernel's pair fold, neighbor counts, window max and
+batch curve encode/decode dispatch to the compiled C library of
 :mod:`repro.engine.native` when it is available, falling back to the
 NumPy bodies otherwise.  Backend choice never changes values: integer
 kernels are exact and the float reductions (``D^avg`` division,
@@ -1042,139 +1051,72 @@ class MetricContext:
             b = self.curve.coords_of(idx + window, backend=self.backend)
             yield t0, t1, a, b
 
-    def _chunked_nn_stats(self) -> dict:
-        """Memoized one-pass NN reduction (chunked mode only)."""
-        from repro.engine.chunked import nn_block_reduction
+    def _nn_stats(self) -> dict:
+        """Memoized NN fold: every NN scalar of the context in one pass.
 
-        return self._scalar(
-            ("chunked_nn",), lambda: nn_block_reduction(self)
-        )
-
-    def _threaded_nn_stats(self) -> dict:
-        """Memoized thread-parallel NN reduction (``threads > 1``).
-
-        One block-parallel pass produces every NN scalar (``davg``,
-        ``dmax``, ``Λ`` sums, NN-pair sum) with values bit-for-bit
-        equal to the serial paths; see
-        :func:`repro.engine.threads.threaded_nn_reduction`.
+        ``{"davg", "dmax", "lambdas", "nn_sum"}`` from
+        :func:`repro.engine.chunked.nn_block_reduction`, the one fold
+        behind :meth:`davg`, :meth:`dmax`, :meth:`lambda_sums` and
+        :meth:`nn_mean` in every mode (dense, chunked, threaded) and
+        on every backend.
         """
-        from repro.engine.threads import threaded_nn_reduction
+        from repro.engine import chunked
 
-        return self._scalar(
-            ("threaded_nn",), lambda: threaded_nn_reduction(self)
-        )
+        return self._scalar(("nn",), lambda: chunked.nn_block_reduction(self))
 
     # ------------------------------------------------------------------
     # Per-cell grids
     # ------------------------------------------------------------------
-    def _per_cell_blockwise(
-        self,
-    ) -> tuple[np.ndarray, np.ndarray, list]:
-        """One slab pass assembling the dense per-cell sum/max grids.
-
-        The chunked-mode backend of the per-cell exports, and the
-        native-backend fast path in dense mode too (there the single
-        slab is the whole key grid and the fused compiled kernel folds
-        every NN pair in one C pass).  The *results* are inherently
-        ``O(n)`` dense grids (the caller asked for them); what the pass
-        avoids is any dense *intermediate*: it walks key slabs, folds
-        within-slab NN pairs with
-        :func:`repro.engine.chunked.accumulate_block_pairs` (the shared
-        pair core of the serial and threaded NN reductions) and handles
-        each axis-0 boundary pair against a carried plane.  All updates
-        are integer scatter-adds and maxima — order-free — so both grids
-        equal the dense path bit-for-bit.  The per-axis ``Λ`` tallies
-        fall out of the same pass (boundary pairs are folded into axis
-        0), so callers can seed ``lambda_sums`` for free.
-        """
-        from repro.engine.chunked import accumulate_block_pairs
-        from repro.engine.threads import ScratchBuffers
-
-        universe = self.universe
-        d, side = universe.d, universe.side
-        sums = np.zeros(universe.shape, dtype=np.int64)
-        best = np.zeros(universe.shape, dtype=np.int64)
-        lambdas = [0] * d
-        scratch = ScratchBuffers()
-        plane_shape = (1,) + (side,) * (d - 1)
-        prev_keys = None
-        for lo, hi, slab in self.iter_key_slabs():
-            accumulate_block_pairs(
-                slab,
-                d,
-                side,
-                sums[lo:hi],
-                best[lo:hi],
-                lambdas,
-                scratch,
-                kernels=self.kernels,
-            )
-            if prev_keys is not None:
-                boundary = scratch.take("boundary", plane_shape, np.int64)
-                np.subtract(slab[:1], prev_keys, out=boundary)
-                np.abs(boundary, out=boundary)
-                lambdas[0] += int(boundary.sum())
-                sums[lo - 1 : lo] += boundary
-                sums[lo : lo + 1] += boundary
-                np.maximum(
-                    best[lo - 1 : lo], boundary, out=best[lo - 1 : lo]
-                )
-                np.maximum(
-                    best[lo : lo + 1], boundary, out=best[lo : lo + 1]
-                )
-            prev_keys = np.ascontiguousarray(slab[-1:])
-        return sums, best, lambdas
-
     def _per_cell_grids(self) -> tuple[np.ndarray, np.ndarray]:
-        """Cached ``(sums, best)`` grids from the blockwise single pass.
+        """Cached ``(sums, best)`` per-cell grids, built together.
 
-        Both grids come out of one slab walk, so they are computed (and
-        cached) together under their usual store keys.  The pass also
-        yields the per-axis ``Λ`` sums; in dense mode they are seeded
-        into the store under ``lambda_sums`` so a later
-        :meth:`lambda_sums` call costs nothing extra.
+        One walk over the fold ranges runs
+        :func:`repro.engine.chunked.nn_planes` into slices of the two
+        result grids — the same kernel the scalar fold uses, so every
+        entry is final when its range is done.  The *results* are
+        inherently ``O(n)`` dense grids (the caller asked for them);
+        the walk itself allocates no dense intermediate.  All updates
+        are integer sums and maxima, so the grids are bit-for-bit
+        equal in every mode and on every backend.
         """
         sums = self._store.peek("per_cell_sums")
         best = self._store.peek("per_cell_max")
         if sums is None or best is None:
-            sums, best, lambdas = self._per_cell_blockwise()
-            computed_sums, computed_best = sums, best
+            from repro.engine.chunked import fold_ranges, nn_planes
+            from repro.engine.threads import ScratchBuffers
+
+            shape = self.universe.shape
+            computed_sums = np.empty(shape, dtype=np.int64)
+            computed_best = np.empty(shape, dtype=np.int64)
+            lambdas = [0] * self.universe.d
+            scratch = ScratchBuffers()
+            for lo, hi in fold_ranges(self):
+                nn_planes(
+                    self,
+                    lo,
+                    hi,
+                    computed_sums[lo:hi],
+                    computed_best[lo:hi],
+                    lambdas,
+                    scratch,
+                )
             sums = self._store.get_or_compute(
                 "per_cell_sums", lambda: computed_sums
             )
             best = self._store.get_or_compute(
                 "per_cell_max", lambda: computed_best
             )
-            if not self.chunked and self._store.peek("lambda_sums") is None:
-                lam = np.array(lambdas, dtype=np.int64)
-                self._store.get_or_compute("lambda_sums", lambda: lam)
         return sums, best
 
     def per_cell_stretch_sums(self) -> tuple[np.ndarray, np.ndarray]:
         """Per-cell ``(Σ_{β∈N(α)} ∆π(α,β), |N(α)|)`` as dense grids.
 
-        Works in chunked mode as well — the grids are assembled slab by
-        slab without dense intermediates (see :meth:`_per_cell_blockwise`
-        for the parity argument); the returned arrays are inherently
-        ``O(n)``.  On the native backend the dense mode takes the same
-        blockwise route: the fused compiled kernel folds every NN pair
-        of the whole grid in one C pass, replacing ``d`` vectorized
-        slice-subtract/scatter rounds, with bit-for-bit equal grids.
+        Works in chunked mode as well — the grids are assembled range
+        by range without dense intermediates (see
+        :meth:`_per_cell_grids`); the returned arrays are inherently
+        ``O(n)``.
         """
-        if self.chunked or self.kernels is not None:
-            return self._per_cell_grids()[0], self.neighbor_counts()
-
-        def compute() -> np.ndarray:
-            sums = np.zeros(self.universe.shape, dtype=np.int64)
-            for axis in range(self.universe.d):
-                dist = self.axis_pair_curve_distances(axis)
-                lo, hi = self.axis_pair_slices(axis)
-                sums[lo] += dist
-                sums[hi] += dist
-            return sums
-
-        sums = self._store.get_or_compute("per_cell_sums", compute)
-        return sums, self.neighbor_counts()
+        return self._per_cell_grids()[0], self.neighbor_counts()
 
     def per_cell_avg_stretch(self) -> np.ndarray:
         """Dense grid of ``δ^avg_π(α)`` (Definition 1).
@@ -1195,54 +1137,32 @@ class MetricContext:
     def per_cell_max_stretch(self) -> np.ndarray:
         """Dense grid of ``δ^max_π(α)`` (Definition 3; 0 for side == 1).
 
-        Available in chunked mode via the slab-wise assembly (integer
-        maxima are order-free, so the grid matches the dense path
-        bit-for-bit); the result is inherently ``O(n)``.  The native
-        backend routes the dense mode through the same fused pass (see
-        :meth:`per_cell_stretch_sums`).
+        Assembled range by range with the per-cell sums (integer maxima
+        are order-free, so the grid is the same in every mode); the
+        result is inherently ``O(n)``.
         """
-        if self.chunked or self.kernels is not None:
-            return self._per_cell_grids()[1]
-
-        def compute() -> np.ndarray:
-            best = np.zeros(self.universe.shape, dtype=np.int64)
-            for axis in range(self.universe.d):
-                dist = self.axis_pair_curve_distances(axis)
-                lo, hi = self.axis_pair_slices(axis)
-                np.maximum(best[lo], dist, out=best[lo])
-                np.maximum(best[hi], dist, out=best[hi])
-            return best
-
-        return self._store.get_or_compute("per_cell_max", compute)
+        return self._per_cell_grids()[1]
 
     def nn_distance_values(self) -> np.ndarray:
         """Flat ``∆π`` over all unordered NN pairs (each once).
 
         Empty (not an error) on degenerate universes with no NN pairs.
-        In chunked mode the per-axis distance arrays are assembled slab
-        by slab in the dense enumeration order (within-slab pairs land
-        at their dense offsets; axis-0 boundary pairs are filled from
-        the carried plane), so the concatenation is bit-for-bit the
-        dense array.  The result is inherently ``O(n·d)``.
+        The per-axis distance arrays are assembled slab by slab in the
+        per-axis C enumeration order (within-slab pairs land at their
+        flat offsets; axis-0 boundary pairs are filled from the carried
+        plane); a dense context is one slab.  The result is inherently
+        ``O(n·d)``.
         """
         if self.universe.side < 2:
             empty = np.empty(0, dtype=np.int64)
             empty.flags.writeable = False
             return empty
-
-        def compute() -> np.ndarray:
-            if self.chunked:
-                return self._nn_values_blockwise()
-            parts = [
-                self.axis_pair_curve_distances(axis).reshape(-1)
-                for axis in range(self.universe.d)
-            ]
-            return np.concatenate(parts)
-
-        return self._store.get_or_compute("nn_values", compute)
+        return self._store.get_or_compute(
+            "nn_values", self._nn_values_blockwise
+        )
 
     def _nn_values_blockwise(self) -> np.ndarray:
-        """Chunked assembly behind :meth:`nn_distance_values`.
+        """Slab-wise assembly behind :meth:`nn_distance_values`.
 
         Allocation-free per block (R004): the flat result is allocated
         once up front and every per-axis slab distance lands in a
@@ -1250,9 +1170,8 @@ class MetricContext:
         ``out=`` targets, so the slab walk does zero allocator traffic
         no matter how many blocks stream through.  The axis-0 boundary
         carry plane lives in a :class:`ScratchBuffers` slot reused
-        across slabs.  The per-axis segments occupy the same flat
-        offsets the dense path's ``concatenate`` would give them, so
-        the result stays bit-for-bit the dense array.
+        across slabs.  The per-axis segments occupy the flat offsets a
+        ``concatenate`` of the per-axis arrays would give them.
         """
         from repro.engine.chunked import slab_axis_slices
         from repro.engine.threads import ScratchBuffers
@@ -1310,42 +1229,10 @@ class MetricContext:
             zeros = np.zeros(self.universe.d, dtype=np.int64)
             zeros.flags.writeable = False
             return zeros
-        if self.threaded:
-
-            def compute() -> np.ndarray:
-                return np.array(
-                    self._threaded_nn_stats()["lambdas"], dtype=np.int64
-                )
-
-            return self._store.get_or_compute("lambda_sums", compute)
-        if self.chunked:
-
-            def compute() -> np.ndarray:
-                return np.array(
-                    self._chunked_nn_stats()["lambdas"], dtype=np.int64
-                )
-
-            return self._store.get_or_compute("lambda_sums", compute)
-        if self.kernels is not None:
-            # Native dense path: the fused per-cell pass tallies the
-            # per-axis sums as it folds the pairs and seeds them into
-            # the store.  If the seed was evicted, fall through to the
-            # per-axis assembly below (identical values).
-            self._per_cell_grids()
-            seeded = self._store.peek("lambda_sums")
-            if seeded is not None:
-                return seeded
-
-        def compute() -> np.ndarray:
-            return np.array(
-                [
-                    int(self.axis_pair_curve_distances(axis).sum())
-                    for axis in range(self.universe.d)
-                ],
-                dtype=np.int64,
-            )
-
-        return self._store.get_or_compute("lambda_sums", compute)
+        return self._store.get_or_compute(
+            "lambda_sums",
+            lambda: np.array(self._nn_stats()["lambdas"], dtype=np.int64),
+        )
 
     def davg(self) -> float:
         """``D^avg(π)`` (Definition 2), exact.
@@ -1355,70 +1242,27 @@ class MetricContext:
         """
         if self.universe.side < 2:
             return 0.0
-        if self.threaded:
-            return self._scalar(
-                ("davg",), lambda: self._threaded_nn_stats()["davg"]
-            )
-        if self.chunked:
-            return self._scalar(
-                ("davg",), lambda: self._chunked_nn_stats()["davg"]
-            )
-        return self._scalar(
-            ("davg",), lambda: float(self.per_cell_avg_stretch().mean())
-        )
+        return self._nn_stats()["davg"]
 
     def dmax(self) -> float:
         """``D^max(π)`` (Definition 4), exact; 0.0 when side == 1."""
         if self.universe.side < 2:
             return 0.0
-        if self.threaded:
-            return self._scalar(
-                ("dmax",), lambda: self._threaded_nn_stats()["dmax"]
-            )
-        if self.chunked:
-            return self._scalar(
-                ("dmax",), lambda: self._chunked_nn_stats()["dmax"]
-            )
-        return self._scalar(
-            ("dmax",), lambda: float(self.per_cell_max_stretch().mean())
-        )
+        return self._nn_stats()["dmax"]
 
     def nn_mean(self) -> float:
-        """Mean ``∆π`` over all NN pairs (0.0 when there are none)."""
+        """Mean ``∆π`` over all NN pairs (0.0 when there are none).
+
+        The exact integer pair sum over the pair count: equal to a
+        float64 mean of the pair values while the sum stays below
+        ``2^53``, where every partial sum is exact.
+        """
         if self.universe.side < 2:
             return 0.0
-        if self.threaded:
-            from repro.grid.neighbors import nn_pair_count
+        from repro.grid.neighbors import nn_pair_count
 
-            return self._scalar(
-                ("nn_mean",),
-                lambda: float(self._threaded_nn_stats()["nn_sum"])
-                / nn_pair_count(self.universe),
-            )
-        if self.chunked:
-            from repro.grid.neighbors import nn_pair_count
-
-            return self._scalar(
-                ("nn_mean",),
-                lambda: float(self._chunked_nn_stats()["nn_sum"])
-                / nn_pair_count(self.universe),
-            )
-        if self.kernels is not None:
-            # Native dense path: the exact NN-pair sum is Σ_i Λ_i from
-            # the fused pass; dividing by the pair count equals the
-            # NumPy mean bit-for-bit (float64 pairwise summation of
-            # int64 values is exact while the total stays below 2^53,
-            # so both paths divide the same exact sum by the same
-            # count).
-            from repro.grid.neighbors import nn_pair_count
-
-            return self._scalar(
-                ("nn_mean",),
-                lambda: float(int(self.lambda_sums().sum()))
-                / nn_pair_count(self.universe),
-            )
-        return self._scalar(
-            ("nn_mean",), lambda: float(self.nn_distance_values().mean())
+        return float(self._nn_stats()["nn_sum"]) / nn_pair_count(
+            self.universe
         )
 
     def lower_bound(self) -> float:
@@ -1545,12 +1389,11 @@ class MetricContext:
     ) -> dict[int, tuple[int, np.ndarray]]:
         """Split ``G_{axis+1}`` into the Lemma 5 groups ``G_{i,j}``.
 
-        Works in both modes: the chunked path walks key slabs and
-        groups each block's pair distances by the trailing-ones index
-        of the pair's coordinate along ``axis``, producing counts and
-        value arrays identical to the dense decomposition (group
-        membership depends only on that coordinate, and block order
-        preserves the dense C-order value enumeration).  Note the
+        Walks key slabs (a dense context is one slab) and groups each
+        block's pair distances by the trailing-ones index of the pair's
+        coordinate along ``axis``; group membership depends only on
+        that coordinate, and block order preserves the C-order value
+        enumeration, so every mode gives the same groups.  Note the
         *result* is inherently ``O(n)`` — it partitions every NN pair
         along the axis — so decomposing a beyond-memory universe still
         needs a consumer that reduces the groups streamwise.
@@ -1559,44 +1402,15 @@ class MetricContext:
             raise ValueError(
                 f"axis must be in [0, {self.universe.d}), got {axis}"
             )
-        if self.chunked:
-            return self._scalar(
-                ("gij", axis), lambda: self._gij_blockwise(axis)
-            )
-        # Late import: core.stretch imports this module for its wrappers.
-        from repro.core.stretch import trailing_ones
+        return self._scalar(("gij", axis), lambda: self._gij(axis))
 
-        def compute() -> dict[int, tuple[int, np.ndarray]]:
-            universe = self.universe
-            k = universe.k  # requires power-of-two side, as in the paper
-            dist = self.axis_pair_curve_distances(axis)
-            shape = [1] * universe.d
-            shape[axis] = universe.side - 1
-            kappa = np.arange(universe.side - 1, dtype=np.int64).reshape(
-                shape
-            )
-            kappa = np.broadcast_to(kappa, dist.shape)
-            groups = trailing_ones(kappa) + 1  # j index, 1-based
-            out: dict[int, tuple[int, np.ndarray]] = {}
-            flat_groups = groups.reshape(-1)
-            flat_dist = dist.reshape(-1)
-            for j in range(1, k + 1):
-                mask = flat_groups == j
-                out[j] = (int(mask.sum()), flat_dist[mask])
-            return out
-
-        return self._scalar(("gij", axis), compute)
-
-    def _gij_blockwise(
-        self, axis: int
-    ) -> dict[int, tuple[int, np.ndarray]]:
-        """Block-wise Lemma 5 decomposition over key slabs.
+    def _gij(self, axis: int) -> dict[int, tuple[int, np.ndarray]]:
+        """The slab walk behind :meth:`gij_decomposition`.
 
         Axis-0 pairs span consecutive planes (the boundary pair of
-        each slab is handled via a one-plane carry, exactly like the
-        NN reduction); pairs along higher axes live entirely inside a
-        slab.  Values are appended in slab order, which equals the
-        dense path's C-order enumeration.
+        each slab is handled via a one-plane carry); pairs along higher
+        axes live entirely inside a slab.  Values are appended in slab
+        order, which equals the C-order enumeration.
         """
         from repro.core.stretch import trailing_ones
         from repro.engine.chunked import slab_axis_slices

@@ -9,7 +9,7 @@ curve; a :class:`ContextPool` kills it *across* curves:
   times.
 * **Transform derivation** — the curves in
   :mod:`repro.curves.transforms` are grid automorphisms of an inner
-  curve, so their key grids and per-axis ``∆π`` arrays are cheap array
+  curve, so their key grids and curve orders are cheap array
   transforms (negate / flip / transpose) of the inner curve's cached
   arrays.  The pool wires those derivation rules into the derived
   curve's context: the arrays produced are **bit-for-bit identical** to
@@ -56,16 +56,17 @@ def transform_derivations(
     context's cached arrays:
 
     * :class:`~repro.curves.transforms.ReversedCurve` —
-      ``π' = n−1−π`` so ``∆π'`` arrays are *the same objects* as the
-      base's; the key grid is an arithmetic complement and the curve
-      order is the base order walked backwards.
+      ``π' = n−1−π``: the key grid is an arithmetic complement and the
+      curve order is the base order walked backwards.
     * :class:`~repro.curves.transforms.ReflectedCurve` — reflection
-      flips the listed axes of the key grid and every pair array, and
-      maps the order's coordinates through the same reflection.
+      flips the listed axes of the key grid and maps the order's
+      coordinates through the same reflection.
     * :class:`~repro.curves.transforms.AxisPermutedCurve` — axis
-      relabeling transposes the grids; the pairs along new axis ``i``
-      are the base pairs along axis ``perm^{-1}[i]``, transposed; the
-      order's coordinate columns are scattered through ``perm``.
+      relabeling transposes the key grid; the order's coordinate
+      columns are scattered through ``perm``.
+
+    Everything the NN fold needs comes from the key grid, so a derived
+    context folds its derived grid like any other.
     """
     from repro.curves.transforms import (
         AxisPermutedCurve,
@@ -85,20 +86,12 @@ def transform_derivations(
         rules["order"] = lambda: frozen(
             np.ascontiguousarray(base.order()[::-1])
         )
-        for axis in range(universe.d):
-            rules[f"axis_dist[{axis}]"] = (
-                lambda a=axis: base.axis_pair_curve_distances(a)
-            )
         return rules
     if isinstance(curve, ReflectedCurve):
         axes = tuple(curve.axes)
         if not axes:  # reflecting no axes is the identity transform
             rules["key_grid"] = lambda: base.key_grid().copy()
             rules["order"] = lambda: frozen(base.order().copy())
-            for axis in range(universe.d):
-                rules[f"axis_dist[{axis}]"] = (
-                    lambda a=axis: base.axis_pair_curve_distances(a)
-                )
             return rules
         rules["key_grid"] = lambda: np.ascontiguousarray(
             np.flip(base.key_grid(), axis=axes)
@@ -113,10 +106,6 @@ def transform_derivations(
             return frozen(path)
 
         rules["order"] = reflected_order
-        for axis in range(universe.d):
-            rules[f"axis_dist[{axis}]"] = lambda a=axis: np.ascontiguousarray(
-                np.flip(base.axis_pair_curve_distances(a), axis=axes)
-            )
         return rules
     if isinstance(curve, AxisPermutedCurve):
         # grid'[x] = grid[y] with y[k] = x[perm[k]]  ⇔  transpose(inv).
@@ -133,12 +122,6 @@ def transform_derivations(
             return frozen(path)
 
         rules["order"] = permuted_order
-        for axis in range(universe.d):
-            # Bumping new axis i bumps base axis inv[i]: the pair array
-            # along i is the base pair array along inv[i], transposed.
-            rules[f"axis_dist[{axis}]"] = lambda a=axis: np.ascontiguousarray(
-                base.axis_pair_curve_distances(inv[a]).transpose(inv)
-            )
         return rules
     return None
 

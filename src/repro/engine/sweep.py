@@ -550,22 +550,30 @@ class SweepResult:
 # ----------------------------------------------------------------------
 # The sweep runner
 # ----------------------------------------------------------------------
-_Task = Tuple[
-    int,
-    int,
-    str,
-    Tuple[str, ...],
-    bool,
-    bool,
-    int,
-    int,
-    bool,
-    Optional[int],
-    Optional[int],
-    int,
-    str,
-    Optional[str],
-]
+@dataclass(frozen=True)
+class CellTask:
+    """One planned sweep cell: a universe, a curve spec and the knobs.
+
+    Frozen, so it hashes and compares by value: the sweep's dedup dict
+    and the serve single-flight table key on it, and process workers
+    receive it pickled.
+    """
+
+    d: int
+    side: int
+    spec: str
+    metrics: Tuple[str, ...]
+    with_report: bool
+    include_allpairs: bool
+    allpairs_samples: int
+    seed: int
+    strict: bool
+    chunk_cells: Optional[int]
+    max_bytes: Optional[int]
+    threads: int
+    backend: str
+    store_dir: Optional[str]
+
 
 #: Metric names whose evaluation walks the curve order / windowed
 #: state; a shared-mode process sweep publishes ``order`` for its
@@ -583,36 +591,21 @@ def _needs_order(metric_texts: Tuple[str, ...]) -> bool:
 
 
 def _run_cell(
-    task: _Task,
+    task: CellTask,
     pool: Optional[ContextPool] = None,
     stats_sink: Optional[List[CacheStats]] = None,
     shared_store=None,
 ):
     """Compute one (universe, curve) cell; top-level for pickling."""
-    (
-        d,
-        side,
-        spec_text,
-        metrics,
-        with_report,
-        include_allpairs,
-        allpairs_samples,
-        seed,
-        strict,
-        chunk_cells,
-        max_bytes,
-        threads,
-        backend,
-        store_dir,
-    ) = task
+    d, side = task.d, task.side
     universe = Universe(d=d, side=side)
-    spec = CurveSpec.parse(spec_text)
+    spec = CurveSpec.parse(task.spec)
     try:
         curve = spec.make(universe)
     except (ValueError, TypeError) as exc:
         # TypeError covers bad spec kwargs ("z:bogus=1"); one bad cell
         # must not crash the rest of the sweep.
-        if strict:
+        if task.strict:
             raise ValueError(
                 f"curve {spec.label!r} failed to construct on "
                 f"{universe}: {exc}"
@@ -631,22 +624,22 @@ def _run_cell(
         # any transform base contexts, created transitively) to the
         # parent-published shared-memory segments.
         cell_pool = ContextPool(
-            max_bytes=max_bytes,
-            chunk_cells=chunk_cells,
+            max_bytes=task.max_bytes,
+            chunk_cells=task.chunk_cells,
             shared_store=shared_store,
-            threads=threads,
-            backend=backend,
-            store_dir=store_dir,
+            threads=task.threads,
+            backend=task.backend,
+            store_dir=task.store_dir,
         )
         ctx = cell_pool.get(curve)
     else:
         ctx = MetricContext(
             curve,
-            max_bytes=max_bytes,
-            chunk_cells=chunk_cells,
-            threads=threads,
-            backend=backend,
-            store_dir=store_dir,
+            max_bytes=task.max_bytes,
+            chunk_cells=task.chunk_cells,
+            threads=task.threads,
+            backend=task.backend,
+            store_dir=task.store_dir,
         )
     if pool is None and cell_pool is None and stats_sink is not None:
         stats_sink.append(ctx.stats)
@@ -657,16 +650,16 @@ def _run_cell(
         ctx.stats.backends.get(ctx.backend, 0) + 1
     )
     values = {}
-    for text in metrics:
+    for text in task.metrics:
         metric_spec = MetricSpec.parse(text)
         values[metric_spec.label] = metric_spec.bind()(ctx)
     report = None
-    if with_report:
+    if task.with_report:
         report = stretch_report(
             curve,
-            include_allpairs=include_allpairs,
-            allpairs_samples=allpairs_samples,
-            seed=seed,
+            include_allpairs=task.include_allpairs,
+            allpairs_samples=task.allpairs_samples,
+            seed=task.seed,
             context=ctx,
         )
     if cell_pool is not None and stats_sink is not None:
@@ -697,7 +690,7 @@ def _worker_attach_shared(manifest) -> None:
     _WORKER_SHARED_STORE = SharedGridStore.attach(manifest)
 
 
-def _run_cell_with_stats(task: _Task):
+def _run_cell_with_stats(task: CellTask):
     """Process-pool entry point: one cell plus its worker cache stats.
 
     Returning the per-cell :class:`CacheStats` lets the parent
@@ -715,7 +708,7 @@ def _run_cell_with_stats(task: _Task):
 
 
 def _publish_shared(
-    tasks: List[_Task],
+    tasks: List[CellTask],
     max_bytes: Optional[int],
     store_dir: Optional[str] = None,
 ):
@@ -769,13 +762,13 @@ def _publish_shared(
     # tuple instead of once per (universe, curve) task.
     order_wanted = {
         metric_texts: _needs_order(metric_texts)
-        for metric_texts in {task[3] for task in tasks}
+        for metric_texts in {task.metrics for task in tasks}
     }
     try:
         for task in tasks:
-            d, side, spec_text, chunk_cells = task[0], task[1], task[2], task[9]
-            if chunk_cells is not None:
+            if task.chunk_cells is not None:
                 continue
+            d, side = task.d, task.side
             universe = Universe(d=d, side=side)
             if pool is None or pool_universe != (d, side):
                 if pool is not None:
@@ -783,13 +776,13 @@ def _publish_shared(
                 pool = ContextPool(max_bytes=max_bytes, store_dir=store_dir)
                 pool_universe = (d, side)
             try:
-                curve = CurveSpec.parse(spec_text).make(universe)
+                curve = CurveSpec.parse(task.spec).make(universe)
             except (ValueError, TypeError):
                 continue
             skey = shared_key(curve)
             if skey is None:
                 continue
-            want_order = order_wanted[task[3]]
+            want_order = order_wanted[task.metrics]
             if (skey, "key_grid") not in store:
                 ctx = pool.get(curve)
                 store.put(skey, "key_grid", ctx.key_grid())
@@ -980,7 +973,7 @@ class Sweep:
             return [CurveSpec.parse(c) for c in self.curves]
         return [CurveSpec(name) for name in available_curves()]
 
-    def _plan(self) -> Tuple[List[_Task], List[SkippedCell]]:
+    def _plan(self) -> Tuple[List[CellTask], List[SkippedCell]]:
         specs = [MetricSpec.parse(m) for m in self.metrics]
         unknown = [s.label for s in specs if s.name not in METRICS]
         if unknown:
@@ -1001,7 +994,7 @@ class Sweep:
         # Normalized to str (accepts Path) so tasks stay hashable and
         # picklable for the dedup dict and the process executor.
         store_dir = None if self.store_dir is None else str(self.store_dir)
-        tasks: List[_Task] = []
+        tasks: List[CellTask] = []
         skipped: List[SkippedCell] = []
         for universe in self.resolved_universes():
             for spec in self._specs_for(universe):
@@ -1019,21 +1012,21 @@ class Sweep:
                     )
                     continue
                 tasks.append(
-                    (
-                        universe.d,
-                        universe.side,
-                        spec.label,
-                        metric_texts,
-                        self.reports,
-                        self.include_allpairs,
-                        self.allpairs_samples,
-                        self.seed,
-                        self.strict,
-                        self.resolve_chunk_cells(universe),
-                        self.max_bytes,
-                        thread_count,
-                        self.backend,
-                        store_dir,
+                    CellTask(
+                        d=universe.d,
+                        side=universe.side,
+                        spec=spec.label,
+                        metrics=metric_texts,
+                        with_report=self.reports,
+                        include_allpairs=self.include_allpairs,
+                        allpairs_samples=self.allpairs_samples,
+                        seed=self.seed,
+                        strict=self.strict,
+                        chunk_cells=self.resolve_chunk_cells(universe),
+                        max_bytes=self.max_bytes,
+                        threads=thread_count,
+                        backend=self.backend,
+                        store_dir=store_dir,
                     )
                 )
         return tasks, skipped
@@ -1057,7 +1050,7 @@ class Sweep:
         # cells are computed once and their outcome reused positionally.
         unique_tasks = list(dict.fromkeys(tasks))
         cache_stats: Optional[CacheStats] = None
-        outcome_of: Dict[_Task, object] = {}
+        outcome_of: Dict[CellTask, object] = {}
         if self.processes is not None and self.processes > 1 and tasks:
             shared_active = self._shared_active()
             if self.pooled and not shared_active:
@@ -1125,17 +1118,17 @@ class Sweep:
             pool: Optional[ContextPool] = None
             pool_universe = None
             for task in unique_tasks:
-                if self.pooled and (task[0], task[1]) != pool_universe:
+                if self.pooled and (task.d, task.side) != pool_universe:
                     if pool is not None:
                         sink.append(pool.stats)
                     pool = ContextPool(
                         max_bytes=self.max_bytes,
-                        chunk_cells=task[9],
-                        threads=task[11],
-                        backend=task[12],
-                        store_dir=task[13],
+                        chunk_cells=task.chunk_cells,
+                        threads=task.threads,
+                        backend=task.backend,
+                        store_dir=task.store_dir,
                     )
-                    pool_universe = (task[0], task[1])
+                    pool_universe = (task.d, task.side)
                 outcome_of[task] = _run_cell(
                     task, pool=pool, stats_sink=sink
                 )

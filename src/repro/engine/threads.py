@@ -15,21 +15,22 @@ engine's block iterators (key slabs, window-pair ranges) out to a
 ``ThreadPoolExecutor`` and the workers genuinely run concurrently —
 no process spawn, no pickling, zero-copy access to every cached array.
 
-Determinism is engineered the same way the chunked mode engineered it
-(:mod:`repro.engine.chunked`):
+There is one NN fold, :func:`repro.engine.chunked.nn_block_reduction`;
+a threaded context runs its range tasks through the context's
+scheduler instead of inline.  Determinism needs nothing extra:
 
-* every block task is **self-contained** (a task owning grid planes
+* every range task is **self-contained** (a task owning grid planes
   ``[lo, hi)`` reads the two adjacent boundary planes itself, so no
   cross-task carry exists to race on);
 * integer reductions (``Λ`` sums, per-cell maxima, boundary pairs) are
   associative, so per-task partials sum to the dense value exactly;
 * the one order-sensitive reduction — the float mean behind ``D^avg``
-  — is merged **in block-index order** through
+  — is merged **in range order** through
   :func:`repro.engine.chunked.pairwise_sum_stream`, which replays
   NumPy's pairwise summation tree over the logical value stream.  The
   stream's content and order are independent of which thread produced
-  which block, so threaded results are **bit-for-bit identical** to
-  the serial chunked and dense paths.
+  which range, so threaded results are **bit-for-bit identical** to
+  serial ones.
 
 Workers write into per-thread :class:`ScratchBuffers` (``out=`` ufunc
 targets reused across blocks), so steady-state kernels allocate only
@@ -52,11 +53,7 @@ from typing import Callable, Dict, Iterable, Iterator, List, Optional, Union
 
 import numpy as np
 
-from repro.engine.chunked import (
-    accumulate_block_pairs,
-    pairwise_sum_stream,
-    slab_neighbor_counts,
-)
+from repro.engine.chunked import _DENSE_OVERSUBSCRIPTION, nn_block_reduction
 
 __all__ = [
     "BlockScheduler",
@@ -64,13 +61,8 @@ __all__ = [
     "resolve_threads",
     "quiesce_schedulers",
     "prepare_box_reads",
-    "threaded_nn_reduction",
     "threaded_window_max",
 ]
-
-#: Dense-mode ranges per worker thread: mild oversubscription so one
-#: slow block (cache-cold plane, uneven tail) cannot stall the merge.
-_DENSE_OVERSUBSCRIPTION = 4
 
 #: Every live scheduler, so a process sweep can join their worker
 #: threads before forking (see :func:`quiesce_schedulers`).
@@ -267,53 +259,8 @@ class BlockScheduler:
 
 
 # ----------------------------------------------------------------------
-# Block partitioning
+# Fan-out preparation
 # ----------------------------------------------------------------------
-def _plane_ranges(ctx) -> list:
-    """Axis-0 plane ranges the NN reduction fans out over.
-
-    Chunked contexts reuse the slab partition (so cached/derived slabs
-    are shared with the serial path); dense contexts split the grid
-    into ``~threads × 4`` ranges of contiguous planes, each a zero-copy
-    view of the cached key grid.
-    """
-    if ctx.chunked:
-        return ctx._slab_ranges()
-    side = ctx.universe.side
-    parts = min(side, max(1, ctx.threads * _DENSE_OVERSUBSCRIPTION))
-    per = -(-side // parts)
-    return [(lo, min(side, lo + per)) for lo in range(0, side, per)]
-
-
-def _range_keys(ctx, lo: int, hi: int) -> np.ndarray:
-    """Keys of planes ``[lo, hi)``: a grid view (dense) or slab (chunked)."""
-    if ctx.chunked:
-        return ctx._key_slab(lo, hi)
-    return ctx.key_grid()[lo:hi]
-
-
-def _plane_keys(ctx, x0: int) -> np.ndarray:
-    """Keys of the single plane ``x0`` (shape ``(1,) + (side,)*(d-1)``).
-
-    In dense mode boundary planes are free grid views.  In chunked
-    mode the plane belongs to the *neighboring* canonical slab — which
-    the adjacent range task typically just fetched into the LRU — so
-    we peek that slab (silently: no cache traffic, no stats) and slice
-    the plane out zero-copy.  Only when the slab is not resident is
-    the single plane evaluated directly (honoring pool-installed block
-    derivations), which bounds the worst case at one plane — never a
-    full slab — and never pollutes the canonical block partition with
-    overlapping cache keys.
-    """
-    if not ctx.chunked:
-        return ctx.key_grid()[x0 : x0 + 1]
-    lo, hi = ctx._slab_span(x0)
-    slab = ctx._store.peek(f"key_slab[{lo}:{hi}]")
-    if slab is not None:
-        return slab[x0 - lo : x0 - lo + 1]
-    return ctx._key_slab_values(x0, x0 + 1)
-
-
 def _warm_curve_caches(ctx, inverse: bool) -> None:
     """Touch the curve's lazy cache in the calling thread before fan-out.
 
@@ -347,97 +294,10 @@ def prepare_box_reads(ctx) -> None:
         ctx.key_grid()
 
 
-# ----------------------------------------------------------------------
-# The threaded NN reduction
-# ----------------------------------------------------------------------
-def _nn_range_kernel(ctx, lo: int, hi: int, scheduler: BlockScheduler):
-    """All NN-pair contributions for the cells with ``x_0 ∈ [lo, hi)``.
-
-    Self-contained: the kernel reads the boundary planes ``lo - 1`` and
-    ``hi`` itself, so every per-cell sum/max it produces is final.  The
-    axis-0 boundary *pair* ``(lo-1, lo)`` is attributed to this range's
-    ``Λ_1`` partial (matching the serial carry's attribution); the pair
-    ``(hi-1, hi)`` contributes to this range's per-cell state only and
-    is counted by the next range.  All temporaries live in the calling
-    thread's scratch buffers; only the per-cell average array (the
-    kernel's actual result) is freshly allocated.
-    """
-    scratch = scheduler.scratch()
-    universe = ctx.universe
-    d, side = universe.d, universe.side
-    body = _range_keys(ctx, lo, hi)
-    shape = body.shape
-    sums = scratch.take("nn_sums", shape, np.int64)
-    sums[...] = 0
-    best = scratch.take("nn_best", shape, np.int64)
-    best[...] = 0
-    lambdas = [0] * d
-    accumulate_block_pairs(
-        body, d, side, sums, best, lambdas, scratch, kernels=ctx.kernels
-    )
-    plane_shape = (1,) + shape[1:]
-    if lo > 0:
-        bdist = scratch.take("nn_bdist", plane_shape, np.int64)
-        np.subtract(body[:1], _plane_keys(ctx, lo - 1), out=bdist)
-        np.abs(bdist, out=bdist)
-        lambdas[0] += int(bdist.sum())
-        sums[:1] += bdist
-        np.maximum(best[:1], bdist, out=best[:1])
-    if hi < side:
-        udist = scratch.take("nn_bdist", plane_shape, np.int64)
-        np.subtract(_plane_keys(ctx, hi), body[-1:], out=udist)
-        np.abs(udist, out=udist)
-        sums[-1:] += udist
-        np.maximum(best[-1:], udist, out=best[-1:])
-    counts = scratch.take("nn_counts", shape, np.int64)
-    slab_neighbor_counts(universe, lo, hi, out=counts, kernels=ctx.kernels)
-    # repro: allow[R004] — the kernel's *result* array: it leaves the
-    # scratch arena and is merged by the scheduler, so it cannot reuse
-    # a per-thread buffer
-    avg = np.empty(shape, dtype=np.float64)
-    np.divide(sums, counts, out=avg)
-    return avg.reshape(-1), lambdas, int(best.sum())
-
-
-def threaded_nn_reduction(ctx) -> dict:
-    """All NN-stretch scalars of ``ctx``, block-parallel across threads.
-
-    Returns the same ``{"davg", "dmax", "lambdas", "nn_sum"}`` payload
-    as :func:`repro.engine.chunked.nn_block_reduction`, bit-for-bit
-    (see the module docstring for why).  Requires ``side >= 2``; the
-    degenerate cases are handled by the calling metric methods.
-    """
-    universe = ctx.universe
-    d, n = universe.d, universe.n
-    scheduler = ctx.scheduler
-    if not ctx.chunked:
-        # Resolve the dense grid once in the calling thread: every
-        # range task reads it, and racing the first resolution across
-        # workers would compute (or attach) it once per thread.
-        ctx.key_grid()
-    else:
-        _warm_curve_caches(ctx, inverse=False)
-    lambdas = [0] * d
-    state = {"max_total": 0}
-    tasks = [
-        (lambda lo=lo, hi=hi: _nn_range_kernel(ctx, lo, hi, scheduler))
-        for lo, hi in _plane_ranges(ctx)
-    ]
-
-    def avg_blocks():
-        for avg, partial, max_part in scheduler.imap(tasks):
-            for axis in range(d):
-                lambdas[axis] += partial[axis]
-            state["max_total"] += max_part
-            yield avg
-
-    davg = pairwise_sum_stream(avg_blocks(), n) / n
-    return {
-        "davg": davg,
-        "dmax": float(state["max_total"]) / n,
-        "lambdas": tuple(lambdas),
-        "nn_sum": sum(lambdas),
-    }
+#: The NN fold is :func:`repro.engine.chunked.nn_block_reduction` in
+#: every mode; this name survives only because the benchmark harness
+#: (``perfbench/layers.py``) looks it up to install its trace span.
+threaded_nn_reduction = nn_block_reduction
 
 
 # ----------------------------------------------------------------------

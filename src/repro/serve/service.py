@@ -12,7 +12,8 @@ rebuilds per invocation and keeps it for the process lifetime:
   re-attachable if the LRU ever evicts, and visible in ``/stats`` as
   the segments to watch for clean teardown);
 * the async request machinery — a :class:`SingleFlight` table keyed by
-  the engine's canonical ``_Task`` tuple and a :class:`MicroBatcher`
+  the engine's canonical :class:`~repro.engine.sweep.CellTask` and a
+  :class:`MicroBatcher`
   draining new cells to a single compute thread.
 
 Admission control happens *before* any engine work: oversized requests
@@ -255,7 +256,9 @@ class SweepService:
         outcomes = []
         for task in tasks:
             try:
-                pool = self._pool_for(task[9], task[11], task[12])
+                pool = self._pool_for(
+                    task.chunk_cells, task.threads, task.backend
+                )
                 outcomes.append(_run_cell(task, pool=pool))
             except Exception as exc:
                 outcomes.append(exc)
@@ -269,10 +272,9 @@ class SweepService:
         reduction temporaries); dense cells hold the key grid plus the
         same-order derived arrays (flat keys, inverse, per-cell grids).
         """
-        d, side, chunk_cells = task[0], task[1], task[9]
-        n = side**d
-        if chunk_cells:
-            return min(n, chunk_cells) * 64
+        n = task.side**task.d
+        if task.chunk_cells:
+            return min(n, task.chunk_cells) * 64
         return n * 8 * 4
 
     # ------------------------------------------------------------------
@@ -353,7 +355,7 @@ class SweepService:
         warm_hits = sum(
             1
             for task in unique
-            if (task[0], task[1], task[2]) in self._warm_pairs
+            if (task.d, task.side, task.spec) in self._warm_pairs
         )
         self.counters["served_from_warm"] += warm_hits
         deduped = 0

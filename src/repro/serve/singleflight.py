@@ -1,10 +1,11 @@
 """Async single-flight table: one in-flight computation per cell key.
 
 PR 4 gave ``Sweep.run`` spec-keyed dedup *within one sweep* — identical
-``_Task`` tuples compute once and share their outcome positionally.
+``CellTask`` values compute once and share their outcome positionally.
 The service generalizes that across *concurrent requests*: the
-canonical cell key (the hashable ``_Task`` 12-tuple, which pins the
-universe, curve spec, metric set and execution knobs) maps to one
+canonical cell key (the frozen, hashable
+:class:`~repro.engine.sweep.CellTask`, which pins the universe, curve
+spec, metric set and execution knobs) maps to one
 ``asyncio.Future``; the first request to name a key starts the
 computation, every later request awaits the same future, and nobody
 computes a canonical cell twice while it is in flight.  Completed keys

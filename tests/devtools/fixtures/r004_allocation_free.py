@@ -19,7 +19,7 @@ def _nn_range_kernel(x):
     return np.zeros(x.shape)  # lint-expect: R004
 
 
-def nn_block_reduction(x, scratch):
+def nn_planes(x, scratch):
     def inner_helper():
         return np.arange(4)  # lint-expect: R004
 

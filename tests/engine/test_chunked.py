@@ -410,6 +410,31 @@ class TestStreamingPrimitives:
             np.add.reduce(values)
         )
 
+    @pytest.mark.parametrize(
+        "n", [1, 8, 129, 2**15, 2**15 + 1, 2**20 + 13]
+    )
+    def test_pairwise_sum_stream_any_split(self, n, rng):
+        values = rng.standard_normal(n)
+        direct = float(np.add.reduce(values))
+        for pieces in range(1, 18):
+            cuts = np.sort(rng.integers(0, n + 1, size=pieces - 1))
+            parts = np.split(values, cuts)
+            assert pairwise_sum_stream(iter(parts), n) == direct
+
+    def test_single_block_stream_never_concatenates(self, monkeypatch, rng):
+        values = rng.standard_normal(2**20 + 13)
+        direct = float(np.add.reduce(values))
+        calls = []
+        original = np.concatenate
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(np, "concatenate", counting)
+        assert pairwise_sum_stream(iter([values]), values.size) == direct
+        assert calls == []
+
     @pytest.mark.parametrize("d,side", [(1, 9), (2, 8), (3, 5)])
     def test_slab_neighbor_counts_match_dense(self, d, side):
         universe = Universe(d=d, side=side)

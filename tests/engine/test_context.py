@@ -9,37 +9,58 @@ from repro.core.summary import stretch_report
 from repro.curves.hilbert import HilbertCurve
 from repro.curves.random_curve import RandomCurve
 from repro.curves.zcurve import ZCurve
+from repro.engine import chunked, native
+from repro.engine import sweep as sweep_mod
 from repro.engine.context import MetricContext, get_context
+from repro.engine.pool import ContextPool
+from repro.engine.sweep import Sweep
+
+requires_native = pytest.mark.skipif(
+    not native.available(),
+    reason=f"native backend unavailable: {native.unavailable_reason()}",
+)
+
+
+@pytest.fixture
+def fold_calls(monkeypatch):
+    """Contexts passed to the NN fold, in call order."""
+    calls = []
+    original = chunked.nn_block_reduction
+
+    def counting(ctx):
+        calls.append(ctx)
+        return original(ctx)
+
+    monkeypatch.setattr(chunked, "nn_block_reduction", counting)
+    return calls
 
 
 class TestComputeOnce:
-    def test_full_metric_set_single_build(self, u2_8):
+    def test_full_metric_set_single_build(self, u2_8, fold_calls):
         ctx = MetricContext(ZCurve(u2_8))
         ctx.davg()
         ctx.dmax()
         ctx.davg_ratio()
         ctx.lambda_sums()
+        ctx.nn_mean()
         ctx.nn_distance_values()
         ctx.per_cell_avg_stretch()
         ctx.per_cell_max_stretch()
         ctx.gij_decomposition(0)
         stretch_report(ZCurve(u2_8))  # unrelated curve, fresh context
-        for axis in range(u2_8.d):
-            assert ctx.stats.compute_count(f"axis_dist[{axis}]") == 1
+        assert fold_calls.count(ctx) == 1
         assert ctx.stats.compute_count("key_grid") == 1
         assert ctx.stats.compute_count("neighbor_counts") == 1
         assert ctx.stats.compute_count("per_cell_sums") == 1
         assert ctx.stats.compute_count("per_cell_max") == 1
         assert ctx.stats.hits > 0
 
-    def test_report_reuses_context_intermediates(self, u2_8):
-        # backend="numpy": the native backend serves the per-cell
-        # grids from one fused pass, so axis_dist never materializes.
-        ctx = MetricContext(ZCurve(u2_8), backend="numpy")
+    def test_report_reuses_context_intermediates(self, u2_8, fold_calls):
+        ctx = MetricContext(ZCurve(u2_8))
         ctx.stretch_report(include_allpairs=True)
         ctx.stretch_report(include_allpairs=True)
-        for axis in range(u2_8.d):
-            assert ctx.stats.compute_count(f"axis_dist[{axis}]") == 1
+        assert fold_calls == [ctx]
+        assert ctx.stats.compute_count("key_grid") == 1
 
     def test_scalars_memoized(self, u2_8):
         ctx = MetricContext(ZCurve(u2_8))
@@ -49,22 +70,91 @@ class TestComputeOnce:
         assert ctx.allpairs_exact() == ctx.allpairs_exact()
         assert dict(ctx.stats.computes) == computes
 
-    def test_cache_disabled_recomputes(self, u2_8):
+    def test_cache_disabled_recomputes(self, u2_8, fold_calls):
         ctx = MetricContext(ZCurve(u2_8), max_bytes=0)
         ctx.lambda_sums()
-        ctx._scalars.clear()  # scalars memoize regardless of the store
+        ctx.lambda_sums()
         ctx.nn_distance_values()
-        assert ctx.stats.compute_count("axis_dist[0]") == 2
+        ctx.nn_distance_values()
+        assert ctx.stats.compute_count("lambda_sums") == 2
+        assert ctx.stats.compute_count("nn_values") == 2
+        # The fold result is a memoized scalar, kept regardless of the
+        # store.
+        assert fold_calls == [ctx]
+
+
+class TestOneFold:
+    @pytest.mark.parametrize("chunk", [None, 16])
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize(
+        "backend", ["numpy", pytest.param("native", marks=requires_native)]
+    )
+    def test_nn_scalars_share_one_fold(
+        self, u2_8, fold_calls, chunk, threads, backend
+    ):
+        ctx = MetricContext(
+            HilbertCurve(u2_8),
+            chunk_cells=chunk,
+            threads=threads,
+            backend=backend,
+        )
+        for _ in range(2):
+            ctx.davg()
+            ctx.dmax()
+            ctx.lambda_sums()
+            ctx.nn_mean()
+            ctx.davg_ratio()
+        assert fold_calls == [ctx]
+
+    def test_fold_ranges_per_mode(self, u2_8):
+        curve = ZCurve(u2_8)
+        assert chunked.fold_ranges(MetricContext(curve)) == [(0, 8)]
+        assert chunked.fold_ranges(MetricContext(curve, threads=2)) == [
+            (lo, lo + 1) for lo in range(8)
+        ]
+        assert chunked.fold_ranges(
+            MetricContext(curve, chunk_cells=16, threads=2)
+        ) == [(0, 2), (2, 4), (4, 6), (6, 8)]
+
+    def test_pooled_scalar_sweep_keeps_no_per_cell_grids(self, monkeypatch):
+        pools = []
+
+        class RecordingPool(ContextPool):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                pools.append(self)
+
+        monkeypatch.setattr(sweep_mod, "ContextPool", RecordingPool)
+        Sweep(
+            dims=[2, 3],
+            sides=[8],
+            curves=["z", "hilbert", "snake"],
+            metrics=("davg", "dmax", "lambdas", "nn_mean"),
+            reports=False,
+            chunk_cells=0,
+        ).run()
+        contexts = [
+            ctx for pool in pools for ctx in pool._contexts.values()
+        ]
+        assert len(contexts) == 6
+        for ctx in contexts:
+            keys = list(ctx._store._items) + list(ctx._store._views)
+            assert "key_grid" in keys
+            assert not [k for k in keys if k.startswith("per_cell_")]
 
 
 class TestBoundedStore:
-    def test_eviction_under_budget(self, u2_8):
+    def test_eviction_under_budget(self, u2_8, fold_calls):
         ctx = MetricContext(ZCurve(u2_8), max_bytes=2048)
         ctx.davg()
         ctx.dmax()
         ctx.nn_distance_values()
+        ctx.per_cell_avg_stretch()
+        ctx.per_cell_max_stretch()
+        ctx.lambda_sums()
         assert ctx.stats.evictions > 0
         assert ctx.cache_bytes <= 2048
+        assert fold_calls == [ctx]
 
     def test_values_correct_despite_eviction(self, u2_8):
         curve = ZCurve(u2_8)
@@ -112,15 +202,15 @@ class TestBoundedStore:
         with pytest.raises(ValueError):
             arr[0] = 0
 
-    def test_clear_cache(self, u2_8):
-        # backend="numpy": axis_dist exists only on the NumPy path.
-        ctx = MetricContext(ZCurve(u2_8), backend="numpy")
+    def test_clear_cache(self, u2_8, fold_calls):
+        ctx = MetricContext(ZCurve(u2_8))
         ctx.davg()
         assert ctx.cache_bytes > 0
         ctx.clear_cache()
         assert ctx.cache_bytes == 0
         ctx.davg()
-        assert ctx.stats.compute_count("axis_dist[0]") == 2
+        assert fold_calls == [ctx, ctx]
+        assert ctx.stats.compute_count("key_grid") == 2
 
 
 class TestParity:

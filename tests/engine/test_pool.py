@@ -192,34 +192,32 @@ class TestTransformDerivation:
         # plus the universe-store sharing.
         assert pool.stats.total_derived > 0
 
-    def test_reversed_axis_arrays_are_shared_objects(self, u2_8):
+    def test_reversed_key_grid_is_derived(self, u2_8):
         pool = ContextPool()
         inner = ZCurve(u2_8)
-        rev = ReversedCurve(inner)
-        derived = pool.get(rev)
+        derived = pool.get(ReversedCurve(inner))
         base = pool.get(inner)
-        assert derived.axis_pair_curve_distances(0) is (
-            base.axis_pair_curve_distances(0)
+        assert np.array_equal(
+            derived.key_grid(), u2_8.n - 1 - base.key_grid()
         )
+        assert derived.stats.derived_count("key_grid") == 1
+        assert derived.stats.compute_count("key_grid") == 0
 
     def test_derivations_not_counted_as_computes(self, u2_8):
-        # backend="numpy": axis_dist derivations exist only on the
-        # NumPy path (native serves per-cell grids from a fused pass).
-        pool = ContextPool(backend="numpy")
+        pool = ContextPool()
         rev = ReversedCurve(ZCurve(u2_8))
         ctx = pool.get(rev)
         ctx.davg()
-        for axis in range(u2_8.d):
-            assert ctx.stats.compute_count(f"axis_dist[{axis}]") == 0
-            assert ctx.stats.derived_count(f"axis_dist[{axis}]") == 1
+        assert ctx.stats.compute_count("key_grid") == 0
+        assert ctx.stats.derived_count("key_grid") == 1
 
     def test_derivation_disabled(self, u2_8):
-        pool = ContextPool(derive_transforms=False, backend="numpy")
+        pool = ContextPool(derive_transforms=False)
         rev = ReversedCurve(ZCurve(u2_8))
         ctx = pool.get(rev)
         ctx.davg()
         assert ctx.stats.total_derived == 0
-        assert ctx.stats.compute_count("axis_dist[0]") == 1
+        assert ctx.stats.compute_count("key_grid") == 1
 
     def test_permuted_3d(self, u3_4):
         """Non-trivial 3-D permutation derives bit-for-bit too."""

@@ -6,11 +6,12 @@ tested deterministically, one mechanism at a time.
 """
 
 import asyncio
+import dataclasses
 import time
 
 import pytest
 
-from repro.engine.sweep import METRICS, register_metric
+from repro.engine.sweep import METRICS, Sweep, register_metric
 from repro.serve.batching import MicroBatcher
 from repro.serve.schemas import SweepRequest
 from repro.serve.service import ServeConfig, SweepService, parse_hot_set
@@ -300,9 +301,10 @@ class TestDedupAndWarm:
             )
 
     def test_estimate_task_bytes(self):
-        dense = list(range(12))
-        dense[0], dense[1], dense[9] = 2, 64, None
-        chunked = list(dense)
-        chunked[9] = 256
-        assert SweepService.estimate_task_bytes(tuple(dense)) == 64**2 * 8 * 4
-        assert SweepService.estimate_task_bytes(tuple(chunked)) == 256 * 64
+        tasks, _ = Sweep(
+            dims=[2], sides=[64], curves=["z"], reports=False
+        )._plan()
+        dense = tasks[0]
+        chunked = dataclasses.replace(dense, chunk_cells=256)
+        assert SweepService.estimate_task_bytes(dense) == 64**2 * 8 * 4
+        assert SweepService.estimate_task_bytes(chunked) == 256 * 64
