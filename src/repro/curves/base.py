@@ -140,25 +140,19 @@ class SpaceFillingCurve(abc.ABC):
         return self._key_grid_cache
 
     def batch_key_grid(self, backend: str = "auto") -> np.ndarray:
-        """:meth:`key_grid`, built through :meth:`keys_of` when a native
-        codec serves ``backend``.
+        """:meth:`key_grid`, built by the native slab kernel when a
+        native codec serves ``backend``.
 
         The same cached array either way, holding the same bytes (the
-        codecs are bit-for-bit equal to :meth:`index`): only the cost
-        of the first build differs.  Cells are encoded in grid (C)
-        order, so the encoded keys are the grid with no reshape copy.
+        codec's ``key_slab(0, side)`` is bit-for-bit equal to the
+        reference): only the cost of the first build differs.  The
+        kernel computes each cell's coordinates from its grid position,
+        so no coordinate array is built.
         """
-        if (
-            self._key_grid_cache is None
-            and self._native_codec(backend) is not None
-        ):
-            universe = self.universe
-            coords = np.empty(universe.shape + (universe.d,), dtype=np.int64)
-            axes = np.ix_(*[np.arange(universe.side)] * universe.d)
-            for axis, values in enumerate(axes):
-                coords[..., axis] = values
-            keys = self.keys_of(coords.reshape(-1, universe.d), backend)
-            self._key_grid_cache = keys.reshape(universe.shape)
+        if self._key_grid_cache is None:
+            codec = self._native_codec(backend)
+            if codec is not None:
+                self._key_grid_cache = codec.key_slab(0, self.universe.side)
         return self.key_grid()
 
     def order(self) -> np.ndarray:

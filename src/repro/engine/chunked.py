@@ -290,6 +290,7 @@ def nn_planes(
     best: np.ndarray,
     lambdas: list,
     scratch,
+    body=None,
 ) -> None:
     """Final per-cell NN sums and maxima of the planes ``x_0 ∈ [lo, hi)``.
 
@@ -301,10 +302,12 @@ def nn_planes(
     ``lambdas``: the axis-0 boundary pair ``(lo-1, lo)`` counts here,
     the pair ``(hi-1, hi)`` only updates per-cell state and is counted
     by the next range.  All updates are integer sums and maxima, so
-    any range partition gives the same grids and totals.
+    any range partition gives the same grids and totals.  ``body``,
+    when given, is the range's key slab, already resolved.
     """
     d, side = ctx.universe.d, ctx.universe.side
-    body = ctx._key_slab(lo, hi) if ctx.chunked else ctx.key_grid()[lo:hi]
+    if body is None:
+        body = _range_keys(ctx, lo, hi)
     sums[...] = 0
     best[...] = 0
     accumulate_block_pairs(
@@ -326,7 +329,12 @@ def nn_planes(
         np.maximum(best[-1:], udist, out=best[-1:])
 
 
-def _nn_range_kernel(ctx, lo: int, hi: int, scratch):
+def _range_keys(ctx, lo: int, hi: int) -> np.ndarray:
+    """The key planes ``x_0 ∈ [lo, hi)`` of ``ctx``'s grid."""
+    return ctx._key_slab(lo, hi) if ctx.chunked else ctx.key_grid()[lo:hi]
+
+
+def _nn_range_kernel(ctx, lo: int, hi: int, scratch, body=None):
     """One fold task: ``(avg values, Λ partials, Σ per-cell max)``.
 
     Runs :func:`nn_planes` into scratch grids and divides by the
@@ -340,7 +348,7 @@ def _nn_range_kernel(ctx, lo: int, hi: int, scratch):
     sums = scratch.take("nn_sums", shape, np.int64)
     best = scratch.take("nn_best", shape, np.int64)
     lambdas = [0] * ctx.universe.d
-    nn_planes(ctx, lo, hi, sums, best, lambdas, scratch)
+    nn_planes(ctx, lo, hi, sums, best, lambdas, scratch, body)
     if ctx.chunked:
         counts = slab_neighbor_counts(
             ctx.universe,
@@ -387,10 +395,16 @@ def nn_block_reduction(ctx) -> dict:
     ranges = fold_ranges(ctx)
     if ctx.threaded:
         scheduler = ctx.scheduler
+        # Each range's keys are resolved here, in the calling thread,
+        # as the range is submitted.  A chunked slab is cheap to build
+        # and lives as long as the context's cache; built in a worker
+        # it would sit in that thread's malloc arena, which keeps the
+        # memory resident after the sweep where no other thread can
+        # reuse it.
         results = scheduler.imap(
             (
-                lambda lo=lo, hi=hi: _nn_range_kernel(
-                    ctx, lo, hi, scheduler.scratch()
+                lambda lo=lo, hi=hi, body=_range_keys(ctx, lo, hi): (
+                    _nn_range_kernel(ctx, lo, hi, scheduler.scratch(), body)
                 )
             )
             for lo, hi in ranges

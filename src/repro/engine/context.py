@@ -695,7 +695,7 @@ class MetricContext:
         public ``key_grid()`` (which predates the engine and stays
         writable) is untouched, no bytes are copied, and the store's
         budget accounting is unchanged.  On the native backend the
-        curve fills that cache through its batch codec
+        curve fills that cache with the native slab kernel
         (:meth:`~repro.curves.base.SpaceFillingCurve.batch_key_grid`);
         the bytes equal the reference ``key_grid()``.
         """
@@ -932,7 +932,10 @@ class MetricContext:
         slab is derived from its inner curve's cache) but bypasses the
         LRU store — the entry point for off-partition reads such as
         the threaded NN reduction's boundary planes, which must not
-        pollute the canonical slab partition's cache keys.
+        pollute the canonical slab partition's cache keys.  A curve
+        with a native codec on this context's backend builds the slab
+        in one kernel call (``key_slab``); any other curve encodes a
+        meshgrid of the slab's coordinates.
         """
         derive = self._chunk_derivations.get("key_slab")
         if derive is not None:
@@ -940,6 +943,9 @@ class MetricContext:
         spilled = self._spill_grid_view()
         if spilled is not None:
             return spilled[lo:hi]
+        codec = self.curve._native_codec(self.backend)
+        if codec is not None:
+            return codec.key_slab(lo, hi)
         side, d = self.universe.side, self.universe.d
         axes = [np.arange(lo, hi, dtype=np.int64)]
         axes += [np.arange(side, dtype=np.int64)] * (d - 1)

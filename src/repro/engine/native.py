@@ -2,12 +2,13 @@
 
 The hot block paths of the metric engine — the NN pair fold, slab
 neighbor counts, window block maxima, and the registry curves'
-encode/decode — have C implementations in ``native_kernels.c`` (shipped
-in-tree next to this module).  The first use on a machine compiles them
-with the system C compiler into a shared library cached under a
-``sha256(source + compiler)`` key, so rebuilds happen only when the
-source or toolchain changes; the library is loaded through ``ctypes``
-and degrades gracefully to the NumPy kernels when no compiler exists.
+encode/decode and key-grid slabs — have C implementations in
+``native_kernels.c`` (shipped in-tree next to this module).  The first
+use on a machine compiles them with the system C compiler into a
+shared library cached under a ``sha256(source + compiler)`` key, so
+rebuilds happen only when the source or toolchain changes; the library
+is loaded through ``ctypes`` and degrades gracefully to the NumPy
+kernels when no compiler exists.
 
 Backend selection (``resolve_backend``) accepts ``"numpy"``,
 ``"native"`` and ``"auto"``: ``auto`` uses the native kernels whenever
@@ -259,7 +260,17 @@ class NativeKernels:
             fn = getattr(lib, name)
             fn.argtypes = [_I64Array, _i64, _i64, _i64, _I64Array]
             fn.restype = None
+        lib.repro_xor_slab.argtypes = [_I64Array, _i64, _i64, _i64, _I64Array]
+        lib.repro_hilbert_slab.argtypes = [
+            _I64Array, _I64Array, _i64, _i64, _i64, _i64, _i64, _I64Array
+        ]
+        lib.repro_snake_slab.argtypes = [_i64, _i64, _i64, _i64, _I64Array]
+        for fn in (lib.repro_xor_slab, lib.repro_hilbert_slab,
+                   lib.repro_snake_slab):
+            fn.restype = None
         self._lib = lib
+        self._tables: dict = {}
+        self._tables_lock = threading.Lock()
 
     # -- block reductions ----------------------------------------------
     def nn_block_pairs(
@@ -312,39 +323,108 @@ class NativeKernels:
         return int(self._lib.repro_delta_fold(a, b, a.size))
 
     # -- curve encode/decode -------------------------------------------
-    def _codec(self, stem: str, arg: int):
-        encode = getattr(self._lib, f"repro_{stem}_encode")
-        decode = getattr(self._lib, f"repro_{stem}_decode")
+    def _hilbert_cube(self, d: int, m: int) -> np.ndarray:
+        """The k = m Hilbert keys of the ``2^m`` cube in C order.
 
-        def encode_fn(coords: np.ndarray) -> np.ndarray:
-            flat = np.ascontiguousarray(coords, dtype=np.int64)
-            m = flat.size // flat.shape[-1]
-            keys = np.empty(coords.shape[:-1], dtype=np.int64)
-            encode(flat, m, flat.shape[-1], arg, keys)
-            return keys
+        Read-only and memoized per ``(d, m)``: every Hilbert slab of
+        that dimension shares it, threads included.
+        """
+        with self._tables_lock:
+            table = self._tables.get((d, m))
+        if table is not None:
+            return table
+        # m = 0 is the one-cell cube, key 0; the C encode needs k >= 1.
+        table = np.zeros(1 << (m * d), dtype=np.int64)
+        if m > 0:
+            cells = np.indices((1 << m,) * d, dtype=np.int64)
+            cells = np.ascontiguousarray(cells.reshape(d, -1).T)
+            self._lib.repro_hilbert_encode(cells, table.size, d, m, table)
+        table.setflags(write=False)
+        with self._tables_lock:
+            return self._tables.setdefault((d, m), table)
 
-        def decode_fn(keys: np.ndarray, d: int) -> np.ndarray:
-            flat = np.ascontiguousarray(keys, dtype=np.int64)
-            coords = np.empty(keys.shape + (d,), dtype=np.int64)
-            decode(flat, flat.size, d, arg, coords)
-            return coords
 
-        return encode_fn, decode_fn
+#: Hilbert slabs work in aligned sub-cubes of ``2^m`` cells per axis
+#: with ``m * d <= _CUBE_BITS``: the per-cube key table then holds at
+#: most 4096 keys (32 KiB) and stays in L1.
+_CUBE_BITS = 12
 
 
 class _Codec:
-    """Batch encoder/decoder of one curve family on one universe."""
+    """Batch encoder/decoder and key-grid slab builder of one curve
+    family on one universe."""
 
-    def __init__(self, encode_fn, decode_fn, d: int) -> None:
-        self._encode = encode_fn
-        self._decode = decode_fn
+    def __init__(
+        self, kernels: NativeKernels, stem: str, d: int, side: int, arg: int
+    ) -> None:
+        self._kernels = kernels
+        self._stem = stem
         self._d = d
+        self._side = side
+        self._arg = arg
+        self._encode = getattr(kernels._lib, f"repro_{stem}_encode")
+        self._decode = getattr(kernels._lib, f"repro_{stem}_decode")
 
     def encode(self, coords: np.ndarray) -> np.ndarray:
-        return self._encode(coords)
+        flat = np.ascontiguousarray(coords, dtype=np.int64)
+        m = flat.size // flat.shape[-1]
+        keys = np.empty(coords.shape[:-1], dtype=np.int64)
+        self._encode(flat, m, flat.shape[-1], self._arg, keys)
+        return keys
 
     def decode(self, keys: np.ndarray) -> np.ndarray:
-        return self._decode(keys, self._d)
+        flat = np.ascontiguousarray(keys, dtype=np.int64)
+        coords = np.empty(keys.shape + (self._d,), dtype=np.int64)
+        self._decode(flat, flat.size, self._d, self._arg, coords)
+        return coords
+
+    def key_slab(self, lo: int, hi: int) -> np.ndarray:
+        """``key_grid()[lo:hi]``, bit for bit, built in one C call.
+
+        The kernels derive each cell's coordinates from its position
+        in the slab, so no coordinate array is built.  Z and Gray
+        XOR one table per axis (:meth:`_axis_tables`); Hilbert works
+        in aligned sub-cubes sharing one key table; snake walks the
+        cells through its per-point arithmetic.  ``docs/performance.md``
+        has the exactness argument.
+        """
+        d, side = self._d, self._side
+        if not 0 <= lo <= hi <= side:
+            raise ValueError(
+                f"slab [{lo}, {hi}) outside the axis range [0, {side})"
+            )
+        out = np.empty((hi - lo,) + (side,) * (d - 1), dtype=np.int64)
+        if lo == hi:
+            return out
+        lib = self._kernels._lib
+        if self._stem == "snake":
+            lib.repro_snake_slab(d, side, lo, hi, out)
+        elif self._stem == "hilbert":
+            k = self._arg
+            m = min(k, _CUBE_BITS // d)
+            scratch = np.empty(d << m, dtype=np.int64)
+            cube = self._kernels._hilbert_cube(d, m)
+            lib.repro_hilbert_slab(cube, scratch, d, k, m, lo, hi, out)
+        else:
+            tables = self._axis_tables(lo, hi)
+            lib.repro_xor_slab(tables, d, side, hi - lo, out)
+        return out
+
+    def _axis_tables(self, lo: int, hi: int) -> np.ndarray:
+        """Keys of the axis points ``v * e_a``, axis by axis.
+
+        The Morton interleave ORs disjoint bit sets and the Gray
+        prefix XOR is linear over GF(2), so a Z or Gray key is the XOR
+        of these per-axis keys.  Axis 0 covers ``[lo, hi)``, every
+        other axis the whole side.
+        """
+        d, side, rows = self._d, self._side, hi - lo
+        points = np.zeros((rows + (d - 1) * side, d), dtype=np.int64)
+        points[:rows, 0] = np.arange(lo, hi)
+        for axis in range(1, d):
+            start = rows + (axis - 1) * side
+            points[start : start + side, axis] = np.arange(side)
+        return self.encode(points)
 
 
 def load_kernels() -> Optional[NativeKernels]:
@@ -444,8 +524,7 @@ def encoder_for(curve) -> Optional[_Codec]:
     if type(curve) is SnakeCurve:
         if side < 2 or universe.n > 2**62:
             return None
-        encode_fn, decode_fn = kernels._codec("snake", side)
-        return _Codec(encode_fn, decode_fn, d)
+        return _Codec(kernels, "snake", d, side, side)
     # Exact types only: a subclass may change the mapping.
     stem = {ZCurve: "z", GrayCurve: "gray", HilbertCurve: "hilbert"}.get(
         type(curve)
@@ -457,8 +536,7 @@ def encoder_for(curve) -> Optional[_Codec]:
             return None
         if k < 1 or k * d > 62:
             return None
-        encode_fn, decode_fn = kernels._codec(stem, k)
-        return _Codec(encode_fn, decode_fn, d)
+        return _Codec(kernels, stem, d, side, k)
     return None
 
 

@@ -306,25 +306,30 @@ EXPORT void repro_hilbert_decode(
 }
 
 /* Boustrophedon scan for any side: the emitted digit of an axis flips
- * direction with the parity of the higher original coordinates. */
+ * direction with the parity of the higher original coordinates.
+ * `top` is side^(d-1). */
+static inline int64_t snake_point(
+    const int64_t *x, int64_t d, int64_t side, int64_t top)
+{
+    int64_t key = 0, parity = 0, weight = top;
+    for (int64_t axis = d - 1; axis >= 0; --axis) {
+        int64_t digit = x[axis];
+        int64_t eff = (parity % 2 == 0) ? digit : side - 1 - digit;
+        key += eff * weight;
+        parity += digit;
+        weight /= side;
+    }
+    return key;
+}
+
 EXPORT void repro_snake_encode(
     const int64_t *coords, int64_t m, int64_t d, int64_t side,
     int64_t *keys)
 {
     int64_t top = 1;
     for (int64_t i = 0; i < d - 1; ++i) top *= side;
-    for (int64_t r = 0; r < m; ++r) {
-        const int64_t *x = coords + r * d;
-        int64_t key = 0, parity = 0, weight = top;
-        for (int64_t axis = d - 1; axis >= 0; --axis) {
-            int64_t digit = x[axis];
-            int64_t eff = (parity % 2 == 0) ? digit : side - 1 - digit;
-            key += eff * weight;
-            parity += digit;
-            weight /= side;
-        }
-        keys[r] = key;
-    }
+    for (int64_t r = 0; r < m; ++r)
+        keys[r] = snake_point(coords + r * d, d, side, top);
 }
 
 EXPORT void repro_snake_decode(
@@ -344,5 +349,173 @@ EXPORT void repro_snake_decode(
             parity += digit;
             weight /= side;
         }
+    }
+}
+
+/* ------------------------------------------------------------------ */
+/* Key-grid slabs                                                      */
+/* ------------------------------------------------------------------ */
+
+/* A slab is key_grid()[lo:hi] for one universe: (hi-lo) * side^(d-1)
+ * keys in C order, with 0 <= lo < hi <= side (the Python side returns
+ * empty slabs itself).  The kernels below take the cell coordinates
+ * from the output position, so no coordinate array exists anywhere. */
+
+/* XOR-separable curves (Z, Gray): key(x) = XOR_a tab_a[x_a].
+ * `tab` holds d tables back to back: axis 0 has `rows` entries (for
+ * x_0 = lo .. hi-1), every other axis `side` entries.  Axis by axis,
+ * out[i * len + v] = out[i] ^ tab_a[v] expands the prefix in place;
+ * walking i downwards never overwrites an out[i] still to be read,
+ * because every write lands at an index >= i * len >= i. */
+EXPORT void repro_xor_slab(
+    const int64_t *tab, int64_t d, int64_t side, int64_t rows,
+    int64_t *out)
+{
+    int64_t n = 1;
+    out[0] = 0;
+    for (int64_t a = 0; a < d; ++a) {
+        int64_t len = a == 0 ? rows : side;
+        for (int64_t i = n - 1; i >= 0; --i) {
+            int64_t base = out[i];
+            int64_t *dst = out + i * len;
+            for (int64_t v = len - 1; v >= 0; --v) dst[v] = base ^ tab[v];
+        }
+        tab += len;
+        n *= len;
+    }
+}
+
+/* Skilling's levels Q >= 2^m on the aligned sub-cube corner c.  Those
+ * levels read only the bits >= m, and on the low m bits they act as a
+ * signed axis permutation: `X0 ^= P` complements all low bits of X0,
+ * the X0/Xi exchange swaps them.  So for l in [0, 2^m)^d the low bits
+ * of X_i after these levels are l[perm[i]] ^ (flip[i] ? 2^m - 1 : 0).
+ * The remaining levels, Gray step and final XOR act on the low bits
+ * exactly as the k = m encode does, except that the final XOR mask
+ * also complements every low bit when an odd number of the high bits
+ * of the Gray-coded X_{d-1} are set.  Returns the key bits >= m*d of
+ * every cell of the sub-cube; *parity receives that complement flag. */
+static int64_t hilbert_corner(
+    const int64_t *c, int64_t d, int64_t k, int64_t m,
+    int64_t *perm, int64_t *flip, int64_t *parity)
+{
+    int64_t X[REPRO_MAX_D];
+    int64_t low = ((int64_t)1 << m) - 1;
+    for (int64_t i = 0; i < d; ++i) {
+        X[i] = c[i];
+        perm[i] = i;
+        flip[i] = 0;
+    }
+    for (int64_t Q = (int64_t)1 << (k - 1); Q > low; Q >>= 1) {
+        int64_t P = Q - 1;
+        for (int64_t i = 0; i < d; ++i) {
+            if (X[i] & Q) {
+                X[0] ^= P;
+                flip[0] ^= 1;
+            } else {
+                int64_t t = (X[0] ^ X[i]) & P;
+                X[0] ^= t;
+                X[i] ^= t;
+                int64_t p = perm[0], f = flip[0];
+                perm[0] = perm[i];
+                flip[0] = flip[i];
+                perm[i] = p;
+                flip[i] = f;
+            }
+        }
+    }
+    for (int64_t i = 1; i < d; ++i) X[i] ^= X[i - 1];
+    int64_t t = 0;
+    for (int64_t Q = (int64_t)1 << (k - 1); Q > low; Q >>= 1)
+        if (X[d - 1] & Q) t ^= Q - 1;
+    *parity = (t & low) != 0;
+    for (int64_t i = 0; i < d; ++i) X[i] = (X[i] ^ t) & ~low;
+    return interleave_point(X, d, k);
+}
+
+/* Hilbert slab by aligned sub-cubes of side 2^m:
+ *   key(c + l) = H(c) | (T[sigma_c(l)] ^ (p_c ? 2^(m*d) - 1 : 0))
+ * with T the k = m Hilbert keys of the local cube in C order.  `LT`
+ * is d * 2^m scratch: per sub-cube, LT[a][v] is the T-index bits that
+ * l_a = v contributes, so sigma_c(l) = OR_a LT[a][l_a].  Sub-cubes on
+ * axis 0 are clipped to [lo, hi). */
+EXPORT void repro_hilbert_slab(
+    const int64_t *T, int64_t *LT, int64_t d, int64_t k, int64_t m,
+    int64_t lo, int64_t hi, int64_t *out)
+{
+    int64_t side = (int64_t)1 << k, cube = (int64_t)1 << m;
+    int64_t stride[REPRO_MAX_D], c[REPRO_MAX_D], perm[REPRO_MAX_D];
+    int64_t flip[REPRO_MAX_D], l[REPRO_MAX_D], first[REPRO_MAX_D];
+    int64_t last[REPRO_MAX_D];
+    stride[d - 1] = 1;
+    for (int64_t a = d - 2; a >= 0; --a) stride[a] = stride[a + 1] * side;
+    for (int64_t a = 0; a < d; ++a) {
+        c[a] = 0;
+        first[a] = 0;
+        last[a] = cube;
+    }
+    c[0] = lo & ~(cube - 1);
+    for (;;) {
+        int64_t parity;
+        int64_t high = hilbert_corner(c, d, k, m, perm, flip, &parity);
+        int64_t pmask = parity ? ((int64_t)1 << (m * d)) - 1 : 0;
+        for (int64_t i = 0; i < d; ++i) {
+            int64_t shift = m * (d - 1 - i), f = flip[i] ? cube - 1 : 0;
+            int64_t *row = LT + perm[i] * cube;
+            for (int64_t v = 0; v < cube; ++v) row[v] = (v ^ f) << shift;
+        }
+        first[0] = (lo > c[0] ? lo : c[0]) - c[0];
+        last[0] = (hi < c[0] + cube ? hi : c[0] + cube) - c[0];
+        int64_t origin = (c[0] - lo) * stride[0];
+        for (int64_t a = 1; a < d; ++a) origin += c[a] * stride[a];
+        for (int64_t a = 0; a < d; ++a) l[a] = first[a];
+        const int64_t *inner = LT + (d - 1) * cube;
+        for (;;) {
+            int64_t idx = 0, off = origin;
+            for (int64_t a = 0; a < d - 1; ++a) {
+                idx |= LT[a * cube + l[a]];
+                off += l[a] * stride[a];
+            }
+            for (int64_t v = first[d - 1]; v < last[d - 1]; ++v)
+                out[off + v] = high | (T[idx | inner[v]] ^ pmask);
+            int64_t a = d - 2;
+            for (; a >= 0; --a) {
+                if (++l[a] < last[a]) break;
+                l[a] = first[a];
+            }
+            if (a < 0) break;
+        }
+        int64_t a = d - 1;
+        for (; a > 0; --a) {
+            c[a] += cube;
+            if (c[a] < side) break;
+            c[a] = 0;
+        }
+        if (a == 0) {
+            c[0] += cube;
+            if (c[0] >= hi) break;
+        }
+    }
+}
+
+/* Snake slab: the per-point arithmetic above, with the coordinates
+ * walked in C order from (lo, 0, ..., 0). */
+EXPORT void repro_snake_slab(
+    int64_t d, int64_t side, int64_t lo, int64_t hi, int64_t *out)
+{
+    int64_t x[REPRO_MAX_D];
+    int64_t top = 1;
+    for (int64_t i = 0; i < d - 1; ++i) top *= side;
+    for (int64_t a = 0; a < d; ++a) x[a] = 0;
+    x[0] = lo;
+    int64_t total = (hi - lo) * top;
+    for (int64_t r = 0; r < total; ++r) {
+        out[r] = snake_point(x, d, side, top);
+        int64_t a = d - 1;
+        for (; a > 0; --a) {
+            if (++x[a] < side) break;
+            x[a] = 0;
+        }
+        if (a == 0) ++x[0];
     }
 }

@@ -30,6 +30,21 @@ def _is_power_of(value: int, base: int) -> bool:
     return value == 1
 
 
+def _as_int64(arr: np.ndarray, what: str) -> np.ndarray:
+    """``arr`` cast to int64, refusing values the cast would change.
+
+    Integer and boolean arrays cast as they are; a float array must
+    hold only finite whole numbers.  Any other dtype is refused.
+    """
+    kind = arr.dtype.kind
+    if kind == "f":
+        if not (np.isfinite(arr).all() and (arr == np.trunc(arr)).all()):
+            raise ValueError(f"{what} must be whole numbers")
+    elif kind not in "iub":
+        raise ValueError(f"{what} must be integers, got dtype {arr.dtype}")
+    return arr.astype(np.int64, copy=False)
+
+
 @dataclass(frozen=True)
 class Universe:
     """The universe ``U``: a d-dimensional grid with ``side`` cells per axis.
@@ -150,12 +165,17 @@ class Universe:
         return np.all((arr >= 0) & (arr < self.side), axis=-1)
 
     def validate_coords(self, coords: np.ndarray) -> np.ndarray:
-        """Return ``coords`` as an int64 array, raising if out of range."""
-        arr = np.asarray(coords, dtype=np.int64)
-        if arr.shape[-1] != self.d:
+        """Return ``coords`` as an int64 array, raising if out of range.
+
+        Non-integral values and inputs without a coordinate axis raise
+        ``ValueError``; nothing is truncated.
+        """
+        arr = np.asarray(coords)
+        if arr.ndim == 0 or arr.shape[-1] != self.d:
             raise ValueError(
                 f"coords last axis must be d={self.d}, got shape {arr.shape}"
             )
+        arr = _as_int64(arr, "coordinates")
         # Same test as ``np.all(self.contains(arr))`` without the
         # (..., d) boolean temporaries: this runs on every batch encode.
         if arr.size and (arr.min() < 0 or arr.max() >= self.side):
@@ -163,8 +183,11 @@ class Universe:
         return arr
 
     def validate_ranks(self, ranks: np.ndarray) -> np.ndarray:
-        """Return ``ranks`` as an int64 array, raising if out of range."""
-        arr = np.asarray(ranks, dtype=np.int64)
+        """Return ``ranks`` as an int64 array, raising if out of range.
+
+        Non-integral values raise ``ValueError``; nothing is truncated.
+        """
+        arr = _as_int64(np.asarray(ranks), "ranks")
         if arr.size and (arr.min() < 0 or arr.max() >= self.n):
             raise ValueError(f"ranks must lie in [0, {self.n})")
         return arr

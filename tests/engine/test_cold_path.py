@@ -3,6 +3,9 @@
 * A context on the native backend fills the curve's key grid through
   the batch codec; the grid must equal the pure-NumPy reference
   ``key_grid()`` of a fresh curve instance, byte for byte.
+* Every native slab ``key_slab(lo, hi)`` equals the reference
+  ``key_grid()[lo:hi]``, including slabs that cut through Hilbert's
+  sub-cubes and the one-cell sub-cubes of d > 12.
 * Per-cell arrays are released by reference counting: a dense plus a
   chunked sweep leaves no cyclic garbage for ``gc`` to find, on either
   backend.
@@ -18,6 +21,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import threading
 
 import numpy as np
 import pytest
@@ -89,16 +93,22 @@ class TestNativeKeyGridParity:
         assert ctx.dmax() == reference.dmax()
 
     def test_numpy_context_keeps_reference_build(self, monkeypatch):
-        curve = make_curve("z", Universe(d=2, side=16))
+        universe = Universe(d=2, side=16)
+        reference = make_curve("z", universe).key_grid()
+        curve = make_curve("z", universe)
 
         def no_codec(*args, **kwargs):
             raise AssertionError("numpy backend must not batch-encode")
 
         monkeypatch.setattr(curve, "keys_of", no_codec)
+        monkeypatch.setattr(native._Codec, "key_slab", no_codec)
         grid = MetricContext(curve, backend="numpy").key_grid()
-        assert np.array_equal(
-            grid, make_curve("z", Universe(d=2, side=16)).key_grid()
+        assert np.array_equal(grid, reference)
+        chunked = MetricContext(
+            make_curve("z", universe), chunk_cells=48, backend="numpy"
         )
+        slabs = [slab for _, _, slab in chunked.iter_key_slabs()]
+        assert np.array_equal(np.concatenate(slabs), reference)
 
     def test_codec_less_curves_use_reference(self):
         universe = Universe(d=2, side=8)
@@ -107,6 +117,114 @@ class TestNativeKeyGridParity:
             assert np.array_equal(
                 ctx.key_grid(), make_curve(name, universe).key_grid()
             )
+
+
+#: Slab parity universes: d = 1..6 with every k up to 2^18 cells, which
+#: puts several Hilbert sub-cubes (side 2^(12 // d)) on every axis.
+SLAB_CASES = [
+    (d, k)
+    for d in range(1, 7)
+    for k in range(1, 19)
+    if k * d <= 18
+]
+
+
+def _slab_spans(side):
+    spans = [
+        (0, side),
+        (0, side // 2),
+        (side // 2, side),
+        (0, 1),
+        (side - 1, side),
+        (side // 3, side // 3 + 1),
+        (1, side - 1),
+    ]
+    return [(lo, hi) for lo, hi in spans if lo < hi]
+
+
+def _assert_slabs_match(name, universe):
+    codec = native.encoder_for(make_curve(name, universe))
+    assert codec is not None
+    reference = make_curve(name, universe).key_grid()
+    for lo, hi in _slab_spans(universe.side):
+        slab = codec.key_slab(lo, hi)
+        assert slab.dtype == np.int64 and slab.flags["C_CONTIGUOUS"]
+        assert np.array_equal(slab, reference[lo:hi]), (lo, hi)
+
+
+class TestNativeKeySlabs:
+    @requires_native
+    @pytest.mark.parametrize("name", ["z", "gray", "hilbert", "snake"])
+    @pytest.mark.parametrize("d,k", SLAB_CASES)
+    def test_slab_equals_reference_slice(self, name, d, k):
+        _assert_slabs_match(name, Universe(d=d, side=2**k))
+
+    @requires_native
+    @pytest.mark.parametrize("d,side", [(1, 7), (2, 9), (3, 5), (4, 3)])
+    def test_snake_odd_sides(self, d, side):
+        _assert_slabs_match("snake", Universe(d=d, side=side))
+
+    @requires_native
+    def test_hilbert_beyond_twelve_dimensions(self):
+        # 12 // 13 == 0: one-cell sub-cubes, every key from its corner.
+        _assert_slabs_match("hilbert", Universe(d=13, side=2))
+
+    @requires_native
+    @pytest.mark.parametrize("lo,hi", [(-1, 2), (3, 2), (0, 9)])
+    def test_rejects_spans_outside_the_axis(self, lo, hi):
+        codec = native.encoder_for(make_curve("z", Universe(d=2, side=8)))
+        with pytest.raises(ValueError, match="outside the axis range"):
+            codec.key_slab(lo, hi)
+
+    @requires_native
+    def test_empty_span(self):
+        curve = make_curve("hilbert", Universe(d=2, side=8))
+        assert native.encoder_for(curve).key_slab(3, 3).shape == (0, 8)
+
+    @requires_native
+    @pytest.mark.parametrize("name", ["hilbert", "z", "gray", "snake"])
+    def test_threaded_chunked_native_equals_numpy(self, name):
+        universe = Universe(d=2, side=256)
+        native_ctx = MetricContext(
+            make_curve(name, universe),
+            chunk_cells=96 * 256,
+            threads=2,
+            backend="native",
+        )
+        numpy_ctx = MetricContext(make_curve(name, universe), backend="numpy")
+        slabs = [slab for _, _, slab in native_ctx.iter_key_slabs()]
+        assert np.array_equal(np.concatenate(slabs), numpy_ctx.key_grid())
+        assert native_ctx.davg() == numpy_ctx.davg()
+        assert native_ctx.dmax() == numpy_ctx.dmax()
+        assert native_ctx.nn_mean() == numpy_ctx.nn_mean()
+        assert np.array_equal(
+            native_ctx.lambda_sums(), numpy_ctx.lambda_sums()
+        )
+
+
+    @requires_native
+    def test_threaded_fold_builds_slabs_on_the_calling_thread(
+        self, monkeypatch
+    ):
+        calls = []
+        original = native._Codec.key_slab
+
+        def recording(codec, lo, hi):
+            calls.append((hi - lo, threading.current_thread()))
+            return original(codec, lo, hi)
+
+        monkeypatch.setattr(native._Codec, "key_slab", recording)
+        ctx = MetricContext(
+            make_curve("hilbert", Universe(d=2, side=64)),
+            chunk_cells=16 * 64,
+            threads=2,
+            backend="native",
+        )
+        ctx.davg()
+        # Single boundary planes may still be read by a worker.
+        slabs = [thread for rows, thread in calls if rows > 1]
+        assert len(slabs) == 4
+        assert all(t is threading.current_thread() for t in slabs)
 
 
 class TestArgtypes:

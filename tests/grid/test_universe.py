@@ -147,6 +147,60 @@ class TestValidation:
         ):
             u.validate_coords(coords)
 
+    @pytest.mark.parametrize(
+        "coords", [[[0.5, 1.9]], [[1.0, np.nan]], [[np.inf, 0.0]]]
+    )
+    def test_validate_coords_rejects_non_integral(self, coords):
+        u = Universe(d=2, side=4)
+        with pytest.raises(ValueError, match="whole numbers"):
+            u.validate_coords(coords)
+
+    def test_index_does_not_truncate(self):
+        from repro.curves.registry import make_curve
+
+        curve = make_curve("hilbert", Universe(d=2, side=4))
+        with pytest.raises(ValueError, match="whole numbers"):
+            curve.index([[0.5, 1.9]])
+        with pytest.raises(ValueError, match="whole numbers"):
+            curve.keys_of([[0.5, 1.9]])
+
+    @pytest.mark.parametrize("coords", [3, np.int64(0), np.array(1.0)])
+    def test_validate_coords_rejects_0d(self, coords):
+        u = Universe(d=1, side=4)
+        with pytest.raises(ValueError, match="last axis must be d=1"):
+            u.validate_coords(coords)
+
+    @pytest.mark.parametrize(
+        "ranks,coords",
+        [
+            (["1"], [["1", "2"]]),
+            ([1 + 0j], [[1 + 0j, 0]]),
+            ([2**70], [[2**70, 0]]),
+        ],
+    )
+    def test_validate_rejects_non_numeric_dtypes(self, ranks, coords):
+        u = Universe(d=2, side=4)
+        with pytest.raises(ValueError, match="must be integers"):
+            u.validate_ranks(ranks)
+        with pytest.raises(ValueError, match="must be integers"):
+            u.validate_coords(coords)
+
+    def test_validate_accepts_whole_floats_and_bools(self):
+        u = Universe(d=2, side=4)
+        out = u.validate_coords(np.array([[1.0, 3.0]]))
+        assert out.dtype == np.int64 and out.tolist() == [[1, 3]]
+        assert u.validate_coords([[True, False]]).tolist() == [[1, 0]]
+        assert u.validate_ranks(np.array([2.0, 15.0])).tolist() == [2, 15]
+
+    def test_validate_ranks_rejects_non_integral(self):
+        from repro.curves.registry import make_curve
+
+        u = Universe(d=2, side=4)
+        with pytest.raises(ValueError, match="whole numbers"):
+            u.validate_ranks([1.5])
+        with pytest.raises(ValueError, match="whole numbers"):
+            make_curve("z", u).coords([2.5])
+
     def test_validate_ranks_pass(self):
         u = Universe(d=2, side=4)
         assert u.validate_ranks([0, 15]).tolist() == [0, 15]
