@@ -19,6 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.engine.context import get_context
+from repro.engine.threads import prepare_box_reads
 
 __all__ = [
     "box_bounds",
@@ -106,11 +107,11 @@ def expected_clusters(
     Moon et al.'s quantity of interest for query workloads.  Placement is
     uniform over all in-bounds positions.
 
-    On a threaded context the per-box counts run on the context's
-    :class:`repro.engine.threads.BlockScheduler`.  The box placements
-    are drawn up front in the serial loop's RNG order, and the integer
-    count sum is order-free, so the threaded average is bit-for-bit
-    the serial one.
+    The per-box counts run on the context's
+    :class:`repro.engine.threads.BlockScheduler` (inline when the
+    context is serial).  The box placements are drawn up front in one
+    RNG order, and the integer count sum is order-free, so the average
+    is bit-for-bit the same at any thread count.
     """
     ctx = get_context(curve)
     universe = ctx.universe
@@ -129,11 +130,6 @@ def expected_clusters(
         (lambda lo=lo: cluster_count(ctx, lo, lo + shape))
         for lo in placements
     ]
-    if ctx.threaded:
-        from repro.engine.threads import prepare_box_reads
-
-        prepare_box_reads(ctx)
-        total = sum(ctx.scheduler.imap(tasks))
-    else:
-        total = sum(fn() for fn in tasks)
+    prepare_box_reads(ctx)
+    total = sum(ctx.scheduler.imap(tasks))
     return total / n_samples

@@ -9,9 +9,12 @@ apart).  Section II of the paper stresses these metrics are *different*
 from the stretch; bench A6 demonstrates it numerically.
 
 All functions accept either a curve or a
-:class:`repro.engine.MetricContext`; the windowed curve-shift distance
-arrays are cached on the context, so profiles and repeated queries
-reuse them.  ``"dilation:window=16"`` is also a registered sweep metric
+:class:`repro.engine.MetricContext`.  Every value comes from the
+context's one window fold
+(:func:`repro.engine.chunked.window_max_reduction`), which keeps no
+``O(n)`` distance array; its scalars are memoized per
+``(window, metric)``, so profiles and repeated queries reuse them.
+``"dilation:window=16"`` is also a registered sweep metric
 (:data:`repro.engine.METRICS`).
 """
 
@@ -20,6 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.engine.context import get_context
+from repro.grid.metrics import manhattan
 
 __all__ = ["window_dilation", "worst_window_pairs", "dilation_profile"]
 
@@ -31,9 +35,8 @@ def window_dilation(
 
     ``max_α ∆(π^{-1}(t), π^{-1}(t+window))`` — the worst-case grid jump
     of a fixed-size curve step.  ``curve`` may be a curve or a
-    :class:`repro.engine.MetricContext`; chunked contexts reduce
-    block-wise over :meth:`~repro.engine.MetricContext.iter_window_pairs`
-    with values identical to the dense path.
+    :class:`repro.engine.MetricContext`; the value is the same in
+    every mode (dense, chunked, threaded) and on every backend.
     """
     return get_context(curve).window_dilation(window, metric=metric)
 
@@ -43,25 +46,17 @@ def worst_window_pairs(
 ) -> tuple[np.ndarray, np.ndarray]:
     """The cell pairs attaining :func:`window_dilation` (Manhattan).
 
-    Returns two ``(m, d)`` arrays of the worst pairs' endpoints.
+    Returns two ``(m, d)`` arrays of the worst pairs' endpoints, in
+    curve order — the same arrays in every mode.
     """
     ctx = get_context(curve)
-    if ctx.chunked:
-        from repro.grid.metrics import manhattan
-
-        best = ctx.window_dilation(window)
-        firsts, seconds = [], []
-        for _, _, a, b in ctx.iter_window_pairs(window):
-            worst = manhattan(a, b) == best
-            if worst.any():
-                firsts.append(a[worst])
-                seconds.append(b[worst])
-        return np.concatenate(firsts), np.concatenate(seconds)
-    dist = ctx.window_shift_distances(window, "manhattan")
-    path = ctx.order()
-    a, b = path[:-window], path[window:]
-    worst = dist == dist.max()
-    return a[worst], b[worst]
+    best = ctx.window_dilation(window)
+    firsts, seconds = [], []
+    for _, _, a, b in ctx.iter_window_pairs(window):
+        worst = manhattan(a, b) == best
+        firsts.append(a[worst])
+        seconds.append(b[worst])
+    return np.concatenate(firsts), np.concatenate(seconds)
 
 
 def dilation_profile(

@@ -26,6 +26,7 @@ import numpy as np
 
 from repro.analysis.clustering import box_keys
 from repro.engine.context import get_context
+from repro.engine.threads import prepare_box_reads
 from repro.grid.coords import rank_to_coords
 
 __all__ = ["SFCIndex", "QueryCost"]
@@ -118,11 +119,11 @@ class SFCIndex:
     ) -> float:
         """Mean total cost over uniformly placed boxes of a fixed shape.
 
-        On a threaded context the per-box costs are evaluated on the
-        context's scheduler; partial costs are merged in submission
-        order — the serial loop's order — so the float accumulation
-        performs the identical addition sequence and the threaded
-        average is bit-for-bit the serial one.
+        The per-box costs are evaluated on the context's scheduler
+        (inline when the context is serial) and merged in submission
+        order, so the float accumulation performs the identical
+        addition sequence and the average is bit-for-bit the same at
+        any thread count.
         """
         from repro.analysis.sampling import sample_rectangles
 
@@ -134,14 +135,8 @@ class SFCIndex:
             (lambda lo=lo, hi=hi: self.query_cost(lo, hi).total)
             for lo, hi in boxes
         ]
-        if self._ctx.threaded:
-            from repro.engine.threads import prepare_box_reads
-
-            prepare_box_reads(self._ctx)
-            results = self._ctx.scheduler.imap(tasks)
-        else:
-            results = (fn() for fn in tasks)
+        prepare_box_reads(self._ctx)
         total = 0.0
-        for value in results:
+        for value in self._ctx.scheduler.imap(tasks):
             total += value
         return total / n_samples

@@ -38,9 +38,9 @@ HOT_KERNELS: Dict[str, FrozenSet[str]] = {
             "accumulate_block_pairs",
             "nn_planes",
             "_nn_range_kernel",
+            "window_block_max",
         }
     ),
-    "engine/threads.py": frozenset({"_block_max_distance"}),
     "engine/context.py": frozenset({"_nn_values_blockwise"}),
 }
 

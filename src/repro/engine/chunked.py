@@ -2,7 +2,7 @@
 
 A chunked :class:`repro.engine.MetricContext` never materializes a dense
 ``(side,)*d`` array.  The key space is walked in fixed-size blocks in
-one of three orders, each serving a different consumer:
+one of four orders, each serving a different consumer:
 
 * **grid slabs** along axis 0 (C order) — the unit of the NN-pair
   reductions (``D^avg``, ``D^max``, ``Λ_i``, partition edge cuts).  A
@@ -12,8 +12,13 @@ one of three orders, each serving a different consumer:
   slabs.  Dense contexts run the same fold over one whole-grid range
   (or ``~threads × 4`` ranges when threaded).
 * **rank blocks** (simple-curve order) — the ``flat_keys`` stream.
-* **key blocks** (curve order) — the inverse-permutation and
-  window-shift streams.
+* **key blocks** (curve order) — the inverse-permutation stream.
+* **position ranges** (curve order) — the unit of the window fold
+  (:func:`window_max_reduction`): cells ``window`` apart on the curve,
+  decoded per block when chunked, order slices when dense.
+
+Both folds run their ranges through :func:`run_ranges`, inline when
+the context is serial and over its thread pool when it is threaded.
 
 Bit-for-bit parity with the dense path is engineered, not hoped for:
 
@@ -33,6 +38,7 @@ Bit-for-bit parity with the dense path is engineered, not hoped for:
 
 from __future__ import annotations
 
+import operator
 from typing import Iterable, Iterator, Tuple
 
 import numpy as np
@@ -45,7 +51,13 @@ __all__ = [
     "accumulate_block_pairs",
     "fold_ranges",
     "nn_planes",
+    "run_ranges",
     "nn_block_reduction",
+    "check_window",
+    "window_ranges",
+    "window_pairs",
+    "window_block_max",
+    "window_max_reduction",
 ]
 
 #: Default block size (cells) when chunked mode is auto-selected.
@@ -246,21 +258,31 @@ def accumulate_block_pairs(
 # ----------------------------------------------------------------------
 # The NN fold
 # ----------------------------------------------------------------------
+def _spans(total: int, step: int) -> list:
+    """``[0, total)`` cut into consecutive ``(lo, hi)`` spans of ``step``."""
+    return [(lo, min(total, lo + step)) for lo in range(0, total, step)]
+
+
+def _dense_step(ctx, total: int) -> int:
+    """Span length of a dense fold over ``total`` units: one span when
+    serial, ``~threads × 4`` when threaded — mild oversubscription, so
+    one slow range cannot stall the merge."""
+    if not ctx.threaded:
+        return total
+    return -(-total // (ctx.threads * _DENSE_OVERSUBSCRIPTION))
+
+
 def fold_ranges(ctx) -> list:
     """Axis-0 plane ranges ``(lo, hi)`` the NN fold walks.
 
     Chunked contexts use the slab partition (so the LRU-cached slabs
-    are the fold's units); a serial dense context folds the whole grid
-    as one range; a threaded dense context splits it into
-    ``~threads × 4`` ranges of contiguous planes — mild
-    oversubscription, so one slow range cannot stall the merge.
+    are the fold's units); dense contexts split the grid's planes by
+    :func:`_dense_step`.
     """
-    if ctx.chunked or not ctx.threaded:
+    if ctx.chunked:
         return ctx._slab_ranges()
     side = ctx.universe.side
-    parts = min(side, ctx.threads * _DENSE_OVERSUBSCRIPTION)
-    per = -(-side // parts)
-    return [(lo, min(side, lo + per)) for lo in range(0, side, per)]
+    return _spans(side, _dense_step(ctx, side))
 
 
 def _plane_keys(ctx, x0: int) -> np.ndarray:
@@ -367,20 +389,53 @@ def _nn_range_kernel(ctx, lo: int, hi: int, scratch, body=None):
     return avg.reshape(-1), lambdas, int(best.sum())
 
 
+def run_ranges(ctx, ranges, kernel, resolve=None) -> Iterator:
+    """Results of ``kernel(ctx, lo, hi, scratch, body)`` per range, in order.
+
+    The one place that decides how a fold's ranges run: inline on a
+    per-call scratch set (freed with the call) when the context is
+    serial, through ``ctx.scheduler`` on per-thread scratch when it is
+    threaded.  ``resolve(ctx, lo, hi)``, when given, supplies ``body``
+    in the calling thread as each range is submitted.  The NN fold
+    resolves its key slabs there: built in a worker, a cached slab
+    would sit in that thread's malloc arena, which keeps the memory
+    resident after the sweep where no other thread can reuse it.
+    """
+    # Lazy import: threads.py imports this module at its top level.
+    from repro.engine.threads import ScratchBuffers
+
+    def body(lo: int, hi: int):
+        return None if resolve is None else resolve(ctx, lo, hi)
+
+    if not ctx.threaded:
+        scratch = ScratchBuffers()
+        return (
+            kernel(ctx, lo, hi, scratch, body(lo, hi)) for lo, hi in ranges
+        )
+    scheduler = ctx.scheduler
+    return scheduler.imap(
+        (
+            lambda lo=lo, hi=hi, b=body(lo, hi): kernel(
+                ctx, lo, hi, scheduler.scratch(), b
+            )
+        )
+        for lo, hi in ranges
+    )
+
+
 def nn_block_reduction(ctx) -> dict:
     """All NN-stretch scalars of ``ctx``: the engine's one NN fold.
 
-    Walks :func:`fold_ranges`, running one :func:`_nn_range_kernel`
-    task per range — inline on a per-call scratch set when the context
-    is serial, through ``ctx.scheduler`` when it is threaded — and
-    merges the per-cell averages in range order through
-    :func:`pairwise_sum_stream`.  Returns ``{"davg", "dmax",
-    "lambdas", "nn_sum"}``, bit-for-bit equal in every mode (see the
-    module docstring for why).  Requires ``side >= 2``; the degenerate
-    cases are handled by the calling metric methods.
+    Runs one :func:`_nn_range_kernel` task per :func:`fold_ranges`
+    range through :func:`run_ranges` and merges the per-cell averages
+    in range order through :func:`pairwise_sum_stream`.  Returns
+    ``{"davg", "dmax", "lambdas", "nn_sum"}``, bit-for-bit equal in
+    every mode (see the module docstring for why).  Requires
+    ``side >= 2``; the degenerate cases are handled by the calling
+    metric methods.
     """
     # Lazy import: threads.py imports this module at its top level.
-    from repro.engine.threads import ScratchBuffers, _warm_curve_caches
+    from repro.engine.threads import _warm_curve_caches
 
     universe = ctx.universe
     d, n = universe.d, universe.n
@@ -392,30 +447,9 @@ def nn_block_reduction(ctx) -> dict:
     else:
         ctx.key_grid()
         ctx.neighbor_counts()
-    ranges = fold_ranges(ctx)
-    if ctx.threaded:
-        scheduler = ctx.scheduler
-        # Each range's keys are resolved here, in the calling thread,
-        # as the range is submitted.  A chunked slab is cheap to build
-        # and lives as long as the context's cache; built in a worker
-        # it would sit in that thread's malloc arena, which keeps the
-        # memory resident after the sweep where no other thread can
-        # reuse it.
-        results = scheduler.imap(
-            (
-                lambda lo=lo, hi=hi, body=_range_keys(ctx, lo, hi): (
-                    _nn_range_kernel(ctx, lo, hi, scheduler.scratch(), body)
-                )
-            )
-            for lo, hi in ranges
-        )
-    else:
-        # A per-call scratch set: the serial fold's buffers are freed
-        # with the call instead of living as long as the context.
-        scratch = ScratchBuffers()
-        results = (
-            _nn_range_kernel(ctx, lo, hi, scratch) for lo, hi in ranges
-        )
+    results = run_ranges(
+        ctx, fold_ranges(ctx), _nn_range_kernel, resolve=_range_keys
+    )
     lambdas = [0] * d
     max_total = [0]
 
@@ -433,3 +467,100 @@ def nn_block_reduction(ctx) -> dict:
         "lambdas": tuple(lambdas),
         "nn_sum": sum(lambdas),
     }
+
+
+# ----------------------------------------------------------------------
+# The window fold
+# ----------------------------------------------------------------------
+def check_window(ctx, window) -> int:
+    """``window`` as an ``int`` in ``[1, n)``; bools, floats and other
+    non-integers raise ``ValueError`` rather than being truncated."""
+    if isinstance(window, bool) or not hasattr(window, "__index__"):
+        raise ValueError(f"window must be an integer, got {window!r}")
+    window = operator.index(window)
+    if not 1 <= window < ctx.universe.n:
+        raise ValueError(f"window must be in [1, n), got {window}")
+    return window
+
+
+def window_ranges(ctx, window: int) -> list:
+    """Ranges ``(t0, t1)`` of the ``n - window`` left curve positions:
+    ``chunk_cells`` steps when chunked, else :func:`_dense_step`."""
+    total = ctx.universe.n - window
+    step = ctx.chunk_cells if ctx.chunked else _dense_step(ctx, total)
+    return _spans(total, step)
+
+
+def window_pairs(ctx, t0: int, t1: int, window: int) -> tuple:
+    """Cells at curve positions ``[t0, t1)`` and ``[t0+window, t1+window)``:
+    order slices (zero-copy) when dense, ``coords_of`` blocks when
+    chunked."""
+    if ctx.chunked:
+        idx = np.arange(t0, t1, dtype=np.int64)
+        return (
+            ctx.curve.coords_of(idx, backend=ctx.backend),
+            ctx.curve.coords_of(idx + window, backend=ctx.backend),
+        )
+    path = ctx.order()
+    return path[t0:t1], path[t0 + window : t1 + window]
+
+
+def window_block_max(
+    a: np.ndarray, b: np.ndarray, metric: str, scratch, kernels=None
+):
+    """Max grid distance over one block of cell pairs, scratch-backed.
+
+    Operation-for-operation identical to
+    :func:`repro.grid.metrics.manhattan` / ``euclidean`` followed by
+    ``.max()`` — only the temporaries' storage differs — so block
+    maxima merge to the dense value exactly (max is order-free).  With
+    the native ``kernels`` the whole fold runs as one C call (integer
+    maxima; the euclidean variant maximizes the squared sum and takes a
+    single sqrt — a monotone map, hence bit-identical).
+    """
+    if (
+        kernels is not None
+        and a.flags["C_CONTIGUOUS"]
+        and b.flags["C_CONTIGUOUS"]
+    ):
+        value = kernels.window_max(a, b, metric)
+        return int(value) if metric == "manhattan" else value
+    m, d = a.shape
+    diff = scratch.take("win_diff", (m, d), np.int64)
+    np.subtract(a, b, out=diff)
+    if metric == "manhattan":
+        np.abs(diff, out=diff)
+        dist = scratch.take("win_dist", (m,), np.int64)
+        diff.sum(axis=-1, out=dist)
+        return int(dist.max())
+    fdiff = scratch.take("win_fdiff", (m, d), np.float64)
+    fdiff[...] = diff
+    np.multiply(fdiff, fdiff, out=fdiff)
+    fdist = scratch.take("win_fdist", (m,), np.float64)
+    fdiff.sum(axis=-1, out=fdist)
+    np.sqrt(fdist, out=fdist)
+    return float(fdist.max())
+
+
+def window_max_reduction(ctx, window: int, metric: str = "manhattan"):
+    """``window_dilation`` of ``ctx``: the engine's one window fold.
+
+    :func:`window_block_max` over the :func:`window_pairs` of each
+    :func:`window_ranges` range, run by :func:`run_ranges` and merged
+    with ``max`` — order-free, so the value is bit-for-bit the same in
+    every mode and on every backend.  ``window`` is already checked.
+    """
+    from repro.engine.threads import _warm_curve_caches
+
+    # Resolve what the tasks read once, in the calling thread.
+    if ctx.chunked:
+        _warm_curve_caches(ctx, inverse=True)
+    else:
+        ctx.order()
+
+    def kernel(ctx, t0: int, t1: int, scratch, body=None):
+        a, b = window_pairs(ctx, t0, t1, window)
+        return window_block_max(a, b, metric, scratch, kernels=ctx.kernels)
+
+    best = max(run_ranges(ctx, window_ranges(ctx, window), kernel))
+    return int(best) if metric == "manhattan" else float(best)

@@ -8,10 +8,12 @@ stretch) consumes the same handful of intermediates:
 * the **NN fold** over every nearest-neighbour key pair — one integer
   pass (:func:`repro.engine.chunked.nn_block_reduction`) that yields
   ``D^avg``, ``D^max``, ``Λ_i`` and the NN mean together,
+* the **window fold** over every pair of cells ``window`` apart on the
+  curve (:func:`repro.engine.chunked.window_max_reduction`), memoized
+  per ``(window, metric)`` as a scalar,
 * the per-cell sum / max grids, on request,
-* the **inverse permutation** (rank grid), the rank-ordered flat key
-  array, and the **windowed curve-shift distance arrays** consumed by
-  the analysis and application layers.
+* the **inverse permutation** (rank grid) and the rank-ordered flat key
+  array consumed by the analysis and application layers.
 
 Historically each free function in :mod:`repro.core.stretch` rebuilt
 these from scratch, so a full :func:`repro.core.summary.stretch_report`
@@ -45,21 +47,25 @@ to use instead.  The ``O(block)`` guarantee holds for procedural curves
 ``random`` or ``peano``) are already defined by a dense table and gain
 no memory over the dense mode.
 
-**One NN fold.**  Every NN metric reads one memoized result of
-:func:`repro.engine.chunked.nn_block_reduction`, which walks axis-0
+**One runner, two folds.**  Every NN metric reads one memoized result
+of :func:`repro.engine.chunked.nn_block_reduction`, which walks axis-0
 plane ranges with the self-contained range kernel
 :func:`~repro.engine.chunked.nn_planes` (it reads its own boundary
-planes, so the per-cell state it leaves is final).  The modes differ
-only in the ranges: a dense context folds its grid as one range, a
-chunked one folds its slab partition.
+planes, so the per-cell state it leaves is final).  Every window
+dilation reads one memoized result of
+:func:`~repro.engine.chunked.window_max_reduction`, which walks
+curve-position ranges and merges block maxima.  The modes differ only
+in the ranges: a dense context folds as one range, a chunked one folds
+its block partition.  Both folds hand their ranges to
+:func:`~repro.engine.chunked.run_ranges`, the one place that decides
+how ranges run.
 
-**Threaded mode** (``threads=N`` / ``threads="auto"``): the same fold
-runs its range tasks over a :class:`repro.engine.threads.BlockScheduler`
-thread pool — a dense grid splits into ``~threads × 4`` ranges — and
-the window metrics fan out the same way.  The NumPy block kernels
-release the GIL, so one context saturates several cores.  Results stay
-bit-for-bit identical to serial runs: the order-sensitive ``D^avg``
-mean is merged in range order through the pairwise-sum replication of
+**Threaded mode** (``threads=N`` / ``threads="auto"``): ``run_ranges``
+submits the range tasks to a :class:`repro.engine.threads.BlockScheduler`
+thread pool (dense work splits into ``~threads × 4`` ranges); the
+NumPy block kernels release the GIL.  Results stay bit-for-bit
+identical to serial runs: maxima and integer sums are order-free, and
+the ``D^avg`` mean is merged in range order through
 :func:`~repro.engine.chunked.pairwise_sum_stream`.
 
 **Native backend** (``backend="native"``/``"auto"``): a kernel-table
@@ -299,47 +305,32 @@ class _BoundedStore:
                 self.stats.hits += 1
                 return self._views[key]
             self.stats.misses += 1
-        if shared is not None:
-            value = shared()
-            if value is not None:
-                # Zero-copy view of a parent-published segment: counted
-                # separately, retained outside the LRU budget.
-                with self._lock:
-                    existing = self._views.get(key)
-                    if existing is not None:
-                        # A concurrent miss resolved the view first;
-                        # reclassify our lookup as the hit it
-                        # effectively was (the miss was provisional)
-                        # so hits + misses equals actual lookups and
-                        # shared counters stay one-per-intermediate.
-                        self.stats.misses -= 1
-                        self.stats.hits += 1
-                        return existing
-                    self.stats.shared[key] = (
-                        self.stats.shared.get(key, 0) + 1
-                    )
-                    if self.max_bytes != 0:
-                        self._views[key] = value
-                return value
-        if mmap is not None:
-            # Read-only map of a verified persistent-store artifact:
-            # the disk tier between shared memory and derivation.  The
-            # factory returning None means "not on disk" (or rejected
-            # by its checksum) and falls through to derive / compute.
-            value = mmap()
-            if value is not None:
-                with self._lock:
-                    existing = self._views.get(key)
-                    if existing is not None:
-                        # Same provisional-miss reclassification as the
-                        # shared tier above.
-                        self.stats.misses -= 1
-                        self.stats.hits += 1
-                        return existing
-                    self.stats.mmap[key] = self.stats.mmap.get(key, 0) + 1
-                    if self.max_bytes != 0:
-                        self._views[key] = value
-                return value
+        # The view tiers, cheapest first: a zero-copy view of a
+        # parent-published shared-memory segment, then a read-only map
+        # of a verified persistent-store artifact.  Each is counted in
+        # its own counter and retained outside the LRU budget; a
+        # factory returning None ("not published", "not on disk" or
+        # rejected by its checksum) falls through to the next tier.
+        for tier, view in (("shared", shared), ("mmap", mmap)):
+            value = None if view is None else view()
+            if value is None:
+                continue
+            with self._lock:
+                existing = self._views.get(key)
+                if existing is not None:
+                    # A concurrent miss resolved the view first;
+                    # reclassify our lookup as the hit it effectively
+                    # was (the miss was provisional) so hits + misses
+                    # equals actual lookups and view counters stay
+                    # one-per-intermediate.
+                    self.stats.misses -= 1
+                    self.stats.hits += 1
+                    return existing
+                counter = getattr(self.stats, tier)
+                counter[key] = counter.get(key, 0) + 1
+                if self.max_bytes != 0:
+                    self._views[key] = value
+            return value
         if derive is not None:
             value = np.asarray(derive())
             computed = False
@@ -797,10 +788,12 @@ class MetricContext:
 
         Entry ``t`` is ``∆(π^{-1}(t), π^{-1}(t+window))`` in the chosen
         grid metric — the array behind the Gotsman–Lindenbaum window
-        dilation metrics in :mod:`repro.analysis.locality`.
+        dilation metrics (which run the window fold and keep no such
+        array).
         """
-        if window < 1 or window >= self.universe.n:
-            raise ValueError(f"window must be in [1, n), got {window}")
+        from repro.engine.chunked import check_window
+
+        window = check_window(self, window)
         if metric not in ("manhattan", "euclidean"):
             raise ValueError("metric must be 'manhattan' or 'euclidean'")
         self._require_dense(
@@ -1038,24 +1031,18 @@ class MetricContext:
 
         ``a`` and ``b`` are the cells at curve positions ``[t0, t1)``
         and ``[t0 + window, t1 + window)`` — the pairs behind the
-        Gotsman–Lindenbaum window metrics.  Blocks are not cached (two
-        shifted coordinate streams would double the block footprint for
-        a single-pass consumer).
+        Gotsman–Lindenbaum window metrics, one block per window-fold
+        range; ``window`` is checked before the first block.  Blocks
+        are not cached (two shifted coordinate streams would double the
+        block footprint for a single-pass consumer).
         """
-        n = self.universe.n
-        if window < 1 or window >= n:
-            raise ValueError(f"window must be in [1, n), got {window}")
-        if not self.chunked:
-            path = self.order()
-            yield 0, n - window, path[:-window], path[window:]
-            return
-        step = self.chunk_cells
-        for t0 in range(0, n - window, step):
-            t1 = min(n - window, t0 + step)
-            idx = np.arange(t0, t1, dtype=np.int64)
-            a = self.curve.coords_of(idx, backend=self.backend)
-            b = self.curve.coords_of(idx + window, backend=self.backend)
-            yield t0, t1, a, b
+        from repro.engine import chunked
+
+        window = chunked.check_window(self, window)
+        return (
+            (t0, t1) + chunked.window_pairs(self, t0, t1, window)
+            for t0, t1 in chunked.window_ranges(self, window)
+        )
 
     def _nn_stats(self) -> dict:
         """Memoized NN fold: every NN scalar of the context in one pass.
@@ -1294,54 +1281,22 @@ class MetricContext:
     def window_dilation(self, window: int, metric: str = "manhattan"):
         """Max grid distance of a curve step of exactly ``window``.
 
-        The Gotsman–Lindenbaum reverse metric; works in both modes
-        (block-wise in chunked mode, block-parallel when
-        ``threads > 1``) and returns 0 on the 1-cell universe, where
-        no step exists.
+        The Gotsman–Lindenbaum reverse metric: one memoized run of the
+        window fold (:func:`repro.engine.chunked.window_max_reduction`),
+        equal in every mode and on every backend.  Returns 0 on the
+        1-cell universe, where no step exists.
         """
+        from repro.engine import chunked
+
         if metric not in ("manhattan", "euclidean"):
             raise ValueError("metric must be 'manhattan' or 'euclidean'")
         if self.universe.n < 2:
             return 0 if metric == "manhattan" else 0.0
-        if window < 1 or window >= self.universe.n:
-            raise ValueError(
-                f"window must be in [1, n), got {window}"
-            )
-        if self.threaded:
-            from repro.engine.threads import threaded_window_max
-
-            return self._scalar(
-                ("window_dilation", window, metric),
-                lambda: threaded_window_max(self, window, metric),
-            )
-        if not self.chunked:
-            dist = self.window_shift_distances(window, metric)
-            return int(dist.max()) if metric == "manhattan" else float(
-                dist.max()
-            )
-
-        def compute():
-            from repro.grid.metrics import euclidean, manhattan
-
-            fn = manhattan if metric == "manhattan" else euclidean
-            kernels = self.kernels
-            best = None
-            for _, _, a, b in self.iter_window_pairs(window):
-                if kernels is not None:
-                    # Fused C max (integer distances; the euclidean
-                    # variant takes one sqrt of the max squared sum, a
-                    # monotone map — bit-identical to max-of-sqrts).
-                    block_best = kernels.window_max(a, b, metric)
-                else:
-                    block_best = fn(a, b).max()
-                best = (
-                    block_best
-                    if best is None
-                    else max(best, block_best)
-                )
-            return int(best) if metric == "manhattan" else float(best)
-
-        return self._scalar(("window_dilation", window, metric), compute)
+        window = chunked.check_window(self, window)
+        return self._scalar(
+            ("window_dilation", window, metric),
+            lambda: chunked.window_max_reduction(self, window, metric),
+        )
 
     # ------------------------------------------------------------------
     # All-pairs stretch (Section V-B)
@@ -1361,7 +1316,7 @@ class MetricContext:
                 self.curve,
                 metric,
                 chunk,
-                scheduler=self.scheduler if self.threaded else None,
+                scheduler=self.scheduler,
             ),
         )
 
@@ -1383,7 +1338,7 @@ class MetricContext:
                 n_pairs,
                 metric,
                 seed,
-                scheduler=self.scheduler if self.threaded else None,
+                scheduler=self.scheduler,
             ),
         )
 

@@ -49,6 +49,7 @@ pass over the *same* point set) and re-keyed onto the winner.  See
 
 from __future__ import annotations
 
+import operator
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -96,6 +97,17 @@ class DynamicMetrics:
     davg: float
     dilation: int
     loads: Tuple[int, ...]
+
+
+def _positive_int(value, name: str) -> int:
+    """``value`` as an ``int >= 1``; bools and non-integers (``2.5``)
+    raise ``ValueError`` rather than being truncated."""
+    if isinstance(value, bool) or not hasattr(value, "__index__"):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    value = operator.index(value)
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1")
+    return value
 
 
 @dataclass(frozen=True)
@@ -146,10 +158,8 @@ class DynamicUniverse:
         reselect_threshold: Optional[float] = None,
         candidates: Optional[Sequence[str]] = None,
     ) -> None:
-        if parts < 1:
-            raise ValueError("parts must be >= 1")
-        if window < 1:
-            raise ValueError("window must be >= 1")
+        parts = _positive_int(parts, "parts")
+        window = _positive_int(window, "window")
         if isinstance(curve, str):
             if universe is None:
                 raise ValueError("spec-string construction needs universe=")
@@ -168,8 +178,8 @@ class DynamicUniverse:
         else:
             self.ctx = get_context(curve)
         self.universe = self.ctx.universe
-        self.parts = int(parts)
-        self.window = int(window)
+        self.parts = parts
+        self.window = window
         self.reselect_threshold = reselect_threshold
         self.candidates: Tuple[str, ...] = tuple(
             candidates if candidates is not None else DEFAULT_CANDIDATES

@@ -15,15 +15,17 @@ engine's block iterators (key slabs, window-pair ranges) out to a
 ``ThreadPoolExecutor`` and the workers genuinely run concurrently —
 no process spawn, no pickling, zero-copy access to every cached array.
 
-There is one NN fold, :func:`repro.engine.chunked.nn_block_reduction`;
-a threaded context runs its range tasks through the context's
-scheduler instead of inline.  Determinism needs nothing extra:
+There is one range runner, :func:`repro.engine.chunked.run_ranges`,
+with two folds on it (the NN fold and the window fold); a threaded
+context runs their range tasks through the context's scheduler
+instead of inline.  Determinism needs nothing extra:
 
 * every range task is **self-contained** (a task owning grid planes
   ``[lo, hi)`` reads the two adjacent boundary planes itself, so no
   cross-task carry exists to race on);
-* integer reductions (``Λ`` sums, per-cell maxima, boundary pairs) are
-  associative, so per-task partials sum to the dense value exactly;
+* integer reductions (``Λ`` sums, per-cell maxima, boundary pairs,
+  window maxima) are associative, so per-task partials merge to the
+  dense value exactly;
 * the one order-sensitive reduction — the float mean behind ``D^avg``
   — is merged **in range order** through
   :func:`repro.engine.chunked.pairwise_sum_stream`, which replays
@@ -53,7 +55,7 @@ from typing import Callable, Dict, Iterable, Iterator, List, Optional, Union
 
 import numpy as np
 
-from repro.engine.chunked import _DENSE_OVERSUBSCRIPTION, nn_block_reduction
+from repro.engine.chunked import nn_block_reduction
 
 __all__ = [
     "BlockScheduler",
@@ -61,7 +63,6 @@ __all__ = [
     "resolve_threads",
     "quiesce_schedulers",
     "prepare_box_reads",
-    "threaded_window_max",
 ]
 
 #: Every live scheduler, so a process sweep can join their worker
@@ -281,7 +282,7 @@ def _warm_curve_caches(ctx, inverse: bool) -> None:
 def prepare_box_reads(ctx) -> None:
     """Resolve the state box-sampling workers share, before fan-out.
 
-    The sampling loops threaded through the scheduler (cluster counts,
+    The sampling loops that run through the scheduler (cluster counts,
     range-query costs) evaluate per-box kernels that read the dense key
     grid — or, in chunked mode, call ``curve.index`` on rectangle
     cells.  Both sit behind lazy caches whose cold first touch must not
@@ -299,92 +300,3 @@ def prepare_box_reads(ctx) -> None:
 #: (``perfbench/layers.py``) looks it up to install its trace span.
 threaded_nn_reduction = nn_block_reduction
 
-
-# ----------------------------------------------------------------------
-# The threaded window-dilation reduction
-# ----------------------------------------------------------------------
-def _block_max_distance(
-    a: np.ndarray,
-    b: np.ndarray,
-    metric: str,
-    scratch: ScratchBuffers,
-    kernels=None,
-):
-    """Max grid distance over one block of cell pairs, scratch-backed.
-
-    Operation-for-operation identical to
-    :func:`repro.grid.metrics.manhattan` / ``euclidean`` followed by
-    ``.max()`` — only the temporaries' storage differs — so block
-    maxima merge to the dense value exactly (max is order-free).  With
-    the native ``kernels`` the whole fold runs as one C call (integer
-    maxima; the euclidean variant maximizes the squared sum and takes a
-    single sqrt — a monotone map, hence bit-identical).
-    """
-    if (
-        kernels is not None
-        and a.flags["C_CONTIGUOUS"]
-        and b.flags["C_CONTIGUOUS"]
-    ):
-        value = kernels.window_max(a, b, metric)
-        return int(value) if metric == "manhattan" else value
-    m, d = a.shape
-    diff = scratch.take("win_diff", (m, d), np.int64)
-    np.subtract(a, b, out=diff)
-    if metric == "manhattan":
-        np.abs(diff, out=diff)
-        dist = scratch.take("win_dist", (m,), np.int64)
-        diff.sum(axis=-1, out=dist)
-        return int(dist.max())
-    fdiff = scratch.take("win_fdiff", (m, d), np.float64)
-    fdiff[...] = diff
-    np.multiply(fdiff, fdiff, out=fdiff)
-    fdist = scratch.take("win_fdist", (m,), np.float64)
-    fdiff.sum(axis=-1, out=fdist)
-    np.sqrt(fdist, out=fdist)
-    return float(fdist.max())
-
-
-def threaded_window_max(ctx, window: int, metric: str = "manhattan"):
-    """``window_dilation`` reduced block-parallel across threads.
-
-    Dense contexts slice the cached curve order (zero-copy); chunked
-    contexts evaluate coordinate blocks exactly like
-    :meth:`~repro.engine.MetricContext.iter_window_pairs`, but each
-    block on its own worker thread.  The merge is a plain ``max`` over
-    block maxima — order-free, hence bit-for-bit equal to both serial
-    paths.
-    """
-    universe = ctx.universe
-    n = universe.n
-    scheduler = ctx.scheduler
-    total = n - window
-    if ctx.chunked:
-        _warm_curve_caches(ctx, inverse=True)
-        step = ctx.chunk_cells
-        path = None
-    else:
-        parts = max(1, scheduler.threads * _DENSE_OVERSUBSCRIPTION)
-        step = max(1, -(-total // parts))
-        path = ctx.order()
-
-    def make(t0: int, t1: int):
-        def run():
-            if path is None:
-                idx = np.arange(t0, t1, dtype=np.int64)
-                a = ctx.curve.coords_of(idx, backend=ctx.backend)
-                b = ctx.curve.coords_of(idx + window, backend=ctx.backend)
-            else:
-                a, b = path[t0:t1], path[t0 + window : t1 + window]
-            return _block_max_distance(
-                a, b, metric, scheduler.scratch(), kernels=ctx.kernels
-            )
-
-        return run
-
-    tasks = [
-        make(t0, min(total, t0 + step)) for t0 in range(0, total, step)
-    ]
-    best = None
-    for value in scheduler.imap(tasks):
-        best = value if best is None else max(best, value)
-    return int(best) if metric == "manhattan" else float(best)

@@ -86,15 +86,31 @@ class TestContextAcceptance:
                 curve, window
             )
 
-    def test_profile_caches_window_arrays(self, u2_8):
+    def test_profile_memoizes_window_folds(self, u2_8, monkeypatch):
+        """Repeated profiles run one window fold per (window, metric)
+        and keep no O(n) distance array."""
+        from repro.engine import chunked
         from repro.engine.context import MetricContext
 
+        calls = []
+        fold = chunked.window_max_reduction
+
+        def counting(ctx, window, metric="manhattan"):
+            calls.append((window, metric))
+            return fold(ctx, window, metric)
+
+        monkeypatch.setattr(chunked, "window_max_reduction", counting)
         ctx = MetricContext(HilbertCurve(u2_8))
-        dilation_profile(ctx, [1, 2, 4])
-        dilation_profile(ctx, [1, 2, 4])
-        for window in (1, 2, 4):
-            key = f"win_dist[{window},manhattan]"
-            assert ctx.stats.compute_count(key) == 1
+        for _ in range(2):
+            dilation_profile(ctx, [1, 2, 4])
+            dilation_profile(ctx, [1, 2, 4], metric="euclidean")
+        assert sorted(calls) == sorted(
+            (w, m) for w in (1, 2, 4) for m in ("manhattan", "euclidean")
+        )
+        assert not any(
+            key.startswith("win_dist[") for key in ctx.stats.computes
+        )
+        assert ctx.cache_bytes == 0
 
     def test_worst_pairs_from_context(self, u2_8):
         from repro.engine.context import get_context
@@ -103,3 +119,96 @@ class TestContextAcceptance:
         a1, b1 = worst_window_pairs(z, 2)
         a2, b2 = worst_window_pairs(get_context(z), 2)
         assert np.array_equal(a1, a2) and np.array_equal(b1, b2)
+
+
+def _reference_worst_pairs(curve, window):
+    """The worst window pairs straight off the curve order, in order."""
+    path = curve.order()
+    a, b = path[:-window], path[window:]
+    dist = np.abs(a - b).sum(axis=-1)
+    worst = dist == dist.max()
+    return a[worst], b[worst]
+
+
+class TestWorstPairsParity:
+    """``worst_window_pairs`` gives equal arrays, in equal order, in
+    every mode and on both backends."""
+
+    @pytest.mark.parametrize("backend", ("numpy", "native"))
+    @pytest.mark.parametrize(
+        "mode",
+        (
+            {},
+            {"chunk_cells": 1},
+            {"chunk_cells": 7},
+            {"threads": 2},
+            {"threads": 4},
+            {"chunk_cells": 7, "threads": 2},
+        ),
+        ids=("dense", "chunk1", "chunk7", "threads2", "threads4",
+             "chunk7-threads2"),
+    )
+    @pytest.mark.parametrize("window", (1, 3, 63))
+    def test_modes_agree(self, u2_8, backend, mode, window):
+        import warnings
+
+        from repro.engine.context import MetricContext
+
+        for make in (ZCurve, SimpleCurve):
+            curve = make(u2_8)
+            expected = _reference_worst_pairs(curve, window)
+            with warnings.catch_warnings():
+                # A host without a C compiler degrades to NumPy.
+                warnings.simplefilter("ignore", RuntimeWarning)
+                ctx = MetricContext(make(u2_8), backend=backend, **mode)
+            a, b = worst_window_pairs(ctx, window)
+            assert np.array_equal(a, expected[0])
+            assert np.array_equal(b, expected[1])
+
+
+class TestWindowArgument:
+    """Non-integral windows are refused at the library boundary, in
+    every mode, instead of raising from inside a kernel."""
+
+    MODES = pytest.mark.parametrize(
+        "mode",
+        ({}, {"chunk_cells": 7}, {"threads": 2}),
+        ids=("dense", "chunked", "threaded"),
+    )
+
+    @MODES
+    @pytest.mark.parametrize("bad", (3.0, 2.5, True, "3", None))
+    def test_window_dilation_rejects(self, u2_8, mode, bad):
+        from repro.engine.context import MetricContext
+
+        ctx = MetricContext(ZCurve(u2_8), **mode)
+        with pytest.raises(ValueError, match="window must be an integer"):
+            ctx.window_dilation(bad)
+        with pytest.raises(ValueError, match="window must be an integer"):
+            ctx.window_dilation(bad, metric="euclidean")
+
+    @MODES
+    def test_iter_window_pairs_rejects_before_iterating(self, u2_8, mode):
+        from repro.engine.context import MetricContext
+
+        ctx = MetricContext(ZCurve(u2_8), **mode)
+        for bad in (2.5, True, 0, 64):
+            with pytest.raises(ValueError, match="window must be"):
+                ctx.iter_window_pairs(bad)
+
+    def test_window_shift_distances_rejects(self, u2_8):
+        from repro.engine.context import MetricContext
+
+        ctx = MetricContext(ZCurve(u2_8))
+        for bad in (2.5, 3.0, False):
+            with pytest.raises(ValueError, match="window must be an integer"):
+                ctx.window_shift_distances(bad)
+
+    def test_numpy_integers_accepted(self, u2_8):
+        from repro.engine.context import MetricContext
+
+        ctx = MetricContext(ZCurve(u2_8))
+        assert ctx.window_dilation(np.int64(3)) == ctx.window_dilation(3)
+        assert ctx.window_dilation(np.int32(5)) == window_dilation(
+            ZCurve(u2_8), 5
+        )

@@ -98,6 +98,29 @@ class TestBulkLoad:
             dyn.bulk_load(np.array([[9, 9]]))
 
 
+class TestConstructorArguments:
+    """``parts`` and ``window`` are refused, not truncated, unless they
+    are integers >= 1 — the rule ``DynamicCreate.from_dict`` applies."""
+
+    @pytest.mark.parametrize("name", ("parts", "window"))
+    @pytest.mark.parametrize("bad", (2.5, 2.7, 2.0, True, "2", None))
+    def test_non_integers_rejected(self, name, bad):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            make_dynamic(**{name: bad})
+
+    @pytest.mark.parametrize("name", ("parts", "window"))
+    def test_below_one_rejected(self, name):
+        with pytest.raises(ValueError, match=f"{name} must be >= 1"):
+            make_dynamic(**{name: 0})
+
+    def test_numpy_integers_accepted(self):
+        dyn = make_dynamic(parts=np.int64(3), window=np.int32(2))
+        assert (dyn.parts, dyn.window) == (3, 2)
+        assert type(dyn.parts) is int and type(dyn.window) is int
+        dyn.bulk_load(np.array([[0, 0], [5, 5], [7, 1]]))
+        assert dyn.metrics() == dyn.recompute()
+
+
 class TestApply:
     def test_insert_delete_move_parity(self):
         dyn = make_dynamic()

@@ -9,6 +9,7 @@ shared by all worker threads.
 """
 
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from repro.engine.threads import (
     ScratchBuffers,
     resolve_threads,
 )
+from repro.grid.metrics import euclidean, manhattan
 
 #: One spec per registered metric, as in test_chunked: a metric added
 #: to the registry without threaded parity coverage fails loudly.
@@ -50,6 +52,24 @@ THREAD_COUNTS = (1, 2, 4)
 #: Dense mode plus block sizes exercising single cells, non-divisors
 #: of n=64, and a divisor.
 CHUNK_MODES = (None, 1, 7, 16)
+
+
+#: Window-fold edge cases ``(curve factory, window)``: a single pair
+#: (``window = n - 1``, fewer pairs than ranges), pair counts that are
+#: no multiple of the range count (59 pairs against 8 or 16 dense
+#: ranges and 7-cell blocks), and d = 1 / d = 3.
+WINDOW_CASES = (
+    (lambda: ZCurve(Universe(d=2, side=8)), 63),
+    (lambda: ZCurve(Universe(d=2, side=8)), 5),
+    (lambda: SnakeCurve(Universe(d=1, side=17)), 3),
+    (lambda: SnakeCurve(Universe(d=1, side=17)), 16),
+    (lambda: ZCurve(Universe(d=3, side=4)), 2),
+    (lambda: RandomCurve(Universe(d=3, side=4), seed=3), 63),
+)
+WINDOW_CASE_IDS = (
+    "2d-one-pair", "2d-59-pairs", "1d-odd", "1d-one-pair", "3d",
+    "3d-random-one-pair",
+)
 
 
 def test_every_registered_metric_is_covered():
@@ -94,9 +114,7 @@ class TestMetricParity:
     @pytest.mark.parametrize("chunk", CHUNK_MODES[1:])
     @pytest.mark.parametrize("threads", THREAD_COUNTS[1:])
     def test_bit_for_bit_chunked_2d(self, u2_8, chunk, threads):
-        for spec in (
-            "davg", "dmax", "lambdas", "nn_mean", "dilation:window=3"
-        ):
+        for spec in ALL_METRIC_SPECS:
             fn = MetricSpec.parse(spec).bind()
             dense = fn(MetricContext(ZCurve(u2_8)))
             ctx = MetricContext(
@@ -141,6 +159,27 @@ class TestMetricParity:
                 assert ctx.davg() == dense.davg()
                 assert ctx.dmax() == dense.dmax()
                 assert ctx.nn_mean() == dense.nn_mean()
+
+    @pytest.mark.parametrize("metric", ("manhattan", "euclidean"))
+    @pytest.mark.parametrize("backend", ("numpy", "native"))
+    @pytest.mark.parametrize("chunk", CHUNK_MODES)
+    @pytest.mark.parametrize("threads", THREAD_COUNTS)
+    @pytest.mark.parametrize(
+        "make, window", WINDOW_CASES, ids=WINDOW_CASE_IDS
+    )
+    def test_window_edge_cases(
+        self, make, window, threads, chunk, backend, metric
+    ):
+        path = make().order()
+        fn = manhattan if metric == "manhattan" else euclidean
+        expected = fn(path[:-window], path[window:]).max()
+        with warnings.catch_warnings():
+            # A host without a C compiler degrades to NumPy.
+            warnings.simplefilter("ignore", RuntimeWarning)
+            ctx = MetricContext(
+                make(), chunk_cells=chunk, threads=threads, backend=backend
+            )
+        assert ctx.window_dilation(window, metric) == expected
 
     def test_table_backed_curve(self, u2_8):
         dense = MetricContext(RandomCurve(u2_8, seed=5))
