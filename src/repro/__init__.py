@@ -14,10 +14,10 @@ Public API highlights
   :mod:`repro.analysis` and :mod:`repro.apps` accepts a curve *or* a
   context, and the classic free functions
   (:func:`repro.average_average_nn_stretch`, …) remain as thin wrappers.
-* Pooling: :class:`repro.ContextPool` — shares contexts across curves
-  of a universe (curve-independent intermediates computed once) and
-  derives transform-curve arrays (reversed/reflected/axis-permuted)
-  from their inner curve's cache.  Process sweeps extend the sharing
+* Pooling: :class:`repro.ContextPool` — shares one context per
+  canonical curve spec of a universe and derives transform-curve
+  arrays (reversed/reflected/axis-permuted) from their inner curve's
+  cache.  Process sweeps extend the sharing
   across workers: :class:`repro.SharedGridStore` publishes one grid
   set per curve spec into shared memory and workers attach zero-copy
   views (see ``docs/parallelism.md``).

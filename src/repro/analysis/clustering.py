@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.engine.context import get_context
-from repro.engine.threads import prepare_box_reads
+from repro.engine.threads import prepare_key_reads
 
 __all__ = [
     "box_bounds",
@@ -130,6 +130,6 @@ def expected_clusters(
         (lambda lo=lo: cluster_count(ctx, lo, lo + shape))
         for lo in placements
     ]
-    prepare_box_reads(ctx)
+    prepare_key_reads(ctx)
     total = sum(ctx.scheduler.imap(tasks))
     return total / n_samples

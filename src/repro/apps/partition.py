@@ -59,13 +59,12 @@ def partition_by_curve(
     -------
     Dense grid of part labels in ``[0, n_parts)``.
 
-    Works on chunked contexts too: the label grid is assembled slab by
-    slab off the block key iterator (and, for weighted cuts, the curve-
-    order weight array is scattered slab by slab), so no dense *key*
-    grid is built.  The labels — like the weights — are inherently
-    ``O(n)``; asking for the label grid is asking for a dense array.
-    The per-element operations match the dense path exactly, so the
-    result is bit-for-bit identical.
+    The label grid is assembled slab by slab off the key-slab iterator
+    (a dense context yields one slab, its key grid; a chunked one never
+    builds a dense *key* grid).  The labels — like the weights — are
+    inherently ``O(n)``; asking for the label grid is asking for a
+    dense array.  Each cell's label depends only on its own key, so the
+    result is bit-for-bit the same in every mode.
     """
     ctx = get_context(curve)
     universe = ctx.universe
@@ -74,12 +73,8 @@ def partition_by_curve(
         raise ValueError(f"n_parts must be in [1, {n}], got {n_parts}")
     labels_along_curve = _labels_along_curve(ctx, n_parts, weights)
     labels = np.empty(universe.shape, dtype=np.int64)
-    if ctx.chunked:
-        for lo, hi, slab in ctx.iter_key_slabs():
-            labels[lo:hi] = labels_along_curve[slab]
-    else:
-        keys = ctx.key_grid()
-        labels.reshape(-1)[:] = labels_along_curve[keys.reshape(-1)]
+    for lo, hi, slab in ctx.iter_key_slabs():
+        labels[lo:hi] = labels_along_curve[slab]
     return labels
 
 
@@ -88,11 +83,10 @@ def _labels_along_curve(
 ) -> np.ndarray:
     """Part label of each curve position (the 1-D cut of the order).
 
-    The weighted scatter (grid weights → curve-order weights) runs off
-    the dense key grid or, on a chunked context, slab by slab; either
-    way every element lands at the same position with the same value,
-    and the cumulative-sum cut math is shared, so both modes produce
-    the identical label array.
+    The weighted scatter (grid weights → curve-order weights) runs slab
+    by slab; every element lands at the same position with the same
+    value whatever the slab partition, so every mode produces the
+    identical label array.
     """
     universe = ctx.universe
     n = universe.n
@@ -108,11 +102,8 @@ def _labels_along_curve(
     if np.any(w < 0):
         raise ValueError("weights must be non-negative")
     order_weights = np.empty(n, dtype=np.float64)
-    if ctx.chunked:
-        for lo, hi, slab in ctx.iter_key_slabs():
-            order_weights[slab.reshape(-1)] = w[lo:hi].reshape(-1)
-    else:
-        order_weights[ctx.key_grid().reshape(-1)] = w.reshape(-1)
+    for lo, hi, slab in ctx.iter_key_slabs():
+        order_weights[slab.reshape(-1)] = w[lo:hi].reshape(-1)
     cumulative = np.cumsum(order_weights)
     total = cumulative[-1]
     if total <= 0:
@@ -228,24 +219,24 @@ def _uniform_part_sizes(n: int, n_parts: int) -> np.ndarray:
     return np.diff(bounds)
 
 
-def _edge_cut_chunked(ctx, n_parts: int) -> int:
+def _edge_cut_slabs(ctx, n_parts: int) -> int:
     """Equal-count-split edge cut via key slabs (no dense labels).
 
     The part of a cell is ``(key * n_parts) // n`` — exactly the label
-    the dense path assigns — so counting label mismatches across the
-    slab-wise NN pairs reproduces :func:`edge_cut` bit-for-bit while
-    holding one slab (plus a carried boundary plane) at a time.
+    :func:`partition_by_curve` assigns — so counting label mismatches
+    across the slab-wise NN pairs reproduces :func:`edge_cut`
+    bit-for-bit while holding one slab (plus a carried boundary plane)
+    at a time.
     """
-    from repro.engine.chunked import slab_axis_slices
-
     universe = ctx.universe
-    d, side, n = universe.d, universe.side, universe.n
     cut = 0
     prev_labels = None
     for lo, hi, slab in ctx.iter_key_slabs():
-        labels = (slab * n_parts) // n
-        for axis in range(1, d):
-            sel_lo, sel_hi = slab_axis_slices(d, side, axis)
+        labels = (slab * n_parts) // universe.n
+        for axis in range(1, universe.d):
+            # Axes >= 1 span whole slab planes, so the grid's pair
+            # slices apply to a slab unchanged.
+            sel_lo, sel_hi = axis_pair_index_arrays(universe, axis)
             cut += int((labels[sel_lo] != labels[sel_hi]).sum())
         if hi - lo > 1:
             cut += int((labels[1:] != labels[:-1]).sum())
@@ -262,19 +253,18 @@ def partition_quality(
 ) -> PartitionQuality:
     """Partition by ``curve`` and summarize balance and communication.
 
-    Chunked contexts are fully supported.  The uniform (unweighted)
-    split never touches a dense array: balance comes from the
-    closed-form part sizes and the edge cut from a block-wise sweep.
-    A weighted cut assembles the label grid slab by slab (the weights
-    are an ``O(n)`` dense input already, so the matching ``O(n)``
-    labels add no asymptotic cost) and scores it with the dense
-    helpers — the full-array ``np.bincount``/comparison reductions —
-    so the weighted quality is bit-for-bit the dense-mode result.
+    The uniform (unweighted) split builds no label grid: balance comes
+    from the closed-form part sizes and the edge cut from a sweep over
+    the key slabs.  A weighted cut assembles the label grid slab by
+    slab (the weights are an ``O(n)`` dense input already, so the
+    matching ``O(n)`` labels add no asymptotic cost) and scores it
+    with :func:`load_imbalance` and :func:`edge_cut`.  Both paths are
+    bit-for-bit the same in every mode.
     """
     from repro.grid.neighbors import nn_pair_count
 
     ctx = get_context(curve)
-    if ctx.chunked and weights is None:
+    if weights is None:
         universe = ctx.universe
         n = universe.n
         if not 1 <= n_parts <= n:
@@ -287,7 +277,7 @@ def partition_quality(
             curve_name=ctx.curve.name,
             n_parts=n_parts,
             imbalance=float(loads.max() / mean),
-            edge_cut=_edge_cut_chunked(ctx, n_parts),
+            edge_cut=_edge_cut_slabs(ctx, n_parts),
             total_nn_pairs=nn_pair_count(universe),
         )
     labels = partition_by_curve(ctx, n_parts, weights)

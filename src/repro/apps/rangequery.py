@@ -26,7 +26,7 @@ import numpy as np
 
 from repro.analysis.clustering import box_keys
 from repro.engine.context import get_context
-from repro.engine.threads import prepare_box_reads
+from repro.engine.threads import prepare_key_reads
 from repro.grid.coords import rank_to_coords
 
 __all__ = ["SFCIndex", "QueryCost"]
@@ -135,7 +135,7 @@ class SFCIndex:
             (lambda lo=lo, hi=hi: self.query_cost(lo, hi).total)
             for lo, hi in boxes
         ]
-        prepare_box_reads(self._ctx)
+        prepare_key_reads(self._ctx)
         total = 0.0
         for value in self._ctx.scheduler.imap(tasks):
             total += value

@@ -53,9 +53,7 @@ GUARDS: Dict[str, GuardSpec] = {
     ),
     "ContextPool": GuardSpec(
         lock="_lock",
-        attrs=frozenset(
-            {"_contexts", "_curves", "_universe_stores", "_scheduler"}
-        ),
+        attrs=frozenset({"_contexts", "_curves", "_scheduler"}),
         held_methods=frozenset({"_wire_shared"}),
     ),
     "MetricContext": GuardSpec(

@@ -33,7 +33,7 @@
   bit-for-bit identical across backends.
 * :mod:`repro.engine.shm` — :class:`SharedGridStore`, shared-memory
   segments holding one grid set (key grid, flat keys, inverse
-  permutation, neighbor counts) per canonical spec, published by a
+  permutation) per canonical spec, published by a
   process sweep's parent and attached by its workers as zero-copy
   read-only views (counted in :attr:`CacheStats.shared`).
 * :mod:`repro.engine.store` — :class:`GridStore`, the *persistent*
@@ -76,7 +76,6 @@ from repro.engine.shm import (
     SHARED_KINDS,
     SharedGridStore,
     shared_key,
-    universe_key,
 )
 from repro.engine.store import (
     FORMAT_VERSION,
@@ -121,7 +120,6 @@ __all__ = [
     "SHARED_KINDS",
     "SharedGridStore",
     "shared_key",
-    "universe_key",
     "GridStore",
     "FORMAT_VERSION",
     "canonical_key",

@@ -144,8 +144,8 @@ def slab_neighbor_counts(
 ) -> np.ndarray:
     """``|N(α)|`` for the cells with ``x_0 ∈ [lo, hi)``, as a slab.
 
-    Equals ``neighbor_count_grid(universe)[lo:hi]`` for ``side >= 2``
-    without materializing the dense grid.  Boundary cells are handled
+    Equals ``neighbor_count_grid(universe)[lo:hi]`` without
+    materializing the dense grid.  Boundary cells are handled
     by decrementing the edge hyperplanes in place, so the kernel is
     allocation-free when ``out`` (a reusable int64 buffer of the slab
     shape) is supplied.  ``kernels`` (a loaded
@@ -360,27 +360,21 @@ def _nn_range_kernel(ctx, lo: int, hi: int, scratch, body=None):
     """One fold task: ``(avg values, Λ partials, Σ per-cell max)``.
 
     Runs :func:`nn_planes` into scratch grids and divides by the
-    neighbor counts: dense ranges slice the context's resolved
-    ``neighbor_counts()`` grid (shared across the pool's curves,
-    attached from shared memory or the grid store); chunked ranges
-    compute the slab's counts in place.  Only the per-cell average
-    array — the task's result — is freshly allocated.
+    range's neighbor counts, computed into scratch as well.  Only the
+    per-cell average array — the task's result — is freshly allocated.
     """
     shape = (hi - lo,) + (ctx.universe.side,) * (ctx.universe.d - 1)
     sums = scratch.take("nn_sums", shape, np.int64)
     best = scratch.take("nn_best", shape, np.int64)
     lambdas = [0] * ctx.universe.d
     nn_planes(ctx, lo, hi, sums, best, lambdas, scratch, body)
-    if ctx.chunked:
-        counts = slab_neighbor_counts(
-            ctx.universe,
-            lo,
-            hi,
-            out=scratch.take("nn_counts", shape, np.int64),
-            kernels=ctx.kernels,
-        )
-    else:
-        counts = ctx.neighbor_counts()[lo:hi]
+    counts = slab_neighbor_counts(
+        ctx.universe,
+        lo,
+        hi,
+        out=scratch.take("nn_counts", shape, np.int64),
+        kernels=ctx.kernels,
+    )
     # repro: allow[R004] — the task's *result* array: it leaves the
     # scratch arena and is merged in range order, so it cannot reuse a
     # per-thread buffer
@@ -435,18 +429,11 @@ def nn_block_reduction(ctx) -> dict:
     metric methods.
     """
     # Lazy import: threads.py imports this module at its top level.
-    from repro.engine.threads import _warm_curve_caches
+    from repro.engine.threads import prepare_key_reads
 
     universe = ctx.universe
     d, n = universe.d, universe.n
-    # Resolve the shared state once in the calling thread, so range
-    # tasks only read it (racing the first resolution across workers
-    # would compute or attach it once per thread).
-    if ctx.chunked:
-        _warm_curve_caches(ctx, inverse=False)
-    else:
-        ctx.key_grid()
-        ctx.neighbor_counts()
+    prepare_key_reads(ctx)
     results = run_ranges(
         ctx, fold_ranges(ctx), _nn_range_kernel, resolve=_range_keys
     )

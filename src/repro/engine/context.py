@@ -4,10 +4,10 @@ Every exact stretch metric (Definitions 1–4, Lemma 5 groups, all-pairs
 stretch) consumes the same handful of intermediates:
 
 * the dense **key grid** ``π(α)`` (one ``O(n)`` curve evaluation),
-* the **neighbor-count grid** ``|N(α)|``,
 * the **NN fold** over every nearest-neighbour key pair — one integer
   pass (:func:`repro.engine.chunked.nn_block_reduction`) that yields
-  ``D^avg``, ``D^max``, ``Λ_i`` and the NN mean together,
+  ``D^avg``, ``D^max``, ``Λ_i`` and the NN mean together, dividing by
+  neighbor counts ``|N(α)|`` each range computes into scratch,
 * the **window fold** over every pair of cells ``window`` apart on the
   curve (:func:`repro.engine.chunked.window_max_reduction`), memoized
   per ``(window, metric)`` as a scalar,
@@ -79,9 +79,9 @@ across ``{numpy, native}`` × ``{dense, chunked, threaded}``.
 
 **Shared mode** (process sweeps): a context wired to a
 :class:`repro.engine.shm.SharedGridStore` (via
-:class:`repro.engine.ContextPool`) resolves its key grid, flat keys,
-inverse permutation and neighbor counts as zero-copy read-only views
-of parent-published shared-memory segments before computing anything
+:class:`repro.engine.ContextPool`) resolves its key grid, flat keys
+and inverse permutation as zero-copy read-only views of
+parent-published shared-memory segments before computing anything
 locally; resolutions are counted in :attr:`CacheStats.shared` and the
 views are retained outside the ``max_bytes`` budget (their pages are
 mapped once machine-wide, not owned by this process).  See
@@ -117,7 +117,7 @@ from repro.core.allpairs import (
 )
 from repro.core.lower_bounds import davg_lower_bound
 from repro.curves.base import SpaceFillingCurve
-from repro.grid.neighbors import axis_pair_index_arrays, neighbor_count_grid
+from repro.grid.neighbors import axis_pair_index_arrays
 
 __all__ = [
     "CacheStats",
@@ -424,7 +424,6 @@ class MetricContext:
         self,
         curve: SpaceFillingCurve,
         max_bytes: Optional[int] = DEFAULT_CACHE_BYTES,
-        universe_store: Optional[_BoundedStore] = None,
         chunk_cells: Optional[int] = None,
         threads: Union[None, int, str] = None,
         backend: str = "auto",
@@ -468,10 +467,6 @@ class MetricContext:
         self._scheduler = None
         self._scalar_lock = threading.RLock()
         self._store = _BoundedStore(max_bytes)
-        #: Optional store shared by every context of the same universe
-        #: (wired by :class:`repro.engine.ContextPool`); holds
-        #: curve-independent intermediates such as ``neighbor_counts``.
-        self._universe_store = universe_store
         #: Intermediate key → zero-arg factory deriving the array cheaply
         #: from another curve's context (wired by the pool for
         #: transform-derived curves).  Derived arrays are bit-for-bit
@@ -531,30 +526,23 @@ class MetricContext:
         contexts instead arm the out-of-core spill (dense mappings are
         exactly what chunked mode exists to avoid materializing — the
         spill hands out ``O(block)`` slices of the same artifact).
-        Instance-keyed curves have no stable key and stay store-exempt;
-        the curve-independent neighbor counts are wired in every mode.
+        Instance-keyed curves have no stable key and stay store-exempt.
         """
-        from repro.engine.shm import SHARED_KINDS, shared_key, universe_key
+        from repro.engine.shm import SHARED_KINDS, shared_key
 
         skey = shared_key(self.curve)
-        if skey is not None:
-            if not self.chunked:
-                for kind in SHARED_KINDS:
-                    self._mmap_sources[kind] = (
-                        lambda k=skey, kd=kind: store.get(k, kd)
-                    )
-                    self._persist_sinks[kind] = (
-                        lambda arr, k=skey, kd=kind: store.put(k, kd, arr)
-                    )
-            else:
-                self._spill = (store, skey)
-        ukey = universe_key(self.universe)
-        self._mmap_sources["neighbor_counts"] = (
-            lambda: store.get(ukey, "neighbor_counts")
-        )
-        self._persist_sinks["neighbor_counts"] = (
-            lambda arr: store.put(ukey, "neighbor_counts", arr)
-        )
+        if skey is None:
+            return
+        if self.chunked:
+            self._spill = (store, skey)
+            return
+        for kind in SHARED_KINDS:
+            self._mmap_sources[kind] = (
+                lambda k=skey, kd=kind: store.get(k, kd)
+            )
+            self._persist_sinks[kind] = (
+                lambda arr, k=skey, kd=kind: store.put(k, kd, arr)
+            )
 
     def _spill_grid_view(self) -> Optional[np.ndarray]:
         """Memmapped key grid backing the chunked spill, or ``None``.
@@ -813,25 +801,17 @@ class MetricContext:
     def neighbor_counts(self) -> np.ndarray:
         """Dense ``|N(α)|`` grid (cached; curve-independent).
 
-        When the context belongs to a :class:`repro.engine.ContextPool`,
-        this lives in the pool's per-universe store so every curve of
-        the universe shares one copy.
-
-        Available in chunked mode too: the grid is assembled slab by
-        slab with :func:`repro.engine.chunked.slab_neighbor_counts`
-        (each slab write is independent, so the result equals the dense
-        grid exactly).  The *result* is inherently ``O(n)`` — callers
-        exporting it accept a dense grid by asking for one.
+        Assembled slab by slab with
+        :func:`repro.engine.chunked.slab_neighbor_counts` over the slab
+        partition (a dense context is one slab); each slab write is
+        independent, so the result equals
+        :func:`repro.grid.neighbors.neighbor_count_grid` exactly in
+        every mode.  The NN fold never reads this grid — each fold range
+        computes its own counts into scratch — so it exists for callers
+        that ask for the dense ``O(n)`` grid itself.
         """
-        store = (
-            self._universe_store
-            if self._universe_store is not None
-            else self._store
-        )
 
         def compute() -> np.ndarray:
-            if not self.chunked:
-                return neighbor_count_grid(self.universe)
             from repro.engine.chunked import slab_neighbor_counts
 
             counts = np.empty(self.universe.shape, dtype=np.int64)
@@ -845,13 +825,7 @@ class MetricContext:
                 )
             return counts
 
-        return store.get_or_compute(
-            "neighbor_counts",
-            compute,
-            shared=self._shared_sources.get("neighbor_counts"),
-            mmap=self._mmap_sources.get("neighbor_counts"),
-            persist=self._persist_sinks.get("neighbor_counts"),
-        )
+        return self._cached("neighbor_counts", compute)
 
     # ------------------------------------------------------------------
     # Block iteration (the chunked mode's public surface; also usable in

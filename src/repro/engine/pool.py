@@ -3,10 +3,6 @@
 A :class:`repro.engine.MetricContext` kills redundancy *within* one
 curve; a :class:`ContextPool` kills it *across* curves:
 
-* **Universe sharing** — curve-independent intermediates (today the
-  neighbor-count grid ``|N(α)|``) live in one per-universe store, so a
-  ten-curve sweep of a universe materializes them once instead of ten
-  times.
 * **Transform derivation** — the curves in
   :mod:`repro.curves.transforms` are grid automorphisms of an inner
   curve, so their key grids and curve orders are cheap array
@@ -34,9 +30,7 @@ from repro.engine.context import (
     DEFAULT_CACHE_BYTES,
     CacheStats,
     MetricContext,
-    _BoundedStore,
 )
-from repro.grid.universe import Universe
 
 __all__ = [
     "ContextPool",
@@ -174,10 +168,9 @@ class ContextPool:
     ``(type, universe, parameters)`` — so two separately instantiated
     but equivalent curves (e.g. two ``ZCurve`` objects on equal
     universes, or two ``RandomCurve(seed=3)``) share one context and
-    one cached intermediate set.  Contexts of the same universe
-    additionally share one store for curve-independent intermediates,
-    and transform-derived curves (``curve.inner``) get derivation rules
-    against their inner curve's context (created transitively).
+    one cached intermediate set.  Transform-derived curves
+    (``curve.inner``) get derivation rules against their inner curve's
+    context (created transitively).
     ``get`` also accepts an existing :class:`MetricContext` and returns
     it unchanged, so the pool composes with the ``get_context``
     coercion used throughout :mod:`repro.analysis` and
@@ -189,8 +182,8 @@ class ContextPool:
 
     ``shared_store`` plugs in a :class:`repro.engine.shm.SharedGridStore`
     (typically attached inside a process-sweep worker): dense-mode
-    contexts then resolve their key grid, flat keys, inverse permutation
-    and neighbor counts as zero-copy views of the parent-published
+    contexts then resolve their key grid, flat keys and inverse
+    permutation as zero-copy views of the parent-published
     segments before falling back to local compute, counted under
     :attr:`repro.engine.CacheStats.shared`.  Chunked contexts ignore the
     store — they exist precisely to avoid dense ``O(n)`` arrays.
@@ -254,7 +247,6 @@ class ContextPool:
         # PermutationCurve tables) stay alive with the pool so their
         # contexts remain reachable through `get` for its lifetime.
         self._curves: Dict[tuple, SpaceFillingCurve] = {}
-        self._universe_stores: Dict[Universe, _BoundedStore] = {}
         # Reentrant: `get` recurses into itself for transform inners.
         # The pool is hammered concurrently when per-cell contexts run
         # threaded reductions or callers share one pool across threads.
@@ -265,22 +257,7 @@ class ContextPool:
             return len(self._contexts)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        with self._lock:
-            n_contexts = len(self._contexts)
-            n_universes = len(self._universe_stores)
-        return (
-            f"ContextPool({n_contexts} contexts, "
-            f"{n_universes} universes, {self.stats!r})"
-        )
-
-    def universe_store(self, universe: Universe) -> _BoundedStore:
-        """The shared store for curve-independent state of ``universe``."""
-        with self._lock:
-            store = self._universe_stores.get(universe)
-            if store is None:
-                store = _BoundedStore(self.max_bytes)
-                self._universe_stores[universe] = store
-            return store
+        return f"ContextPool({len(self)} contexts, {self.stats!r})"
 
     def get(
         self, curve: Union[SpaceFillingCurve, MetricContext]
@@ -301,7 +278,6 @@ class ContextPool:
             ctx = MetricContext(
                 curve,
                 max_bytes=self.max_bytes,
-                universe_store=self.universe_store(curve.universe),
                 chunk_cells=self.chunk_cells,
                 threads=self.threads,
                 backend=self.backend,
@@ -343,7 +319,7 @@ class ContextPool:
         left on the local compute path; specs the parent did not publish
         resolve to ``None`` at lookup time and likewise fall through.
         """
-        from repro.engine.shm import SHARED_KINDS, shared_key, universe_key
+        from repro.engine.shm import SHARED_KINDS, shared_key
 
         store = self.shared_store
         skey = shared_key(curve)
@@ -352,40 +328,28 @@ class ContextPool:
                 ctx._shared_sources[kind] = (
                     lambda k=skey, kd=kind: store.get(k, kd)
                 )
-        ukey = universe_key(curve.universe)
-        ctx._shared_sources["neighbor_counts"] = (
-            lambda: store.get(ukey, "neighbor_counts")
-        )
 
     @property
     def stats(self) -> CacheStats:
-        """Aggregate counters over all member contexts + shared stores.
+        """Aggregate counters over all member contexts.
 
-        Snapshots the member lists under the pool lock so a stats read
-        racing a concurrent ``get`` cannot observe the registries
+        Snapshots the member list under the pool lock so a stats read
+        racing a concurrent ``get`` cannot observe the registry
         mid-mutation.
         """
         with self._lock:
             contexts = list(self._contexts.values())
-            stores = list(self._universe_stores.values())
-        return CacheStats.aggregate(
-            [ctx.stats for ctx in contexts]
-            + [store.stats for store in stores]
-        )
+        return CacheStats.aggregate(ctx.stats for ctx in contexts)
 
     @property
     def cache_bytes(self) -> int:
-        """Total bytes held across all member and shared stores."""
+        """Total bytes held across all member contexts."""
         with self._lock:
             contexts = list(self._contexts.values())
-            stores = list(self._universe_stores.values())
-        return sum(ctx.cache_bytes for ctx in contexts) + sum(
-            store.nbytes for store in stores
-        )
+        return sum(ctx.cache_bytes for ctx in contexts)
 
     def clear(self) -> None:
-        """Drop every context, curve reference and shared store."""
+        """Drop every context and curve reference."""
         with self._lock:
             self._contexts.clear()
             self._curves.clear()
-            self._universe_stores.clear()

@@ -57,7 +57,6 @@ __all__ = [
     "SHARED_KINDS",
     "SharedGridStore",
     "shared_key",
-    "universe_key",
 ]
 
 #: The per-spec intermediates a shared store can publish, in publish
@@ -123,11 +122,6 @@ def shared_key(curve: SpaceFillingCurve) -> Optional[tuple]:
         return None
 
 
-def universe_key(universe: Universe) -> tuple:
-    """Store key for curve-independent state of ``universe``."""
-    return ("universe", universe.d, universe.side)
-
-
 class SharedGridStore:
     """Keyed shared-memory segments holding read-only NumPy arrays.
 
@@ -136,7 +130,7 @@ class SharedGridStore:
     (workers) are built from :meth:`manifest` via :meth:`attach` and
     resolve arrays with :meth:`get`.  Entries are keyed by
     ``(spec_key, kind)`` where ``spec_key`` comes from
-    :func:`shared_key` / :func:`universe_key` and ``kind`` names the
+    :func:`shared_key` and ``kind`` names the
     intermediate (see :data:`SHARED_KINDS`).
 
     Lifecycle rules:

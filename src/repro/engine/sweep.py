@@ -22,9 +22,9 @@ Every benchmark, example and CLI table in this repo is some flavor of
   skipped (universe, curve) cells are reported on the result, and
   ``strict=True`` raises on genuine construction errors.
 * Serial sweeps run over a shared :class:`repro.engine.ContextPool`
-  (``pooled=False`` opts out), so curve-independent intermediates are
-  computed once per universe and transform-derived curves reuse their
-  inner curve's arrays; the pool's aggregate
+  (``pooled=False`` opts out), so equivalent specs share one context
+  and transform-derived curves reuse their inner curve's arrays; the
+  pool's aggregate
   :class:`repro.engine.CacheStats` land on the result.
 * ``processes=N`` fans the (universe, curve) cells out over a process
   pool — each cell is independent, so the sweep parallelizes trivially.
@@ -752,7 +752,7 @@ def _publish_shared(
     copying it into shared memory, and a cold parent's computes are
     written through for the next run.
     """
-    from repro.engine.shm import SharedGridStore, shared_key, universe_key
+    from repro.engine.shm import SharedGridStore, shared_key
 
     store = SharedGridStore.create()
     stats: List[CacheStats] = []
@@ -793,12 +793,6 @@ def _publish_shared(
                     store.put(
                         skey, "inverse_perm", ctx.inverse_permutation()
                     )
-                ukey = universe_key(universe)
-                if (
-                    (ukey, "neighbor_counts") not in store
-                    and universe.side >= 2
-                ):
-                    store.put(ukey, "neighbor_counts", ctx.neighbor_counts())
             if want_order:
                 # Publish under the innermost base spec: workers
                 # derive a transform's order from the base view.
@@ -840,8 +834,8 @@ class Sweep:
 
     **Process-pool sharing** (``shared``): with ``"auto"`` (the
     default) or ``True``, a process sweep publishes one grid set per
-    canonical curve spec — key grid, flat keys, inverse permutation,
-    plus per-universe neighbor counts — into
+    canonical curve spec — key grid, flat keys, inverse permutation —
+    into
     :class:`repro.engine.shm.SharedGridStore` segments before the
     executor starts; workers attach zero-copy views instead of
     recomputing (counted under :attr:`CacheStats.shared`), and the

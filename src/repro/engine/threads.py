@@ -62,7 +62,7 @@ __all__ = [
     "ScratchBuffers",
     "resolve_threads",
     "quiesce_schedulers",
-    "prepare_box_reads",
+    "prepare_key_reads",
 ]
 
 #: Every live scheduler, so a process sweep can join their worker
@@ -279,14 +279,14 @@ def _warm_curve_caches(ctx, inverse: bool) -> None:
         ctx.curve.index(np.zeros((1, ctx.universe.d), dtype=np.int64))
 
 
-def prepare_box_reads(ctx) -> None:
-    """Resolve the state box-sampling workers share, before fan-out.
+def prepare_key_reads(ctx) -> None:
+    """Resolve the key state fanned-out workers share, before fan-out.
 
-    The sampling loops that run through the scheduler (cluster counts,
-    range-query costs) evaluate per-box kernels that read the dense key
-    grid — or, in chunked mode, call ``curve.index`` on rectangle
-    cells.  Both sit behind lazy caches whose cold first touch must not
-    be raced by N workers (N redundant ``O(n)`` builds); resolving them
+    The NN fold and the sampling loops that run through the scheduler
+    (cluster counts, range-query costs) read the dense key grid — or,
+    in chunked mode, call ``curve.index`` on slab or rectangle cells.
+    Both sit behind lazy caches whose cold first touch must not be
+    raced by N workers (N redundant ``O(n)`` builds); resolving them
     once in the calling thread makes the fanned-out tasks pure readers.
     """
     if ctx.chunked:

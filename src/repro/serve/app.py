@@ -50,6 +50,7 @@ _REASONS = {
     404: "Not Found",
     405: "Method Not Allowed",
     413: "Payload Too Large",
+    414: "URI Too Long",
     429: "Too Many Requests",
     431: "Request Header Fields Too Large",
     500: "Internal Server Error",
@@ -68,7 +69,13 @@ class HttpServer:
     ) -> None:
         try:
             while True:
-                request_line = await reader.readline()
+                try:
+                    request_line = await reader.readline()
+                except ValueError:  # over the stream's line limit
+                    await self._respond(
+                        writer, 414, {"error": "request line too long"}
+                    )
+                    break
                 if not request_line:
                     break
                 try:
@@ -84,7 +91,11 @@ class HttpServer:
                 header_bytes = 0
                 overflow = False
                 while True:
-                    line = await reader.readline()
+                    try:
+                        line = await reader.readline()
+                    except ValueError:  # one line over the limit
+                        overflow = True
+                        break
                     header_bytes += len(line)
                     if header_bytes > _MAX_HEADER_BYTES:
                         overflow = True
@@ -101,6 +112,8 @@ class HttpServer:
                 try:
                     length = int(headers.get("content-length", "0") or "0")
                 except ValueError:
+                    length = -1
+                if length < 0:
                     await self._respond(
                         writer, 400, {"error": "bad Content-Length"}
                     )

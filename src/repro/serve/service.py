@@ -32,7 +32,7 @@ from typing import Dict, Optional, Tuple, Union
 
 from repro.engine.context import DEFAULT_CACHE_BYTES, CacheStats
 from repro.engine.pool import ContextPool
-from repro.engine.shm import SharedGridStore, shared_key, universe_key
+from repro.engine.shm import SharedGridStore, shared_key
 from repro.engine.sweep import CurveSpec, SkippedCell, _run_cell
 from repro.engine.threads import resolve_threads
 from repro.grid.universe import Universe
@@ -238,11 +238,6 @@ class SweepService:
                     self.store.put(
                         skey, "inverse_perm", ctx.inverse_permutation()
                     )
-            ukey = universe_key(universe)
-            if (ukey, "neighbor_counts") not in self.store:
-                self.store.put(
-                    ukey, "neighbor_counts", ctx.neighbor_counts()
-                )
             self._warm_pairs.add((d, side, spec.label))
 
     def run_batch(self, tasks: list) -> list:

@@ -14,6 +14,38 @@ from repro.curves.hilbert import HilbertCurve
 from repro.curves.random_curve import RandomCurve
 from repro.curves.simple import SimpleCurve
 from repro.curves.zcurve import ZCurve
+from repro.engine.pool import ContextPool
+from repro.engine.sweep import CurveSpec
+
+
+def _oracle_labels(curve, n_parts, weights=None):
+    """Reference label grid: the 1-D cut of the curve order, read back
+    through the curve's reference key grid."""
+    keys = np.asarray(curve.key_grid())
+    n = keys.size
+    along = (np.arange(n, dtype=np.int64) * n_parts) // n
+    if weights is not None:
+        order_weights = np.empty(n, dtype=np.float64)
+        order_weights[keys.reshape(-1)] = np.asarray(
+            weights, dtype=np.float64
+        ).reshape(-1)
+        cumulative = np.cumsum(order_weights)
+        if cumulative[-1] > 0:
+            mids = cumulative - order_weights / 2.0
+            along = np.minimum(
+                (mids / cumulative[-1] * n_parts).astype(np.int64),
+                n_parts - 1,
+            )
+    return along[keys]
+
+
+def _oracle_quality(curve, n_parts, weights=None):
+    """``(imbalance, edge_cut)`` of the oracle labels."""
+    labels = _oracle_labels(curve, n_parts, weights)
+    return (
+        load_imbalance(labels, n_parts, weights),
+        edge_cut(curve.universe, labels),
+    )
 
 
 class TestPartitionByCurve:
@@ -170,14 +202,14 @@ class TestCurveComparison:
 
 
 class TestChunkedPartition:
-    """Chunked contexts partition (weighted included, PR 6) bit-for-bit
-    like the dense path."""
+    """Chunked contexts partition (weighted included) bit-for-bit like
+    the test-local oracle."""
 
     @pytest.mark.parametrize("chunk", (1, 7, 16, 100))
     def test_unweighted_labels_match_dense(self, u2_8, chunk):
         from repro.engine.context import MetricContext
 
-        dense = partition_by_curve(ZCurve(u2_8), 4)
+        dense = _oracle_labels(ZCurve(u2_8), 4)
         ctx = MetricContext(ZCurve(u2_8), chunk_cells=chunk)
         assert np.array_equal(partition_by_curve(ctx, 4), dense)
 
@@ -187,7 +219,7 @@ class TestChunkedPartition:
 
         weights = np.ones(u2_8.shape)
         weights[4:, :] = 10.0
-        dense = partition_by_curve(ZCurve(u2_8), 4, weights)
+        dense = _oracle_labels(ZCurve(u2_8), 4, weights)
         ctx = MetricContext(ZCurve(u2_8), chunk_cells=chunk)
         assert np.array_equal(partition_by_curve(ctx, 4, weights), dense)
 
@@ -196,16 +228,18 @@ class TestChunkedPartition:
 
         rng = np.random.default_rng(3)
         weights = rng.random(u2_8.shape)
-        dense = partition_quality(ZCurve(u2_8), 6, weights)
+        dense = _oracle_quality(ZCurve(u2_8), 6, weights)
         ctx = MetricContext(ZCurve(u2_8), chunk_cells=9)
-        assert partition_quality(ctx, 6, weights) == dense
+        q = partition_quality(ctx, 6, weights)
+        assert (q.imbalance, q.edge_cut) == dense
 
     def test_unweighted_quality_matches_dense(self, u2_8):
         from repro.engine.context import MetricContext
 
-        dense = partition_quality(ZCurve(u2_8), 5)
+        dense = _oracle_quality(ZCurve(u2_8), 5)
         ctx = MetricContext(ZCurve(u2_8), chunk_cells=9)
-        assert partition_quality(ctx, 5) == dense
+        q = partition_quality(ctx, 5)
+        assert (q.imbalance, q.edge_cut) == dense
 
     def test_chunked_rejects_bad_parts(self, u2_8):
         from repro.engine.context import MetricContext
@@ -240,3 +274,59 @@ class TestContextAcceptance:
 
         curve = ZCurve(u2_8)
         assert halo_exchange(get_context(curve), 4) == halo_exchange(curve, 4)
+
+
+def _oracle_cases():
+    """``(d, side, spec)`` cells of the oracle matrix, applicable only."""
+    cases = []
+    for d, side in ((1, 7), (2, 1), (2, 8), (2, 9), (3, 5), (2, 64)):
+        universe = Universe(d=d, side=side)
+        for spec in (
+            "z",
+            "hilbert",
+            "snake",
+            "random:seed=3",
+            "reversed:inner=hilbert",
+            "reversed:inner=snake",
+            "simple",
+        ):
+            try:
+                CurveSpec.parse(spec).make(universe)
+            except ValueError:
+                continue
+            cases.append((d, side, spec))
+    return cases
+
+
+#: Pool settings of every execution mode the partition code runs in.
+_POOL_MODES = [
+    {},
+    {"chunk_cells": 1},
+    {"chunk_cells": 7},
+    {"threads": 2},
+]
+
+
+class TestPartitionOracle:
+    """Every mode's partition equals the oracle, weighted or not."""
+
+    @pytest.mark.parametrize("d, side, spec", _oracle_cases())
+    def test_quality_and_labels_match_oracle(self, d, side, spec):
+        universe = Universe(d=d, side=side)
+        reference = CurveSpec.parse(spec).make(universe)
+        weights = np.random.default_rng(5).random(universe.shape)
+        parts = sorted(
+            {p for p in (1, 2, 3, 8, universe.n) if p <= universe.n}
+        )
+        for mode in _POOL_MODES:
+            ctx = ContextPool(**mode).get(CurveSpec.parse(spec).make(universe))
+            for n_parts in parts:
+                for w in (None, weights):
+                    q = partition_quality(ctx, n_parts, w)
+                    assert (q.imbalance, q.edge_cut) == _oracle_quality(
+                        reference, n_parts, w
+                    ), (mode, n_parts)
+                    assert np.array_equal(
+                        partition_by_curve(ctx, n_parts, w),
+                        _oracle_labels(reference, n_parts, w),
+                    ), (mode, n_parts)

@@ -12,9 +12,16 @@ from repro.curves.transforms import (
     ReversedCurve,
 )
 from repro.curves.zcurve import ZCurve
+from repro.engine import native
 from repro.engine.context import CacheStats, MetricContext, get_context
 from repro.engine.pool import ContextPool
 from repro.engine.sweep import Sweep
+from repro.grid.neighbors import neighbor_count_grid
+
+requires_native = pytest.mark.skipif(
+    not native.available(),
+    reason=f"native backend unavailable: {native.unavailable_reason()}",
+)
 
 
 class TestPoolIdentity:
@@ -92,17 +99,24 @@ class TestPoolIdentity:
 
 
 class TestUniverseSharing:
-    def test_neighbor_counts_computed_once_per_universe(self, u2_8):
+    """Nothing curve-independent is shared per universe: the NN fold
+    computes each range's neighbor counts into scratch, and an explicit
+    ``neighbor_counts()`` builds the grid once per context."""
+
+    def test_pooled_davg_computes_no_neighbor_counts(self, u2_8):
         pool = ContextPool()
         for curve in (ZCurve(u2_8), HilbertCurve(u2_8), SnakeCurve(u2_8)):
-            pool.get(curve).davg()
-        assert pool.stats.compute_count("neighbor_counts") == 1
+            ctx = pool.get(curve)
+            ctx.davg()
+            assert ctx._store.peek("neighbor_counts") is None
+        assert pool.stats.compute_count("neighbor_counts") == 0
 
     def test_isolated_contexts_compute_per_curve(self, u2_8):
         stats = []
         for curve in (ZCurve(u2_8), HilbertCurve(u2_8), SnakeCurve(u2_8)):
             ctx = MetricContext(curve)
-            ctx.davg()
+            ctx.neighbor_counts()
+            ctx.neighbor_counts()
             stats.append(ctx.stats)
         total = CacheStats.aggregate(stats)
         assert total.compute_count("neighbor_counts") == 3
@@ -116,9 +130,50 @@ class TestUniverseSharing:
 
     def test_distinct_universes_distinct_stores(self, u2_8, u3_4):
         pool = ContextPool()
-        pool.get(ZCurve(u2_8)).davg()
-        pool.get(ZCurve(u3_4)).davg()
-        assert pool.stats.compute_count("neighbor_counts") == 2
+        for curve in (ZCurve(u2_8), HilbertCurve(u2_8), ZCurve(u3_4)):
+            pool.get(curve).neighbor_counts()
+            pool.get(curve).neighbor_counts()
+        # once per context: same-universe contexts share nothing
+        assert pool.stats.compute_count("neighbor_counts") == 3
+
+
+#: ``(d, side)`` for the neighbor-count parity matrix: sides 1, 2, an
+#: odd side and 64 for d = 1..4, except 4-D side 64 (16.7M cells).
+_COUNT_UNIVERSES = [
+    (d, side)
+    for d in (1, 2, 3, 4)
+    for side in (1, 2, 5, 64)
+    if (d, side) != (4, 64)
+]
+
+#: Context modes of the parity matrix: dense, chunked and threaded.
+_COUNT_MODES = [
+    {},
+    {"chunk_cells": 1},
+    {"chunk_cells": 7},
+    {"threads": 2},
+    {"threads": 4},
+]
+
+
+class TestNeighborCountParity:
+    """``neighbor_counts()`` is the reference grid in every mode."""
+
+    @pytest.mark.parametrize(
+        "backend", ["numpy", pytest.param("native", marks=requires_native)]
+    )
+    @pytest.mark.parametrize("d, side", _COUNT_UNIVERSES)
+    def test_equals_neighbor_count_grid(self, d, side, backend):
+        universe = Universe(d=d, side=side)
+        expected = neighbor_count_grid(universe)
+        for mode in _COUNT_MODES:
+            ctx = MetricContext(SnakeCurve(universe), backend=backend, **mode)
+            counts = ctx.neighbor_counts()
+            assert counts.dtype == expected.dtype, mode
+            assert np.array_equal(counts, expected), mode
+            assert not counts.flags.writeable
+            assert ctx.neighbor_counts() is counts
+            assert ctx.stats.compute_count("neighbor_counts") == 1
 
 
 def _transform_zoo(u2_8):
@@ -319,7 +374,7 @@ class TestPooledSweep:
         than the same multi-metric sweep with pooling disabled."""
         kwargs = dict(
             universes=[u2_8],
-            curves=["z", "hilbert", "snake"],
+            curves=["z", "hilbert", "snake", "reversed:inner=hilbert"],
             metrics=("davg", "dmax", "nn_mean"),
             reports=False,
         )
@@ -457,6 +512,11 @@ class TestPerUniversePooling:
             metrics=("davg",),
             reports=False,
         ).run()
-        assert len(result.records) == 4
-        # one neighbor-count build per universe (shared within each)
-        assert result.cache_stats.compute_count("neighbor_counts") == 2
+        assert sorted((r.d, r.side, r.spec) for r in result.records) == [
+            (2, 8, "hilbert"),
+            (2, 8, "z"),
+            (3, 4, "hilbert"),
+            (3, 4, "z"),
+        ]
+        # one key-grid build per (universe, curve) cell
+        assert result.cache_stats.compute_count("key_grid") == 4

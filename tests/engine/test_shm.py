@@ -19,7 +19,6 @@ from repro.engine import (
     SharedGridStore,
     Sweep,
     shared_key,
-    universe_key,
 )
 
 SHM_DIR = Path("/dev/shm")
@@ -142,7 +141,9 @@ class TestSharedKeys:
         assert pickle.loads(pickle.dumps(key)) == key
 
     def test_universe_key(self, u2_8):
-        assert universe_key(u2_8) == ("universe", 2, 8)
+        """A universe inside a spec key renders as a literal tuple."""
+        key = shared_key(ZCurve(u2_8))
+        assert ("universe", 2, 8) in key
 
 
 class TestPoolSharedWiring:
@@ -232,7 +233,6 @@ class TestSharedSweep:
         ).run()
         stats = result.cache_stats
         assert stats.shared_count("key_grid") >= 4
-        assert stats.shared_count("neighbor_counts") >= 1
         # the parent published each spec's grid exactly once
         assert stats.compute_count("key_grid") <= 3
         # transform derivation happened (parent publish or worker axis

@@ -16,7 +16,6 @@ from repro.engine import (
     MetricContext,
     Sweep,
     shared_key,
-    universe_key,
 )
 
 
@@ -68,7 +67,7 @@ class TestGridStore:
     def test_entries_and_nbytes(self, tmp_path):
         store = GridStore(tmp_path)
         store.put(("spec",), "key_grid", np.arange(8, dtype=np.int64))
-        store.put(universe_key(Universe(d=2, side=4)), "neighbor_counts",
+        store.put(("universe", 2, 4), "neighbor_counts",
                   np.ones((4, 4), dtype=np.int64))
         entries = store.entries()
         assert {e["kind"] for e in entries} == {
@@ -101,7 +100,8 @@ class TestContextWiring:
         skey = shared_key(curve)
         for kind in SHARED_KINDS:
             assert store.contains(skey, kind), kind
-        assert store.contains(universe_key(u2_8), "neighbor_counts")
+        # neighbor counts are per-range scratch: never persisted
+        assert "neighbor_counts" not in {e["kind"] for e in store.entries()}
         assert ctx.stats.total_mmap == 0  # nothing to map on a cold run
 
     def test_warm_context_resolves_from_mmap(self, tmp_path, u2_8):
@@ -132,9 +132,7 @@ class TestContextWiring:
         store = GridStore(tmp_path)
         ctx = MetricContext(table, store=store)
         ctx.davg()
-        kinds = {e["kind"] for e in store.entries()}
-        # only the curve-independent universe artifact may be stored
-        assert kinds <= {"neighbor_counts"}
+        assert store.entries() == []
         assert ctx.stats.compute_count("key_grid") == 1
 
     def test_pool_contexts_share_one_store(self, tmp_path, u2_8):

@@ -26,7 +26,6 @@ from repro.engine import (
     canonical_key,
     render_key,
     shared_key,
-    universe_key,
 )
 
 SRC = str(Path(__file__).resolve().parents[2] / "src")
@@ -160,9 +159,7 @@ class TestCurveKeys:
         assert seen  # the zoo has shareable curves
 
     def test_universe_keys_render_readably(self):
-        from repro import Universe
-
-        name = render_key(universe_key(Universe(d=2, side=64)))
+        name = render_key(("universe", 2, 64))
         assert name.startswith("universe-2x64-")
 
     def test_instance_keyed_curves_are_exempt(self, u2_8):

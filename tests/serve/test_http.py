@@ -16,6 +16,26 @@ from tests.serve.conftest import http as fetch
 
 SWEEP_BODY = {"dims": [2], "sides": [8], "curves": ["hilbert", "z", "gray"]}
 
+#: One line longer than asyncio's default 64 KiB stream line limit.
+_OVER_LINE_LIMIT = 70_000
+
+
+def _raw_exchange(server, request: bytes) -> bytes:
+    """Send raw request bytes; return everything the server answers
+    before it closes the connection."""
+    import socket
+
+    with socket.create_connection(("127.0.0.1", server.port)) as sock:
+        sock.settimeout(30)
+        sock.sendall(request)
+        chunks = []
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                break
+            chunks.append(chunk)
+    return b"".join(chunks)
+
 
 class TestEndpoints:
     def test_healthz(self, server):
@@ -64,6 +84,33 @@ class TestEndpoints:
             sock.sendall(b"NONSENSE\r\n\r\n")
             reply = sock.recv(4096)
         assert b"400" in reply.split(b"\r\n", 1)[0]
+
+    def test_negative_content_length_400(self, server):
+        reply = _raw_exchange(
+            server,
+            b"POST /sweep HTTP/1.1\r\nContent-Length: -5\r\n\r\n",
+        )
+        assert reply.split(b"\r\n", 1)[0] == b"HTTP/1.1 400 Bad Request"
+        assert b"bad Content-Length" in reply
+        assert fetch(server.url + "/healthz") == (200, {"status": "ok"})
+
+    def test_header_line_over_stream_limit_431(self, server):
+        reply = _raw_exchange(
+            server,
+            b"GET /healthz HTTP/1.1\r\nX-Big: "
+            + b"a" * _OVER_LINE_LIMIT
+            + b"\r\n\r\n",
+        )
+        assert reply.split(b"\r\n", 1)[0].startswith(b"HTTP/1.1 431 ")
+        assert fetch(server.url + "/healthz") == (200, {"status": "ok"})
+
+    def test_request_line_over_stream_limit_414(self, server):
+        reply = _raw_exchange(
+            server,
+            b"GET /" + b"a" * _OVER_LINE_LIMIT + b" HTTP/1.1\r\n\r\n",
+        )
+        assert reply.split(b"\r\n", 1)[0] == b"HTTP/1.1 414 URI Too Long"
+        assert fetch(server.url + "/healthz") == (200, {"status": "ok"})
 
     def test_keep_alive_reuses_connection(self, server):
         connection = http.client.HTTPConnection("127.0.0.1", server.port)
