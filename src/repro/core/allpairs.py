@@ -211,7 +211,7 @@ def average_allpairs_stretch_sampled(
     second = (first + rng.integers(1, n, size=n_pairs, dtype=np.int64)) % n
     if scheduler is not None and scheduler.threads > 1:
         # One single-element probe warms the curve's lazy evaluation
-        # caches before the fan-out (see threads._warm_curve_caches).
+        # caches before the fan-out, so workers cannot race N builds.
         curve.index(np.zeros((1, universe.d), dtype=np.int64))
         step = -(-n_pairs // (scheduler.threads * 4))
         spans = [

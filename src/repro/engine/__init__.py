@@ -67,11 +67,7 @@ from repro.engine.context import (
     MetricContext,
     get_context,
 )
-from repro.engine.pool import (
-    ContextPool,
-    chunked_transform_derivations,
-    transform_derivations,
-)
+from repro.engine.pool import ContextPool, transform_derivations
 from repro.engine.shm import (
     SHARED_KINDS,
     SharedGridStore,
@@ -116,7 +112,6 @@ __all__ = [
     "DynamicUniverse",
     "ReselectionEvent",
     "transform_derivations",
-    "chunked_transform_derivations",
     "SHARED_KINDS",
     "SharedGridStore",
     "shared_key",

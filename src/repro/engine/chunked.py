@@ -9,8 +9,10 @@ one of four orders, each serving a different consumer:
   slab is ``planes × side^{d-1}`` cells; the NN fold
   (:func:`nn_block_reduction`) reads the two hyperplanes adjacent to a
   slab itself, so working memory is ``O(block)`` and no state crosses
-  slabs.  Dense contexts run the same fold over one whole-grid range
-  (or ``~threads × 4`` ranges when threaded).
+  slabs.  A dense context's partition is one whole-grid slab, which
+  the fold splits into ``~threads × 4`` ranges when threaded.  Every
+  slab, sub-range and boundary plane is read through
+  ``MetricContext._key_slab``.
 * **rank blocks** (simple-curve order) — the ``flat_keys`` stream.
 * **key blocks** (curve order) — the inverse-permutation stream.
 * **position ranges** (curve order) — the unit of the window fold
@@ -275,33 +277,15 @@ def _dense_step(ctx, total: int) -> int:
 def fold_ranges(ctx) -> list:
     """Axis-0 plane ranges ``(lo, hi)`` the NN fold walks.
 
-    Chunked contexts use the slab partition (so the LRU-cached slabs
-    are the fold's units); dense contexts split the grid's planes by
-    :func:`_dense_step`.
+    The slab partition, so the LRU-cached slabs are the fold's units;
+    a one-slab partition (every dense context) is split by
+    :func:`_dense_step` instead.
     """
-    if ctx.chunked:
-        return ctx._slab_ranges()
+    ranges = ctx._slab_ranges()
+    if len(ranges) > 1:
+        return ranges
     side = ctx.universe.side
     return _spans(side, _dense_step(ctx, side))
-
-
-def _plane_keys(ctx, x0: int) -> np.ndarray:
-    """Keys of the single plane ``x0`` (shape ``(1,) + (side,)*(d-1)``).
-
-    Dense boundary planes are free grid views.  In chunked mode the
-    plane belongs to a *neighboring* canonical slab, which is peeked
-    (silently: no cache traffic, no stats) and sliced zero-copy when
-    resident; otherwise the single plane is evaluated directly
-    (honoring pool-installed block derivations) — one plane, never a
-    full slab, and no overlapping cache keys in the slab partition.
-    """
-    if not ctx.chunked:
-        return ctx.key_grid()[x0 : x0 + 1]
-    lo, hi = ctx._slab_span(x0)
-    slab = ctx._store.peek(f"key_slab[{lo}:{hi}]")
-    if slab is not None:
-        return slab[x0 - lo : x0 - lo + 1]
-    return ctx._key_slab_values(x0, x0 + 1)
 
 
 def nn_planes(
@@ -329,7 +313,7 @@ def nn_planes(
     """
     d, side = ctx.universe.d, ctx.universe.side
     if body is None:
-        body = _range_keys(ctx, lo, hi)
+        body = ctx._key_slab(lo, hi)
     sums[...] = 0
     best[...] = 0
     accumulate_block_pairs(
@@ -338,22 +322,17 @@ def nn_planes(
     plane_shape = (1,) + body.shape[1:]
     if lo > 0:
         bdist = scratch.take("nn_bdist", plane_shape, np.int64)
-        np.subtract(body[:1], _plane_keys(ctx, lo - 1), out=bdist)
+        np.subtract(body[:1], ctx._key_slab(lo - 1, lo), out=bdist)
         np.abs(bdist, out=bdist)
         lambdas[0] += int(bdist.sum())
         sums[:1] += bdist
         np.maximum(best[:1], bdist, out=best[:1])
     if hi < side:
         udist = scratch.take("nn_bdist", plane_shape, np.int64)
-        np.subtract(_plane_keys(ctx, hi), body[-1:], out=udist)
+        np.subtract(ctx._key_slab(hi, hi + 1), body[-1:], out=udist)
         np.abs(udist, out=udist)
         sums[-1:] += udist
         np.maximum(best[-1:], udist, out=best[-1:])
-
-
-def _range_keys(ctx, lo: int, hi: int) -> np.ndarray:
-    """The key planes ``x_0 ∈ [lo, hi)`` of ``ctx``'s grid."""
-    return ctx._key_slab(lo, hi) if ctx.chunked else ctx.key_grid()[lo:hi]
 
 
 def _nn_range_kernel(ctx, lo: int, hi: int, scratch, body=None):
@@ -389,7 +368,7 @@ def run_ranges(ctx, ranges, kernel, resolve=None) -> Iterator:
     The one place that decides how a fold's ranges run: inline on a
     per-call scratch set (freed with the call) when the context is
     serial, through ``ctx.scheduler`` on per-thread scratch when it is
-    threaded.  ``resolve(ctx, lo, hi)``, when given, supplies ``body``
+    threaded.  ``resolve(lo, hi)``, when given, supplies ``body``
     in the calling thread as each range is submitted.  The NN fold
     resolves its key slabs there: built in a worker, a cached slab
     would sit in that thread's malloc arena, which keeps the memory
@@ -399,7 +378,7 @@ def run_ranges(ctx, ranges, kernel, resolve=None) -> Iterator:
     from repro.engine.threads import ScratchBuffers
 
     def body(lo: int, hi: int):
-        return None if resolve is None else resolve(ctx, lo, hi)
+        return None if resolve is None else resolve(lo, hi)
 
     if not ctx.threaded:
         scratch = ScratchBuffers()
@@ -435,7 +414,7 @@ def nn_block_reduction(ctx) -> dict:
     d, n = universe.d, universe.n
     prepare_key_reads(ctx)
     results = run_ranges(
-        ctx, fold_ranges(ctx), _nn_range_kernel, resolve=_range_keys
+        ctx, fold_ranges(ctx), _nn_range_kernel, resolve=ctx._key_slab
     )
     lambdas = [0] * d
     max_total = [0]
@@ -537,11 +516,11 @@ def window_max_reduction(ctx, window: int, metric: str = "manhattan"):
     with ``max`` — order-free, so the value is bit-for-bit the same in
     every mode and on every backend.  ``window`` is already checked.
     """
-    from repro.engine.threads import _warm_curve_caches
-
-    # Resolve what the tasks read once, in the calling thread.
+    # Resolve what the tasks read once, in the calling thread: a cold
+    # table raced by N workers would be built N times.  A one-key probe
+    # builds the lazy inverse behind chunked ``coords_of``.
     if ctx.chunked:
-        _warm_curve_caches(ctx, inverse=True)
+        ctx.curve.coords(np.zeros(1, dtype=np.int64))
     else:
         ctx.order()
 

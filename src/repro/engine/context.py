@@ -94,15 +94,19 @@ same grid intermediates as read-only ``np.memmap`` views of
 checksummed on-disk artifacts — resolution order **shared → mmap →
 derived → compute**, counted in :attr:`CacheStats.mmap` — and writes
 freshly computed ones through, so a later process (a sweep rerun, a
-``repro serve`` restart) starts warm from disk.  In chunked mode the
-same store backs out-of-core spill: table-backed curves publish their
-key grid once and every slab then streams from the mapping, so blocks
+``repro serve`` restart) starts warm from disk.  Key slabs are slices
+of the mapped ``key_grid`` in every mode, so a chunked context's slabs
 evicted from the LRU re-resolve from disk bit-for-bit instead of being
 recomputed.  See ``docs/persistence.md``.
+
+**One key accessor.**  Every key read goes through
+:meth:`MetricContext._key_slab`; a dense context is the context whose
+slab partition is the one slab ``(0, side)``, cached as ``key_grid``.
 """
 
 from __future__ import annotations
 
+import functools
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
@@ -167,8 +171,9 @@ class CacheStats:
     #: How many times an intermediate was resolved as a read-only
     #: memory-mapped view of a persistent
     #: :class:`repro.engine.store.GridStore` artifact (``--store``)
-    #: instead of being computed in this process.  Chunked spill reads
-    #: land here too, under their block keys (``key_slab[lo:hi]``).
+    #: instead of being computed in this process.  Key slabs sliced
+    #: from a mapped grid land here under their slab keys
+    #: (``key_slab[lo:hi]``, or ``key_grid`` for the whole grid).
     mmap: Dict[str, int] = field(default_factory=dict)
 
     def compute_count(self, key: str) -> int:
@@ -467,17 +472,13 @@ class MetricContext:
         self._scheduler = None
         self._scalar_lock = threading.RLock()
         self._store = _BoundedStore(max_bytes)
-        #: Intermediate key → zero-arg factory deriving the array cheaply
-        #: from another curve's context (wired by the pool for
-        #: transform-derived curves).  Derived arrays are bit-for-bit
-        #: identical to from-scratch computation; only the cost differs.
-        self._derivations: Dict[str, Callable[[], np.ndarray]] = {}
-        #: Chunked-mode analogue of ``_derivations``: block kind →
-        #: ``(lo, hi) -> array`` factory deriving a block from another
-        #: context (wired by the pool, e.g. for reversed curves).
-        self._chunk_derivations: Dict[
-            str, Callable[[int, int], np.ndarray]
-        ] = {}
+        #: Intermediate kind → factory deriving it cheaply from another
+        #: curve's context (wired by the pool for transform-derived
+        #: curves): ``(lo, hi) -> block`` for the block kinds
+        #: (``key_slab``, ``key_block``, ``inverse_block``), zero-arg
+        #: for ``order``.  Derived arrays are bit-for-bit identical to
+        #: from-scratch computation; only the cost differs.
+        self._derivations: Dict[str, Callable[..., np.ndarray]] = {}
         #: Intermediate key → zero-arg factory resolving the array as a
         #: zero-copy view of a parent-published shared-memory segment
         #: (wired by a :class:`repro.engine.ContextPool` holding a
@@ -500,14 +501,8 @@ class MetricContext:
         #: Intermediate key → write-through sink persisting a genuinely
         #: computed array to the grid store (best effort).
         self._persist_sinks: Dict[str, Callable[[np.ndarray], object]] = {}
-        #: ``(GridStore, spec key)`` backing the chunked out-of-core
-        #: spill, or ``None``.  See :meth:`_spill_grid_view`.
-        self._spill = None
-        self._spill_grid: object = False  # False = unresolved memo
-        #: Guards the ``_spill_grid`` memo.  Not ``_scalar_lock``: a
-        #: scalar compute holds that lock while it waits on the block
-        #: scheduler, whose workers resolve the spill view.
-        self._spill_lock = threading.Lock()
+        #: Whether a computed key slab already wrote its grid through.
+        self._grid_written = False
         #: The wired :class:`repro.engine.store.GridStore`, or ``None``.
         if store is None and store_dir is not None:
             from repro.engine.store import GridStore
@@ -521,54 +516,26 @@ class MetricContext:
     def _wire_store(self, store) -> None:
         """Point this context at a persistent grid store.
 
-        Dense contexts with a process-stable spec key get an mmap
-        source and a write-through sink per shared kind; chunked
-        contexts instead arm the out-of-core spill (dense mappings are
-        exactly what chunked mode exists to avoid materializing — the
-        spill hands out ``O(block)`` slices of the same artifact).
-        Instance-keyed curves have no stable key and stay store-exempt.
+        A context with a process-stable spec key gets an mmap source
+        (mapped at most once per context) and a write-through sink per
+        shared kind.  The ``key_grid`` pair serves the key slabs (see
+        :meth:`_key_slab`), which slice the mapped grid, so a chunked
+        context maps the artifact without materializing anything
+        dense.  Instance-keyed curves have no stable key and stay
+        store-exempt.
         """
         from repro.engine.shm import SHARED_KINDS, shared_key
 
         skey = shared_key(self.curve)
         if skey is None:
             return
-        if self.chunked:
-            self._spill = (store, skey)
-            return
         for kind in SHARED_KINDS:
-            self._mmap_sources[kind] = (
+            self._mmap_sources[kind] = functools.lru_cache(maxsize=None)(
                 lambda k=skey, kd=kind: store.get(k, kd)
             )
             self._persist_sinks[kind] = (
                 lambda arr, k=skey, kd=kind: store.put(k, kd, arr)
             )
-
-    def _spill_grid_view(self) -> Optional[np.ndarray]:
-        """Memmapped key grid backing the chunked spill, or ``None``.
-
-        Resolved once per context: the store's committed grid if one
-        exists, else — for curves whose defining dense table is already
-        resident (``PermutationCurve`` subclasses build it in
-        ``__init__``) — the table is published first and mapped back,
-        so every later slab (and every later process) streams from
-        disk.  Procedural curves are never forced to materialize a
-        dense grid here; absent an artifact they stay on the
-        ``O(block)`` compute path.
-        """
-        if self._spill is None:
-            return None
-        with self._spill_lock:
-            if self._spill_grid is False:
-                grid_store, skey = self._spill
-                view = grid_store.get(skey, "key_grid")
-                if view is None:
-                    table = getattr(self.curve, "_key_grid_cache", None)
-                    if table is not None:
-                        grid_store.put(skey, "key_grid", table)
-                        view = grid_store.get(skey, "key_grid")
-                self._spill_grid = view
-            return self._spill_grid
 
     # ------------------------------------------------------------------
     # Introspection
@@ -667,22 +634,19 @@ class MetricContext:
     # Shared intermediates
     # ------------------------------------------------------------------
     def key_grid(self) -> np.ndarray:
-        """The curve's dense key grid (built once per curve).
+        """The curve's dense key grid: the one slab ``(0, side)``.
 
-        Returned frozen like every other cached array — but as a
-        read-only *view* of the curve's own cache, so the curve's
-        public ``key_grid()`` (which predates the engine and stays
-        writable) is untouched, no bytes are copied, and the store's
-        budget accounting is unchanged.  On the native backend the
-        curve fills that cache with the native slab kernel
+        Resolved by :meth:`_key_slab` like every other slab and cached
+        as ``key_grid``.  Computed, it is a read-only *view* of the
+        curve's own cache, so the curve's public ``key_grid()`` (which
+        predates the engine and stays writable) is untouched and no
+        bytes are copied.  On the native backend the curve fills that
+        cache with the native slab kernel
         (:meth:`~repro.curves.base.SpaceFillingCurve.batch_key_grid`);
         the bytes equal the reference ``key_grid()``.
         """
         self._require_dense("key_grid", "iter_key_slabs()")
-        return self._cached(
-            "key_grid",
-            lambda: self.curve.batch_key_grid(self.backend).view(),
-        )
+        return self._key_slab(0, self.universe.side)
 
     def order(self) -> np.ndarray:
         """Cells in curve order, ``(n, d)``.
@@ -872,48 +836,67 @@ class MetricContext:
     def _cached_block(
         self, kind: str, lo: int, hi: int, compute: Callable[[], np.ndarray]
     ) -> np.ndarray:
-        """LRU-cached block, honoring pool-installed block derivations.
-
-        With the out-of-core spill armed, key-grid slabs resolve as
-        ``O(block)`` slices of the store's memmapped grid before any
-        derivation or compute — so a block evicted under ``max_bytes``
-        streams back from disk bit-for-bit instead of being rebuilt.
-        """
-        derive_fn = self._chunk_derivations.get(kind)
-        derive = None if derive_fn is None else (lambda: derive_fn(lo, hi))
-        mmap = None
-        if kind == "key_slab" and self._spill is not None:
-
-            def mmap() -> Optional[np.ndarray]:
-                grid = self._spill_grid_view()
-                return None if grid is None else grid[lo:hi]
-
+        """LRU-cached block, honoring pool-installed range derivations."""
+        rule = self._derivations.get(kind)
+        derive = None if rule is None else (lambda: rule(lo, hi))
         return self._store.get_or_compute(
-            f"{kind}[{lo}:{hi}]", compute, derive=derive, mmap=mmap
+            f"{kind}[{lo}:{hi}]", compute, derive=derive
         )
+
+    def _slab_key(self, lo: int, hi: int) -> str:
+        """Cache key of slab ``[lo, hi)``; the whole grid is ``key_grid``."""
+        if (lo, hi) == (0, self.universe.side):
+            return "key_grid"
+        return f"key_slab[{lo}:{hi}]"
+
+    @staticmethod
+    def _mapped_slab(sources: dict, lo: int, hi: int) -> Optional[np.ndarray]:
+        """Slab ``[lo, hi)`` of the ``key_grid`` that ``sources`` (the
+        shared or the mmap tier) maps, or ``None`` when it maps none."""
+        source = sources.get("key_grid")
+        grid = None if source is None else source()
+        return None if grid is None else grid[lo:hi]
+
+    def _write_grid(self, lo: int, hi: int, slab: np.ndarray) -> None:
+        """Write the whole key grid through once a computed slab has it
+        in hand: the slab itself when it is the whole grid, else the
+        curve's resident table it was cut from."""
+        sink = self._persist_sinks.get("key_grid")
+        grid = (
+            slab
+            if (lo, hi) == (0, self.universe.side)
+            else getattr(self.curve, "_key_grid_cache", None)
+        )
+        if sink is not None and grid is not None and not self._grid_written:
+            self._grid_written = True
+            sink(grid)
 
     def _key_slab_values(self, lo: int, hi: int) -> np.ndarray:
         """Key-grid slab for ``x_0 ∈ [lo, hi)``, uncached.
 
-        Honors pool-installed block derivations (a reversed curve's
-        slab is derived from its inner curve's cache) but bypasses the
-        LRU store — the entry point for off-partition reads such as
-        the threaded NN reduction's boundary planes, which must not
-        pollute the canonical slab partition's cache keys.  A curve
-        with a native codec on this context's backend builds the slab
-        in one kernel call (``key_slab``); any other curve encodes a
-        meshgrid of the slab's coordinates.
+        Sources, cheapest first: a pool-installed derivation; a slice
+        of the mapped ``key_grid`` (shared memory, then the store); the
+        curve's own grid (``batch_key_grid`` for the whole range, a
+        slice of an already resident table for any range); the native
+        codec's one-call ``key_slab``; a meshgrid of the slab's
+        coordinates through ``keys_of``.
         """
-        derive = self._chunk_derivations.get("key_slab")
-        if derive is not None:
-            return derive(lo, hi)
-        spilled = self._spill_grid_view()
-        if spilled is not None:
-            return spilled[lo:hi]
+        rule = self._derivations.get("key_slab")
+        if rule is not None:
+            return rule(lo, hi)
+        for sources in (self._shared_sources, self._mmap_sources):
+            slab = self._mapped_slab(sources, lo, hi)
+            if slab is not None:
+                return slab
+        side, d = self.universe.side, self.universe.d
+        if (lo, hi) == (0, side):
+            return self.curve.batch_key_grid(self.backend).view()
+        table = getattr(self.curve, "_key_grid_cache", None)
+        if table is not None:
+            return table[lo:hi]
         codec = self.curve._native_codec(self.backend)
         if codec is not None:
             return codec.key_slab(lo, hi)
-        side, d = self.universe.side, self.universe.d
         axes = [np.arange(lo, hi, dtype=np.int64)]
         axes += [np.arange(side, dtype=np.int64)] * (d - 1)
         mesh = np.meshgrid(*axes, indexing="ij")
@@ -922,14 +905,35 @@ class MetricContext:
         return keys.reshape((hi - lo,) + (side,) * (d - 1))
 
     def _key_slab(self, lo: int, hi: int) -> np.ndarray:
-        """Key-grid slab for ``x_0 ∈ [lo, hi)``, LRU-cached per block.
+        """Key-grid slab for ``x_0 ∈ [lo, hi)`` — the one key accessor.
 
-        ``_cached_block`` resolves a pool-installed derivation first,
-        so the compute closure only ever runs the raw evaluation.
+        A canonical range of the slab partition resolves cheapest-first
+        and is LRU-cached: cached slab, a slice of the shared-memory
+        ``key_grid``, a slice of the store's, derivation, compute (which
+        then writes the grid through, see :meth:`_write_grid`).  Any
+        other range — a threaded fold's sub-range, a boundary plane —
+        is a zero-copy slice of the resident canonical slab holding it,
+        found with a silent ``peek``, or else evaluated uncached, so
+        off-partition reads never add overlapping cache keys.
         """
-        return self._cached_block(
-            "key_slab", lo, hi, lambda: self._key_slab_values(lo, hi)
-        )
+        span_lo, span_hi = self._slab_span(lo)
+        if (lo, hi) == (span_lo, span_hi):
+            rule = self._derivations.get("key_slab")
+            return self._store.get_or_compute(
+                self._slab_key(lo, hi),
+                lambda: self._key_slab_values(lo, hi),
+                derive=None if rule is None else (lambda: rule(lo, hi)),
+                shared=lambda: self._mapped_slab(
+                    self._shared_sources, lo, hi
+                ),
+                mmap=lambda: self._mapped_slab(self._mmap_sources, lo, hi),
+                persist=lambda slab: self._write_grid(lo, hi, slab),
+            )
+        if hi <= span_hi:
+            slab = self._store.peek(self._slab_key(span_lo, span_hi))
+            if slab is not None:
+                return slab[lo - span_lo : hi - span_lo]
+        return self._key_slab_values(lo, hi)
 
     def _key_block(self, start: int, stop: int) -> np.ndarray:
         """Flat keys for ranks ``[start, stop)``, computed per block."""
@@ -963,14 +967,11 @@ class MetricContext:
 
         Slabs walk the grid along axis 0 (C order); ``slab`` has shape
         ``(hi - lo,) + (side,) * (d - 1)`` and equals
-        ``key_grid()[lo:hi]`` bit-for-bit.  In dense mode one slab
-        covering the whole grid is yielded; in chunked mode each slab
-        holds roughly ``chunk_cells`` cells and is LRU-cached under the
-        ``max_bytes`` budget.
+        ``key_grid()[lo:hi]`` bit-for-bit.  A dense context yields its
+        one slab, the whole grid; a chunked one yields slabs of roughly
+        ``chunk_cells`` cells, LRU-cached under the ``max_bytes``
+        budget.
         """
-        if not self.chunked:
-            yield 0, self.universe.side, self.key_grid()
-            return
         for lo, hi in self._slab_ranges():
             yield lo, hi, self._key_slab(lo, hi)
 

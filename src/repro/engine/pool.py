@@ -35,32 +35,37 @@ from repro.engine.context import (
 __all__ = [
     "ContextPool",
     "transform_derivations",
-    "chunked_transform_derivations",
 ]
 
 
 def transform_derivations(
     curve: SpaceFillingCurve, base: MetricContext
-) -> Optional[Dict[str, Callable[[], np.ndarray]]]:
+) -> Optional[Dict[str, Callable[..., np.ndarray]]]:
     """Derivation rules for a transform-derived ``curve``, or ``None``.
 
-    ``base`` is the context of ``curve.inner``.  Each rule is a zero-arg
-    factory producing an intermediate bit-for-bit equal to what the
-    derived curve would compute from scratch, but built from the base
-    context's cached arrays:
+    ``base`` is the context of ``curve.inner``.  Each rule produces an
+    intermediate bit-for-bit equal to what the derived curve would
+    compute from scratch, but built from the base context's cached
+    state.  ``key_slab`` is a range rule ``(lo, hi) -> slab`` over
+    axis-0 planes, read through ``base._key_slab`` — the dense key grid
+    is its ``(0, side)`` call; ``order`` takes no arguments:
 
     * :class:`~repro.curves.transforms.ReversedCurve` —
-      ``π' = n−1−π``: the key grid is an arithmetic complement and the
-      curve order is the base order walked backwards.
-    * :class:`~repro.curves.transforms.ReflectedCurve` — reflection
-      flips the listed axes of the key grid and maps the order's
-      coordinates through the same reflection.
+      ``π' = n−1−π``: every slab and key block is the arithmetic
+      complement of the base's, inverse blocks are mirrored base
+      blocks, and the curve order is the base order walked backwards.
+    * :class:`~repro.curves.transforms.ReflectedCurve` — a slab flips
+      the listed axes of the base slab, read from the mirrored plane
+      range when axis 0 is reflected; the order's coordinates map
+      through the same reflection.
     * :class:`~repro.curves.transforms.AxisPermutedCurve` — axis
-      relabeling transposes the key grid; the order's coordinate
-      columns are scattered through ``perm``.
+      relabeling transposes the base grid, which only a one-slab base
+      partition holds whole, so a multi-slab partition computes its
+      slabs; the order's coordinate columns are scattered through
+      ``perm``.
 
-    Everything the NN fold needs comes from the key grid, so a derived
-    context folds its derived grid like any other.
+    Everything the NN fold needs comes from the key slabs, so a derived
+    context folds its derived slabs like any other.
     """
     from repro.curves.transforms import (
         AxisPermutedCurve,
@@ -73,41 +78,40 @@ def transform_derivations(
         return array
 
     universe = curve.universe
-    rules: Dict[str, Callable[[], np.ndarray]] = {}
+    n, side = universe.n, universe.side
     if isinstance(curve, ReversedCurve):
-        rules["key_grid"] = lambda: universe.n - 1 - base.key_grid()
-        # π'^{-1}(t) = π^{-1}(n−1−t): the base path, reversed.
-        rules["order"] = lambda: frozen(
-            np.ascontiguousarray(base.order()[::-1])
-        )
-        return rules
+        return {
+            "key_slab": lambda lo, hi: n - 1 - base._key_slab(lo, hi),
+            "key_block": lambda lo, hi: n - 1 - base._key_block(lo, hi),
+            "inverse_block": lambda lo, hi: np.ascontiguousarray(
+                base._inverse_block(n - hi, n - lo)[::-1]
+            ),
+            # π'^{-1}(t) = π^{-1}(n−1−t): the base path, reversed.
+            "order": lambda: frozen(
+                np.ascontiguousarray(base.order()[::-1])
+            ),
+        }
     if isinstance(curve, ReflectedCurve):
         axes = tuple(curve.axes)
-        if not axes:  # reflecting no axes is the identity transform
-            rules["key_grid"] = lambda: base.key_grid().copy()
-            rules["order"] = lambda: frozen(base.order().copy())
-            return rules
-        rules["key_grid"] = lambda: np.ascontiguousarray(
-            np.flip(base.key_grid(), axis=axes)
-        )
+
+        def reflected_slab(lo: int, hi: int) -> np.ndarray:
+            if 0 in axes:
+                lo, hi = side - hi, side - lo
+            return np.flip(base._key_slab(lo, hi), axis=axes).copy()
 
         def reflected_order() -> np.ndarray:
             # π'^{-1}(t) = reflect(π^{-1}(t)): same visit order, with
             # the listed coordinate axes mirrored.
             path = base.order().copy()
             for axis in axes:
-                path[:, axis] = universe.side - 1 - path[:, axis]
+                path[:, axis] = side - 1 - path[:, axis]
             return frozen(path)
 
-        rules["order"] = reflected_order
-        return rules
+        return {"key_slab": reflected_slab, "order": reflected_order}
     if isinstance(curve, AxisPermutedCurve):
         # grid'[x] = grid[y] with y[k] = x[perm[k]]  ⇔  transpose(inv).
         inv = tuple(int(v) for v in np.argsort(curve.perm))
         perm = tuple(int(v) for v in curve.perm)
-        rules["key_grid"] = lambda: np.ascontiguousarray(
-            base.key_grid().transpose(inv)
-        )
 
         def permuted_order() -> np.ndarray:
             # coords'[..., perm] = base coords (the wrapper's inverse).
@@ -115,48 +119,15 @@ def transform_derivations(
             path[:, perm] = base.order()
             return frozen(path)
 
-        rules["order"] = permuted_order
+        rules: Dict[str, Callable[..., np.ndarray]] = {
+            "order": permuted_order
+        }
+        if len(base._slab_ranges()) == 1:
+            rules["key_slab"] = lambda lo, hi: np.ascontiguousarray(
+                base._key_slab(0, side).transpose(inv)[lo:hi]
+            )
         return rules
     return None
-
-
-def chunked_transform_derivations(
-    curve: SpaceFillingCurve, base: MetricContext
-) -> Optional[Dict[str, Callable[[int, int], np.ndarray]]]:
-    """Per-block derivation rules for a transform curve in chunked mode.
-
-    The chunked analogue of :func:`transform_derivations`: each rule
-    maps a block range ``(lo, hi)`` to the derived curve's block, built
-    from the inner context's (cached) blocks and bit-for-bit equal to
-    direct computation.  Implemented for
-    :class:`~repro.curves.transforms.ReversedCurve` (``π' = n−1−π``:
-    every block is the arithmetic complement of the base block; inverse
-    blocks are mirrored base blocks).  The other transforms need no
-    rule — their ``index``/``coords`` delegate to the inner curve on
-    transformed coordinates, which is already ``O(block)``.
-    """
-    from repro.curves.transforms import ReversedCurve
-
-    if not isinstance(curve, ReversedCurve):
-        return None
-    n = curve.universe.n
-
-    def base_slab(lo: int, hi: int) -> np.ndarray:
-        # Canonical spans go through the base LRU (cached, reusable by
-        # the base's own reductions); off-partition reads — a threaded
-        # kernel's single-plane boundary lookups — bypass it, so the
-        # base store never fills with overlapping off-partition keys.
-        if (lo, hi) == base._slab_span(lo):
-            return base._key_slab(lo, hi)
-        return base._key_slab_values(lo, hi)
-
-    return {
-        "key_slab": lambda lo, hi: n - 1 - base_slab(lo, hi),
-        "key_block": lambda lo, hi: n - 1 - base._key_block(lo, hi),
-        "inverse_block": lambda lo, hi: np.ascontiguousarray(
-            base._inverse_block(n - hi, n - lo)[::-1]
-        ),
-    }
 
 
 class ContextPool:
@@ -177,8 +148,9 @@ class ContextPool:
     :mod:`repro.apps`.
 
     ``chunk_cells`` puts every pooled context into the engine's chunked
-    mode; transform derivation then happens per block (see
-    :func:`chunked_transform_derivations`).
+    mode.  Transform derivation is the same either way: its rules map
+    slab ranges (see :func:`transform_derivations`), and a dense
+    context is the one-slab case.
 
     ``shared_store`` plugs in a :class:`repro.engine.shm.SharedGridStore`
     (typically attached inside a process-sweep worker): dense-mode
@@ -294,18 +266,13 @@ class ContextPool:
                 ctx._scheduler = self._scheduler
             if self.shared_store is not None and self.chunk_cells is None:
                 self._wire_shared(ctx, curve)
-            if self.derive_transforms:
-                inner = getattr(curve, "inner", None)
-                if isinstance(inner, SpaceFillingCurve):
-                    base = self.get(inner)
-                    if self.chunk_cells is not None:
-                        rules = chunked_transform_derivations(curve, base)
-                        if rules:
-                            ctx._chunk_derivations.update(rules)
-                    else:
-                        rules = transform_derivations(curve, base)
-                        if rules:
-                            ctx._derivations.update(rules)
+            inner = getattr(curve, "inner", None)
+            if self.derive_transforms and isinstance(
+                inner, SpaceFillingCurve
+            ):
+                rules = transform_derivations(curve, self.get(inner))
+                if rules:
+                    ctx._derivations.update(rules)
             self._contexts[key] = ctx
             self._curves[key] = curve
             return ctx

@@ -112,7 +112,12 @@ def _render(value: object) -> str:
 def _parse_spec_text(
     spec: str, kind: str
 ) -> Tuple[str, Tuple[Tuple[str, object], ...]]:
-    """Parse ``name[:key=val,...]`` into (name, kwargs tuple)."""
+    """Parse ``name[:key=val,...]`` into (name, kwargs tuple).
+
+    A key given twice is refused rather than resolved last-wins: the
+    label keeps both, so ``random:seed=1,seed=2`` would run as seed 2
+    yet be a different cell from ``random:seed=2``.
+    """
     text = spec.strip()
     if not text:
         raise ValueError(f"empty {kind} spec")
@@ -129,6 +134,11 @@ def _parse_spec_text(
                 raise ValueError(
                     f"bad {kind} spec {spec!r}: expected key=value, "
                     f"got {part!r}"
+                )
+            if any(seen == key for seen, _ in kwargs):
+                raise ValueError(
+                    f"bad {kind} spec {spec!r}: parameter {key!r} "
+                    f"is given more than once"
                 )
             kwargs.append((key, _coerce(raw.strip())))
     return name, tuple(kwargs)

@@ -262,37 +262,20 @@ class BlockScheduler:
 # ----------------------------------------------------------------------
 # Fan-out preparation
 # ----------------------------------------------------------------------
-def _warm_curve_caches(ctx, inverse: bool) -> None:
-    """Touch the curve's lazy cache in the calling thread before fan-out.
-
-    A cold first touch raced by N workers builds N copies of the
-    curve-level ``O(n)`` table (the argsort inverse behind generic
-    ``coords``, or a table-backed curve's key grid behind ``index``) —
-    multiplying transient memory by the thread count in the mode that
-    exists to bound memory.  One single-element probe warms exactly
-    the table the workers will read; analytic curves pay a no-op.
-    Transform wrappers delegate, so their inner curve warms too.
-    """
-    if inverse:
-        ctx.curve.coords(np.zeros(1, dtype=np.int64))
-    else:
-        ctx.curve.index(np.zeros((1, ctx.universe.d), dtype=np.int64))
-
-
 def prepare_key_reads(ctx) -> None:
     """Resolve the key state fanned-out workers share, before fan-out.
 
     The NN fold and the sampling loops that run through the scheduler
-    (cluster counts, range-query costs) read the dense key grid — or,
-    in chunked mode, call ``curve.index`` on slab or rectangle cells.
-    Both sit behind lazy caches whose cold first touch must not be
-    raced by N workers (N redundant ``O(n)`` builds); resolving them
-    once in the calling thread makes the fanned-out tasks pure readers.
+    (cluster counts, range-query costs) read key slabs — or, in
+    chunked mode, call ``curve.index`` on rectangle cells.  Both sit
+    behind lazy caches whose cold first touch must not be raced by N
+    workers (N redundant ``O(n)`` builds).  Resolving the first
+    canonical slab in the calling thread — in a dense context, the
+    whole grid — builds them once and makes the fanned-out tasks pure
+    readers.
     """
-    if ctx.chunked:
-        _warm_curve_caches(ctx, inverse=False)
-    else:
-        ctx.key_grid()
+    lo, hi = ctx._slab_ranges()[0]
+    ctx._key_slab(lo, hi)
 
 
 #: The NN fold is :func:`repro.engine.chunked.nn_block_reduction` in

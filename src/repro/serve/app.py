@@ -7,7 +7,8 @@ framework's worth of routing:
 * ``POST /sweep``  — a :class:`repro.serve.schemas.SweepRequest` body;
   returns the :class:`repro.serve.schemas.SweepResponse` (200) or an
   ``{"error": ...}`` body with 400/413/429/504 per the service's
-  admission and timeout rules.
+  admission and timeout rules.  A request whose headers and body do
+  not arrive within ``_READ_DEADLINE_S`` of its request line gets 408.
 * ``POST /dynamic/step`` — a
   :class:`repro.serve.schemas.DynamicStepRequest` body applying one
   move batch to a named
@@ -43,12 +44,18 @@ __all__ = ["HttpServer", "BackgroundServer", "start_server", "run"]
 
 _MAX_HEADER_BYTES = 32_768
 _MAX_BODY_BYTES = 8 << 20
+#: Seconds from a request line's receipt until its headers and body
+#: must be read; a client that stalls mid-request gets 408 and is
+#: closed instead of holding its connection.  The idle wait for the
+#: next request line of a keep-alive connection is not timed.
+_READ_DEADLINE_S = 10.0
 
 _REASONS = {
     200: "OK",
     400: "Bad Request",
     404: "Not Found",
     405: "Method Not Allowed",
+    408: "Request Timeout",
     413: "Payload Too Large",
     414: "URI Too Long",
     429: "Too Many Requests",
@@ -56,6 +63,45 @@ _REASONS = {
     500: "Internal Server Error",
     504: "Gateway Timeout",
 }
+
+
+class _Rejected(Exception):
+    """An unreadable request; ``args`` are the ``(status, error)`` to
+    answer before closing."""
+
+
+async def _read_headers_and_body(
+    reader: asyncio.StreamReader,
+) -> Tuple[dict, bytes]:
+    """The headers (lower-cased names) and body after a request line.
+
+    Raises :class:`_Rejected` for oversized headers (431), a bad
+    ``Content-Length`` (400) and an oversized body (413).
+    """
+    headers = {}
+    header_bytes = 0
+    while True:
+        try:
+            line = await reader.readline()
+        except ValueError:  # one line over the stream's line limit
+            raise _Rejected(431, "headers too large") from None
+        header_bytes += len(line)
+        if header_bytes > _MAX_HEADER_BYTES:
+            raise _Rejected(431, "headers too large")
+        if line in (b"\r\n", b"\n", b""):
+            break
+        name, _, value = line.decode("latin-1").partition(":")
+        headers[name.strip().lower()] = value.strip()
+    try:
+        length = int(headers.get("content-length", "0") or "0")
+    except ValueError:
+        length = -1
+    if length < 0:
+        raise _Rejected(400, "bad Content-Length")
+    if length > _MAX_BODY_BYTES:
+        raise _Rejected(413, f"body over {_MAX_BODY_BYTES} bytes")
+    body = await reader.readexactly(length) if length else b""
+    return headers, body
 
 
 class HttpServer:
@@ -87,45 +133,20 @@ class HttpServer:
                         writer, 400, {"error": "malformed request line"}
                     )
                     break
-                headers = {}
-                header_bytes = 0
-                overflow = False
-                while True:
-                    try:
-                        line = await reader.readline()
-                    except ValueError:  # one line over the limit
-                        overflow = True
-                        break
-                    header_bytes += len(line)
-                    if header_bytes > _MAX_HEADER_BYTES:
-                        overflow = True
-                        break
-                    if line in (b"\r\n", b"\n", b""):
-                        break
-                    name, _, value = line.decode("latin-1").partition(":")
-                    headers[name.strip().lower()] = value.strip()
-                if overflow:
-                    await self._respond(
-                        writer, 431, {"error": "headers too large"}
-                    )
-                    break
                 try:
-                    length = int(headers.get("content-length", "0") or "0")
-                except ValueError:
-                    length = -1
-                if length < 0:
+                    headers, body = await asyncio.wait_for(
+                        _read_headers_and_body(reader), _READ_DEADLINE_S
+                    )
+                except _Rejected as exc:
+                    status, error = exc.args
                     await self._respond(
-                        writer, 400, {"error": "bad Content-Length"}
+                        writer, status, {"error": error}, close=True
                     )
                     break
-                if length > _MAX_BODY_BYTES:
-                    await self._respond(
-                        writer,
-                        413,
-                        {"error": f"body over {_MAX_BODY_BYTES} bytes"},
-                    )
+                except asyncio.TimeoutError:
+                    timeout = {"error": "request read timed out"}
+                    await self._respond(writer, 408, timeout, close=True)
                     break
-                body = await reader.readexactly(length) if length else b""
                 status, payload = await self.dispatch(method, target, body)
                 keep_alive = (
                     version == "HTTP/1.1"

@@ -113,7 +113,7 @@ class SweepRequest:
         if not isinstance(raw_universes, (list, tuple)):
             raise ValueError("universes must be a list of [d, side] pairs")
         for pair in raw_universes:
-            geom = _int_tuple(pair, "universes entries")
+            geom = _int_tuple(pair, "universes [d, side] pair")
             if len(geom) != 2:
                 raise ValueError("universes entries must be [d, side] pairs")
             universes.append(geom)

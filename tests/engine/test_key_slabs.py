@@ -1,0 +1,242 @@
+"""One key accessor: every key read is ``MetricContext._key_slab``.
+
+A dense context is the context whose slab partition is one slab,
+``(0, side)``, cached as ``key_grid``.  These tests pin what that
+collapse must keep and what it changes:
+
+* transform derivation is one set of range rules, and a derived slab
+  equals a fresh curve's key grid in every mode, on every backend and
+  on non-power-of-two universes, with metrics equal to an unpooled
+  dense context;
+* reversed and reflected contexts derive every chunked slab;
+  axis-permuted ones derive only on a one-slab partition;
+* a chunked context maps only a *committed* store grid: its cold run
+  writes the grid through and maps nothing, its warm run maps;
+* a one-slab chunked context caches the whole grid as ``key_grid``
+  and its threaded fold reads sub-ranges of it without adding keys.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+from repro.curves.hilbert import HilbertCurve
+from repro.curves.registry import make_curve
+from repro.curves.transforms import (
+    AxisPermutedCurve,
+    ReflectedCurve,
+    ReversedCurve,
+)
+from repro.engine import chunked, native
+from repro.engine.context import MetricContext
+from repro.engine.pool import ContextPool
+from repro.engine.store import GridStore
+from repro.engine.sweep import CurveSpec, Sweep
+from repro.grid.universe import Universe
+
+requires_native = pytest.mark.skipif(
+    not native.available(),
+    reason=f"native backend unavailable: {native.unavailable_reason()}",
+)
+
+SPECS = (
+    "reversed:inner=hilbert",
+    "reversed:inner=random:seed=3",
+    "reflected:axes=0",
+    "reflected:axes=1",
+    "reflected:inner=random:seed=3,axes=0",
+    "axisperm-direct",
+)
+UNIVERSES = ((2, 8), (2, 9), (3, 5))
+#: Pool settings per context flavor.  ``planes3`` cuts slabs of three
+#: planes with an uneven tail, so a reflected slab's mirrored range
+#: straddles two base slabs; ``uncached`` leaves no slab resident, so
+#: every sub-range and boundary plane is evaluated uncached.
+CONTEXTS = {
+    "dense": {},
+    "chunk1": {"chunk_cells": 1},
+    "chunk7": {"chunk_cells": 7},
+    "planes3": {"planes": 3},
+    "threads2": {"threads": 2},
+    "chunk7-threads2": {"chunk_cells": 7, "threads": 2},
+    "uncached-threads2": {"threads": 2, "max_bytes": 0},
+}
+BACKENDS = ("numpy", pytest.param("native", marks=requires_native))
+
+
+def _make(spec: str, universe: Universe):
+    """The spec's curve on ``universe``, or ``None`` when inapplicable."""
+    try:
+        if spec == "axisperm-direct":
+            perm = list(range(universe.d))[::-1]
+            inner = make_curve("random", universe, seed=3)
+            return AxisPermutedCurve(inner, perm=perm)
+        return CurveSpec.parse(spec).make(universe)
+    except ValueError:  # e.g. hilbert/z on a non-power-of-two side
+        return None
+
+
+CASES = [
+    (spec, d, side)
+    for spec in SPECS
+    for d, side in UNIVERSES
+    if _make(spec, Universe(d=d, side=side)) is not None
+]
+
+
+def _pool(flavor: str, universe: Universe, backend: str) -> ContextPool:
+    settings = dict(CONTEXTS[flavor])
+    planes = settings.pop("planes", None)
+    if planes is not None:
+        settings["chunk_cells"] = planes * universe.side ** (universe.d - 1)
+    return ContextPool(backend=backend, **settings)
+
+
+def test_cases_cover_every_spec_and_universe():
+    assert {spec for spec, _, _ in CASES} == set(SPECS)
+    assert {(d, side) for _, d, side in CASES} == set(UNIVERSES)
+
+
+class TestDerivedSlabParity:
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("flavor", sorted(CONTEXTS))
+    @pytest.mark.parametrize("spec,d,side", CASES)
+    def test_slabs_and_metrics_equal_dense(
+        self, spec, d, side, flavor, backend
+    ):
+        universe = Universe(d=d, side=side)
+        pool = _pool(flavor, universe, backend)
+        ctx = pool.get(_make(spec, universe))
+        reference = _make(spec, universe).key_grid()
+        slabs = [slab for _, _, slab in ctx.iter_key_slabs()]
+        assert np.array_equal(np.concatenate(slabs), reference)
+        dense = MetricContext(_make(spec, universe), backend="numpy")
+        assert ctx.davg() == dense.davg()
+        assert ctx.dmax() == dense.dmax()
+        assert np.array_equal(ctx.lambda_sums(), dense.lambda_sums())
+        # the slabs really were derived (axis permutation: one slab only)
+        one_slab = len(ctx._slab_ranges()) == 1
+        derives = not spec.startswith("axisperm") or one_slab
+        assert (ctx.stats.total_derived > 0) == derives
+
+
+def _slab_counts(counter: dict) -> dict:
+    return {
+        key: count
+        for key, count in counter.items()
+        if key.startswith("key_slab") or key == "key_grid"
+    }
+
+
+class TestDerivationCounters:
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda u: ReversedCurve(HilbertCurve(u)),
+            lambda u: ReflectedCurve(HilbertCurve(u), axes=[0]),
+            lambda u: ReflectedCurve(HilbertCurve(u), axes=[1]),
+            lambda u: ReflectedCurve(HilbertCurve(u), axes=[0, 1]),
+        ],
+        ids=["reversed", "reflected0", "reflected1", "reflected01"],
+    )
+    def test_chunked_transform_derives_every_slab(self, make, u2_8):
+        ctx = ContextPool(chunk_cells=16).get(make(u2_8))
+        ctx.davg()
+        slab_keys = {
+            f"key_slab[{lo}:{hi}]" for lo, hi in ctx._slab_ranges()
+        }
+        assert len(slab_keys) == 4
+        assert set(_slab_counts(ctx.stats.derived)) == slab_keys
+        assert _slab_counts(ctx.stats.computes) == {}
+
+    def test_axis_permuted_multi_slab_computes(self, u2_8):
+        curve = AxisPermutedCurve(HilbertCurve(u2_8), perm=[1, 0])
+        ctx = ContextPool(chunk_cells=16).get(curve)
+        ctx.davg()
+        assert _slab_counts(ctx.stats.derived) == {}
+        assert len(_slab_counts(ctx.stats.computes)) == 4
+
+    def test_axis_permuted_one_slab_derives(self, u2_8):
+        curve = AxisPermutedCurve(HilbertCurve(u2_8), perm=[1, 0])
+        ctx = ContextPool(chunk_cells=u2_8.n, threads=2).get(curve)
+        ctx.davg()
+        assert _slab_counts(ctx.stats.derived) == {"key_grid": 1}
+        assert _slab_counts(ctx.stats.computes) == {}
+
+
+class TestStoreSemantics:
+    KWARGS = dict(
+        universes=[Universe(d=2, side=16)],
+        curves=["random:seed=7"],
+        metrics=("davg", "dmax", "lambdas"),
+        reports=False,
+    )
+
+    def test_cold_chunked_run_writes_through_and_maps_nothing(
+        self, tmp_path
+    ):
+        dense = Sweep(**self.KWARGS).run()
+        cold = Sweep(store_dir=tmp_path, chunk_cells=64, **self.KWARGS).run()
+        assert cold.cache_stats.total_mmap == 0
+        assert [e["kind"] for e in GridStore(tmp_path).entries()] == [
+            "key_grid"
+        ]
+        warm = Sweep(store_dir=tmp_path, chunk_cells=64, **self.KWARGS).run()
+        assert warm.cache_stats.total_mmap > 0
+        assert _slab_counts(warm.cache_stats.computes) == {}
+        for result in (cold, warm):
+            assert [r.values for r in result.records] == [
+                r.values for r in dense.records
+            ]
+
+    def test_procedural_chunked_slab_writes_nothing(self, tmp_path, u2_8):
+        store = GridStore(tmp_path)
+        ctx = MetricContext(HilbertCurve(u2_8), chunk_cells=16, store=store)
+        ctx.davg()
+        assert store.entries() == []
+
+    def test_dense_grid_maps_from_a_chunked_write(self, tmp_path):
+        universe = Universe(d=2, side=16)
+        MetricContext(
+            make_curve("random", universe, seed=7),
+            chunk_cells=64,
+            store_dir=tmp_path,
+        ).davg()
+        warm = MetricContext(
+            make_curve("random", universe, seed=7), store_dir=tmp_path
+        )
+        plain = MetricContext(make_curve("random", universe, seed=7))
+        assert np.array_equal(warm.key_grid(), plain.key_grid())
+        assert warm.stats.mmap_count("key_grid") == 1
+        assert warm.davg() == plain.davg()
+
+
+class TestOneSlabChunked:
+    def test_caches_only_key_grid(self, u2_8):
+        ctx = MetricContext(HilbertCurve(u2_8), chunk_cells=u2_8.n, threads=2)
+        dense = MetricContext(HilbertCurve(u2_8))
+        assert ctx._slab_ranges() == [(0, 8)]
+        assert chunked.fold_ranges(ctx) == chunked._spans(
+            8, chunked._dense_step(ctx, 8)
+        )
+        assert len(chunked.fold_ranges(ctx)) == 8
+        assert ctx.davg() == dense.davg()
+        assert ctx.dmax() == dense.dmax()
+        assert ctx.stats.computes == {"key_grid": 1}
+        assert not any(k.startswith("key_slab") for k in ctx._store._items)
+
+    def test_off_partition_reads_are_silent_slices(self, u2_8):
+        ctx = MetricContext(HilbertCurve(u2_8), threads=2)
+        grid = ctx.key_grid()
+        before = (ctx.stats.hits, ctx.stats.misses)
+        plane = ctx._key_slab(3, 4)
+        assert np.shares_memory(plane, grid)
+        assert np.array_equal(plane, grid[3:4])
+        assert (ctx.stats.hits, ctx.stats.misses) == before
+
+    def test_uncached_off_partition_read_adds_no_key(self, u2_8):
+        ctx = MetricContext(HilbertCurve(u2_8), chunk_cells=16)
+        plane = ctx._key_slab(3, 4)  # slab (2, 4) is not resident
+        assert np.array_equal(plane, HilbertCurve(u2_8).key_grid()[3:4])
+        assert ctx.stats.misses == 0 and ctx.cache_bytes == 0

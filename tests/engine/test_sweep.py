@@ -9,6 +9,7 @@ from repro.engine.sweep import (
     DEFAULT_METRICS,
     METRICS,
     CurveSpec,
+    MetricSpec,
     SkippedCell,
     Sweep,
     parse_curve_spec,
@@ -77,6 +78,34 @@ class TestCurveSpec:
     def test_spec_instantiates_with_kwargs(self, u2_8):
         curve = CurveSpec.parse("random:seed=42").make(u2_8)
         assert curve.seed == 42
+
+    @pytest.mark.parametrize(
+        "spec_cls,text,key",
+        [
+            (CurveSpec, "random:seed=1,seed=2", "seed"),
+            (CurveSpec, "random: seed=1 , seed = 1", "seed"),
+            (MetricSpec, "dilation:window=2,window=3", "window"),
+        ],
+    )
+    def test_repeated_key_raises(self, spec_cls, text, key):
+        # last-wins would run seed 2 under a label distinct from
+        # "random:seed=2", i.e. as a different sweep cell
+        with pytest.raises(ValueError, match=f"'{key}' is given more"):
+            spec_cls.parse(text)
+
+    @pytest.mark.parametrize(
+        "curves,metrics",
+        [
+            (["z", "random:seed=1,seed=2"], ("davg",)),
+            (["z"], ("davg", "dilation:window=2,window=3")),
+        ],
+    )
+    def test_repeated_key_fails_the_plan(self, u2_8, curves, metrics):
+        sweep = Sweep(
+            universes=[u2_8], curves=curves, metrics=metrics, reports=False
+        )
+        with pytest.raises(ValueError, match="given more than once"):
+            sweep.run()
 
 
 class TestSweepVsLegacySurvey:

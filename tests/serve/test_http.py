@@ -10,7 +10,7 @@ import json
 from concurrent.futures import ThreadPoolExecutor
 
 from repro.engine.sweep import Sweep
-from repro.serve import SweepResponse
+from repro.serve import SweepResponse, app
 
 from tests.serve.conftest import http as fetch
 
@@ -18,6 +18,8 @@ SWEEP_BODY = {"dims": [2], "sides": [8], "curves": ["hilbert", "z", "gray"]}
 
 #: One line longer than asyncio's default 64 KiB stream line limit.
 _OVER_LINE_LIMIT = 70_000
+
+_TIMEOUT_STATUS = b"HTTP/1.1 408 Request Timeout"
 
 
 def _raw_exchange(server, request: bytes) -> bytes:
@@ -111,6 +113,48 @@ class TestEndpoints:
         )
         assert reply.split(b"\r\n", 1)[0] == b"HTTP/1.1 414 URI Too Long"
         assert fetch(server.url + "/healthz") == (200, {"status": "ok"})
+
+    def test_partial_header_block_408(self, server, monkeypatch):
+        monkeypatch.setattr(app, "_READ_DEADLINE_S", 0.2)
+        reply = _raw_exchange(
+            server, b"GET /healthz HTTP/1.1\r\nHost: x\r\n"
+        )
+        assert reply.split(b"\r\n", 1)[0] == _TIMEOUT_STATUS
+        assert b"Connection: close" in reply
+        assert fetch(server.url + "/healthz") == (200, {"status": "ok"})
+
+    def test_short_body_408(self, server, monkeypatch):
+        monkeypatch.setattr(app, "_READ_DEADLINE_S", 0.2)
+        reply = _raw_exchange(
+            server,
+            b"POST /sweep HTTP/1.1\r\nContent-Length: 100\r\n\r\n"
+            b'{"dims": [2]',
+        )
+        assert reply.split(b"\r\n", 1)[0] == _TIMEOUT_STATUS
+        assert fetch(server.url + "/healthz") == (200, {"status": "ok"})
+
+    def test_idle_keep_alive_is_not_timed(self, server, monkeypatch):
+        import time
+
+        monkeypatch.setattr(app, "_READ_DEADLINE_S", 0.2)
+        connection = http.client.HTTPConnection("127.0.0.1", server.port)
+        try:
+            for _ in range(2):
+                connection.request("GET", "/healthz")
+                response = connection.getresponse()
+                assert response.status == 200
+                response.read()
+                time.sleep(0.4)  # idle past the deadline between requests
+        finally:
+            connection.close()
+
+    def test_repeated_spec_key_400(self, server):
+        status, payload = fetch(
+            server.url + "/sweep",
+            payload=dict(SWEEP_BODY, curves=["random:seed=1,seed=2"]),
+        )
+        assert status == 400
+        assert "'seed' is given more than once" in payload["error"]
 
     def test_keep_alive_reuses_connection(self, server):
         connection = http.client.HTTPConnection("127.0.0.1", server.port)

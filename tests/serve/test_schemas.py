@@ -74,6 +74,19 @@ class TestSweepRequest:
         with pytest.raises(ValueError):
             SweepRequest.from_dict(payload)
 
+    @pytest.mark.parametrize(
+        "pair,message",
+        [
+            ([2, "8"], "universes [d, side] pair entries must be integers"),
+            ([2, 0], "universes [d, side] pair entries must be >= 1"),
+            ("2x8", "universes [d, side] pair must be a list of integers"),
+        ],
+    )
+    def test_universes_entry_messages(self, pair, message):
+        with pytest.raises(ValueError) as info:
+            SweepRequest.from_dict({"universes": [pair]})
+        assert str(info.value) == message
+
     def test_to_sweep_plans_like_the_cli(self):
         request = SweepRequest.from_dict(
             {"dims": [2], "sides": [8], "curves": ["hilbert", "z"]}
