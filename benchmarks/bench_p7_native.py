@@ -1,11 +1,12 @@
 """P7 — native compiled kernels + vectorized batch encode.
 
 PR 7 adds :mod:`repro.engine.native`: a small C library for the hot
-block paths (NN pair fold, neighbor counts, window maxima, batch
-curve encode/decode), built on demand with the system compiler and
-selected with ``backend="native"``/``"auto"``.  Values are bit-for-bit
-identical across backends — the C kernels only produce int64 partials;
-float math stays in Python on both paths.
+block paths (the NN range fold, window maxima, batch curve
+encode/decode), built on demand with the system compiler and selected
+with ``backend="native"``/``"auto"``.  Values are bit-for-bit
+identical across backends — the C kernels produce int64 partials and
+the per-cell ``D^avg`` terms by the one IEEE-754 division NumPy
+performs; the order-sensitive mean stays in Python on both paths.
 
 Two experiments on a side=1024 Hilbert cell:
 

@@ -272,7 +272,9 @@ class PermutationCurve(SpaceFillingCurve):
         if (key_grid is None) == (order is None):
             raise ValueError("provide exactly one of key_grid or order")
         if key_grid is not None:
-            grid = np.asarray(key_grid, dtype=np.int64)
+            # C order, like every other key grid: the native kernels
+            # read key slabs (axis-0 slices of this table) by address.
+            grid = np.ascontiguousarray(key_grid, dtype=np.int64)
             if grid.shape != universe.shape:
                 raise ValueError(
                     f"key grid shape {grid.shape} != universe {universe.shape}"

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.curves.base import PermutationCurve
-from repro.grid.universe import Universe
+from repro.grid.universe import Universe, strict_index
 
 __all__ = ["RandomCurve", "expected_random_nn_stretch"]
 
@@ -35,6 +35,8 @@ class RandomCurve(PermutationCurve):
     name = "random"
 
     def __init__(self, universe: Universe, seed: int = 0) -> None:
+        # A bool would alias seed 0/1 under another label.
+        seed = strict_index(seed, "seed")
         rng = np.random.default_rng(seed)
         keys = rng.permutation(universe.n).astype(np.int64)
         grid = np.ascontiguousarray(

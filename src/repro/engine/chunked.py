@@ -40,10 +40,11 @@ Bit-for-bit parity with the dense path is engineered, not hoped for:
 
 from __future__ import annotations
 
-import operator
 from typing import Iterable, Iterator, Tuple
 
 import numpy as np
+
+from repro.grid.universe import strict_index
 
 __all__ = [
     "DEFAULT_CHUNK_CELLS",
@@ -338,26 +339,36 @@ def nn_planes(
 def _nn_range_kernel(ctx, lo: int, hi: int, scratch, body=None):
     """One fold task: ``(avg values, Λ partials, Σ per-cell max)``.
 
-    Runs :func:`nn_planes` into scratch grids and divides by the
-    range's neighbor counts, computed into scratch as well.  Only the
-    per-cell average array — the task's result — is freshly allocated.
+    With native kernels the whole range is one C call
+    (``NativeKernels.nn_range``): it reads the range's planes and the
+    boundary planes ``lo - 1`` and ``hi`` — read here exactly as
+    :func:`nn_planes` reads them — and writes the per-cell averages
+    directly, so it takes no scratch.  The NumPy reference runs
+    :func:`nn_planes` into scratch grids and divides by the range's
+    neighbor counts, computed into scratch as well.  Only the per-cell
+    average array — the task's result — is freshly allocated.
     """
-    shape = (hi - lo,) + (ctx.universe.side,) * (ctx.universe.d - 1)
-    sums = scratch.take("nn_sums", shape, np.int64)
-    best = scratch.take("nn_best", shape, np.int64)
-    lambdas = [0] * ctx.universe.d
-    nn_planes(ctx, lo, hi, sums, best, lambdas, scratch, body)
-    counts = slab_neighbor_counts(
-        ctx.universe,
-        lo,
-        hi,
-        out=scratch.take("nn_counts", shape, np.int64),
-        kernels=ctx.kernels,
-    )
+    d, side = ctx.universe.d, ctx.universe.side
+    shape = (hi - lo,) + (side,) * (d - 1)
     # repro: allow[R004] — the task's *result* array: it leaves the
     # scratch arena and is merged in range order, so it cannot reuse a
     # per-thread buffer
     avg = np.empty(shape, dtype=np.float64)
+    kernels = ctx.kernels
+    if kernels is not None:
+        if body is None:
+            body = ctx._key_slab(lo, hi)
+        below = ctx._key_slab(lo - 1, lo) if lo > 0 else None
+        above = ctx._key_slab(hi, hi + 1) if hi < side else None
+        lambdas, max_sum = kernels.nn_range(body, below, above, side, d, avg)
+        return avg.reshape(-1), lambdas, max_sum
+    sums = scratch.take("nn_sums", shape, np.int64)
+    best = scratch.take("nn_best", shape, np.int64)
+    lambdas = [0] * d
+    nn_planes(ctx, lo, hi, sums, best, lambdas, scratch, body)
+    counts = slab_neighbor_counts(
+        ctx.universe, lo, hi, out=scratch.take("nn_counts", shape, np.int64)
+    )
     np.divide(sums, counts, out=avg)
     return avg.reshape(-1), lambdas, int(best.sum())
 
@@ -441,9 +452,7 @@ def nn_block_reduction(ctx) -> dict:
 def check_window(ctx, window) -> int:
     """``window`` as an ``int`` in ``[1, n)``; bools, floats and other
     non-integers raise ``ValueError`` rather than being truncated."""
-    if isinstance(window, bool) or not hasattr(window, "__index__"):
-        raise ValueError(f"window must be an integer, got {window!r}")
-    window = operator.index(window)
+    window = strict_index(window, "window")
     if not 1 <= window < ctx.universe.n:
         raise ValueError(f"window must be in [1, n), got {window}")
     return window

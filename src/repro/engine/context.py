@@ -49,9 +49,10 @@ no memory over the dense mode.
 
 **One runner, two folds.**  Every NN metric reads one memoized result
 of :func:`repro.engine.chunked.nn_block_reduction`, which walks axis-0
-plane ranges with the self-contained range kernel
-:func:`~repro.engine.chunked.nn_planes` (it reads its own boundary
-planes, so the per-cell state it leaves is final).  Every window
+plane ranges with the self-contained range task
+:func:`~repro.engine.chunked._nn_range_kernel` — one native call, or
+:func:`~repro.engine.chunked.nn_planes` on NumPy (either reads its own
+boundary planes, so the per-cell state it leaves is final).  Every window
 dilation reads one memoized result of
 :func:`~repro.engine.chunked.window_max_reduction`, which walks
 curve-position ranges and merges block maxima.  The modes differ only

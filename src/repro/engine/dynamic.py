@@ -49,7 +49,6 @@ pass over the *same* point set) and re-keyed onto the winner.  See
 
 from __future__ import annotations
 
-import operator
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -59,6 +58,7 @@ import numpy as np
 from repro.core.optimal import population_stretch, select_curve
 from repro.engine.context import MetricContext, get_context
 from repro.engine.pool import ContextPool
+from repro.grid.universe import strict_index
 
 __all__ = [
     "DynamicMetrics",
@@ -102,9 +102,7 @@ class DynamicMetrics:
 def _positive_int(value, name: str) -> int:
     """``value`` as an ``int >= 1``; bools and non-integers (``2.5``)
     raise ``ValueError`` rather than being truncated."""
-    if isinstance(value, bool) or not hasattr(value, "__index__"):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    value = operator.index(value)
+    value = strict_index(value, name)
     if value < 1:
         raise ValueError(f"{name} must be >= 1")
     return value

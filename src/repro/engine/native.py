@@ -1,7 +1,8 @@
 """The native compiled kernel backend: build, load, dispatch.
 
-The hot block paths of the metric engine — the NN pair fold, slab
-neighbor counts, window block maxima, and the registry curves'
+The hot block paths of the metric engine — the fused NN range fold,
+the NN pair fold and slab neighbor counts behind the per-cell grids,
+window block maxima, and the registry curves'
 encode/decode and key-grid slabs — have C implementations in
 ``native_kernels.c`` (shipped in-tree next to this module).  The first
 use on a machine compiles them with the system C compiler into a
@@ -92,17 +93,35 @@ class _I64Array:
     keeps the call's arrays alive until a full ``gc`` pass.
     """
 
+    dtype = np.dtype(np.int64)
+
     @classmethod
     def from_param(cls, obj):
         if not isinstance(obj, np.ndarray):
             raise TypeError("argument must be an ndarray")
-        if obj.dtype != np.int64:
+        if obj.dtype != cls.dtype:
             raise TypeError(
-                f"array must have data type int64, got {obj.dtype}"
+                f"array must have data type {cls.dtype}, got {obj.dtype}"
             )
         if not obj.flags.c_contiguous:
             raise TypeError("array must be C_CONTIGUOUS")
         return ctypes.c_void_p(obj.ctypes.data)
+
+
+class _F64Array(_I64Array):
+    """The float64 twin of :class:`_I64Array`."""
+
+    dtype = np.dtype(np.float64)
+
+
+class _OptionalI64Array(_I64Array):
+    """:class:`_I64Array`, or ``None`` passed as a NULL pointer."""
+
+    @classmethod
+    def from_param(cls, obj):
+        if obj is None:
+            return ctypes.c_void_p()
+        return super().from_param(obj)
 
 
 _i64 = ctypes.c_int64
@@ -246,6 +265,11 @@ class NativeKernels:
             _i64, _i64, _i64, _i64, _I64Array
         ]
         lib.repro_neighbor_counts.restype = None
+        lib.repro_nn_range.argtypes = [
+            _I64Array, _OptionalI64Array, _OptionalI64Array,
+            _i64, _i64, _i64, _F64Array, _I64Array,
+        ]
+        lib.repro_nn_range.restype = _i64
         for name in ("repro_window_max_manhattan",
                      "repro_window_max_euclidean_sq"):
             fn = getattr(lib, name)
@@ -295,6 +319,37 @@ class NativeKernels:
     ) -> np.ndarray:
         self._lib.repro_neighbor_counts(d, side, lo, hi, out)
         return out
+
+    def nn_range(
+        self,
+        body: np.ndarray,
+        below: Optional[np.ndarray],
+        above: Optional[np.ndarray],
+        side: int,
+        d: int,
+        avg: np.ndarray,
+    ) -> tuple:
+        """The NN fold of one range in one C pass (``_nn_range_kernel``).
+
+        ``body`` holds the range's key planes, ``below``/``above`` the
+        adjacent boundary planes (``None`` at the grid edge).  Writes
+        the per-cell ``D^avg`` terms into the float64 ``avg`` (the
+        size of ``body``) and returns ``(Λ partials, Σ per-cell
+        max)``.
+        """
+        plane = side ** (d - 1)
+        if side < 2 or not body.size or body.size % plane:
+            raise ValueError("body must hold whole planes of side >= 2")
+        if avg.size != body.size:
+            raise ValueError("avg must have the size of body")
+        for edge in (below, above):
+            if edge is not None and edge.size != plane:
+                raise ValueError("a boundary plane must hold one plane")
+        lam = np.empty(d, dtype=np.int64)
+        max_sum = self._lib.repro_nn_range(
+            body, below, above, body.size // plane, side, d, avg, lam
+        )
+        return lam.tolist(), int(max_sum)
 
     # -- window maxima -------------------------------------------------
     def window_max(

@@ -3,16 +3,18 @@
  * Compiled on demand by repro.engine.native with the system C compiler
  * into a per-machine cached shared library and loaded through ctypes.
  * Every kernel mirrors one NumPy reference implementation *exactly*:
- * all stretch arithmetic stays in int64 (order-free), float division
- * and the order-sensitive pairwise mean remain on the Python side, so
- * results are bit-for-bit identical to the NumPy backend (the parity
+ * all stretch arithmetic stays in int64 (order-free); the one float
+ * operation, the D^avg divide of repro_nn_range, is a single correctly
+ * rounded IEEE-754 division of the same two doubles NumPy divides; the
+ * order-sensitive pairwise mean remains on the Python side.  Results
+ * are therefore bit-for-bit identical to the NumPy backend (the parity
  * argument is spelled out in docs/performance.md and enforced by
  * tests/engine/test_native.py).
  *
  * Array layout contract: every array argument is a C-contiguous int64
- * buffer.  A "slab" of t key planes has t * side^(d-1) cells, with
- * grid axis a >= 1 at stride side^(d-1-a) — the layout of
- * MetricContext.iter_key_slabs slabs.
+ * buffer (repro_nn_range's averages are float64).  A "slab" of t key
+ * planes has t * side^(d-1) cells, with grid axis a >= 1 at stride
+ * side^(d-1-a) — the layout of MetricContext.iter_key_slabs slabs.
  */
 
 #include <stdint.h>
@@ -114,6 +116,149 @@ EXPORT void repro_neighbor_counts(
     }
 }
 
+/* Bounds the dimension of a fold range (side >= 2, so 2^d <= n) and
+ * of the curve kernels below. */
+#define REPRO_MAX_D 62
+
+/* One cell of a fold range: `left`/`right` are its distances along
+ * the last axis (0 where there is no neighbour), `nb` its L neighbour
+ * lines along the other axes, axis by axis, lower one first.  A
+ * missing neighbour line is the cell's own line, so it adds distance
+ * 0 to the sum and to the max (distances are >= 0).  Writes the
+ * cell's average, adds the lower neighbours' distances into lam (each
+ * pair counted once, at its upper endpoint) and returns the max. */
+static inline __attribute__((always_inline)) int64_t nn_cell(
+    const int64_t *const *restrict nb, const int64_t L, int64_t v,
+    int64_t k, int64_t left, int64_t right, double count,
+    double *restrict avg, int64_t *restrict lam)
+{
+    int64_t sum = left + right, best = i64max(left, right);
+#pragma GCC unroll 6
+    for (int64_t j = 0; j < L; ++j) {
+        int64_t dist = i64abs(nb[j][v] - k);
+        sum += dist;
+        best = i64max(best, dist);
+        if (!(j & 1)) lam[j >> 1] += dist;
+    }
+    avg[v] = (double)sum / count;
+    return best;
+}
+
+/* One line of `side` cells along the last grid axis (stride 1), whose
+ * L = 2(d-1) neighbour lines hold `present` real ones.  Writes the
+ * line's averages, adds its Λ partials into lam[0 .. d-1] and returns
+ * its sum of per-cell maxima.  The two end cells are peeled, so every
+ * inner cell divides by the same count (side >= 2).  A literal L
+ * unrolls the neighbour loop. */
+static inline __attribute__((always_inline)) int64_t nn_line(
+    const int64_t *restrict line, const int64_t *const *restrict nb,
+    const int64_t L, int64_t present, int64_t side,
+    double *restrict avg, int64_t *restrict lam)
+{
+    int64_t right = i64abs(line[1] - line[0]);
+    int64_t max_sum = nn_cell(
+        nb, L, 0, line[0], 0, right, (double)(present + 1), avg, lam);
+    int64_t lam_last = 0;
+    double inner = (double)(present + 2);
+    for (int64_t v = 1; v + 1 < side; ++v) {
+        int64_t k = line[v], left = right;
+        right = i64abs(line[v + 1] - k);
+        lam_last += left;
+        max_sum += nn_cell(nb, L, v, k, left, right, inner, avg, lam);
+    }
+    lam_last += right;
+    max_sum += nn_cell(
+        nb, L, side - 1, line[side - 1], right, 0, (double)(present + 1),
+        avg, lam);
+    lam[L >> 1] += lam_last;
+    return max_sum;
+}
+
+/* d = 1: the range is one run of t cells along axis 0, whose outer
+ * neighbours are the boundary cells `below` and `above`. */
+static int64_t nn_range_1d(
+    const int64_t *body, const int64_t *below, const int64_t *above,
+    int64_t t, double *avg, int64_t *lambdas)
+{
+    int64_t max_sum = 0, lam = 0;
+    for (int64_t r = 0; r < t; ++r) {
+        int64_t k = body[r];
+        const int64_t *lo = r > 0 ? body + r - 1 : below;
+        const int64_t *hi = r + 1 < t ? body + r + 1 : above;
+        int64_t dl = lo ? i64abs(*lo - k) : 0;
+        int64_t dh = hi ? i64abs(*hi - k) : 0;
+        lam += dl;
+        max_sum += i64max(dl, dh);
+        avg[r] = (double)(dl + dh) / (double)((lo != 0) + (hi != 0));
+    }
+    lambdas[0] = lam;
+    return max_sum;
+}
+
+/* The whole NN fold of one range x_0 in [lo, hi) in one gather pass,
+ * replacing repro_nn_block_pairs + repro_neighbor_counts + the NumPy
+ * divide: `body` is the range's t >= 1 key planes of side >= 2,
+ * `below` and `above` the planes lo-1 and hi (NULL at the grid edge).  Every cell reads its
+ * <= 2d neighbours and writes avg[c] = (double)sum / (double)|N(c)|;
+ * lambdas[axis] receives the range's Λ partials, each pair counted at
+ * its upper endpoint (the pair (lo-1, lo) here, (hi-1, hi) in the next
+ * range — the convention of repro.engine.chunked.nn_planes); the
+ * return value is the range's sum of per-cell maxima. */
+EXPORT int64_t repro_nn_range(
+    const int64_t *body, const int64_t *below, const int64_t *above,
+    int64_t t, int64_t side, int64_t d, double *avg, int64_t *lambdas)
+{
+    for (int64_t a = 0; a < d; ++a) lambdas[a] = 0;
+    if (d == 1) return nn_range_1d(body, below, above, t, avg, lambdas);
+
+    int64_t plane = 1;
+    for (int64_t i = 0; i < d - 1; ++i) plane *= side;
+    int64_t stride[REPRO_MAX_D], x[REPRO_MAX_D];
+    const int64_t *nb[2 * REPRO_MAX_D];
+    stride[d - 1] = 1;
+    for (int64_t a = d - 2; a >= 1; --a) stride[a] = stride[a + 1] * side;
+
+    int64_t max_sum = 0;
+    for (int64_t r = 0; r < t; ++r) {
+        const int64_t *cur = body + r * plane;
+        const int64_t *prev = r > 0 ? cur - plane : below;
+        const int64_t *next = r + 1 < t ? cur + plane : above;
+        for (int64_t a = 1; a < d - 1; ++a) x[a] = 0;
+        for (int64_t off = 0; off < plane; off += side) {
+            const int64_t *line = cur + off;
+            int64_t present = (prev != 0) + (next != 0);
+            nb[0] = prev ? prev + off : line;
+            nb[1] = next ? next + off : line;
+            for (int64_t a = 1; a < d - 1; ++a) {
+                int64_t has_lo = x[a] > 0, has_hi = x[a] + 1 < side;
+                nb[2 * a] = has_lo ? line - stride[a] : line;
+                nb[2 * a + 1] = has_hi ? line + stride[a] : line;
+                present += has_lo + has_hi;
+            }
+            double *out = avg + r * plane + off;
+            /* A literal L for 2D and 3D, the grids the benchmark folds;
+             * every other d takes the runtime-L loop (docs/performance.md
+             * gives the measured gap). */
+            switch (d) {
+            case 2:
+                max_sum += nn_line(line, nb, 2, present, side, out, lambdas);
+                break;
+            case 3:
+                max_sum += nn_line(line, nb, 4, present, side, out, lambdas);
+                break;
+            default:
+                max_sum += nn_line(
+                    line, nb, 2 * (d - 1), present, side, out, lambdas);
+            }
+            for (int64_t a = d - 2; a >= 1; --a) {
+                if (++x[a] < side) break;
+                x[a] = 0;
+            }
+        }
+    }
+    return max_sum;
+}
+
 /* ------------------------------------------------------------------ */
 /* Window dilation block maxima                                        */
 /* ------------------------------------------------------------------ */
@@ -175,8 +320,7 @@ EXPORT int64_t repro_delta_fold(
 /* ------------------------------------------------------------------ */
 
 /* The Python side guarantees k >= 1, k * d <= 62 for every bitwise
- * kernel, so d <= 62 and keys fit in int64. */
-#define REPRO_MAX_D 62
+ * kernel, so d <= REPRO_MAX_D and keys fit in int64. */
 
 /* Morton interleave: coordinate bit b of axis i lands at key bit
  * b*d + (d-1-i) — the layout of repro.curves.zcurve.interleave_bits. */

@@ -13,6 +13,7 @@ power-of-two side (Z, Gray, Hilbert) check :attr:`Universe.k` themselves.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -28,6 +29,15 @@ def _is_power_of(value: int, base: int) -> bool:
     while value % base == 0:
         value //= base
     return value == 1
+
+
+def strict_index(value, what: str) -> int:
+    """``value`` as an ``int``; bools, floats and other non-integers
+    raise ``ValueError`` rather than being truncated or read as 0/1.
+    Integer types such as ``np.int64`` pass."""
+    if isinstance(value, bool) or not hasattr(value, "__index__"):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return operator.index(value)
 
 
 def _as_int64(arr: np.ndarray, what: str) -> np.ndarray:

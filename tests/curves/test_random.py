@@ -32,6 +32,32 @@ class TestRandomCurve:
     def test_works_on_any_side(self):
         assert RandomCurve(Universe(d=3, side=5), seed=0).is_bijection()
 
+    @pytest.mark.parametrize("seed", [True, False, 1.0, 1.5, "3"])
+    def test_non_integer_seed_refused(self, seed):
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            RandomCurve(Universe(d=2, side=4), seed=seed)
+
+    def test_numpy_integer_seed_accepted(self):
+        u = Universe(d=2, side=4)
+        curve = RandomCurve(u, seed=np.int64(3))
+        assert type(curve.seed) is int
+        assert np.array_equal(
+            curve.key_grid(), RandomCurve(u, seed=3).key_grid()
+        )
+
+    def test_bool_seed_is_a_sweep_construction_error(self):
+        """``random:seed=true`` no longer runs seed 1 under its own
+        label; the sweep skips it like ``random:seed=-1``."""
+        from repro.engine.sweep import Sweep
+
+        result = Sweep(
+            dims=[2], sides=[4], curves=["random:seed=true"],
+            metrics=["davg"], reports=False,
+        ).run()
+        assert result.records == []
+        (skip,) = result.skipped
+        assert skip.reason.startswith("construction error: seed must be")
+
 
 class TestExpectedStretch:
     def test_formula(self):

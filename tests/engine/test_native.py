@@ -8,8 +8,9 @@ reference exactly (``==``, never ``approx``).  These tests exercise
   non-power-of-two sides, degenerate ``side=1`` grids and transform
   wrappers) against the independent :meth:`index`/:meth:`coords`
   implementations;
-* the metric parity matrix {dense, chunked, threaded} x
-  {numpy, native};
+* the metric parity matrix {dense, threaded dense, chunked, threaded,
+  one plane per chunk} x {numpy, native} on d = 1 to 5, and the fused
+  native range kernel against the NumPy range kernel, range by range;
 * backend resolution, ``REPRO_NATIVE=0``, and the warn-once fallback
   when ``backend="native"`` cannot be honored.
 
@@ -19,6 +20,7 @@ the degradation path itself is tested unconditionally.
 
 from __future__ import annotations
 
+import ctypes
 import os
 import warnings
 
@@ -191,10 +193,43 @@ class TestBatchCodecParity:
 
 
 # ----------------------------------------------------------------------
-# Metric parity matrix: {dense, chunked, threaded} x {numpy, native}
+# Metric parity matrix: {dense, threaded dense, chunked, threaded,
+# one plane per chunk} x {numpy, native}
 # ----------------------------------------------------------------------
 MATRIX_SPECS = ("hilbert", "z", "snake")
-MATRIX_UNIVERSES = [Universe(d=2, side=8), Universe(d=3, side=4)]
+#: Every specialisation of the fused range kernel ``repro_nn_range``:
+#: d = 1, the unrolled d = 2 and 3 line loops and the generic d >= 4.
+MATRIX_UNIVERSES = [
+    Universe(d=1, side=9),
+    Universe(d=2, side=8),
+    Universe(d=2, side=9),
+    Universe(d=3, side=4),
+    Universe(d=3, side=5),
+    Universe(d=4, side=3),
+    Universe(d=5, side=2),
+]
+#: (universe, spec) pairs whose curve constructs: Hilbert and Z need
+#: power-of-two sides, snake runs everywhere.
+MATRIX_CASES = [
+    pytest.param(universe, spec, id=f"{universe.d}x{universe.side}-{spec}")
+    for universe in MATRIX_UNIVERSES
+    for spec in MATRIX_SPECS
+    if spec in curves_for_universe(universe)
+]
+
+
+def _matrix_kwargs(mode: str, universe: Universe) -> dict:
+    """Context options of a parity-matrix mode."""
+    plane = universe.side ** (universe.d - 1)
+    return {
+        "dense": {},
+        "dense_threaded": {"threads": 2},
+        "chunked": {"chunk_cells": 17},  # awkward block size on purpose
+        "threaded": {"chunk_cells": 17, "threads": 3},
+        # One plane per range: every inner range reads both a
+        # ``below`` and an ``above`` boundary plane.
+        "plane": {"chunk_cells": plane},
+    }[mode]
 
 
 def _metric_values(ctx: MetricContext) -> dict:
@@ -210,21 +245,13 @@ def _metric_values(ctx: MetricContext) -> dict:
 
 @requires_native
 class TestMetricParityMatrix:
-    @pytest.mark.parametrize(
-        "universe", MATRIX_UNIVERSES, ids=lambda u: f"{u.d}x{u.side}"
-    )
-    @pytest.mark.parametrize("spec", MATRIX_SPECS)
+    @pytest.mark.parametrize("universe, spec", MATRIX_CASES)
     @pytest.mark.parametrize(
         "mode",
-        ["dense", "chunked", "threaded"],
+        ["dense", "dense_threaded", "chunked", "threaded", "plane"],
     )
     def test_native_equals_numpy_exactly(self, universe, spec, mode):
-        kwargs = {}
-        if mode == "chunked":
-            kwargs["chunk_cells"] = 17  # awkward block size on purpose
-        elif mode == "threaded":
-            kwargs["chunk_cells"] = 17
-            kwargs["threads"] = 3
+        kwargs = _matrix_kwargs(mode, universe)
         curve = CurveSpec.parse(spec).make(universe)
         got = _metric_values(
             MetricContext(curve, backend="native", **kwargs)
@@ -232,9 +259,88 @@ class TestMetricParityMatrix:
         want = _metric_values(
             MetricContext(curve, backend="numpy", **kwargs)
         )
-        # Exact equality, floats included: the C kernels only produce
-        # int64 partials; float math stays in Python on both paths.
+        # Exact equality, floats included: the C kernels produce int64
+        # partials and the D^avg terms by the same IEEE-754 division
+        # NumPy performs; the order-sensitive mean stays in Python on
+        # both paths.
         assert got == want
+
+    @pytest.mark.parametrize("layout", ["fortran", "transposed"])
+    @pytest.mark.parametrize("mode", ["dense", "dense_threaded"])
+    def test_key_grid_in_any_memory_order(self, layout, mode):
+        """A permutation curve built from an F-ordered or transposed key
+        grid: its key slabs reach the kernels by address, so they must
+        be C-contiguous whatever order the caller's array was in."""
+        from repro.curves.base import PermutationCurve
+        from repro.curves.zcurve import ZCurve
+
+        universe = Universe(d=3, side=4)
+        grid = ZCurve(universe).key_grid()
+        key_grid = {"fortran": np.asfortranarray(grid), "transposed": grid.T}
+        curve = PermutationCurve(universe, key_grid=key_grid[layout])
+        kwargs = _matrix_kwargs(mode, universe)
+        got = _metric_values(
+            MetricContext(curve, backend="native", **kwargs)
+        )
+        want = _metric_values(
+            MetricContext(curve, backend="numpy", **kwargs)
+        )
+        assert got == want
+
+    @pytest.mark.parametrize("universe, spec", MATRIX_CASES)
+    @pytest.mark.parametrize("mode", ["dense_threaded", "chunked", "plane"])
+    def test_range_kernel_matches_numpy_per_range(self, universe, spec, mode):
+        """Every fold range: the fused native task returns the NumPy
+        task's per-cell averages, Λ partials and Σ max exactly."""
+        from repro.engine.chunked import _nn_range_kernel, fold_ranges
+        from repro.engine.threads import ScratchBuffers
+
+        kwargs = _matrix_kwargs(mode, universe)
+        curve = CurveSpec.parse(spec).make(universe)
+        nat = MetricContext(curve, backend="native", **kwargs)
+        ref = MetricContext(curve, backend="numpy", **kwargs)
+        assert nat.kernels is not None and ref.kernels is None
+        ranges = fold_ranges(nat)
+        assert ranges == fold_ranges(ref)
+        for lo, hi in ranges:
+            avg, lambdas, max_sum = _nn_range_kernel(
+                nat, lo, hi, ScratchBuffers()
+            )
+            want_avg, want_lambdas, want_max = _nn_range_kernel(
+                ref, lo, hi, ScratchBuffers()
+            )
+            assert avg.dtype == np.float64
+            assert np.array_equal(avg, want_avg), (lo, hi)
+            assert lambdas == want_lambdas, (lo, hi)
+            assert max_sum == want_max, (lo, hi)
+
+    def test_nn_range_refuses_mismatched_buffers(self):
+        """The C kernel trusts its sizes, so the wrapper checks them."""
+        kernels = native.load_kernels()
+        body = np.zeros((2, 4), dtype=np.int64)
+        plane = np.zeros((1, 4), dtype=np.int64)
+        with pytest.raises(ValueError, match="size of body"):
+            kernels.nn_range(body, None, None, 4, 2, np.empty(7))
+        with pytest.raises(ValueError, match="one plane"):
+            kernels.nn_range(body, body, None, 4, 2, np.empty(8))
+        with pytest.raises(ValueError, match="side >= 2"):
+            kernels.nn_range(body[:, :1].copy(), None, None, 1, 2,
+                             np.empty(2))
+        with pytest.raises(ctypes.ArgumentError, match="float64"):
+            kernels.nn_range(body, plane, None, 4, 2, np.empty(8, "i8"))
+
+    def test_native_range_kernel_takes_no_scratch(self, u2_8):
+        """The fused kernel writes the result directly: no int64 sums,
+        maxima or counts scratch grids, unlike the NumPy reference."""
+        from repro.engine.chunked import _nn_range_kernel
+        from repro.engine.threads import ScratchBuffers
+
+        curve = CurveSpec.parse("hilbert").make(u2_8)
+        for backend, used in (("native", False), ("numpy", True)):
+            ctx = MetricContext(curve, backend=backend, chunk_cells=16)
+            scratch = ScratchBuffers()
+            _nn_range_kernel(ctx, 2, 4, scratch)
+            assert (scratch.nbytes > 0) is used, backend
 
     def test_dense_native_matches_dense_numpy_per_cell_grids(self, u2_8):
         curve = CurveSpec.parse("hilbert").make(u2_8)
