@@ -44,6 +44,12 @@ class SpaceFillingCurve(abc.ABC):
     name: str = "abstract"
 
     def __init__(self, universe: Universe) -> None:
+        if universe.n > 2**63:
+            # Keys run 0..n-1 and every path computes them in int64.
+            raise ValueError(
+                f"universe d={universe.d}, side={universe.side} has "
+                f"n={universe.n} cells: keys 0..n-1 exceed the int64 range"
+            )
         self.universe = universe
         self._key_grid_cache: Optional[np.ndarray] = None
         self._inverse_cache: Optional[np.ndarray] = None
@@ -222,6 +228,22 @@ class SpaceFillingCurve(abc.ABC):
         return None
 
 
+def bisect_largest(fits, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Per lane, the largest ``v`` in ``[lo, hi]`` with ``fits(v)``.
+
+    ``fits`` maps an int64 array of candidates to a boolean array; it
+    must hold at ``lo`` and, along each lane, hold up to some value and
+    fail beyond it.  The closed-form inverses use it to invert
+    monotone integer counts without floating point.
+    """
+    while np.any(lo < hi):
+        mid = (lo + hi + 1) // 2
+        ok = fits(mid)
+        lo = np.where(ok, mid, lo)
+        hi = np.where(ok, hi, mid - 1)
+    return lo
+
+
 def check_bijection(key_grid: np.ndarray, n: int) -> bool:
     """True iff the flattened key grid is a permutation of ``0..n−1``."""
     flat = np.asarray(key_grid).reshape(-1)
@@ -254,8 +276,8 @@ class PermutationCurve(SpaceFillingCurve):
 
     This realizes the paper's fully general definition: *any* bijection is
     an SFC.  Used for the Figure 1 curves, random bijections, and curves
-    built by recursive construction (Peano, spiral) where the natural
-    output is the visit order rather than a formula.
+    built by recursive construction (Peano) where the natural output is
+    the visit order rather than a formula.
     """
 
     name = "permutation"

@@ -42,10 +42,10 @@ Memory model: ``max_bytes`` bounds what is *retained*, ``chunk_cells``
 bounds what is *materialized at once*.  Methods that inherently return a
 dense ``O(n)`` array raise in chunked mode and name the block iterator
 to use instead.  The ``O(block)`` guarantee holds for procedural curves
-(Z, Gray, Hilbert, snake, simple); table-backed curves
-(:class:`repro.curves.base.PermutationCurve` subclasses such as
-``random`` or ``peano``) are already defined by a dense table and gain
-no memory over the dense mode.
+(Z, Gray, Hilbert, Moore, snake, simple, spiral, diagonal);
+table-backed curves (:class:`repro.curves.base.PermutationCurve`
+subclasses such as ``random`` or ``peano``) are already defined by a
+dense table and gain no memory over the dense mode.
 
 **One runner, two folds.**  Every NN metric reads one memoized result
 of :func:`repro.engine.chunked.nn_block_reduction`, which walks axis-0

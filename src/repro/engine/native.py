@@ -277,21 +277,33 @@ class NativeKernels:
             fn.restype = _i64
         lib.repro_delta_fold.argtypes = [_I64Array, _I64Array, _i64]
         lib.repro_delta_fold.restype = _i64
-        for name in ("repro_z_encode", "repro_z_decode",
-                     "repro_gray_encode", "repro_gray_decode",
-                     "repro_hilbert_encode", "repro_hilbert_decode",
-                     "repro_snake_encode", "repro_snake_decode"):
-            fn = getattr(lib, name)
-            fn.argtypes = [_I64Array, _i64, _i64, _i64, _I64Array]
+        for stem in ("z", "gray", "hilbert", "moore", "snake", "simple",
+                     "spiral"):
+            for way in ("encode", "decode"):
+                fn = getattr(lib, f"repro_{stem}_{way}")
+                fn.argtypes = [_I64Array, _i64, _i64, _i64, _I64Array]
+                fn.restype = None
+        for way in ("encode", "decode"):
+            fn = getattr(lib, f"repro_diagonal_{way}")
+            fn.argtypes = [
+                _I64Array, _i64, _i64, _i64, _OptionalI64Array, _I64Array
+            ]
             fn.restype = None
         lib.repro_xor_slab.argtypes = [_I64Array, _i64, _i64, _i64, _I64Array]
-        lib.repro_hilbert_slab.argtypes = [
-            _I64Array, _I64Array, _i64, _i64, _i64, _i64, _i64, _I64Array
+        for stem in ("hilbert", "moore"):
+            getattr(lib, f"repro_{stem}_slab").argtypes = [
+                _I64Array, _I64Array, _i64, _i64, _i64, _i64, _i64, _I64Array
+            ]
+        for stem in ("snake", "simple", "spiral"):
+            getattr(lib, f"repro_{stem}_slab").argtypes = [
+                _i64, _i64, _i64, _i64, _I64Array
+            ]
+        lib.repro_diagonal_slab.argtypes = [
+            _OptionalI64Array, _i64, _i64, _i64, _i64, _I64Array
         ]
-        lib.repro_snake_slab.argtypes = [_i64, _i64, _i64, _i64, _I64Array]
-        for fn in (lib.repro_xor_slab, lib.repro_hilbert_slab,
-                   lib.repro_snake_slab):
-            fn.restype = None
+        for name in ("xor", "hilbert", "moore", "snake", "simple", "spiral",
+                     "diagonal"):
+            getattr(lib, f"repro_{name}_slab").restype = None
         self._lib = lib
         self._tables: dict = {}
         self._tables_lock = threading.Lock()
@@ -407,16 +419,29 @@ _CUBE_BITS = 12
 
 class _Codec:
     """Batch encoder/decoder and key-grid slab builder of one curve
-    family on one universe."""
+    family on one universe.
+
+    ``arg`` is the curve order ``k`` of the bitwise families (Z, Gray,
+    Hilbert, Moore) and the side of the others; ``tables`` are extra
+    read-only arrays the kernels take after it (the diagonal curve's
+    prefix tables).
+    """
 
     def __init__(
-        self, kernels: NativeKernels, stem: str, d: int, side: int, arg: int
+        self,
+        kernels: NativeKernels,
+        stem: str,
+        d: int,
+        side: int,
+        arg: int,
+        tables: tuple = (),
     ) -> None:
         self._kernels = kernels
         self._stem = stem
         self._d = d
         self._side = side
         self._arg = arg
+        self._tables = tables
         self._encode = getattr(kernels._lib, f"repro_{stem}_encode")
         self._decode = getattr(kernels._lib, f"repro_{stem}_decode")
 
@@ -424,13 +449,15 @@ class _Codec:
         flat = np.ascontiguousarray(coords, dtype=np.int64)
         m = flat.size // flat.shape[-1]
         keys = np.empty(coords.shape[:-1], dtype=np.int64)
-        self._encode(flat, m, flat.shape[-1], self._arg, keys)
+        self._encode(flat, m, flat.shape[-1], self._arg, *self._tables, keys)
         return keys
 
     def decode(self, keys: np.ndarray) -> np.ndarray:
         flat = np.ascontiguousarray(keys, dtype=np.int64)
         coords = np.empty(keys.shape + (self._d,), dtype=np.int64)
-        self._decode(flat, flat.size, self._d, self._arg, coords)
+        self._decode(
+            flat, flat.size, self._d, self._arg, *self._tables, coords
+        )
         return coords
 
     def key_slab(self, lo: int, hi: int) -> np.ndarray:
@@ -439,9 +466,11 @@ class _Codec:
         The kernels derive each cell's coordinates from its position
         in the slab, so no coordinate array is built.  Z and Gray
         XOR one table per axis (:meth:`_axis_tables`); Hilbert works
-        in aligned sub-cubes sharing one key table; snake walks the
-        cells through its per-point arithmetic.  ``docs/performance.md``
-        has the exactness argument.
+        in aligned sub-cubes sharing one key table, and Moore runs the
+        same sub-cubes per quadrant through one axis swap and flip;
+        snake, simple, spiral and diagonal walk the cells through
+        their per-point closed forms.  ``docs/performance.md`` has the
+        exactness argument.
         """
         d, side = self._d, self._side
         if not 0 <= lo <= hi <= side:
@@ -452,17 +481,22 @@ class _Codec:
         if lo == hi:
             return out
         lib = self._kernels._lib
-        if self._stem == "snake":
-            lib.repro_snake_slab(d, side, lo, hi, out)
-        elif self._stem == "hilbert":
-            k = self._arg
+        stem = self._stem
+        if stem in ("hilbert", "moore"):
+            # Sub-cubes of the Hilbert grid, or of the Moore curve's four
+            # Hilbert quadrants of order k - 1.
+            k = self._arg - (stem == "moore")
             m = min(k, _CUBE_BITS // d)
             scratch = np.empty(d << m, dtype=np.int64)
             cube = self._kernels._hilbert_cube(d, m)
-            lib.repro_hilbert_slab(cube, scratch, d, k, m, lo, hi, out)
-        else:
+            slab = getattr(lib, f"repro_{stem}_slab")
+            slab(cube, scratch, d, k, m, lo, hi, out)
+        elif stem in ("z", "gray"):
             tables = self._axis_tables(lo, hi)
             lib.repro_xor_slab(tables, d, side, hi - lo, out)
+        else:
+            slab = getattr(lib, f"repro_{stem}_slab")
+            slab(*self._tables, d, side, lo, hi, out)
         return out
 
     def _axis_tables(self, lo: int, hi: int) -> np.ndarray:
@@ -561,29 +595,47 @@ def resolve_backend(backend: Optional[str]) -> str:
 def encoder_for(curve) -> Optional[_Codec]:
     """A native batch codec for ``curve``, or ``None`` if unsupported.
 
-    Covers the four analytically-coded registry families (Z, Gray,
-    Hilbert, snake).  Universes the NumPy implementations reject
-    (``k*d > 62``) or degenerate ones (``side=1``) return ``None`` so
-    the NumPy path keeps raising/handling them consistently.
+    Covers the eight closed-form registry families: the bitwise Z,
+    Gray, Hilbert and Moore, and snake, simple, spiral and diagonal.
+    Universes the NumPy implementations reject (``k*d > 62``) or
+    degenerate ones (``side=1``, a 1-D diagonal) return ``None`` so the
+    NumPy path keeps raising/handling them consistently.
     """
     kernels = load_kernels()
     if kernels is None:
         return None
+    from repro.curves.diagonal import DiagonalCurve
     from repro.curves.gray import GrayCurve
     from repro.curves.hilbert import HilbertCurve
+    from repro.curves.moore import MooreCurve
+    from repro.curves.simple import SimpleCurve
     from repro.curves.snake import SnakeCurve
+    from repro.curves.spiral import SpiralCurve
     from repro.curves.zcurve import ZCurve
 
     universe = curve.universe
     d, side = universe.d, universe.side
-    if type(curve) is SnakeCurve:
-        if side < 2 or universe.n > 2**62:
-            return None
-        return _Codec(kernels, "snake", d, side, side)
     # Exact types only: a subclass may change the mapping.
-    stem = {ZCurve: "z", GrayCurve: "gray", HilbertCurve: "hilbert"}.get(
-        type(curve)
-    )
+    kind = type(curve)
+    stem = {
+        SnakeCurve: "snake",
+        SimpleCurve: "simple",
+        SpiralCurve: "spiral",
+        DiagonalCurve: "diagonal",
+    }.get(kind)
+    if stem is not None:
+        if side < 2 or (stem == "diagonal" and d == 1):
+            return None
+        tables = ()
+        if stem == "diagonal":
+            tables = (curve.sum_tables() if d > 2 else None,)
+        return _Codec(kernels, stem, d, side, side, tables)
+    stem = {
+        ZCurve: "z",
+        GrayCurve: "gray",
+        HilbertCurve: "hilbert",
+        MooreCurve: "moore",
+    }.get(kind)
     if stem is not None:
         try:
             k = universe.k

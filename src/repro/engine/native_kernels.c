@@ -319,8 +319,10 @@ EXPORT int64_t repro_delta_fold(
 /* Curve encode / decode                                               */
 /* ------------------------------------------------------------------ */
 
-/* The Python side guarantees k >= 1, k * d <= 62 for every bitwise
- * kernel, so d <= REPRO_MAX_D and keys fit in int64. */
+/* The Python side guarantees k * d <= 62 for every bitwise kernel, so
+ * d <= REPRO_MAX_D and keys fit in int64.  k >= 1 for Z, Gray and
+ * Hilbert; a Moore quadrant is a Hilbert cube of order k - 1 >= 0, so
+ * the Hilbert helpers also take k = 0 (the one-cell cube, key 0). */
 
 /* Morton interleave: coordinate bit b of axis i lands at key bit
  * b*d + (d-1-i) — the layout of repro.curves.zcurve.interleave_bits. */
@@ -385,7 +387,7 @@ EXPORT void repro_gray_decode(
  * vectorized port in repro.curves.hilbert. */
 static void axes_to_transpose_point(int64_t *X, int64_t d, int64_t k)
 {
-    int64_t M = (int64_t)1 << (k - 1);
+    int64_t M = ((int64_t)1 << k) >> 1;
     for (int64_t Q = M; Q > 1; Q >>= 1) {
         int64_t P = Q - 1;
         for (int64_t i = 0; i < d; ++i) {
@@ -407,11 +409,11 @@ static void axes_to_transpose_point(int64_t *X, int64_t d, int64_t k)
 
 static void transpose_to_axes_point(int64_t *X, int64_t d, int64_t k)
 {
-    int64_t N = (int64_t)2 << (k - 1);
+    int64_t N = (int64_t)1 << k;
     int64_t t = X[d - 1] >> 1;
     for (int64_t i = d - 1; i > 0; --i) X[i] ^= X[i - 1];
     X[0] ^= t;
-    for (int64_t Q = 2; Q != N; Q <<= 1) {
+    for (int64_t Q = 2; Q < N; Q <<= 1) {
         int64_t P = Q - 1;
         for (int64_t i = d - 1; i >= 0; --i) {
             if (X[i] & Q) {
@@ -550,7 +552,7 @@ static int64_t hilbert_corner(
         perm[i] = i;
         flip[i] = 0;
     }
-    for (int64_t Q = (int64_t)1 << (k - 1); Q > low; Q >>= 1) {
+    for (int64_t Q = ((int64_t)1 << k) >> 1; Q > low; Q >>= 1) {
         int64_t P = Q - 1;
         for (int64_t i = 0; i < d; ++i) {
             if (X[i] & Q) {
@@ -570,29 +572,34 @@ static int64_t hilbert_corner(
     }
     for (int64_t i = 1; i < d; ++i) X[i] ^= X[i - 1];
     int64_t t = 0;
-    for (int64_t Q = (int64_t)1 << (k - 1); Q > low; Q >>= 1)
+    for (int64_t Q = ((int64_t)1 << k) >> 1; Q > low; Q >>= 1)
         if (X[d - 1] & Q) t ^= Q - 1;
     *parity = (t & low) != 0;
     for (int64_t i = 0; i < d; ++i) X[i] = (X[i] ^ t) & ~low;
     return interleave_point(X, d, k);
 }
 
-/* Hilbert slab by aligned sub-cubes of side 2^m:
- *   key(c + l) = H(c) | (T[sigma_c(l)] ^ (p_c ? 2^(m*d) - 1 : 0))
- * with T the k = m Hilbert keys of the local cube in C order.  `LT`
- * is d * 2^m scratch: per sub-cube, LT[a][v] is the T-index bits that
- * l_a = v contributes, so sigma_c(l) = OR_a LT[a][l_a].  Sub-cubes on
- * axis 0 are clipped to [lo, hi). */
-EXPORT void repro_hilbert_slab(
+/* Hilbert keys of one box of side 2^k, by aligned sub-cubes of side
+ * 2^m.  The box is seen through a signed axis permutation: box cell b
+ * has Hilbert coordinates h_j = F[j] ? 2^k - 1 - b[pi[j]] : b[pi[j]]
+ * and key add + H(h), with add a multiple of 2^(k*d).  Per sub-cube
+ * with Hilbert corner c,
+ *   H(c + l) = H(c) | (T[sigma_c(l)] ^ (p_c ? 2^(m*d) - 1 : 0))
+ * with T the k = m Hilbert keys of the local cube in C order.  `LT` is
+ * d * 2^m scratch: per sub-cube, LT[a][v] is the T-index bits that the
+ * box-local offset l_a = v contributes, so sigma_c(l) = OR_a LT[a][l_a];
+ * the box map only relabels and flips those rows.  Box rows b_0 in
+ * [lo, hi) are written, cell b at out + (b_0 - lo) * stride[0] +
+ * sum_{a >= 1} b_a * stride[a], with stride[d-1] = 1. */
+static void hilbert_box(
     const int64_t *T, int64_t *LT, int64_t d, int64_t k, int64_t m,
-    int64_t lo, int64_t hi, int64_t *out)
+    const int64_t *pi, const int64_t *F, int64_t add,
+    int64_t lo, int64_t hi, const int64_t *stride, int64_t *out)
 {
     int64_t side = (int64_t)1 << k, cube = (int64_t)1 << m;
-    int64_t stride[REPRO_MAX_D], c[REPRO_MAX_D], perm[REPRO_MAX_D];
+    int64_t c[REPRO_MAX_D], h[REPRO_MAX_D], perm[REPRO_MAX_D];
     int64_t flip[REPRO_MAX_D], l[REPRO_MAX_D], first[REPRO_MAX_D];
     int64_t last[REPRO_MAX_D];
-    stride[d - 1] = 1;
-    for (int64_t a = d - 2; a >= 0; --a) stride[a] = stride[a + 1] * side;
     for (int64_t a = 0; a < d; ++a) {
         c[a] = 0;
         first[a] = 0;
@@ -600,12 +607,18 @@ EXPORT void repro_hilbert_slab(
     }
     c[0] = lo & ~(cube - 1);
     for (;;) {
+        for (int64_t j = 0; j < d; ++j)
+            h[j] = F[j] ? side - cube - c[pi[j]] : c[pi[j]];
         int64_t parity;
-        int64_t high = hilbert_corner(c, d, k, m, perm, flip, &parity);
+        /* H(c) has no bits below m*d and add none below k*d, so the
+         * sum ORs with the local keys. */
+        int64_t high = add + hilbert_corner(h, d, k, m, perm, flip, &parity);
         int64_t pmask = parity ? ((int64_t)1 << (m * d)) - 1 : 0;
         for (int64_t i = 0; i < d; ++i) {
-            int64_t shift = m * (d - 1 - i), f = flip[i] ? cube - 1 : 0;
-            int64_t *row = LT + perm[i] * cube;
+            int64_t j = perm[i];
+            int64_t shift = m * (d - 1 - i);
+            int64_t f = (flip[i] ^ F[j]) ? cube - 1 : 0;
+            int64_t *row = LT + pi[j] * cube;
             for (int64_t v = 0; v < cube; ++v) row[v] = (v ^ f) << shift;
         }
         first[0] = (lo > c[0] ? lo : c[0]) - c[0];
@@ -642,6 +655,98 @@ EXPORT void repro_hilbert_slab(
     }
 }
 
+/* Hilbert slab: the box of the whole grid, unpermuted.  T and LT as
+ * in hilbert_box. */
+EXPORT void repro_hilbert_slab(
+    const int64_t *T, int64_t *LT, int64_t d, int64_t k, int64_t m,
+    int64_t lo, int64_t hi, int64_t *out)
+{
+    int64_t side = (int64_t)1 << k;
+    int64_t stride[REPRO_MAX_D], pi[REPRO_MAX_D], F[REPRO_MAX_D];
+    stride[d - 1] = 1;
+    for (int64_t a = d - 2; a >= 0; --a) stride[a] = stride[a + 1] * side;
+    for (int64_t a = 0; a < d; ++a) {
+        pi[a] = a;
+        F[a] = 0;
+    }
+    hilbert_box(T, LT, d, k, m, pi, F, 0, lo, hi, stride, out);
+}
+
+/* The Moore curve of order k (side 2s, s = 2^(k-1)) on its cell x:
+ * quadrant q holds keys [q s^2, (q+1) s^2); the left half reads its
+ * local (u, v) as the Hilbert cell (v, s-1-u), the right half as
+ * (s-1-v, u) — the layout of repro.curves.moore. */
+static inline int64_t moore_point(const int64_t *x, int64_t k)
+{
+    int64_t h = k - 1, s = (int64_t)1 << h;
+    int64_t right = x[0] >= s, top = x[1] >= s;
+    int64_t u = x[0] - right * s, v = x[1] - top * s;
+    int64_t X[2];
+    X[0] = right ? s - 1 - v : v;
+    X[1] = right ? u : s - 1 - u;
+    axes_to_transpose_point(X, 2, h);
+    int64_t q = right ? 3 - top : top;
+    return q * s * s + interleave_point(X, 2, h);
+}
+
+EXPORT void repro_moore_encode(
+    const int64_t *coords, int64_t m, int64_t d, int64_t k, int64_t *keys)
+{
+    (void)d;
+    for (int64_t r = 0; r < m; ++r) keys[r] = moore_point(coords + 2 * r, k);
+}
+
+EXPORT void repro_moore_decode(
+    const int64_t *keys, int64_t m, int64_t d, int64_t k, int64_t *coords)
+{
+    (void)d;
+    int64_t h = k - 1, s = (int64_t)1 << h;
+    for (int64_t r = 0; r < m; ++r) {
+        int64_t q = keys[r] / (s * s), X[2];
+        deinterleave_point(keys[r] % (s * s), 2, h, X);
+        transpose_to_axes_point(X, 2, h);
+        int64_t right = q >= 2, top = q == 1 || q == 2;
+        int64_t *x = coords + 2 * r;
+        x[0] = (right ? X[1] : s - 1 - X[1]) + right * s;
+        x[1] = (right ? s - 1 - X[0] : X[0]) + top * s;
+    }
+}
+
+/* Moore slab of the curve of order h + 1 (d = 2): per quadrant, the
+ * rows of [lo, hi) it holds as one Hilbert box of order h (T, LT and m
+ * as for that box). */
+EXPORT void repro_moore_slab(
+    const int64_t *T, int64_t *LT, int64_t d, int64_t h, int64_t m,
+    int64_t lo, int64_t hi, int64_t *out)
+{
+    (void)d;
+    int64_t s = (int64_t)1 << h;
+    const int64_t stride[2] = {2 * s, 1}, pi[2] = {1, 0};
+    const int64_t left[2] = {0, 1}, right[2] = {1, 0};
+    for (int64_t qx = 0; qx < 2; ++qx) {
+        int64_t blo = lo > qx * s ? lo : qx * s;
+        int64_t bhi = hi < qx * s + s ? hi : qx * s + s;
+        if (blo >= bhi) continue;
+        for (int64_t qy = 0; qy < 2; ++qy) {
+            int64_t q = qx ? 3 - qy : qy;
+            hilbert_box(T, LT, 2, h, m, pi, qx ? right : left,
+                        q * s * s, blo - qx * s, bhi - qx * s, stride,
+                        out + (blo - lo) * stride[0] + qy * s);
+        }
+    }
+}
+
+/* Advance the C-order position x of a slab by one cell: the last axis
+ * fastest, axis 0 (the slab's row) slowest. */
+static inline void next_cell(int64_t *x, int64_t d, int64_t side)
+{
+    for (int64_t a = d - 1; a > 0; --a) {
+        if (++x[a] < side) return;
+        x[a] = 0;
+    }
+    ++x[0];
+}
+
 /* Snake slab: the per-point arithmetic above, with the coordinates
  * walked in C order from (lo, 0, ..., 0). */
 EXPORT void repro_snake_slab(
@@ -655,11 +760,216 @@ EXPORT void repro_snake_slab(
     int64_t total = (hi - lo) * top;
     for (int64_t r = 0; r < total; ++r) {
         out[r] = snake_point(x, d, side, top);
-        int64_t a = d - 1;
-        for (; a > 0; --a) {
-            if (++x[a] < side) break;
-            x[a] = 0;
+        next_cell(x, d, side);
+    }
+}
+
+/* ------------------------------------------------------------------ */
+/* Closed-form curves: simple, spiral, diagonal                        */
+/* ------------------------------------------------------------------ */
+
+/* Every key below is a sum of non-negative terms bounded by the final
+ * key (< n <= 2^63), so no intermediate wraps; see docs/performance.md.
+ * The Python side serves side >= 2 only. */
+
+/* Simple curve (row-major): key = sum_a x_a side^a, by Horner. */
+EXPORT void repro_simple_encode(
+    const int64_t *coords, int64_t m, int64_t d, int64_t side,
+    int64_t *keys)
+{
+    for (int64_t r = 0; r < m; ++r) {
+        const int64_t *x = coords + r * d;
+        int64_t key = 0;
+        for (int64_t a = d - 1; a >= 0; --a) key = key * side + x[a];
+        keys[r] = key;
+    }
+}
+
+EXPORT void repro_simple_decode(
+    const int64_t *keys, int64_t m, int64_t d, int64_t side,
+    int64_t *coords)
+{
+    for (int64_t r = 0; r < m; ++r) {
+        int64_t rest = keys[r];
+        for (int64_t a = 0; a < d; ++a) {
+            coords[r * d + a] = rest % side;
+            rest /= side;
         }
-        if (a == 0) ++x[0];
+    }
+}
+
+/* Simple slab: each line along the last axis is base + v * side^(d-1). */
+EXPORT void repro_simple_slab(
+    int64_t d, int64_t side, int64_t lo, int64_t hi, int64_t *out)
+{
+    if (d == 1) {
+        for (int64_t v = lo; v < hi; ++v) *out++ = v;
+        return;
+    }
+    int64_t x[REPRO_MAX_D];
+    int64_t top = 1;
+    for (int64_t i = 0; i < d - 1; ++i) top *= side;
+    for (int64_t a = 0; a < d; ++a) x[a] = 0;
+    x[0] = lo;
+    int64_t lines = (hi - lo) * (top / side);
+    for (int64_t i = 0; i < lines; ++i) {
+        int64_t base = 0;
+        for (int64_t a = d - 2; a >= 0; --a) base = base * side + x[a];
+        for (int64_t v = 0; v < side; ++v) *out++ = base + v * top;
+        x[d - 1] = side - 1;
+        next_cell(x, d, side);
+    }
+}
+
+/* Inward spiral on side s: ring r = min(x, y, s-1-x, s-1-y) starts at
+ * 4r(s-r); the bottom and right edges (x >= y) sit (x-r) + (y-r) into
+ * it, the top and left edges walk back from 4(s-2r-1). */
+static inline int64_t spiral_point(int64_t x, int64_t y, int64_t s)
+{
+    int64_t lo = x < y ? x : y, hi = x > y ? x : y;
+    int64_t r = lo < s - 1 - hi ? lo : s - 1 - hi;
+    int64_t walked = x + y - 2 * r;
+    return 4 * r * (s - r) + (x >= y ? walked : 4 * (s - 2 * r - 1) - walked);
+}
+
+EXPORT void repro_spiral_encode(
+    const int64_t *coords, int64_t m, int64_t d, int64_t side,
+    int64_t *keys)
+{
+    (void)d;
+    for (int64_t r = 0; r < m; ++r)
+        keys[r] = spiral_point(coords[2 * r], coords[2 * r + 1], side);
+}
+
+EXPORT void repro_spiral_decode(
+    const int64_t *keys, int64_t m, int64_t d, int64_t side,
+    int64_t *coords)
+{
+    (void)d;
+    for (int64_t i = 0; i < m; ++i) {
+        int64_t key = keys[i], lo = 0, hi = (side - 1) / 2;
+        /* The ring: the largest r with 4r(s-r) <= key. */
+        while (lo < hi) {
+            int64_t mid = (lo + hi + 1) / 2;
+            if (4 * mid * (side - mid) <= key) lo = mid;
+            else hi = mid - 1;
+        }
+        int64_t off = key - 4 * lo * (side - lo), edge = side - 2 * lo - 1;
+        int64_t forward = off <= 2 * edge;
+        int64_t walked = forward ? off : 4 * edge - off;
+        int64_t near = lo + (walked < edge ? walked : edge);
+        int64_t far = lo + (walked > edge ? walked - edge : 0);
+        coords[2 * i] = forward ? near : far;
+        coords[2 * i + 1] = forward ? far : near;
+    }
+}
+
+EXPORT void repro_spiral_slab(
+    int64_t d, int64_t side, int64_t lo, int64_t hi, int64_t *out)
+{
+    (void)d;
+    for (int64_t x = lo; x < hi; ++x)
+        for (int64_t y = 0; y < side; ++y)
+            *out++ = spiral_point(x, y, side);
+}
+
+/* Diagonal curve, 2-D: the cells with coordinate sum < t (triangular
+ * numbers below the main anti-diagonal, n minus them above). */
+static inline int64_t diagonal_below(int64_t t, int64_t s)
+{
+    if (t <= s) return t * (t + 1) / 2;
+    int64_t j = 2 * s - 1 - t;
+    return s * s - j * (j + 1) / 2;
+}
+
+/* Diagonal curve: key = Q_d(R_{d-1}) + sum_{a>=1} (Q_a(R_a + 1) -
+ * Q_a(R_{a-1} + 1)) with R_a = x_0 + ... + x_a and Q the prefix tables
+ * of repro.curves.diagonal.sum_prefix_tables (d rows of width
+ * d(s-1) + 2; NULL for d = 2, which uses the closed form). */
+static inline int64_t diagonal_point(
+    const int64_t *x, int64_t d, int64_t s, const int64_t *Q)
+{
+    if (d == 2) {
+        int64_t t = x[0] + x[1];
+        return diagonal_below(t, s) + x[1] - (t >= s ? t - s + 1 : 0);
+    }
+    int64_t width = d * (s - 1) + 2, R = x[0], key = 0;
+    for (int64_t a = 1; a < d; ++a) {
+        const int64_t *row = Q + (a - 1) * width;
+        int64_t prev = R;
+        R += x[a];
+        key += row[R + 1] - row[prev + 1];
+    }
+    return Q[(d - 1) * width + R] + key;
+}
+
+EXPORT void repro_diagonal_encode(
+    const int64_t *coords, int64_t m, int64_t d, int64_t side,
+    const int64_t *Q, int64_t *keys)
+{
+    for (int64_t r = 0; r < m; ++r)
+        keys[r] = diagonal_point(coords + r * d, d, side, Q);
+}
+
+EXPORT void repro_diagonal_decode(
+    const int64_t *keys, int64_t m, int64_t d, int64_t side,
+    const int64_t *Q, int64_t *coords)
+{
+    int64_t width = d * (side - 1) + 2;
+    const int64_t *top = Q ? Q + (d - 1) * width : 0;
+    for (int64_t i = 0; i < m; ++i) {
+        int64_t key = keys[i], *x = coords + i * d;
+        /* The sum: the largest t whose cells below number <= key. */
+        int64_t lo = 0, hi = d * (side - 1);
+        while (lo < hi) {
+            int64_t mid = (lo + hi + 1) / 2;
+            int64_t below = top ? top[mid] : diagonal_below(mid, side);
+            if (below <= key) lo = mid;
+            else hi = mid - 1;
+        }
+        int64_t R = lo;
+        if (d == 2) {
+            int64_t y = key - diagonal_below(R, side)
+                + (R >= side ? R - side + 1 : 0);
+            x[0] = R - y;
+            x[1] = y;
+            continue;
+        }
+        int64_t rest = key - top[R];
+        for (int64_t a = d - 1; a >= 1; --a) {
+            /* x_a: the largest digit whose same-sum cells with a
+             * smaller digit on this axis number <= rest. */
+            const int64_t *row = Q + (a - 1) * width;
+            int64_t start = row[R + 1];
+            int64_t dlo = R - a * (side - 1), dhi = side - 1;
+            if (dlo < 0) dlo = 0;
+            if (dhi > R) dhi = R;
+            while (dlo < dhi) {
+                int64_t mid = (dlo + dhi + 1) / 2;
+                if (start - row[R - mid + 1] <= rest) dlo = mid;
+                else dhi = mid - 1;
+            }
+            rest -= start - row[R - dlo + 1];
+            x[a] = dlo;
+            R -= dlo;
+        }
+        x[0] = R;
+    }
+}
+
+/* Diagonal slab: the per-point arithmetic, walked in C order. */
+EXPORT void repro_diagonal_slab(
+    const int64_t *Q, int64_t d, int64_t side, int64_t lo, int64_t hi,
+    int64_t *out)
+{
+    int64_t x[REPRO_MAX_D];
+    int64_t top = 1;
+    for (int64_t i = 0; i < d - 1; ++i) top *= side;
+    for (int64_t a = 0; a < d; ++a) x[a] = 0;
+    x[0] = lo;
+    int64_t total = (hi - lo) * top;
+    for (int64_t r = 0; r < total; ++r) {
+        out[r] = diagonal_point(x, d, side, Q);
+        next_cell(x, d, side);
     }
 }

@@ -2,10 +2,11 @@
 
 import numpy as np
 import pytest
+from curve_oracles import moore_order
 
 from repro import Universe
 from repro.curves.hilbert import HilbertCurve
-from repro.curves.moore import MooreCurve, moore_order
+from repro.curves.moore import MooreCurve
 
 
 class TestMooreOrder:

@@ -2,9 +2,10 @@
 
 import numpy as np
 import pytest
+from curve_oracles import spiral_order
 
 from repro import Universe
-from repro.curves.spiral import SpiralCurve, spiral_order
+from repro.curves.spiral import SpiralCurve
 
 
 def _spiral_order_loop(side):

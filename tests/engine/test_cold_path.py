@@ -38,8 +38,8 @@ requires_native = pytest.mark.skipif(
     reason=f"native backend unavailable: {native.unavailable_reason()}",
 )
 
-#: 2D/3D universes with power-of-two and odd sides (odd sides only
-#: have a codec for ``snake``).
+#: 2D/3D universes with power-of-two and odd sides (odd sides have a
+#: codec for the curves that take any side).
 UNIVERSES = [(2, 16), (2, 64), (3, 8), (2, 9), (3, 5)]
 
 
@@ -61,9 +61,12 @@ class TestNativeKeyGridParity:
     @requires_native
     def test_every_codec_family_is_covered(self):
         names = {name for name, _, _ in _codec_cases()}
-        assert names == {"gray", "hilbert", "snake", "z"}
+        assert names == {
+            "diagonal", "gray", "hilbert", "moore", "simple", "snake",
+            "spiral", "z",
+        }
         odd = {name for name, _, side in _codec_cases() if side % 2}
-        assert odd == {"snake"}
+        assert odd == {"diagonal", "simple", "snake", "spiral"}
 
     @requires_native
     @pytest.mark.parametrize("name,d,side", _codec_cases())
@@ -111,8 +114,9 @@ class TestNativeKeyGridParity:
         assert np.array_equal(np.concatenate(slabs), reference)
 
     def test_codec_less_curves_use_reference(self):
-        universe = Universe(d=2, side=8)
-        for name in ("simple", "moore", "spiral", "diagonal"):
+        for name, side in (("random", 8), ("peano", 9)):
+            universe = Universe(d=2, side=side)
+            assert native.encoder_for(make_curve(name, universe)) is None
             ctx = MetricContext(make_curve(name, universe), backend="auto")
             assert np.array_equal(
                 ctx.key_grid(), make_curve(name, universe).key_grid()
