@@ -26,6 +26,7 @@ import numpy as np
 
 from repro.core.stretch import axis_pair_curve_distances
 from repro.curves.base import SpaceFillingCurve
+from repro.engine.context import get_context
 from repro.grid.neighbors import axis_pair_index_arrays
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -58,7 +59,7 @@ def wrap_pair_curve_distances(
     universe = curve.universe
     if not 0 <= axis < universe.d:
         raise ValueError(f"axis must be in [0, {universe.d})")
-    grid = curve.key_grid()
+    grid = get_context(curve).key_grid()
     first = tuple(
         0 if i == axis else slice(None) for i in range(universe.d)
     )

@@ -11,8 +11,10 @@ vectorized:
 * ``order()``       — the cells listed in curve order (a (n, d) array).
 
 Subclasses implement ``_index_impl`` (and optionally ``_coords_impl``);
-the base class handles validation, caching of the key grid, and a generic
-inverse via argsort when no analytic inverse exists.
+the base class handles validation and a generic inverse via argsort
+when no analytic inverse exists.  A curve is a stateless mapping: it
+caches none of these arrays (the metric engine's budgeted store owns
+them), except that a :class:`PermutationCurve`'s table *is* the curve.
 """
 
 from __future__ import annotations
@@ -43,6 +45,10 @@ class SpaceFillingCurve(abc.ABC):
     #: Short machine name, overridden per subclass (used by the registry).
     name: str = "abstract"
 
+    #: The key table of a :class:`PermutationCurve` (the curve itself);
+    #: ``None`` for every curve that computes its keys.
+    _key_grid_cache: Optional[np.ndarray] = None
+
     def __init__(self, universe: Universe) -> None:
         if universe.n > 2**63:
             # Keys run 0..n-1 and every path computes them in int64.
@@ -51,9 +57,6 @@ class SpaceFillingCurve(abc.ABC):
                 f"n={universe.n} cells: keys 0..n-1 exceed the int64 range"
             )
         self.universe = universe
-        self._key_grid_cache: Optional[np.ndarray] = None
-        self._inverse_cache: Optional[np.ndarray] = None
-        self._order_cache: Optional[np.ndarray] = None
 
     # ------------------------------------------------------------------
     # Core mapping
@@ -68,14 +71,10 @@ class SpaceFillingCurve(abc.ABC):
         return np.asarray(self._index_impl(arr), dtype=np.int64)
 
     def _coords_impl(self, index: np.ndarray) -> np.ndarray:
-        """Inverse mapping; default uses a cached argsort-based table."""
-        if self._inverse_cache is None:
-            keys = self.key_grid().reshape(-1, order="F")
-            inverse = np.empty(self.universe.n, dtype=np.int64)
-            inverse[keys] = np.arange(self.universe.n, dtype=np.int64)
-            self._inverse_cache = inverse
-        ranks = self._inverse_cache[index]
-        return rank_to_coords(ranks, self.universe)
+        """Inverse mapping; the default builds an ``O(n)`` inverse table
+        from the key grid on every call."""
+        inverse = inverse_ranks(self.key_grid())
+        return rank_to_coords(inverse[index], self.universe)
 
     def coords(self, index: np.ndarray) -> np.ndarray:
         """``π^{-1}(key)``: coordinates for keys of shape ``(...,)``."""
@@ -129,50 +128,25 @@ class SpaceFillingCurve(abc.ABC):
     def key_grid(self) -> np.ndarray:
         """Dense ``(side,)*d`` int64 array: ``key_grid[tuple(α)] = π(α)``.
 
-        Cached; this is the input to every exact stretch computation.
-        Always built by the pure-NumPy reference :meth:`index`; see
-        :meth:`batch_key_grid` for the batch-codec build.
+        The input to every exact stretch computation, built on every
+        call by the pure-NumPy reference :meth:`index`.  The metric
+        engine (:class:`repro.engine.MetricContext`) builds, caches and
+        accounts the grid it folds.
         """
-        if self._key_grid_cache is None:
-            coords = self.universe.all_coords()
-            keys = self.index(coords)
-            # keys are in rank (Fortran) order; reshape accordingly.  The
-            # F-ordered reshape may be a view of `keys`, so materialize a
-            # C-contiguous copy for cache friendliness downstream.
-            grid = np.ascontiguousarray(
-                keys.reshape(self.universe.shape, order="F")
-            )
-            self._key_grid_cache = grid
-        return self._key_grid_cache
-
-    def batch_key_grid(self, backend: str = "auto") -> np.ndarray:
-        """:meth:`key_grid`, built by the native slab kernel when a
-        native codec serves ``backend``.
-
-        The same cached array either way, holding the same bytes (the
-        codec's ``key_slab(0, side)`` is bit-for-bit equal to the
-        reference): only the cost of the first build differs.  The
-        kernel computes each cell's coordinates from its grid position,
-        so no coordinate array is built.
-        """
-        if self._key_grid_cache is None:
-            codec = self._native_codec(backend)
-            if codec is not None:
-                self._key_grid_cache = codec.key_slab(0, self.universe.side)
-        return self.key_grid()
+        keys = self.index(self.universe.all_coords())
+        # keys are in rank (Fortran) order; reshape accordingly.  The
+        # F-ordered reshape may be a view of `keys`, so materialize a
+        # C-contiguous copy for cache friendliness downstream.
+        return np.ascontiguousarray(
+            keys.reshape(self.universe.shape, order="F")
+        )
 
     def order(self) -> np.ndarray:
         """Cells in curve order: ``order()[j]`` is ``π^{-1}(j)``, shape (n, d).
 
-        Cached (it runs the full inverse, ``O(n)`` with the inverse
-        table); the returned array is shared and read-only — copy
-        before mutating.
+        Built on every call (it runs the full inverse, ``O(n)``).
         """
-        if self._order_cache is None:
-            path = self.coords(np.arange(self.universe.n, dtype=np.int64))
-            path.flags.writeable = False
-            self._order_cache = path
-        return self._order_cache
+        return self.coords(np.arange(self.universe.n, dtype=np.int64))
 
     # ------------------------------------------------------------------
     # Distances & checks
@@ -242,6 +216,17 @@ def bisect_largest(fits, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
         lo = np.where(ok, mid, lo)
         hi = np.where(ok, hi, mid - 1)
     return lo
+
+
+def inverse_ranks(key_grid: np.ndarray) -> np.ndarray:
+    """The rank of every key: ``inverse[π(α)] = rank(α)``.
+
+    ``key_grid`` is a dense key grid or its rank-order flattening.
+    """
+    keys = key_grid.reshape(-1, order="F")
+    inverse = np.empty(keys.size, dtype=np.int64)
+    inverse[keys] = np.arange(keys.size, dtype=np.int64)
+    return inverse
 
 
 def check_bijection(key_grid: np.ndarray, n: int) -> bool:
@@ -316,6 +301,8 @@ class PermutationCurve(SpaceFillingCurve):
         if not check_bijection(grid, universe.n):
             raise ValueError("supplied mapping is not a bijection onto 0..n-1")
         self._key_grid_cache = grid
+        #: The rank of every key, built on the first decode.
+        self._decode_table: Optional[np.ndarray] = None
         if name is not None:
             self.name = name
 
@@ -334,8 +321,16 @@ class PermutationCurve(SpaceFillingCurve):
             return None
         return ("instance", self._instance_token)
 
+    def key_grid(self) -> np.ndarray:
+        """The curve's own table (no copy): the table *is* the curve."""
+        return self._key_grid_cache
+
     def _index_impl(self, coords: np.ndarray) -> np.ndarray:
-        grid = self.key_grid()
-        flat = grid.reshape(-1, order="F")
+        flat = self._key_grid_cache.reshape(-1, order="F")
         ranks = coords_to_rank(coords, self.universe)
         return flat[ranks]
+
+    def _coords_impl(self, index: np.ndarray) -> np.ndarray:
+        if self._decode_table is None:
+            self._decode_table = inverse_ranks(self._key_grid_cache)
+        return rank_to_coords(self._decode_table[index], self.universe)

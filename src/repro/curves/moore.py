@@ -74,6 +74,9 @@ class MooreCurve(SpaceFillingCurve):
         return out
 
     def is_closed(self) -> bool:
-        """True iff the last visited cell is grid-adjacent to the first."""
-        path = self.order()
-        return int(np.abs(path[-1] - path[0]).sum()) == 1
+        """True iff the last visited cell is grid-adjacent to the first.
+
+        Decodes the two end keys only, not the whole order.
+        """
+        first, last = self.coords(np.array([0, self.universe.n - 1]))
+        return int(np.abs(last - first).sum()) == 1

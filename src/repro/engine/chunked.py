@@ -40,7 +40,7 @@ Bit-for-bit parity with the dense path is engineered, not hoped for:
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Tuple
+from typing import Iterable, Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -440,7 +440,8 @@ def nn_block_reduction(ctx) -> dict:
     davg = pairwise_sum_stream(avg_blocks(), n) / n
     return {
         "davg": davg,
-        "dmax": float(max_total[0]) / n,
+        # int / int: one correctly rounded division, also past 2^53.
+        "dmax": max_total[0] / n,
         "lambdas": tuple(lambdas),
         "nn_sum": sum(lambdas),
     }
@@ -466,18 +467,33 @@ def window_ranges(ctx, window: int) -> list:
     return _spans(total, step)
 
 
-def window_pairs(ctx, t0: int, t1: int, window: int) -> tuple:
-    """Cells at curve positions ``[t0, t1)`` and ``[t0+window, t1+window)``:
-    order slices (zero-copy) when dense, ``coords_of`` blocks when
-    chunked."""
+def window_path(ctx) -> Optional[np.ndarray]:
+    """Resolve what the window ranges read, once, in the calling thread.
+
+    Dense: the order, returned so that every range slices this one
+    array (an order the budget does not retain would otherwise be
+    rebuilt per range).  Chunked: ``None``, after a one-key probe that
+    builds a table curve's lazy decode table before N workers race it.
+    """
     if ctx.chunked:
-        idx = np.arange(t0, t1, dtype=np.int64)
-        return (
-            ctx.curve.coords_of(idx, backend=ctx.backend),
-            ctx.curve.coords_of(idx + window, backend=ctx.backend),
-        )
-    path = ctx.order()
-    return path[t0:t1], path[t0 + window : t1 + window]
+        ctx.curve.coords(np.zeros(1, dtype=np.int64))
+        return None
+    return ctx.order()
+
+
+def window_pairs(
+    ctx, t0: int, t1: int, window: int, path: Optional[np.ndarray]
+) -> tuple:
+    """Cells at curve positions ``[t0, t1)`` and ``[t0+window, t1+window)``:
+    zero-copy slices of ``path`` (the order, see :func:`window_path`)
+    when given, else ``coords_of`` blocks."""
+    if path is not None:
+        return path[t0:t1], path[t0 + window : t1 + window]
+    idx = np.arange(t0, t1, dtype=np.int64)
+    return (
+        ctx.curve.coords_of(idx, backend=ctx.backend),
+        ctx.curve.coords_of(idx + window, backend=ctx.backend),
+    )
 
 
 def window_block_max(
@@ -525,16 +541,10 @@ def window_max_reduction(ctx, window: int, metric: str = "manhattan"):
     with ``max`` — order-free, so the value is bit-for-bit the same in
     every mode and on every backend.  ``window`` is already checked.
     """
-    # Resolve what the tasks read once, in the calling thread: a cold
-    # table raced by N workers would be built N times.  A one-key probe
-    # builds the lazy inverse behind chunked ``coords_of``.
-    if ctx.chunked:
-        ctx.curve.coords(np.zeros(1, dtype=np.int64))
-    else:
-        ctx.order()
+    path = window_path(ctx)
 
     def kernel(ctx, t0: int, t1: int, scratch, body=None):
-        a, b = window_pairs(ctx, t0, t1, window)
+        a, b = window_pairs(ctx, t0, t1, window, path)
         return window_block_max(a, b, metric, scratch, kernels=ctx.kernels)
 
     best = max(run_ranges(ctx, window_ranges(ctx, window), kernel))

@@ -121,7 +121,7 @@ from repro.core.allpairs import (
     average_allpairs_stretch_sampled,
 )
 from repro.core.lower_bounds import davg_lower_bound
-from repro.curves.base import SpaceFillingCurve
+from repro.curves.base import SpaceFillingCurve, inverse_ranks
 from repro.grid.neighbors import axis_pair_index_arrays
 
 __all__ = [
@@ -300,7 +300,6 @@ class _BoundedStore:
         shared: Optional[Callable[[], Optional[np.ndarray]]] = None,
         mmap: Optional[Callable[[], Optional[np.ndarray]]] = None,
         persist: Optional[Callable[[np.ndarray], object]] = None,
-        pin: bool = False,
     ) -> np.ndarray:
         with self._lock:
             if key in self._items:
@@ -359,13 +358,6 @@ class _BoundedStore:
             persist(value)
         with self._lock:
             if self.max_bytes != 0:
-                if pin:
-                    # Pinned arrays (e.g. the curve-cached order path)
-                    # live in the off-budget side table: their memory
-                    # is owned elsewhere for the curve's lifetime, so
-                    # charging them to max_bytes would evict genuinely
-                    # reclaimable intermediates for zero savings.
-                    return self._views.setdefault(key, value)
                 if key in self._items:
                     # A concurrent miss on the same key beat us to the
                     # insert; serve its (identical) array.
@@ -608,7 +600,6 @@ class MetricContext:
         key: str,
         compute: Callable[[], np.ndarray],
         freeze: bool = True,
-        pin: bool = False,
     ) -> np.ndarray:
         """Store lookup honoring pool-installed shared/derivation rules.
 
@@ -616,9 +607,6 @@ class MetricContext:
         then a zero-copy shared-memory view, then a persistent-store
         memmap, then a derivation from a base context, then local
         compute (persisted back to the store when one is wired).
-        ``pin`` retains a locally computed array outside the LRU budget
-        (for arrays whose memory is owned elsewhere, e.g. the curve's
-        own caches).
         """
         return self._store.get_or_compute(
             key,
@@ -628,7 +616,6 @@ class MetricContext:
             shared=self._shared_sources.get(key),
             mmap=self._mmap_sources.get(key),
             persist=self._persist_sinks.get(key),
-            pin=pin,
         )
 
     # ------------------------------------------------------------------
@@ -638,37 +625,34 @@ class MetricContext:
         """The curve's dense key grid: the one slab ``(0, side)``.
 
         Resolved by :meth:`_key_slab` like every other slab and cached
-        as ``key_grid``.  Computed, it is a read-only *view* of the
-        curve's own cache, so the curve's public ``key_grid()`` (which
-        predates the engine and stays writable) is untouched and no
-        bytes are copied.  On the native backend the curve fills that
-        cache with the native slab kernel
-        (:meth:`~repro.curves.base.SpaceFillingCurve.batch_key_grid`);
-        the bytes equal the reference ``key_grid()``.
+        as ``key_grid`` under the ``max_bytes`` budget: the context,
+        not the curve, retains it.  A table curve's grid is a read-only
+        view of its table; any other curve's is computed by the native
+        slab kernel or the NumPy codec, with bytes equal to the
+        reference ``curve.key_grid()``.
         """
         self._require_dense("key_grid", "iter_key_slabs()")
         return self._key_slab(0, self.universe.side)
 
     def order(self) -> np.ndarray:
-        """Cells in curve order, ``(n, d)``.
+        """Cells in curve order, ``(n, d)``: ``order()[j]`` is ``π^{-1}(j)``.
 
-        Resolution order matches the other grid intermediates: a
-        parent-published shared-memory view first (process sweeps
-        publish ``order`` when a windowed metric is requested, counted
-        in :attr:`CacheStats.shared`), then the curve's own cache —
-        which computes the full inverse once and keeps the array on
-        the curve object, as it always did.
+        Resolved like the other grid intermediates — a parent-published
+        shared-memory view (process sweeps publish ``order`` when a
+        windowed metric is requested), a store memmap, a derivation,
+        else one batch decode of every key — and cached under the
+        ``max_bytes`` budget.
         """
         self._require_dense(
             "order", "iter_window_pairs() or curve.coords on key blocks"
         )
-        # freeze=False: curve.order() already returns its array
-        # read-only, and shared views arrive frozen.  pin=True: the
-        # locally computed array is the curve's own cache, pinned for
-        # the curve's lifetime — charging its (n, d) bytes against
-        # max_bytes would evict reclaimable intermediates for nothing.
-        # repro: allow[R003] — curve.order() is frozen at the source
-        return self._cached("order", self.curve.order, freeze=False, pin=True)
+        return self._cached(
+            "order",
+            lambda: self.curve.coords_of(
+                np.arange(self.universe.n, dtype=np.int64),
+                backend=self.backend,
+            ),
+        )
 
     def flat_keys(self) -> np.ndarray:
         """Keys in cell-rank order: ``flat_keys()[rank(α)] = π(α)``.
@@ -690,15 +674,9 @@ class MetricContext:
         window metrics build on.
         """
         self._require_dense("inverse_permutation", "iter_inverse_blocks()")
-
-        def compute() -> np.ndarray:
-            inverse = np.empty(self.universe.n, dtype=np.int64)
-            inverse[self.flat_keys()] = np.arange(
-                self.universe.n, dtype=np.int64
-            )
-            return inverse
-
-        return self._cached("inverse_perm", compute)
+        return self._cached(
+            "inverse_perm", lambda: inverse_ranks(self.flat_keys())
+        )
 
     def axis_pair_slices(self, axis: int) -> tuple:
         """``(lo, hi)`` slicing tuples over the NN pairs of ``G_{axis+1}``.
@@ -861,12 +839,12 @@ class MetricContext:
     def _write_grid(self, lo: int, hi: int, slab: np.ndarray) -> None:
         """Write the whole key grid through once a computed slab has it
         in hand: the slab itself when it is the whole grid, else the
-        curve's resident table it was cut from."""
+        table curve's table it was cut from."""
         sink = self._persist_sinks.get("key_grid")
         grid = (
             slab
             if (lo, hi) == (0, self.universe.side)
-            else getattr(self.curve, "_key_grid_cache", None)
+            else self.curve._key_grid_cache
         )
         if sink is not None and grid is not None and not self._grid_written:
             self._grid_written = True
@@ -876,11 +854,10 @@ class MetricContext:
         """Key-grid slab for ``x_0 ∈ [lo, hi)``, uncached.
 
         Sources, cheapest first: a pool-installed derivation; a slice
-        of the mapped ``key_grid`` (shared memory, then the store); the
-        curve's own grid (``batch_key_grid`` for the whole range, a
-        slice of an already resident table for any range); the native
-        codec's one-call ``key_slab``; a meshgrid of the slab's
-        coordinates through ``keys_of``.
+        of the mapped ``key_grid`` (shared memory, then the store); a
+        slice of a table curve's table; the native codec's one-call
+        ``key_slab``; a meshgrid of the slab's coordinates through
+        ``keys_of``.  The whole axis ``(0, side)`` is no special case.
         """
         rule = self._derivations.get("key_slab")
         if rule is not None:
@@ -890,9 +867,7 @@ class MetricContext:
             if slab is not None:
                 return slab
         side, d = self.universe.side, self.universe.d
-        if (lo, hi) == (0, side):
-            return self.curve.batch_key_grid(self.backend).view()
-        table = getattr(self.curve, "_key_grid_cache", None)
+        table = self.curve._key_grid_cache
         if table is not None:
             return table[lo:hi]
         codec = self.curve._native_codec(self.backend)
@@ -1015,8 +990,9 @@ class MetricContext:
         from repro.engine import chunked
 
         window = chunked.check_window(self, window)
+        path = chunked.window_path(self)
         return (
-            (t0, t1) + chunked.window_pairs(self, t0, t1, window)
+            (t0, t1) + chunked.window_pairs(self, t0, t1, window, path)
             for t0, t1 in chunked.window_ranges(self, window)
         )
 
@@ -1222,7 +1198,8 @@ class MetricContext:
     def nn_mean(self) -> float:
         """Mean ``∆π`` over all NN pairs (0.0 when there are none).
 
-        The exact integer pair sum over the pair count: equal to a
+        The exact integer pair sum over the pair count, divided once
+        (``int / int`` rounds correctly at any size): equal to a
         float64 mean of the pair values while the sum stays below
         ``2^53``, where every partial sum is exact.
         """
@@ -1230,9 +1207,7 @@ class MetricContext:
             return 0.0
         from repro.grid.neighbors import nn_pair_count
 
-        return float(self._nn_stats()["nn_sum"]) / nn_pair_count(
-            self.universe
-        )
+        return self._nn_stats()["nn_sum"] / nn_pair_count(self.universe)
 
     def lower_bound(self) -> float:
         """Theorem 1 lower bound on ``D^avg``; 0.0 for the 1-cell grid."""

@@ -6,7 +6,7 @@ curve; a :class:`ContextPool` kills it *across* curves:
 * **Transform derivation** — the curves in
   :mod:`repro.curves.transforms` are grid automorphisms of an inner
   curve, so their key grids and curve orders are cheap array
-  transforms (negate / flip / transpose) of the inner curve's cached
+  transforms (negate / flip / transpose) of the inner curve's context
   arrays.  The pool wires those derivation rules into the derived
   curve's context: the arrays produced are **bit-for-bit identical** to
   from-scratch computation, but cost ``O(n)`` array ops instead of a
@@ -115,8 +115,11 @@ def transform_derivations(
 
         def permuted_order() -> np.ndarray:
             # coords'[..., perm] = base coords (the wrapper's inverse).
-            path = np.empty_like(base.order())
-            path[:, perm] = base.order()
+            # One read: an order the budget does not keep is rebuilt
+            # on every call.
+            base_path = base.order()
+            path = np.empty_like(base_path)
+            path[:, perm] = base_path
             return frozen(path)
 
         rules: Dict[str, Callable[..., np.ndarray]] = {

@@ -267,12 +267,12 @@ def prepare_key_reads(ctx) -> None:
 
     The NN fold and the sampling loops that run through the scheduler
     (cluster counts, range-query costs) read key slabs — or, in
-    chunked mode, call ``curve.index`` on rectangle cells.  Both sit
-    behind lazy caches whose cold first touch must not be raced by N
-    workers (N redundant ``O(n)`` builds).  Resolving the first
-    canonical slab in the calling thread — in a dense context, the
-    whole grid — builds them once and makes the fanned-out tasks pure
-    readers.
+    chunked mode, call ``curve.index`` on rectangle cells.  The slabs
+    live in the context's LRU store, whose cold first touch must not
+    be raced by N workers (N redundant ``O(n)`` builds).  Resolving the
+    first canonical slab in the calling thread — in a dense context,
+    the whole grid — caches it once and makes the fanned-out tasks
+    pure readers.
     """
     lo, hi = ctx._slab_ranges()[0]
     ctx._key_slab(lo, hi)

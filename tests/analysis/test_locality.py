@@ -110,7 +110,9 @@ class TestContextAcceptance:
         assert not any(
             key.startswith("win_dist[") for key in ctx.stats.computes
         )
-        assert ctx.cache_bytes == 0
+        # Only the order is retained (built once, budgeted).
+        assert ctx.stats.computes["order"] == 1
+        assert ctx.cache_bytes == u2_8.n * u2_8.d * 8
 
     def test_worst_pairs_from_context(self, u2_8):
         from repro.engine.context import get_context

@@ -14,6 +14,14 @@ contexts, must agree with it:
   ``(ceil(log2 n) + 2) · 2^-53`` relative error of the Fraction: each
   per-cell average is one rounded division and NumPy's pairwise
   summation adds at most ``ceil(log2 n)`` roundings along any path.
+
+The paper's closed forms are oracles at sizes the cell-by-cell oracle
+cannot reach (2D side 2048, 3D side 128): ``Λ_i(Z)`` is an exact
+integer and ``D^avg`` of Z and of the simple curve an exact Fraction,
+each computed in microseconds.  ``D^max`` and the NN mean finalize an
+exact integer total with one ``int / int`` division, which stays
+correctly rounded past ``2^53``; synthetic totals test that boundary
+without allocating anything large.
 """
 
 from __future__ import annotations
@@ -24,8 +32,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from repro.curves.registry import available_curves, curve_is_hidden
-from repro.engine import native
+from repro.core.asymptotics import davg_simple_exact, lambda_z_exact
+from repro.core.zexact import davg_z_exact
+from repro.curves.registry import available_curves, curve_is_hidden, make_curve
+from repro.engine import chunked, native
 from repro.engine.context import MetricContext
 from repro.engine.sweep import CurveSpec
 from repro.grid.universe import Universe
@@ -136,3 +146,70 @@ def test_oracle_matches_a_hand_count():
     assert davg == Fraction(3, 2)
     assert nn == Fraction(1 + 1 + 2 + 2, 4)
     assert np.isclose(float(davg), 1.5)
+
+
+LARGE = [Universe(d=2, side=2048), Universe(d=3, side=128)]
+LARGE_MODES = {
+    "dense": {},
+    "chunked": {"chunk_cells": 2**18},
+    "threads2": {"threads": 2},
+}
+
+
+@pytest.mark.parametrize("mode", LARGE_MODES)
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("universe", LARGE, ids=lambda u: f"{u.d}x{u.side}")
+def test_paper_closed_forms_at_large_n(universe, backend, mode):
+    """``Λ_i(Z)`` is ``==`` :func:`lambda_z_exact`; ``D^avg`` of Z and
+    of the simple curve is within the summation bound of the exact
+    closed forms."""
+    kwargs = dict(backend=backend, max_bytes=0, **LARGE_MODES[mode])
+    bound = (math.ceil(math.log2(universe.n)) + 2) * 2.0**-53
+    z = MetricContext(make_curve("z", universe), **kwargs)
+    exact = [lambda_z_exact(universe, i) for i in range(1, universe.d + 1)]
+    assert [int(v) for v in z.lambda_sums()] == exact
+    for ctx, oracle in (
+        (z, davg_z_exact(universe)),
+        (
+            MetricContext(make_curve("simple", universe), **kwargs),
+            davg_simple_exact(universe),
+        ),
+    ):
+        error = abs(Fraction(ctx.davg()) - oracle)
+        assert error <= bound * oracle
+        if ctx.threaded:
+            ctx.scheduler.close()
+
+
+@pytest.mark.parametrize(
+    "metric, total, count",
+    [
+        ("dmax", 1187039413221620805, 9),
+        ("nn_mean", 1662460411857191065, 12),
+    ],
+)
+def test_integer_totals_divide_once_past_2_53(
+    metric, total, count, monkeypatch
+):
+    """A total past ``2^53`` is divided as ``int / int``, not rounded to
+    a float first.  The fold of a 3x3 grid (``n = 9`` cells, 12 NN
+    pairs) reports a synthetic total in place of its own."""
+    assert float(total) / count != total / count
+    assert total / count == float(Fraction(total, count))
+    kernel = chunked._nn_range_kernel
+
+    def synthetic(ctx, lo, hi, scratch, body=None):
+        avg, lambdas, max_sum = kernel(ctx, lo, hi, scratch, body)
+        if metric == "dmax":
+            return avg, lambdas, total if lo == 0 else 0
+        return avg, [total if lo == 0 else 0, 0], max_sum
+
+    monkeypatch.setattr(chunked, "_nn_range_kernel", synthetic)
+    universe = Universe(d=2, side=3)
+    assert (universe.n, 2 * 3 * 2) == (9, 12)
+    for backend in BACKENDS:
+        for kwargs in MODES.values():
+            ctx = MetricContext(
+                make_curve("simple", universe), backend=backend, **kwargs
+            )
+            assert getattr(ctx, metric)() == total / count

@@ -33,10 +33,6 @@ class TestKeyGrid:
         for cell in [(0, 0), (3, 5), (7, 7)]:
             assert grid[cell] == int(z.index(np.asarray(cell)))
 
-    def test_cached(self, u2_8):
-        z = ZCurve(u2_8)
-        assert z.key_grid() is z.key_grid()
-
     def test_contiguous(self, u2_8):
         assert ZCurve(u2_8).key_grid().flags["C_CONTIGUOUS"]
 

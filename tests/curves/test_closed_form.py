@@ -169,7 +169,9 @@ class TestChunkedBuildsOnlySlabs:
                 backend=backend, **kwargs,
             )
             list(ctx.iter_key_slabs())
-            for lo, hi in ((1, 2), (2, 4), (2, 5), (4, 7), (5, side)):
+            for lo, hi in (
+                (1, 2), (2, 4), (2, 5), (4, 7), (5, side), (0, side)
+            ):
                 assert np.array_equal(ctx._key_slab(lo, hi), expected[lo:hi])
             assert ctx.curve._key_grid_cache is None
 

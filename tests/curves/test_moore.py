@@ -45,6 +45,24 @@ class TestMooreCurve:
         assert m.is_continuous()
         assert m.is_closed()
 
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
+    def test_is_closed_decodes_only_the_end_keys(self, k, monkeypatch):
+        """``is_closed`` agrees with the order-based answer and decodes
+        two keys, not the whole order."""
+        m = MooreCurve(Universe.power_of_two(d=2, k=k))
+        path = m.order()
+        expected = int(np.abs(path[-1] - path[0]).sum()) == 1
+        decoded = []
+        impl = MooreCurve._coords_impl
+
+        def counting(self, index):
+            decoded.append(index.size)
+            return impl(self, index)
+
+        monkeypatch.setattr(MooreCurve, "_coords_impl", counting)
+        assert m.is_closed() is expected is True
+        assert decoded == [2]
+
     def test_rejects_3d(self):
         with pytest.raises(ValueError, match="d == 2"):
             MooreCurve(Universe.power_of_two(d=3, k=2))

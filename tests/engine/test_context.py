@@ -164,25 +164,24 @@ class TestBoundedStore:
         assert tight.dmax() == loose.dmax()
         assert np.array_equal(tight.lambda_sums(), loose.lambda_sums())
 
-    def test_order_is_pinned_off_budget(self, u2_8):
-        """order() must not charge (or evict) the LRU budget.
-
-        The locally computed array is the curve's own lifetime-pinned
-        cache, so evicting it reclaims nothing; inserting its (n, d)
-        bytes into the budget would wipe genuinely reclaimable
-        intermediates on large grids.
-        """
+    def test_order_is_budgeted(self, u2_8):
+        """order() is an ordinary intermediate: frozen, charged to the
+        LRU budget and evictable; the curve keeps no copy."""
         ctx = MetricContext(ZCurve(u2_8))
         ctx.key_grid()
         before_bytes = ctx.cache_bytes
-        before_evictions = ctx.stats.evictions
         path = ctx.order()
-        assert path is ctx.curve.order()  # same pinned array, no copy
-        assert ctx.cache_bytes == before_bytes
-        assert ctx.stats.evictions == before_evictions
+        assert not path.flags.writeable
+        assert np.array_equal(path, ctx.curve.order())
+        assert ctx.cache_bytes == before_bytes + path.nbytes
         hits = ctx.stats.hits
-        ctx.order()  # second lookup is a store hit
+        assert ctx.order() is path  # second lookup is a store hit
         assert ctx.stats.hits == hits + 1
+        tight = MetricContext(ZCurve(u2_8), max_bytes=path.nbytes)
+        tight.order()
+        tight.key_grid()
+        assert tight.stats.evictions == 1
+        assert tight.cache_bytes == tight.key_grid().nbytes
 
     def test_store_peek_is_silent(self, u2_8):
         ctx = MetricContext(ZCurve(u2_8))
@@ -302,10 +301,6 @@ class TestValidation:
 
 
 class TestOrderCaching:
-    def test_order_cached_on_curve(self, u2_8):
-        curve = ZCurve(u2_8)
-        assert curve.order() is curve.order()
-
     def test_order_values_unchanged(self, u2_8):
         curve = ZCurve(u2_8)
         path = curve.order()

@@ -29,12 +29,13 @@ class TestKeyGridFrozenView:
         ctx.key_grid()
         assert curve.key_grid().flags.writeable is True
 
-    def test_view_shares_the_curves_bytes(self, u2_8):
+    def test_context_owns_the_grid(self, u2_8):
+        """The context retains its grid; the curve retains none."""
         curve = ZCurve(u2_8)
         ctx = MetricContext(curve)
         frozen = ctx.key_grid()
-        assert frozen.base is not None
-        assert np.shares_memory(frozen, curve.key_grid())
+        assert curve._key_grid_cache is None
+        assert ctx.cache_bytes == frozen.nbytes
         assert np.array_equal(frozen, curve.key_grid())
 
 
