@@ -29,6 +29,12 @@ recorded alongside for reference).  The speedup assertion assumes the
 redundancy-dominated regime this bench constructs (grid builds ≫ metric
 reductions); scale ``UNIVERSE``/``CURVES`` together if the machine
 changes that balance.
+
+Both modes run on the NumPy backend.  There a Hilbert or Gray grid
+costs a full NumPy curve evaluation, which is what sharing saves; on
+the native backend the codec builds these grids faster than the parent
+could publish them, so they are never shared
+(:func:`repro.engine.shm.reuse_key`) and the two modes coincide.
 """
 
 import resource
@@ -73,6 +79,7 @@ def _run(shared: bool, metrics=METRIC_SET):
         metrics=metrics,
         reports=False,
         processes=PROCESSES,
+        backend="numpy",
         **kwargs,
     ).run()
 

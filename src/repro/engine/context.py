@@ -367,6 +367,10 @@ class _BoundedStore:
                 self._evict()
         return value
 
+    def retains(self, nbytes: int) -> bool:
+        """Whether a computed array of ``nbytes`` would stay cached."""
+        return self.max_bytes is None or nbytes <= self.max_bytes
+
     def peek(self, key: str) -> Optional[np.ndarray]:
         """The cached array for ``key``, or ``None`` — never computes.
 
@@ -514,12 +518,13 @@ class MetricContext:
         shared kind.  The ``key_grid`` pair serves the key slabs (see
         :meth:`_key_slab`), which slice the mapped grid, so a chunked
         context maps the artifact without materializing anything
-        dense.  Instance-keyed curves have no stable key and stay
-        store-exempt.
+        dense.  Curves :func:`repro.engine.shm.reuse_key` exempts
+        (instance-keyed ones, and those a native codec builds faster
+        than the store reads them) map and write nothing.
         """
-        from repro.engine.shm import SHARED_KINDS, shared_key
+        from repro.engine.shm import SHARED_KINDS, reuse_key
 
-        skey = shared_key(self.curve)
+        skey = reuse_key(self.curve, self.backend)
         if skey is None:
             return
         for kind in SHARED_KINDS:

@@ -285,14 +285,14 @@ class ContextPool:
     ) -> None:
         """Point ``ctx`` at the parent-published shared-memory segments.
 
-        Instance-keyed curves have no process-stable spec key and are
-        left on the local compute path; specs the parent did not publish
+        Curves :func:`repro.engine.shm.reuse_key` exempts are left on
+        the local compute path; specs the parent did not publish
         resolve to ``None`` at lookup time and likewise fall through.
         """
-        from repro.engine.shm import SHARED_KINDS, shared_key
+        from repro.engine.shm import SHARED_KINDS, reuse_key
 
         store = self.shared_store
-        skey = shared_key(curve)
+        skey = reuse_key(curve, ctx.backend)
         if skey is not None:
             for kind in SHARED_KINDS:
                 ctx._shared_sources[kind] = (

@@ -21,10 +21,20 @@ of a cell reduce over *one* permutation's key grid.  The
 Entries are keyed by :func:`shared_key` — a process-stable rendering of
 :meth:`repro.curves.base.SpaceFillingCurve.cache_key` — so two
 separately constructed but equivalent curves (parent's and worker's)
-resolve to the same segments.  Instance-keyed curves (explicit
-permutation tables, whose identity cannot be re-derived in another
-process) return ``None`` from :func:`shared_key` and simply fall back
-to local computation.
+resolve to the same segments.
+
+Only grids a worker cannot build faster than it can read them are
+shared.  :func:`reuse_key` is the one rule every publisher and reader
+consults (this store, the persistent
+:class:`repro.engine.store.GridStore`, process sweeps and ``repro
+serve``): it returns ``None`` — compute locally — for instance-keyed
+curves (explicit permutation tables, whose identity cannot be
+re-derived in another process) and for curves whose innermost base a
+native codec encodes on the backend the cells run with (a 2D 1024
+grid builds in a few ms, less than a verified store read plus a copy
+into a segment).  What is left to share are tables (``random``,
+``peano``, transforms over them) and, on the NumPy backend, every
+spec-keyed curve.
 
 Attached views index shared pages: a worker never pays the curve
 evaluation again, and the grid's memory is mapped once machine-wide
@@ -56,6 +66,7 @@ from repro.grid.universe import Universe
 __all__ = [
     "SHARED_KINDS",
     "SharedGridStore",
+    "reuse_key",
     "shared_key",
 ]
 
@@ -120,6 +131,34 @@ def shared_key(curve: SpaceFillingCurve) -> Optional[tuple]:
         return _stable(curve.cache_key())  # type: ignore[return-value]
     except _Unshareable:
         return None
+
+
+def reuse_key(curve: SpaceFillingCurve, backend: str) -> Optional[tuple]:
+    """The key ``curve``'s grids are stored and shared under, or ``None``.
+
+    ``None`` means "every context computes its own": the curve is
+    instance-keyed (:func:`shared_key` is ``None``), or a native codec
+    serves its innermost base curve on ``backend`` (the backend the
+    cells run with, resolved as :class:`repro.engine.MetricContext`
+    resolves it), so building the grid is cheaper than reading it back.
+    A transform follows its base: ``reversed:inner=hilbert`` computes
+    like ``hilbert``, ``reversed:inner=random`` is shared like
+    ``random``.
+
+    >>> from repro import Universe, ZCurve
+    >>> from repro.curves.random_curve import RandomCurve
+    >>> u = Universe.power_of_two(d=2, k=2)
+    >>> reuse_key(ZCurve(u), "numpy") == shared_key(ZCurve(u))
+    True
+    >>> reuse_key(RandomCurve(u, seed=1), "auto") is not None
+    True
+    """
+    base = curve
+    while isinstance(getattr(base, "inner", None), SpaceFillingCurve):
+        base = base.inner
+    if base._native_codec(backend) is not None:
+        return None
+    return shared_key(curve)
 
 
 class SharedGridStore:

@@ -32,7 +32,9 @@ Every benchmark, example and CLI table in this repo is some flavor of
   one grid set per canonical curve spec into
   :class:`repro.engine.shm.SharedGridStore` segments and the workers
   attach zero-copy views instead of rebuilding every key grid privately
-  (counted in :attr:`repro.engine.CacheStats.shared`); identical cells
+  (counted in :attr:`repro.engine.CacheStats.shared`) — except for
+  specs :func:`repro.engine.shm.reuse_key` exempts, such as curves a
+  native codec builds faster than a segment copy; identical cells
   are deduplicated spec-keyed before any work runs.  ``shared=False``
   restores fully private workers — then a warning flags the bypassed
   pooling unless ``pooled=False`` acknowledges it.  Either way each
@@ -59,6 +61,7 @@ from repro.curves.base import SpaceFillingCurve
 from repro.curves.registry import (
     available_curves,
     curve_applicability,
+    curve_capabilities,
     make_curve,
 )
 from repro.engine.chunked import DEFAULT_CHUNK_CELLS
@@ -188,6 +191,25 @@ class CurveSpec(_Spec):
     def make(self, universe: Universe):
         """Instantiate the spec'd curve on ``universe``."""
         return make_curve(self.name, universe, **dict(self.kwargs))
+
+    def check_names(self) -> None:
+        """Refuse an unknown curve name, here or in a nested ``inner=``.
+
+        Raises ``KeyError`` for a name the registry does not know and
+        ``ValueError`` for an empty nested spec, as a top-level name
+        does, so a sweep refuses ``reversed:inner=bogus`` at plan time
+        instead of after other cells have run.
+
+        >>> CurveSpec.parse("reversed:inner=bogus").check_names()
+        ... # doctest: +ELLIPSIS
+        Traceback (most recent call last):
+        ...
+        KeyError: "unknown curve 'bogus'; ...
+        """
+        curve_capabilities(self.name)
+        inner = dict(self.kwargs).get("inner")
+        if inner is not None:
+            CurveSpec.parse(str(inner)).check_names()
 
 
 @dataclass(frozen=True)
@@ -729,9 +751,12 @@ def _publish_shared(
     :class:`CacheStats` (folded into the sweep result, so parent-side
     computes and transform derivations stay visible).  Chunked-mode
     cells are skipped — materializing a beyond-budget dense grid in the
-    parent would defeat the point of chunking — as are instance-keyed
-    specs and cells whose curve fails to construct (the worker will
-    report those as skipped).  Publishing reuses a per-universe
+    parent would defeat the point of chunking — as are cells whose
+    curve fails to construct (the worker will report those as skipped)
+    and specs :func:`repro.engine.shm.reuse_key` exempts (instance-keyed
+    curves, and curves whose innermost base a native codec encodes on
+    the cells' backend): nothing of theirs is published, not even the
+    order.  Publishing reuses a per-universe
     :class:`ContextPool`, so transform curves' grids are *derived* from
     their inner curve's arrays instead of evaluated from scratch.
 
@@ -760,9 +785,12 @@ def _publish_shared(
     the persistent :class:`repro.engine.store.GridStore`: a warm parent
     *maps* each grid from disk instead of evaluating curves before
     copying it into shared memory, and a cold parent's computes are
-    written through for the next run.
+    written through for the next run.  The publishing pool runs on the
+    default backend, so with the native kernels loaded the same rule
+    leaves it mapping only tables: it builds a codec curve's grid for a
+    NumPy-backend sweep faster than it could read it back.
     """
-    from repro.engine.shm import SharedGridStore, shared_key
+    from repro.engine.shm import SharedGridStore, reuse_key
 
     store = SharedGridStore.create()
     stats: List[CacheStats] = []
@@ -789,7 +817,7 @@ def _publish_shared(
                 curve = CurveSpec.parse(task.spec).make(universe)
             except (ValueError, TypeError):
                 continue
-            skey = shared_key(curve)
+            skey = reuse_key(curve, task.backend)
             if skey is None:
                 continue
             want_order = order_wanted[task.metrics]
@@ -811,7 +839,7 @@ def _publish_shared(
                     getattr(target, "inner", None), SpaceFillingCurve
                 ):
                     target = target.inner
-                okey = shared_key(target)
+                okey = reuse_key(target, task.backend)
                 if okey is not None and (okey, "order") not in store:
                     store.put(okey, "order", pool.get(target).order())
     except BaseException:
@@ -848,7 +876,10 @@ class Sweep:
     into
     :class:`repro.engine.shm.SharedGridStore` segments before the
     executor starts; workers attach zero-copy views instead of
-    recomputing (counted under :attr:`CacheStats.shared`), and the
+    recomputing (counted under :attr:`CacheStats.shared`), except for
+    specs :func:`repro.engine.shm.reuse_key` exempts — on the native
+    backend, every curve with a native codec and transforms over one,
+    whose grid a worker builds faster than the parent publishes it.  The
     parent unlinks every segment when the sweep finishes, even on
     worker failure.  Identical (universe, curve, metrics) cells are
     deduplicated before any work runs, in every execution mode.
@@ -923,8 +954,11 @@ class Sweep:
     #: threads it through: serial pools, shared-mode publishing parents
     #: and process workers all resolve grid intermediates from (and
     #: write them through to) the same on-disk artifacts, counted in
-    #: :attr:`CacheStats.mmap`.  Values are bit-for-bit identical with
-    #: and without a store; only where the bytes come from changes.
+    #: :attr:`CacheStats.mmap`.  Curves a native codec encodes are
+    #: store-exempt on the native backend (see
+    #: :func:`repro.engine.shm.reuse_key`).  Values are bit-for-bit
+    #: identical with and without a store; only where the bytes come
+    #: from changes.
     store_dir: Optional[str] = None
 
     def resolve_thread_count(self) -> int:
@@ -972,10 +1006,14 @@ class Sweep:
             )
         return out
 
-    def _specs_for(self, universe: Universe) -> List[CurveSpec]:
-        if self.curves is not None:
-            return [CurveSpec.parse(c) for c in self.curves]
-        return [CurveSpec(name) for name in available_curves()]
+    def _curve_specs(self) -> List[CurveSpec]:
+        """The curve specs of every universe, names checked."""
+        if self.curves is None:
+            return [CurveSpec(name) for name in available_curves()]
+        specs = [CurveSpec.parse(c) for c in self.curves]
+        for spec in specs:
+            spec.check_names()
+        return specs
 
     def _plan(self) -> Tuple[List[CellTask], List[SkippedCell]]:
         specs = [MetricSpec.parse(m) for m in self.metrics]
@@ -998,10 +1036,11 @@ class Sweep:
         # Normalized to str (accepts Path) so tasks stay hashable and
         # picklable for the dedup dict and the process executor.
         store_dir = None if self.store_dir is None else str(self.store_dir)
+        curve_specs = self._curve_specs()
         tasks: List[CellTask] = []
         skipped: List[SkippedCell] = []
         for universe in self.resolved_universes():
-            for spec in self._specs_for(universe):
+            for spec in curve_specs:
                 applicable, reason = curve_applicability(
                     spec.name, universe
                 )

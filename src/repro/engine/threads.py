@@ -272,10 +272,14 @@ def prepare_key_reads(ctx) -> None:
     be raced by N workers (N redundant ``O(n)`` builds).  Resolving the
     first canonical slab in the calling thread — in a dense context,
     the whole grid — caches it once and makes the fanned-out tasks
-    pure readers.
+    pure readers.  A budget too small to keep that slab would drop it
+    at once and the fold would build it again, so then nothing is
+    resolved ahead and each task builds only its own range.
     """
     lo, hi = ctx._slab_ranges()[0]
-    ctx._key_slab(lo, hi)
+    side, d = ctx.universe.side, ctx.universe.d
+    if ctx._store.retains(8 * (hi - lo) * side ** (d - 1)):
+        ctx._key_slab(lo, hi)
 
 
 #: The NN fold is :func:`repro.engine.chunked.nn_block_reduction` in

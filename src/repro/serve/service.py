@@ -10,7 +10,9 @@ rebuilds per invocation and keeps it for the process lifetime:
 * one owning :class:`repro.engine.shm.SharedGridStore` holding the
   warm-started hot set's grids as shared-memory segments (zero-copy
   re-attachable if the LRU ever evicts, and visible in ``/stats`` as
-  the segments to watch for clean teardown);
+  the segments to watch for clean teardown) — only the grids
+  :func:`repro.engine.shm.reuse_key` keys, so on the native backend
+  only tables;
 * the async request machinery — a :class:`SingleFlight` table keyed by
   the engine's canonical :class:`~repro.engine.sweep.CellTask` and a
   :class:`MicroBatcher`
@@ -32,7 +34,7 @@ from typing import Dict, Optional, Tuple, Union
 
 from repro.engine.context import DEFAULT_CACHE_BYTES, CacheStats
 from repro.engine.pool import ContextPool
-from repro.engine.shm import SharedGridStore, shared_key
+from repro.engine.shm import SharedGridStore, reuse_key
 from repro.engine.sweep import CurveSpec, SkippedCell, _run_cell
 from repro.engine.threads import resolve_threads
 from repro.grid.universe import Universe
@@ -207,7 +209,7 @@ class SweepService:
             return pool
 
     def _warm_start(self) -> None:
-        """Compute the hot set's grids and publish them to shared memory.
+        """Compute the hot set's grids; publish the shareable ones.
 
         A hot entry that fails to parse or construct raises — a typo'd
         hot set should stop the server at startup, not surface as
@@ -217,7 +219,11 @@ class SweepService:
         to it, so a restarted server *maps* previously computed grids
         from disk here (counted in ``cache.mmap``) instead of
         re-evaluating the curves, and first-boot computes are written
-        through for the next restart.
+        through for the next restart.  Every hot grid is resident in
+        its pooled context afterwards; curves
+        :func:`repro.engine.shm.reuse_key` exempts (encoded by a native
+        codec on the served backend) are neither published nor stored,
+        since a context builds their grid faster than it reads one.
         """
         for spec_text, d, side in self.config.hot_set:
             universe = Universe(d=d, side=side)
@@ -227,9 +233,10 @@ class SweepService:
                 None, self._default_threads, self.config.backend
             )
             ctx = pool.get(curve)
-            skey = shared_key(curve)
+            grid = ctx.key_grid()
+            skey = reuse_key(curve, ctx.backend)
             if skey is not None and (skey, "key_grid") not in self.store:
-                self.store.put(skey, "key_grid", ctx.key_grid())
+                self.store.put(skey, "key_grid", grid)
                 if getattr(curve, "inner", None) is None:
                     # Base specs get the full grid set; a transform's
                     # flat keys / inverse are one vector op from the

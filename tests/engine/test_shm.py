@@ -13,13 +13,16 @@ from repro import Universe
 from repro.curves.base import PermutationCurve
 from repro.curves.zcurve import ZCurve
 from repro.engine import (
+    DEFAULT_CACHE_BYTES,
     SHARED_KINDS,
     CacheStats,
     ContextPool,
     SharedGridStore,
     Sweep,
+    native,
     shared_key,
 )
+from repro.engine.sweep import _publish_shared
 
 SHM_DIR = Path("/dev/shm")
 
@@ -153,7 +156,8 @@ class TestPoolSharedWiring:
             source = ZCurve(u2_8)
             key = shared_key(source)
             store.put(key, "key_grid", source.key_grid())
-            pool = ContextPool(shared_store=store)
+            # NumPy backend: a native codec would exempt z from sharing.
+            pool = ContextPool(shared_store=store, backend="numpy")
             ctx = pool.get(ZCurve(u2_8))
             grid = ctx.key_grid()
             np.testing.assert_array_equal(grid, source.key_grid())
@@ -196,7 +200,7 @@ class TestPoolSharedWiring:
         try:
             source = ZCurve(u2_8)
             store.put(shared_key(source), "key_grid", source.key_grid())
-            pool = ContextPool(shared_store=store)
+            pool = ContextPool(shared_store=store, backend="numpy")
             ctx = pool.get(ZCurve(u2_8))
             before = ctx.cache_bytes
             ctx.key_grid()
@@ -228,8 +232,9 @@ class TestSharedSweep:
         assert serial.records == shared.records == private.records
 
     def test_shared_counts_on_result(self, u2_8):
+        # NumPy backend: z/hilbert are shared there, not exempt.
         result = Sweep(
-            universes=[u2_8], **SWEEP_KWARGS, processes=2
+            universes=[u2_8], **SWEEP_KWARGS, processes=2, backend="numpy"
         ).run()
         stats = result.cache_stats
         assert stats.shared_count("key_grid") >= 4
@@ -246,6 +251,7 @@ class TestSharedSweep:
             metrics=("davg", "dmax"),
             reports=False,
             processes=2,
+            backend="numpy",
         ).run()
         stats = result.cache_stats
         assert isinstance(stats, CacheStats)
@@ -366,7 +372,9 @@ class TestSharedSweep:
             store.put(key, "flat_keys", source.flat_keys())
             store.put(key, "inverse_perm", source.inverse_permutation())
             store.put(key, "order", source.order())
-            ctx = ContextPool(shared_store=store).get(ZCurve(u2_8))
+            ctx = ContextPool(shared_store=store, backend="numpy").get(
+                ZCurve(u2_8)
+            )
             np.testing.assert_array_equal(
                 ctx.key_grid(), source.key_grid()
             )
@@ -402,6 +410,7 @@ class TestOrderPublishing:
             reports=False,
             processes=2,
             shared=True,
+            backend="numpy",
         ).run()
 
     def test_order_resolved_shared_for_dilation(self, u2_8):
@@ -428,6 +437,7 @@ class TestOrderPublishing:
             reports=False,
             processes=2,
             shared=True,
+            backend="numpy",
         ).run()
         stats = result.cache_stats
         # One (n, d) order segment is published (under the base spec);
@@ -479,5 +489,90 @@ class TestConcurrentAttach:
             for view in views:
                 np.testing.assert_array_equal(view, grid)
             twin.close()
+        finally:
+            store.unlink()
+
+
+requires_native = pytest.mark.skipif(
+    not native.available(), reason="native kernels unavailable"
+)
+
+CODEC_CURVES = ["z", "hilbert", "reversed:inner=hilbert"]
+CODEC_METRICS = ("davg", "dmax", "dilation:window=3")
+
+
+def _published(u2_8, curves, **kwargs) -> SharedGridStore:
+    """The segments a process sweep of ``curves`` would publish."""
+    tasks, _ = Sweep(
+        universes=[u2_8],
+        curves=curves,
+        metrics=CODEC_METRICS,
+        reports=False,
+        processes=2,
+        **kwargs,
+    )._plan()
+    store, _ = _publish_shared(tasks, DEFAULT_CACHE_BYTES)
+    return store
+
+
+@requires_native
+class TestCodecCurvesNotShared:
+    """Native-codec curves are neither published nor attached: a worker
+    builds their grids faster than the parent copies them."""
+
+    def test_codec_sweep_publishes_no_segment(self, u2_8):
+        store = _published(u2_8, CODEC_CURVES)
+        try:
+            assert len(store) == 0
+        finally:
+            store.unlink()
+
+    def test_numpy_backend_still_publishes(self, u2_8):
+        store = _published(u2_8, CODEC_CURVES, backend="numpy")
+        try:
+            kinds = {kind for _, kind in store.manifest()}
+            assert kinds == set(SHARED_KINDS)
+        finally:
+            store.unlink()
+
+    def test_tables_still_published(self, u2_8):
+        store = _published(
+            u2_8, ["hilbert", "random:seed=3", "reversed:inner=random:seed=3"]
+        )
+        try:
+            keys = {key for key, _ in store.manifest()}
+            assert len(keys) == 2  # the two table specs, not hilbert
+        finally:
+            store.unlink()
+
+    def test_process_sweep_attaches_nothing(self, u2_8):
+        before = shm_segments()
+        result = Sweep(
+            universes=[u2_8],
+            curves=CODEC_CURVES,
+            metrics=CODEC_METRICS,
+            reports=False,
+            processes=2,
+        ).run()
+        serial = Sweep(
+            universes=[u2_8],
+            curves=CODEC_CURVES,
+            metrics=CODEC_METRICS,
+            reports=False,
+        ).run()
+        assert result.records == serial.records
+        assert result.cache_stats.total_shared == 0
+        assert shm_segments() == before
+
+    def test_pool_does_not_wire_codec_curves(self, u2_8):
+        store = SharedGridStore.create()
+        try:
+            source = ZCurve(u2_8)
+            store.put(shared_key(source), "key_grid", source.key_grid())
+            ctx = ContextPool(shared_store=store).get(ZCurve(u2_8))
+            assert ctx._shared_sources == {}
+            ctx.key_grid()
+            assert ctx.stats.compute_count("key_grid") == 1
+            assert ctx.stats.total_shared == 0
         finally:
             store.unlink()

@@ -12,11 +12,14 @@ from repro.curves.zcurve import ZCurve
 from repro.engine import (
     SHARED_KINDS,
     ContextPool,
+    CurveSpec,
     GridStore,
     MetricContext,
     Sweep,
+    native,
     shared_key,
 )
+from repro.engine.shm import reuse_key
 
 
 class TestGridStore:
@@ -89,10 +92,14 @@ class TestGridStore:
 
 
 class TestContextWiring:
+    """Store wiring of one context.  Procedural curves run on the NumPy
+    backend here: a native codec exempts them from the store (see
+    ``TestCodecExemption``)."""
+
     def test_cold_run_writes_through(self, tmp_path, u2_8):
         store = GridStore(tmp_path)
         curve = ZCurve(u2_8)
-        ctx = MetricContext(curve, store=store)
+        ctx = MetricContext(curve, store=store, backend="numpy")
         ctx.davg()
         ctx.order()
         ctx.flat_keys()
@@ -105,9 +112,10 @@ class TestContextWiring:
         assert ctx.stats.total_mmap == 0  # nothing to map on a cold run
 
     def test_warm_context_resolves_from_mmap(self, tmp_path, u2_8):
-        cold = MetricContext(ZCurve(u2_8), store_dir=tmp_path)
+        kwargs = dict(store_dir=tmp_path, backend="numpy")
+        cold = MetricContext(ZCurve(u2_8), **kwargs)
         baseline = (cold.davg(), cold.dmax(), cold.davg_ratio())
-        warm = MetricContext(ZCurve(u2_8), store_dir=tmp_path)
+        warm = MetricContext(ZCurve(u2_8), **kwargs)
         assert (warm.davg(), warm.dmax(), warm.davg_ratio()) == baseline
         assert warm.stats.total_mmap > 0
         assert warm.stats.mmap_count("key_grid") == 1
@@ -117,8 +125,14 @@ class TestContextWiring:
         assert warm.stats.mmap_count("key_grid") == 1
 
     def test_warm_values_equal_storeless(self, tmp_path, u2_8):
-        MetricContext(HilbertCurve(u2_8), store_dir=tmp_path).davg()
-        warm = MetricContext(HilbertCurve(u2_8), store_dir=tmp_path)
+        MetricContext(
+            HilbertCurve(u2_8), store_dir=tmp_path, backend="numpy"
+        ).davg()
+        warm = MetricContext(
+            HilbertCurve(u2_8), store_dir=tmp_path, backend="numpy"
+        )
+        assert warm.key_grid() is not None
+        assert warm.stats.mmap_count("key_grid") == 1
         plain = MetricContext(HilbertCurve(u2_8))
         assert warm.davg() == plain.davg()
         assert warm.dmax() == plain.dmax()
@@ -136,8 +150,10 @@ class TestContextWiring:
         assert ctx.stats.compute_count("key_grid") == 1
 
     def test_pool_contexts_share_one_store(self, tmp_path, u2_8):
-        ContextPool(store_dir=tmp_path).get(ZCurve(u2_8)).davg()
-        pool = ContextPool(store_dir=tmp_path)
+        ContextPool(store_dir=tmp_path, backend="numpy").get(
+            ZCurve(u2_8)
+        ).davg()
+        pool = ContextPool(store_dir=tmp_path, backend="numpy")
         ctx = pool.get(ZCurve(u2_8))
         assert ctx.grid_store is pool.grid_store
         ctx.davg()
@@ -152,6 +168,7 @@ class TestSweepWiring:
             curves=["z", "hilbert"],
             metrics=("davg", "dmax"),
             reports=False,
+            backend="numpy",
         )
         plain = Sweep(**kwargs).run()
         cold = Sweep(store_dir=tmp_path, **kwargs).run()
@@ -188,10 +205,13 @@ class TestSweepWiring:
         ]
 
     def test_process_sweep_warm_start_maps_grids(self, tmp_path):
+        # Table curves: the publishing parent builds procedural grids
+        # with the native codec when it can, which beats a store read
+        # (see TestCodecExemption), so only tables are mapped here.
         kwargs = dict(
             dims=[2],
             sides=[8],
-            curves=["z", "hilbert"],
+            curves=["random:seed=3", "reversed:inner=random:seed=3"],
             metrics=("davg",),
             reports=False,
             processes=2,
@@ -204,3 +224,100 @@ class TestSweepWiring:
             assert [r.values for r in result.records] == [
                 r.values for r in plain.records
             ]
+
+
+requires_native = pytest.mark.skipif(
+    not native.available(), reason="native kernels unavailable"
+)
+
+#: Every registry family a native codec encodes on 2D side 8, and a
+#: transform over one (it follows its base).
+CODEC_SPECS = [
+    "z",
+    "hilbert",
+    "gray",
+    "moore",
+    "snake",
+    "simple",
+    "spiral",
+    "diagonal",
+    "reversed:inner=hilbert",
+]
+
+
+def _curve(spec, universe):
+    return CurveSpec.parse(spec).make(universe)
+
+
+def _touch_every_kind(ctx) -> None:
+    ctx.davg()
+    ctx.order()
+    ctx.flat_keys()
+    ctx.inverse_permutation()
+
+
+@requires_native
+class TestCodecExemption:
+    """A curve whose keys a native codec serves is never stored: each
+    context builds its grid faster than it could read it back."""
+
+    @pytest.mark.parametrize("spec", CODEC_SPECS)
+    def test_codec_curve_maps_and_writes_nothing(self, tmp_path, u2_8, spec):
+        store = GridStore(tmp_path)
+        for _ in range(2):  # cold, then what would be the warm run
+            ctx = MetricContext(_curve(spec, u2_8), store=store)
+            _touch_every_kind(ctx)
+            assert ctx.stats.total_mmap == 0
+            assert ctx._mmap_sources == {} and ctx._persist_sinks == {}
+        assert store.entries() == []
+
+    @pytest.mark.parametrize("spec", ["z", "hilbert", "reversed:inner=hilbert"])
+    def test_numpy_backend_still_stores_and_maps(self, tmp_path, u2_8, spec):
+        cold = MetricContext(
+            _curve(spec, u2_8), store_dir=tmp_path, backend="numpy"
+        )
+        _touch_every_kind(cold)
+        assert GridStore(tmp_path).entries()
+        warm = MetricContext(
+            _curve(spec, u2_8), store_dir=tmp_path, backend="numpy"
+        )
+        assert warm.davg() == cold.davg()
+        assert warm.stats.mmap_count("key_grid") == 1
+
+    @pytest.mark.parametrize(
+        "spec", ["random:seed=3", "reversed:inner=random:seed=3"]
+    )
+    def test_tables_still_stored_on_native(self, tmp_path, u2_8, spec):
+        MetricContext(_curve(spec, u2_8), store_dir=tmp_path).davg()
+        warm = MetricContext(_curve(spec, u2_8), store_dir=tmp_path)
+        warm.davg()
+        assert warm.stats.mmap_count("key_grid") == 1
+
+    def test_reuse_key_follows_innermost_base(self, u2_8):
+        for spec in (
+            "hilbert",
+            "reversed:inner=hilbert",
+            "reflected:inner=reversed:inner=hilbert",
+        ):
+            curve = _curve(spec, u2_8)
+            assert reuse_key(curve, "native") is None
+            assert reuse_key(curve, "auto") is None
+            assert reuse_key(curve, "numpy") == shared_key(curve)
+        table = _curve("reversed:inner=random:seed=3", u2_8)
+        assert reuse_key(table, "native") == shared_key(table) is not None
+
+    def test_codec_sweep_twice_leaves_store_empty(self, tmp_path):
+        kwargs = dict(
+            dims=[2],
+            sides=[8],
+            curves=["z", "hilbert", "reversed:inner=hilbert"],
+            metrics=("davg", "dilation:window=2"),
+            reports=False,
+            store_dir=tmp_path,
+        )
+        cold = Sweep(**kwargs).run()
+        warm = Sweep(**kwargs).run()
+        assert warm.records == cold.records
+        assert cold.cache_stats.total_mmap == warm.cache_stats.total_mmap == 0
+        assert GridStore(tmp_path).entries() == []
+        assert not tmp_path.exists() or not any(tmp_path.iterdir())

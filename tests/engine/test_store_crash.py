@@ -40,7 +40,9 @@ import sys
 from repro import Universe
 from repro.curves.zcurve import ZCurve
 from repro.engine.context import MetricContext
-MetricContext(ZCurve(Universe(d=2, side=8)), store_dir=sys.argv[1]).davg()
+MetricContext(
+    ZCurve(Universe(d=2, side=8)), store_dir=sys.argv[1], backend="numpy"
+).davg()
 """
 
 
@@ -142,12 +144,17 @@ class TestKilledEngineWriter:
         # a fresh engine process recomputes through the damage and
         # repairs the store with identical values
         baseline = MetricContext(ZCurve(Universe(d=2, side=8))).davg()
+        # NumPy backend: a native codec would exempt z from the store.
         repaired = MetricContext(
-            ZCurve(Universe(d=2, side=8)), store_dir=tmp_path
+            ZCurve(Universe(d=2, side=8)),
+            store_dir=tmp_path,
+            backend="numpy",
         )
         assert repaired.davg() == baseline
         warm = MetricContext(
-            ZCurve(Universe(d=2, side=8)), store_dir=tmp_path
+            ZCurve(Universe(d=2, side=8)),
+            store_dir=tmp_path,
+            backend="numpy",
         )
         assert warm.davg() == baseline
         assert warm.stats.total_mmap > 0

@@ -423,6 +423,8 @@ class TestSweepThreads:
             processes=2,
             threads=2,
             shared=True,
+            # NumPy backend: native codecs would exempt these curves.
+            backend="numpy",
         ).run()
         assert combo.records == serial.records
         stats = combo.cache_stats
@@ -463,3 +465,49 @@ class TestSweepThreads:
     def test_pool_passes_threads_through(self, u2_8):
         pool = ContextPool(threads=3)
         assert pool.get(ZCurve(u2_8)).threads == 3
+
+
+class TestKeyReadsUnderBudget:
+    """A budget that cannot keep the key grid must not build it twice:
+    the NN fold's pre-resolve is skipped when the store would drop it."""
+
+    SIDE = 64
+
+    def _planes(self, monkeypatch, **kwargs) -> int:
+        from repro.curves.hilbert import HilbertCurve
+
+        universe = Universe(d=2, side=self.SIDE)
+        expected = MetricContext(HilbertCurve(universe)).davg()
+        planes = [0]
+        build = MetricContext._key_slab_values
+
+        def counting(ctx, lo, hi):
+            planes[0] += hi - lo
+            return build(ctx, lo, hi)
+
+        monkeypatch.setattr(MetricContext, "_key_slab_values", counting)
+        assert MetricContext(HilbertCurve(universe), **kwargs).davg() == (
+            expected
+        )
+        return planes[0]
+
+    @pytest.mark.parametrize("backend", ["numpy", "auto"])
+    def test_serial_zero_budget_builds_each_plane_once(
+        self, monkeypatch, backend
+    ):
+        planes = self._planes(monkeypatch, max_bytes=0, backend=backend)
+        assert planes == self.SIDE
+
+    @pytest.mark.parametrize("backend", ["numpy", "auto"])
+    def test_threaded_zero_budget_builds_ranges_not_grids(
+        self, monkeypatch, backend
+    ):
+        # Each range builds its own planes plus its boundary planes;
+        # a pre-resolved whole grid would add SIDE more.
+        planes = self._planes(
+            monkeypatch, max_bytes=0, threads=2, backend=backend
+        )
+        assert self.SIDE <= planes < 2 * self.SIDE
+
+    def test_default_budget_still_resolves_once(self, monkeypatch):
+        assert self._planes(monkeypatch, threads=2) == self.SIDE

@@ -9,6 +9,9 @@ import http.client
 import json
 from concurrent.futures import ThreadPoolExecutor
 
+import pytest
+
+from repro.engine import native
 from repro.engine.sweep import Sweep
 from repro.serve import SweepResponse, app
 
@@ -43,8 +46,19 @@ class TestEndpoints:
     def test_healthz(self, server):
         assert fetch(server.url + "/healthz") == (200, {"status": "ok"})
 
-    def test_stats_shape(self, server):
-        status, stats = fetch(server.url + "/stats")
+    def test_stats_shape(self):
+        from repro.serve import BackgroundServer, ServeConfig
+
+        # NumPy backend: the hilbert hot set is published to shared
+        # memory there (a native codec would exempt it).
+        config = ServeConfig(
+            port=0,
+            hot_set=(("hilbert", 2, 8),),
+            batch_window_s=0.001,
+            backend="numpy",
+        )
+        with BackgroundServer(config) as server:
+            status, stats = fetch(server.url + "/stats")
         assert status == 200
         assert set(stats) >= {"cache", "counters", "inflight", "shm"}
         assert stats["warm_pairs"] == ["hilbert@2x8"]
@@ -308,8 +322,13 @@ class TestPersistentStore:
     def test_restart_warm_starts_from_store(self, tmp_path):
         from repro.serve import BackgroundServer, ServeConfig
 
+        # NumPy backend: native codecs would exempt hilbert/z/gray from
+        # the store (see test_native_codec_curves_skip_store).
         config = ServeConfig(
-            port=0, batch_window_s=0.001, store_dir=str(tmp_path)
+            port=0,
+            batch_window_s=0.001,
+            store_dir=str(tmp_path),
+            backend="numpy",
         )
         with BackgroundServer(config) as server:
             status, first = fetch(
@@ -333,6 +352,37 @@ class TestPersistentStore:
         assert second["records"] == first["records"]
         assert sum(warm["cache"]["mmap"].values()) > 0
         assert warm["cache"]["computes"].get("key_grid", 0) == 0
+
+    @pytest.mark.skipif(
+        not native.available(), reason="native kernels unavailable"
+    )
+    def test_native_codec_curves_skip_store(self, tmp_path):
+        """On the native backend a codec curve's grid is built per
+        server lifetime: the hot set publishes no segment, requests
+        write no store entry, and a restart maps nothing."""
+        from repro.serve import BackgroundServer, ServeConfig
+
+        config = ServeConfig(
+            port=0,
+            hot_set=(("hilbert", 2, 8),),
+            batch_window_s=0.001,
+            store_dir=str(tmp_path),
+            backend="native",
+        )
+        records = []
+        for _ in range(2):
+            with BackgroundServer(config) as server:
+                status, payload = fetch(
+                    server.url + "/sweep", payload=SWEEP_BODY
+                )
+                assert status == 200
+                _, stats = fetch(server.url + "/stats")
+            records.append(payload["records"])
+            assert stats["shm"]["segments"] == []
+            assert stats["store"]["entries"] == 0
+            assert stats["cache"]["mmap"] == {}
+            assert stats["cache"]["computes"]["key_grid"] == 3
+        assert records[0] == records[1]
 
     def test_stats_has_no_store_section_when_unconfigured(self, server):
         _, stats = fetch(server.url + "/stats")

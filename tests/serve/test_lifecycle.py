@@ -33,7 +33,11 @@ def assert_unlinked(segment_names):
 
 class TestBackgroundServer:
     def test_stop_unlinks_shared_memory(self):
-        config = ServeConfig(port=0, hot_set=(("hilbert", 2, 8),))
+        # NumPy backend: a native codec would exempt hilbert from
+        # publishing, leaving no segment to check.
+        config = ServeConfig(
+            port=0, hot_set=(("hilbert", 2, 8),), backend="numpy"
+        )
         server = BackgroundServer(config)
         try:
             _, stats = fetch(server.url + "/stats")
@@ -72,6 +76,8 @@ class TestSigterm:
                 "0",
                 "--hot-set",
                 "hilbert@2x8",
+                "--backend",
+                "numpy",
             ],
             stdout=subprocess.PIPE,
             stderr=subprocess.STDOUT,

@@ -290,8 +290,12 @@ class TestDedupAndWarm:
             assert stats["warm_pairs"] == ["hilbert@2x8"]
             assert stats["shm"]["segments"]
 
+        # NumPy backend: the hot hilbert grid is published there.
         run_with_service(
-            ServeConfig(port=0, hot_set=(("hilbert", 2, 8),)), scenario
+            ServeConfig(
+                port=0, hot_set=(("hilbert", 2, 8),), backend="numpy"
+            ),
+            scenario,
         )
 
     def test_bad_hot_set_fails_startup(self):
