@@ -293,7 +293,9 @@ class PermutationCurve(SpaceFillingCurve):
                     f"order shape {cells.shape} != ({universe.n}, {universe.d})"
                 )
             ranks = coords_to_rank(cells, universe)
-            flat = np.empty(universe.n, dtype=np.int64)
+            # -1, not np.empty: a repeated cell leaves some slot unwritten,
+            # and leftover memory there could pass the bijection check.
+            flat = np.full(universe.n, -1, dtype=np.int64)
             flat[ranks] = np.arange(universe.n, dtype=np.int64)
             grid = np.ascontiguousarray(
                 flat.reshape(universe.shape, order="F")
