@@ -33,11 +33,12 @@ class AxisPermutedCurve(SpaceFillingCurve):
         self, inner: SpaceFillingCurve, perm: Sequence[int]
     ) -> None:
         super().__init__(inner.universe)
-        perm_arr = np.asarray(perm, dtype=np.int64)
-        if sorted(perm_arr.tolist()) != list(range(inner.universe.d)):
+        # Checked before the int64 cast, which overflows on huge ints.
+        if sorted(int(v) for v in perm) != list(range(inner.universe.d)):
             raise ValueError(
                 f"perm must be a permutation of 0..{inner.universe.d - 1}"
             )
+        perm_arr = np.asarray(perm, dtype=np.int64)
         self.inner = inner
         self.perm = perm_arr
         self.name = f"{inner.name}-perm{''.join(map(str, perm_arr.tolist()))}"

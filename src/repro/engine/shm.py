@@ -29,12 +29,12 @@ consults (this store, the persistent
 :class:`repro.engine.store.GridStore`, process sweeps and ``repro
 serve``): it returns ``None`` — compute locally — for instance-keyed
 curves (explicit permutation tables, whose identity cannot be
-re-derived in another process) and for curves whose innermost base a
-native codec encodes on the backend the cells run with (a 2D 1024
-grid builds in a few ms, less than a verified store read plus a copy
-into a segment).  What is left to share are tables (``random``,
-``peano``, transforms over them) and, on the NumPy backend, every
-spec-keyed curve.
+re-derived in another process) and for curves a native codec encodes
+on the backend the cells run with (a 2D 1024 grid builds in a few ms,
+less than a verified store read plus a copy into a segment).  What is
+left to share are tables (``random``, ``peano``), every transform
+(``reversed``/``reflected``/``axisperm``, which no codec encodes) and,
+on the NumPy backend, every spec-keyed curve.
 
 Attached views index shared pages: a worker never pays the curve
 evaluation again, and the grid's memory is mapped once machine-wide
@@ -138,12 +138,11 @@ def reuse_key(curve: SpaceFillingCurve, backend: str) -> Optional[tuple]:
 
     ``None`` means "every context computes its own": the curve is
     instance-keyed (:func:`shared_key` is ``None``), or a native codec
-    serves its innermost base curve on ``backend`` (the backend the
-    cells run with, resolved as :class:`repro.engine.MetricContext`
-    resolves it), so building the grid is cheaper than reading it back.
-    A transform follows its base: ``reversed:inner=hilbert`` computes
-    like ``hilbert``, ``reversed:inner=random`` is shared like
-    ``random``.
+    serves it on ``backend`` (the backend the cells run with, resolved
+    as :class:`repro.engine.MetricContext` resolves it), so building
+    the grid is cheaper than reading it back.  Codecs match exact
+    types, so a transform such as ``reversed:inner=hilbert`` keeps its
+    key and is stored and shared like a table.
 
     >>> from repro import Universe, ZCurve
     >>> from repro.curves.random_curve import RandomCurve
@@ -153,10 +152,7 @@ def reuse_key(curve: SpaceFillingCurve, backend: str) -> Optional[tuple]:
     >>> reuse_key(RandomCurve(u, seed=1), "auto") is not None
     True
     """
-    base = curve
-    while isinstance(getattr(base, "inner", None), SpaceFillingCurve):
-        base = base.inner
-    if base._native_codec(backend) is not None:
+    if curve._native_codec(backend) is not None:
         return None
     return shared_key(curve)
 

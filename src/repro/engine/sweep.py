@@ -61,7 +61,7 @@ from repro.curves.base import SpaceFillingCurve
 from repro.curves.registry import (
     available_curves,
     curve_applicability,
-    curve_capabilities,
+    curve_is_hidden,
     make_curve,
 )
 from repro.engine.chunked import DEFAULT_CHUNK_CELLS
@@ -198,7 +198,10 @@ class CurveSpec(_Spec):
         Raises ``KeyError`` for a name the registry does not know and
         ``ValueError`` for an empty nested spec, as a top-level name
         does, so a sweep refuses ``reversed:inner=bogus`` at plan time
-        instead of after other cells have run.
+        instead of after other cells have run.  Only the hidden
+        transform wrappers take an ``inner=`` curve; on any other curve
+        it is an unexpected keyword like any other (``z:inner=bogus``),
+        and the cell is skipped when it fails to construct.
 
         >>> CurveSpec.parse("reversed:inner=bogus").check_names()
         ... # doctest: +ELLIPSIS
@@ -206,9 +209,8 @@ class CurveSpec(_Spec):
         ...
         KeyError: "unknown curve 'bogus'; ...
         """
-        curve_capabilities(self.name)
         inner = dict(self.kwargs).get("inner")
-        if inner is not None:
+        if curve_is_hidden(self.name) and inner is not None:
             CurveSpec.parse(str(inner)).check_names()
 
 
@@ -754,11 +756,11 @@ def _publish_shared(
     parent would defeat the point of chunking — as are cells whose
     curve fails to construct (the worker will report those as skipped)
     and specs :func:`repro.engine.shm.reuse_key` exempts (instance-keyed
-    curves, and curves whose innermost base a native codec encodes on
-    the cells' backend): nothing of theirs is published, not even the
-    order.  Publishing reuses a per-universe
-    :class:`ContextPool`, so transform curves' grids are *derived* from
-    their inner curve's arrays instead of evaluated from scratch.
+    curves, and curves a native codec encodes on the cells' backend):
+    nothing of theirs is published, not even the order.  Publishing
+    reuses a per-universe :class:`ContextPool`, so transform curves'
+    grids are *derived* from their inner curve's arrays instead of
+    evaluated from scratch.
 
     Publish policy: **base** specs get the full grid set (key grid,
     flat keys, inverse permutation) — everything a worker would need a
@@ -779,7 +781,9 @@ def _publish_shared(
     column-permute, see
     :func:`repro.engine.pool.transform_derivations`), so workers
     derive it from the base's zero-copy view instead of the parent
-    shipping one ``(n, d)`` segment per family member.
+    shipping one ``(n, d)`` segment per family member.  A base the
+    rule exempts (``hilbert`` under ``reversed:inner=hilbert``) gets
+    no order segment: workers build its order as they build its grid.
 
     With a ``store_dir`` the publishing pool is additionally wired to
     the persistent :class:`repro.engine.store.GridStore`: a warm parent
@@ -878,8 +882,8 @@ class Sweep:
     executor starts; workers attach zero-copy views instead of
     recomputing (counted under :attr:`CacheStats.shared`), except for
     specs :func:`repro.engine.shm.reuse_key` exempts — on the native
-    backend, every curve with a native codec and transforms over one,
-    whose grid a worker builds faster than the parent publishes it.  The
+    backend, every curve with a native codec, whose grid a worker
+    builds faster than the parent publishes it.  The
     parent unlinks every segment when the sweep finishes, even on
     worker failure.  Identical (universe, curve, metrics) cells are
     deduplicated before any work runs, in every execution mode.

@@ -12,7 +12,7 @@ rebuilds per invocation and keeps it for the process lifetime:
   re-attachable if the LRU ever evicts, and visible in ``/stats`` as
   the segments to watch for clean teardown) — only the grids
   :func:`repro.engine.shm.reuse_key` keys, so on the native backend
-  only tables;
+  only tables and transforms;
 * the async request machinery — a :class:`SingleFlight` table keyed by
   the engine's canonical :class:`~repro.engine.sweep.CellTask` and a
   :class:`MicroBatcher`

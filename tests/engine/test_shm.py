@@ -22,7 +22,7 @@ from repro.engine import (
     native,
     shared_key,
 )
-from repro.engine.sweep import _publish_shared
+from repro.engine.sweep import CurveSpec, _publish_shared
 
 SHM_DIR = Path("/dev/shm")
 
@@ -497,7 +497,7 @@ requires_native = pytest.mark.skipif(
     not native.available(), reason="native kernels unavailable"
 )
 
-CODEC_CURVES = ["z", "hilbert", "reversed:inner=hilbert"]
+CODEC_CURVES = ["z", "hilbert", "spiral"]
 CODEC_METRICS = ("davg", "dmax", "dilation:window=3")
 
 
@@ -542,6 +542,17 @@ class TestCodecCurvesNotShared:
         try:
             keys = {key for key, _ in store.manifest()}
             assert len(keys) == 2  # the two table specs, not hilbert
+        finally:
+            store.unlink()
+
+    def test_transform_over_codec_curve_still_published(self, u2_8):
+        # No codec encodes the transform itself, so it keeps its
+        # segments; its exempt base publishes nothing, not even the
+        # order workers derive the transform's order from.
+        store = _published(u2_8, ["reversed:inner=hilbert"])
+        try:
+            transform = CurveSpec.parse("reversed:inner=hilbert").make(u2_8)
+            assert list(store.manifest()) == [(shared_key(transform), "key_grid")]
         finally:
             store.unlink()
 

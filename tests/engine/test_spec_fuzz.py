@@ -96,6 +96,27 @@ class TestSpecGrammarFuzz:
         assert len(tasks) + len(skipped) == 2
 
 
+class TestCellErrorsAreSkips:
+    @pytest.mark.parametrize(
+        "text",
+        [
+            # Beyond int64: refused before the cast that overflows.
+            "axisperm:perm=9223372036854775808",
+            # ``inner=`` on a curve that takes none is an unexpected
+            # keyword whatever its value, not a plan-time name check.
+            "z:inner=bogus",
+            "z:inner=hilbert",
+            "z:bogus=1",
+        ],
+    )
+    def test_bad_cell_is_skipped_after_planning(self, text):
+        tasks, skipped = _sweep(["z", text])._plan()
+        assert len(tasks) + len(skipped) == 2
+        result = _sweep(["z", text]).run()
+        assert [record.spec for record in result.records] == ["z"]
+        assert [cell.spec for cell in result.skipped] == [text]
+
+
 class TestNestedNamesAtPlanTime:
     @pytest.mark.parametrize(
         "text,error",

@@ -230,8 +230,7 @@ requires_native = pytest.mark.skipif(
     not native.available(), reason="native kernels unavailable"
 )
 
-#: Every registry family a native codec encodes on 2D side 8, and a
-#: transform over one (it follows its base).
+#: Every registry family a native codec encodes on 2D side 8.
 CODEC_SPECS = [
     "z",
     "hilbert",
@@ -241,7 +240,6 @@ CODEC_SPECS = [
     "simple",
     "spiral",
     "diagonal",
-    "reversed:inner=hilbert",
 ]
 
 
@@ -285,7 +283,14 @@ class TestCodecExemption:
         assert warm.stats.mmap_count("key_grid") == 1
 
     @pytest.mark.parametrize(
-        "spec", ["random:seed=3", "reversed:inner=random:seed=3"]
+        "spec",
+        [
+            "random:seed=3",
+            "reversed:inner=random:seed=3",
+            # No codec encodes a transform, whatever its base.
+            "reversed:inner=hilbert",
+            "reflected:inner=z,axes=0",
+        ],
     )
     def test_tables_still_stored_on_native(self, tmp_path, u2_8, spec):
         MetricContext(_curve(spec, u2_8), store_dir=tmp_path).davg()
@@ -293,24 +298,26 @@ class TestCodecExemption:
         warm.davg()
         assert warm.stats.mmap_count("key_grid") == 1
 
-    def test_reuse_key_follows_innermost_base(self, u2_8):
-        for spec in (
-            "hilbert",
-            "reversed:inner=hilbert",
-            "reflected:inner=reversed:inner=hilbert",
-        ):
+    def test_reuse_key_exempts_codec_curves_only(self, u2_8):
+        for spec in CODEC_SPECS:
             curve = _curve(spec, u2_8)
             assert reuse_key(curve, "native") is None
             assert reuse_key(curve, "auto") is None
             assert reuse_key(curve, "numpy") == shared_key(curve)
-        table = _curve("reversed:inner=random:seed=3", u2_8)
-        assert reuse_key(table, "native") == shared_key(table) is not None
+        for spec in (
+            "reversed:inner=hilbert",
+            "reflected:inner=reversed:inner=hilbert",
+            "reversed:inner=random:seed=3",
+        ):
+            curve = _curve(spec, u2_8)
+            assert reuse_key(curve, "native") == shared_key(curve)
+            assert reuse_key(curve, "native") is not None
 
     def test_codec_sweep_twice_leaves_store_empty(self, tmp_path):
         kwargs = dict(
             dims=[2],
             sides=[8],
-            curves=["z", "hilbert", "reversed:inner=hilbert"],
+            curves=["z", "hilbert", "spiral"],
             metrics=("davg", "dilation:window=2"),
             reports=False,
             store_dir=tmp_path,
