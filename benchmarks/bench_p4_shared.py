@@ -4,7 +4,7 @@
 inside each worker cell — the exact redundancy the paper's
 shared-structure argument says to exploit (every stretch metric of a
 cell reduces over *one* permutation's key grid).  With ``shared`` on
-(the default), the parent publishes one grid set per canonical curve
+(the default), the parent publishes one key grid per canonical curve
 spec into :class:`repro.engine.SharedGridStore` segments — deriving
 transform curves' grids from their inner curve instead of evaluating
 them — and workers attach zero-copy views.

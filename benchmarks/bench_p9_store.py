@@ -1,24 +1,17 @@
-"""P9 — persistent store: warm restarts and out-of-core spill.
+"""P9 — persistent store: warm restarts.
 
-The :class:`repro.engine.store.GridStore` exists for two workloads:
+The :class:`repro.engine.store.GridStore` exists for **warm restarts**:
+a sweep rerun (or a ``repro serve`` restart) resolves its key grids
+from memory-mapped on-disk artifacts instead of re-evaluating curves.
+The bench runs the same sweep cold (empty store) and warm (fresh pools
+over the populated store) and asserts the point of the feature: the
+warm pass resolves from mmap, returns **bit-for-bit identical**
+records, and is at least 2x faster (curve evaluation dominates the
+cold pass; the warm pass maps the grid and scatters the curve order
+from it).
 
-* **Warm restarts** — a sweep rerun (or a ``repro serve`` restart)
-  resolves its curve grids from memory-mapped on-disk artifacts instead
-  of re-evaluating curves.  The bench runs the same sweep cold (empty
-  store) and warm (fresh pools over the populated store) and asserts
-  the point of the feature: the warm pass resolves from mmap, returns
-  **bit-for-bit identical** records, and is at least 2x faster (the
-  measured gap is far larger — curve evaluation dominates the cold
-  pass, a page-cache read costs microseconds).
-* **Out-of-core spill** — a table-backed curve whose dense grid busts
-  ``max_bytes`` writes its table through to the store on the first
-  computed slab, and a rerun streams slabs back as mmap slices, so the
-  block cache never holds a second full copy.  Peak allocation of the
-  cold spilled run must undercut the dense run by a clear multiple,
-  with values identical.
-
-Wall-clock goes through pytest-benchmark; the cold/warm split and both
-allocation peaks land in the JSON via ``extra_info``.
+Wall-clock goes through pytest-benchmark; the cold/warm split lands in
+the JSON via ``extra_info``.
 """
 
 from __future__ import annotations
@@ -31,7 +24,7 @@ from repro.engine.sweep import Sweep
 from _bench_utils import cache_stats_payload, run_once
 
 #: Hilbert on 256^2 + 512^2 on the NumPy backend: cold cost is
-#: dominated by curve evaluation (order + key grid), exactly what the
+#: dominated by curve evaluation (the key grid), exactly what the
 #: store amortizes.  (On the native backend the codec builds these grids
 #: faster than a store read, so Hilbert is never stored there; see
 #: :func:`repro.engine.shm.reuse_key`.)
@@ -44,16 +37,6 @@ WARM_KWARGS = dict(
     metrics=("davg", "dilation:window=16"),
     reports=False,
     backend="numpy",
-)
-
-#: A table-backed (instance-materialized) curve on 512^2 whose 2 MiB
-#: grid busts this budget, forcing chunked mode + store spill.
-SPILL_UNIVERSE = Universe.power_of_two(d=2, k=9)
-SPILL_BUDGET = 256 * 1024
-SPILL_KWARGS = dict(
-    curves=["random:seed=11"],
-    metrics=("davg", "dmax"),
-    reports=False,
 )
 
 
@@ -103,57 +86,4 @@ def test_p9_store_warm_restart_speedup(
           f"{warm_s * 1e3:.1f} ms ({speedup:.1f}x)")
     assert speedup >= 2.0, (
         f"warm restart only {speedup:.2f}x over cold (want >= 2x)"
-    )
-
-
-def test_p9_store_spill_bounded_memory(
-    benchmark, peak_memory, tmp_path, results_writer
-):
-    """Acceptance: spilled sweep completes under the budget's footprint
-    with values identical to the dense run."""
-    store = tmp_path / "spill"
-
-    def dense():
-        return Sweep(universes=[SPILL_UNIVERSE], **SPILL_KWARGS).run()
-
-    def spilled():
-        return Sweep(
-            universes=[SPILL_UNIVERSE],
-            store_dir=store,
-            max_bytes=SPILL_BUDGET,
-            **SPILL_KWARGS,
-        ).run()
-
-    dense_result, dense_peak, _ = peak_memory("dense", dense)
-    spill_result, spill_peak, _ = peak_memory(
-        "spilled", lambda: run_once(benchmark, spilled)
-    )
-    warm_result = spilled()
-
-    assert _records(spill_result) == _records(dense_result)
-    assert _records(warm_result) == _records(dense_result)
-    # chunked + spilled: the cold run writes the table through and
-    # maps nothing; the rerun streams its slabs back as mmap slices of
-    # that table.  Neither computes a dense key grid.
-    assert spill_result.cache_stats.total_mmap == 0
-    assert warm_result.cache_stats.total_mmap > 0
-    for result in (spill_result, warm_result):
-        assert "key_grid" not in result.cache_stats.computes
-
-    results_writer(
-        "p9_store_spill_memory",
-        "P9 — dense vs store-spilled sweep (random:seed=11 on "
-        f"{SPILL_UNIVERSE}, davg+dmax, max_bytes="
-        f"{SPILL_BUDGET // 1024} KiB)\n\n"
-        f"dense   peak alloc: {dense_peak / 2**20:9.2f} MiB\n"
-        f"spilled peak alloc: {spill_peak / 2**20:9.2f} MiB\n"
-        f"reduction:          {dense_peak / spill_peak:9.1f}x\n",
-    )
-    print(
-        f"\nspill peak {spill_peak / 2**20:.2f} MiB vs dense "
-        f"{dense_peak / 2**20:.2f} MiB"
-    )
-    assert spill_peak * 2 < dense_peak, (
-        f"spilled peak {spill_peak} not clearly bounded vs dense "
-        f"{dense_peak}"
     )

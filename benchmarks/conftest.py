@@ -31,12 +31,19 @@ def _isolated_disk_caches(tmp_path_factory):
     """Keep bench runs off the host's persistent caches (see
     tests/conftest.py): native builds go to session tmp when no cache
     is configured, and the store env defaults are cleared so every
-    bench that wants a store opts in with an explicit directory."""
+    bench that wants a store opts in with an explicit directory.
+
+    The native kernels are built here, once, so no bench times a
+    compile; on a host without a compiler this records the fallback
+    reason, which the benches then report as before."""
+    from repro.engine import native
+
     preset = os.environ.get("REPRO_NATIVE_CACHE")
     if not preset:
         os.environ["REPRO_NATIVE_CACHE"] = str(
             tmp_path_factory.mktemp("native-cache")
         )
+    native.available()
     saved = {
         name: os.environ.pop(name, None)
         for name in ("REPRO_STORE", "REPRO_STORE_CRASH")

@@ -18,8 +18,8 @@ Public API highlights
   canonical curve spec of a universe and derives transform-curve
   arrays (reversed/reflected/axis-permuted) from their inner curve's
   cache.  Process sweeps extend the sharing
-  across workers: :class:`repro.SharedGridStore` publishes one grid
-  set per curve spec into shared memory and workers attach zero-copy
+  across workers: :class:`repro.SharedGridStore` publishes one key
+  grid per curve spec into shared memory and workers attach zero-copy
   views (see ``docs/parallelism.md``).
 * Sweeps: :class:`repro.Sweep` — declarative curve × universe × metric
   runs (``"random:seed=3"``-style curve specs,

@@ -214,8 +214,9 @@ def build_parser() -> argparse.ArgumentParser:
         "written through as checksummed .npy artifacts and later runs "
         "memory-map them instead of recomputing (bit-for-bit "
         "identical; counted as 'mmap' under --stats); chunked cells "
-        "spill table-backed grids there to stream beyond the cache "
-        "budget (default: $REPRO_STORE when set)",
+        "slice their key slabs from a grid a dense run stored.  "
+        "Tables and, on the native backend, codec curves are never "
+        "stored (default: $REPRO_STORE when set)",
     )
 
     p_serve = sub.add_parser(

@@ -32,8 +32,7 @@
   :class:`ContextPool` / :class:`Sweep` selects it; values are
   bit-for-bit identical across backends.
 * :mod:`repro.engine.shm` — :class:`SharedGridStore`, shared-memory
-  segments holding one grid set (key grid, flat keys, inverse
-  permutation) per canonical spec, published by a
+  segments holding one key grid per canonical spec, published by a
   process sweep's parent and attached by its workers as zero-copy
   read-only views (counted in :attr:`CacheStats.shared`).
 * :mod:`repro.engine.store` — :class:`GridStore`, the *persistent*
@@ -41,8 +40,8 @@
   shape/SHA-256 headers, temp-file + atomic-rename publish) memory-
   mapped read-only across processes, slotted into the resolution order
   as shared → **mmap** → derived → compute (counted in
-  :attr:`CacheStats.mmap`) and doubling as the out-of-core spill
-  target for chunked table-backed curves.  ``store_dir=`` on
+  :attr:`CacheStats.mmap`); it stores key grids only, and only for
+  curves :func:`repro.engine.shm.reuse_key` keys.  ``store_dir=`` on
   :class:`MetricContext` / :class:`ContextPool` / :class:`Sweep`
   (``repro sweep/serve --store``) wires it in.
 * :mod:`repro.engine.sweep` — :class:`Sweep`, the declarative
@@ -68,11 +67,7 @@ from repro.engine.context import (
     get_context,
 )
 from repro.engine.pool import ContextPool, transform_derivations
-from repro.engine.shm import (
-    SHARED_KINDS,
-    SharedGridStore,
-    shared_key,
-)
+from repro.engine.shm import SharedGridStore, shared_key
 from repro.engine.store import (
     FORMAT_VERSION,
     GridStore,
@@ -112,7 +107,6 @@ __all__ = [
     "DynamicUniverse",
     "ReselectionEvent",
     "transform_derivations",
-    "SHARED_KINDS",
     "SharedGridStore",
     "shared_key",
     "GridStore",

@@ -12,8 +12,9 @@ stretch) consumes the same handful of intermediates:
   curve (:func:`repro.engine.chunked.window_max_reduction`), memoized
   per ``(window, metric)`` as a scalar,
 * the per-cell sum / max grids, on request,
-* the **inverse permutation** (rank grid) and the rank-ordered flat key
-  array consumed by the analysis and application layers.
+* the **inverse permutation** (rank grid), the rank-ordered flat key
+  array and the **curve order** consumed by the analysis and
+  application layers — each an ``O(n)`` rearrangement of the key grid.
 
 Historically each free function in :mod:`repro.core.stretch` rebuilt
 these from scratch, so a full :func:`repro.core.summary.stretch_report`
@@ -80,25 +81,26 @@ across ``{numpy, native}`` × ``{dense, chunked, threaded}``.
 
 **Shared mode** (process sweeps): a context wired to a
 :class:`repro.engine.shm.SharedGridStore` (via
-:class:`repro.engine.ContextPool`) resolves its key grid, flat keys
-and inverse permutation as zero-copy read-only views of
-parent-published shared-memory segments before computing anything
-locally; resolutions are counted in :attr:`CacheStats.shared` and the
-views are retained outside the ``max_bytes`` budget (their pages are
-mapped once machine-wide, not owned by this process).  See
+:class:`repro.engine.ContextPool`) resolves its key grid as a
+zero-copy read-only view of a parent-published shared-memory segment
+before computing it locally; resolutions are counted in
+:attr:`CacheStats.shared` and the view is retained outside the
+``max_bytes`` budget (its pages are mapped once machine-wide, not
+owned by this process).  Everything else derives from the grid.  See
 ``docs/memory-model.md`` for the full retention / materialization /
 duplication picture.
 
 **Persistent store** (``store_dir=...`` / ``repro sweep --store``): a
-context wired to a :class:`repro.engine.store.GridStore` resolves the
-same grid intermediates as read-only ``np.memmap`` views of
-checksummed on-disk artifacts — resolution order **shared → mmap →
-derived → compute**, counted in :attr:`CacheStats.mmap` — and writes
-freshly computed ones through, so a later process (a sweep rerun, a
-``repro serve`` restart) starts warm from disk.  Key slabs are slices
-of the mapped ``key_grid`` in every mode, so a chunked context's slabs
-evicted from the LRU re-resolve from disk bit-for-bit instead of being
-recomputed.  See ``docs/persistence.md``.
+context wired to a :class:`repro.engine.store.GridStore` resolves its
+key grid as a read-only ``np.memmap`` view of a checksummed on-disk
+artifact — resolution order **shared → mmap → derived → compute**,
+counted in :attr:`CacheStats.mmap` — and writes a freshly computed
+whole grid through, so a later process (a sweep rerun, a ``repro
+serve`` restart) starts warm from disk.  Key slabs are slices of the
+mapped ``key_grid`` in every mode, so a chunked context maps a grid
+that a dense run committed.  Only curves
+:func:`repro.engine.shm.reuse_key` keys are shared or stored.  See
+``docs/persistence.md``.
 
 **One key accessor.**  Every key read goes through
 :meth:`MetricContext._key_slab`; a dense context is the context whose
@@ -469,37 +471,24 @@ class MetricContext:
         self._scheduler = None
         self._scalar_lock = threading.RLock()
         self._store = _BoundedStore(max_bytes)
-        #: Intermediate kind → factory deriving it cheaply from another
-        #: curve's context (wired by the pool for transform-derived
-        #: curves): ``(lo, hi) -> block`` for the block kinds
-        #: (``key_slab``, ``key_block``, ``inverse_block``), zero-arg
-        #: for ``order``.  Derived arrays are bit-for-bit identical to
-        #: from-scratch computation; only the cost differs.
+        #: Block kind → ``(lo, hi) -> block`` factory deriving it
+        #: cheaply from another curve's context (wired by the pool for
+        #: transform-derived curves; kinds ``key_slab``, ``key_block``,
+        #: ``inverse_block``).  Derived arrays are bit-for-bit
+        #: identical to from-scratch computation; only the cost differs.
         self._derivations: Dict[str, Callable[..., np.ndarray]] = {}
-        #: Intermediate key → zero-arg factory resolving the array as a
-        #: zero-copy view of a parent-published shared-memory segment
-        #: (wired by a :class:`repro.engine.ContextPool` holding a
-        #: :class:`repro.engine.shm.SharedGridStore`).  A factory
-        #: returning ``None`` means "not published" and falls through
-        #: to derivation / local compute.  Resolutions are counted in
-        #: :attr:`CacheStats.shared`.
-        self._shared_sources: Dict[
-            str, Callable[[], Optional[np.ndarray]]
-        ] = {}
-        #: Intermediate key → zero-arg factory resolving the array as a
+        #: View tier → zero-arg factory mapping the whole key grid:
+        #: ``"shared"``, a zero-copy view of a parent-published
+        #: :class:`repro.engine.shm.SharedGridStore` segment (wired by
+        #: a :class:`repro.engine.ContextPool`), and ``"mmap"``, a
         #: read-only memmap of a persistent
-        #: :class:`repro.engine.store.GridStore` artifact.  Consulted
-        #: after the shared tier, before derivation; a factory
-        #: returning ``None`` (absent or checksum-rejected entry) falls
-        #: through.  Resolutions are counted in :attr:`CacheStats.mmap`.
-        self._mmap_sources: Dict[
-            str, Callable[[], Optional[np.ndarray]]
-        ] = {}
-        #: Intermediate key → write-through sink persisting a genuinely
-        #: computed array to the grid store (best effort).
-        self._persist_sinks: Dict[str, Callable[[np.ndarray], object]] = {}
-        #: Whether a computed key slab already wrote its grid through.
-        self._grid_written = False
+        #: :class:`repro.engine.store.GridStore` artifact.  A factory
+        #: returning ``None`` (not published, not on disk or rejected
+        #: by its checksum) falls through to the next tier.
+        self._grid_views: Dict[str, Callable[[], Optional[np.ndarray]]] = {}
+        #: Write-through sink persisting a computed whole key grid to
+        #: the grid store (best effort), or ``None``.
+        self._grid_sink: Optional[Callable[[np.ndarray], object]] = None
         #: The wired :class:`repro.engine.store.GridStore`, or ``None``.
         if store is None and store_dir is not None:
             from repro.engine.store import GridStore
@@ -513,27 +502,23 @@ class MetricContext:
     def _wire_store(self, store) -> None:
         """Point this context at a persistent grid store.
 
-        A context with a process-stable spec key gets an mmap source
-        (mapped at most once per context) and a write-through sink per
-        shared kind.  The ``key_grid`` pair serves the key slabs (see
-        :meth:`_key_slab`), which slice the mapped grid, so a chunked
-        context maps the artifact without materializing anything
-        dense.  Curves :func:`repro.engine.shm.reuse_key` exempts
-        (instance-keyed ones, and those a native codec builds faster
-        than the store reads them) map and write nothing.
+        A context with a reuse key gets a ``key_grid`` mmap source
+        (mapped at most once per context) and a write-through sink.
+        The key slabs (see :meth:`_key_slab`) slice the mapped grid, so
+        a chunked context maps the artifact without materializing
+        anything dense.  Curves :func:`repro.engine.shm.reuse_key`
+        exempts (instance-keyed ones, tables, and those a native codec
+        builds faster than the store reads them) map and write nothing.
         """
-        from repro.engine.shm import SHARED_KINDS, reuse_key
+        from repro.engine.shm import reuse_key
 
         skey = reuse_key(self.curve, self.backend)
         if skey is None:
             return
-        for kind in SHARED_KINDS:
-            self._mmap_sources[kind] = functools.lru_cache(maxsize=None)(
-                lambda k=skey, kd=kind: store.get(k, kd)
-            )
-            self._persist_sinks[kind] = (
-                lambda arr, k=skey, kd=kind: store.put(k, kd, arr)
-            )
+        self._grid_views["mmap"] = functools.lru_cache(maxsize=None)(
+            lambda: store.get(skey, "key_grid")
+        )
+        self._grid_sink = lambda grid: store.put(skey, "key_grid", grid)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -606,22 +591,8 @@ class MetricContext:
         compute: Callable[[], np.ndarray],
         freeze: bool = True,
     ) -> np.ndarray:
-        """Store lookup honoring pool-installed shared/derivation rules.
-
-        Resolution order is cheapest-first: an already-cached array,
-        then a zero-copy shared-memory view, then a persistent-store
-        memmap, then a derivation from a base context, then local
-        compute (persisted back to the store when one is wired).
-        """
-        return self._store.get_or_compute(
-            key,
-            compute,
-            freeze=freeze,
-            derive=self._derivations.get(key),
-            shared=self._shared_sources.get(key),
-            mmap=self._mmap_sources.get(key),
-            persist=self._persist_sinks.get(key),
-        )
+        """Budgeted store lookup: the cached array, else ``compute``."""
+        return self._store.get_or_compute(key, compute, freeze=freeze)
 
     # ------------------------------------------------------------------
     # Shared intermediates
@@ -642,22 +613,32 @@ class MetricContext:
     def order(self) -> np.ndarray:
         """Cells in curve order, ``(n, d)``: ``order()[j]`` is ``π^{-1}(j)``.
 
-        Resolved like the other grid intermediates — a parent-published
-        shared-memory view (process sweeps publish ``order`` when a
-        windowed metric is requested), a store memmap, a derivation,
-        else one batch decode of every key — and cached under the
-        ``max_bytes`` budget.
+        Scattered from the key grid, ``order[π(α)] = α``: an ``O(n)``
+        rearrangement, like :meth:`flat_keys`, instead of a decode of
+        every key.  The grid is read where it is resident; otherwise it
+        is resolved through the key-slab sources without being
+        retained, so a context that only walks the curve keeps only
+        the order.  Cached under the ``max_bytes`` budget.
         """
         self._require_dense(
             "order", "iter_window_pairs() or curve.coords on key blocks"
         )
-        return self._cached(
-            "order",
-            lambda: self.curve.coords_of(
-                np.arange(self.universe.n, dtype=np.int64),
-                backend=self.backend,
-            ),
-        )
+
+        def compute() -> np.ndarray:
+            side, d = self.universe.side, self.universe.d
+            grid = self._store.peek("key_grid")
+            if grid is None:
+                grid = self._key_slab_values(0, side)
+            path = np.empty((self.universe.n, d), dtype=np.int64)
+            for axis in range(d):
+                shape = [1] * d
+                shape[axis] = side
+                path[:, axis][grid] = np.arange(
+                    side, dtype=np.int64
+                ).reshape(shape)
+            return path
+
+        return self._cached("order", compute)
 
     def flat_keys(self) -> np.ndarray:
         """Keys in cell-rank order: ``flat_keys()[rank(α)] = π(α)``.
@@ -833,27 +814,14 @@ class MetricContext:
             return "key_grid"
         return f"key_slab[{lo}:{hi}]"
 
-    @staticmethod
-    def _mapped_slab(sources: dict, lo: int, hi: int) -> Optional[np.ndarray]:
-        """Slab ``[lo, hi)`` of the ``key_grid`` that ``sources`` (the
-        shared or the mmap tier) maps, or ``None`` when it maps none."""
-        source = sources.get("key_grid")
+    def _mapped_slab(
+        self, tier: str, lo: int, hi: int
+    ) -> Optional[np.ndarray]:
+        """Slab ``[lo, hi)`` of the key grid the view ``tier`` (shared
+        or mmap) maps, or ``None`` when it maps none."""
+        source = self._grid_views.get(tier)
         grid = None if source is None else source()
         return None if grid is None else grid[lo:hi]
-
-    def _write_grid(self, lo: int, hi: int, slab: np.ndarray) -> None:
-        """Write the whole key grid through once a computed slab has it
-        in hand: the slab itself when it is the whole grid, else the
-        table curve's table it was cut from."""
-        sink = self._persist_sinks.get("key_grid")
-        grid = (
-            slab
-            if (lo, hi) == (0, self.universe.side)
-            else self.curve._key_grid_cache
-        )
-        if sink is not None and grid is not None and not self._grid_written:
-            self._grid_written = True
-            sink(grid)
 
     def _key_slab_values(self, lo: int, hi: int) -> np.ndarray:
         """Key-grid slab for ``x_0 ∈ [lo, hi)``, uncached.
@@ -867,8 +835,8 @@ class MetricContext:
         rule = self._derivations.get("key_slab")
         if rule is not None:
             return rule(lo, hi)
-        for sources in (self._shared_sources, self._mmap_sources):
-            slab = self._mapped_slab(sources, lo, hi)
+        for tier in ("shared", "mmap"):
+            slab = self._mapped_slab(tier, lo, hi)
             if slab is not None:
                 return slab
         side, d = self.universe.side, self.universe.d
@@ -890,8 +858,8 @@ class MetricContext:
 
         A canonical range of the slab partition resolves cheapest-first
         and is LRU-cached: cached slab, a slice of the shared-memory
-        ``key_grid``, a slice of the store's, derivation, compute (which
-        then writes the grid through, see :meth:`_write_grid`).  Any
+        ``key_grid``, a slice of the store's, derivation, compute (a
+        computed whole grid is written through to the store).  Any
         other range — a threaded fold's sub-range, a boundary plane —
         is a zero-copy slice of the resident canonical slab holding it,
         found with a silent ``peek``, or else evaluated uncached, so
@@ -900,15 +868,14 @@ class MetricContext:
         span_lo, span_hi = self._slab_span(lo)
         if (lo, hi) == (span_lo, span_hi):
             rule = self._derivations.get("key_slab")
+            whole = (lo, hi) == (0, self.universe.side)
             return self._store.get_or_compute(
                 self._slab_key(lo, hi),
                 lambda: self._key_slab_values(lo, hi),
                 derive=None if rule is None else (lambda: rule(lo, hi)),
-                shared=lambda: self._mapped_slab(
-                    self._shared_sources, lo, hi
-                ),
-                mmap=lambda: self._mapped_slab(self._mmap_sources, lo, hi),
-                persist=lambda slab: self._write_grid(lo, hi, slab),
+                shared=lambda: self._mapped_slab("shared", lo, hi),
+                mmap=lambda: self._mapped_slab("mmap", lo, hi),
+                persist=self._grid_sink if whole else None,
             )
         if hi <= span_hi:
             slab = self._store.peek(self._slab_key(span_lo, span_hi))

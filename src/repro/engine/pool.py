@@ -5,13 +5,14 @@ curve; a :class:`ContextPool` kills it *across* curves:
 
 * **Transform derivation** — the curves in
   :mod:`repro.curves.transforms` are grid automorphisms of an inner
-  curve, so their key grids and curve orders are cheap array
-  transforms (negate / flip / transpose) of the inner curve's context
-  arrays.  The pool wires those derivation rules into the derived
-  curve's context: the arrays produced are **bit-for-bit identical** to
-  from-scratch computation, but cost ``O(n)`` array ops instead of a
-  full curve evaluation, and are counted under
-  :attr:`CacheStats.derived` rather than ``computes``.
+  curve, so their key grids are cheap array transforms (negate / flip
+  / transpose) of the inner curve's context arrays, and everything
+  else a derived context needs (flat keys, inverse, curve order)
+  follows from its derived grid.  The pool wires those derivation
+  rules into the derived curve's context: the arrays produced are
+  **bit-for-bit identical** to from-scratch computation, but cost
+  ``O(n)`` array ops instead of a full curve evaluation, and are
+  counted under :attr:`CacheStats.derived` rather than ``computes``.
 
 :class:`repro.engine.Sweep` runs over a pool by default; the aggregate
 :attr:`ContextPool.stats` land on the sweep result (and behind
@@ -46,36 +47,31 @@ def transform_derivations(
     ``base`` is the context of ``curve.inner``.  Each rule produces an
     intermediate bit-for-bit equal to what the derived curve would
     compute from scratch, but built from the base context's cached
-    state.  ``key_slab`` is a range rule ``(lo, hi) -> slab`` over
-    axis-0 planes, read through ``base._key_slab`` — the dense key grid
-    is its ``(0, side)`` call; ``order`` takes no arguments:
+    state.  Each rule is a range rule ``(lo, hi) -> block``;
+    ``key_slab`` ranges over axis-0 planes, read through
+    ``base._key_slab`` — the dense key grid is its ``(0, side)`` call:
 
     * :class:`~repro.curves.transforms.ReversedCurve` —
       ``π' = n−1−π``: every slab and key block is the arithmetic
-      complement of the base's, inverse blocks are mirrored base
-      blocks, and the curve order is the base order walked backwards.
+      complement of the base's, and inverse blocks are mirrored base
+      blocks.
     * :class:`~repro.curves.transforms.ReflectedCurve` — a slab flips
       the listed axes of the base slab, read from the mirrored plane
-      range when axis 0 is reflected; the order's coordinates map
-      through the same reflection.
+      range when axis 0 is reflected.
     * :class:`~repro.curves.transforms.AxisPermutedCurve` — axis
       relabeling transposes the base grid, which only a one-slab base
       partition holds whole, so a multi-slab partition computes its
-      slabs; the order's coordinate columns are scattered through
-      ``perm``.
+      slabs.
 
-    Everything the NN fold needs comes from the key slabs, so a derived
-    context folds its derived slabs like any other.
+    Everything the NN fold needs comes from the key slabs, and the
+    curve order scatters from the key grid, so a derived context folds
+    and walks its derived slabs like any other.
     """
     from repro.curves.transforms import (
         AxisPermutedCurve,
         ReflectedCurve,
         ReversedCurve,
     )
-
-    def frozen(array: np.ndarray) -> np.ndarray:
-        array.flags.writeable = False
-        return array
 
     universe = curve.universe
     n, side = universe.n, universe.side
@@ -86,10 +82,6 @@ def transform_derivations(
             "inverse_block": lambda lo, hi: np.ascontiguousarray(
                 base._inverse_block(n - hi, n - lo)[::-1]
             ),
-            # π'^{-1}(t) = π^{-1}(n−1−t): the base path, reversed.
-            "order": lambda: frozen(
-                np.ascontiguousarray(base.order()[::-1])
-            ),
         }
     if isinstance(curve, ReflectedCurve):
         axes = tuple(curve.axes)
@@ -99,37 +91,16 @@ def transform_derivations(
                 lo, hi = side - hi, side - lo
             return np.flip(base._key_slab(lo, hi), axis=axes).copy()
 
-        def reflected_order() -> np.ndarray:
-            # π'^{-1}(t) = reflect(π^{-1}(t)): same visit order, with
-            # the listed coordinate axes mirrored.
-            path = base.order().copy()
-            for axis in axes:
-                path[:, axis] = side - 1 - path[:, axis]
-            return frozen(path)
-
-        return {"key_slab": reflected_slab, "order": reflected_order}
+        return {"key_slab": reflected_slab}
     if isinstance(curve, AxisPermutedCurve):
         # grid'[x] = grid[y] with y[k] = x[perm[k]]  ⇔  transpose(inv).
         inv = tuple(int(v) for v in np.argsort(curve.perm))
-        perm = tuple(int(v) for v in curve.perm)
-
-        def permuted_order() -> np.ndarray:
-            # coords'[..., perm] = base coords (the wrapper's inverse).
-            # One read: an order the budget does not keep is rebuilt
-            # on every call.
-            base_path = base.order()
-            path = np.empty_like(base_path)
-            path[:, perm] = base_path
-            return frozen(path)
-
-        rules: Dict[str, Callable[..., np.ndarray]] = {
-            "order": permuted_order
-        }
         if len(base._slab_ranges()) == 1:
-            rules["key_slab"] = lambda lo, hi: np.ascontiguousarray(
-                base._key_slab(0, side).transpose(inv)[lo:hi]
-            )
-        return rules
+            return {
+                "key_slab": lambda lo, hi: np.ascontiguousarray(
+                    base._key_slab(0, side).transpose(inv)[lo:hi]
+                )
+            }
     return None
 
 
@@ -157,18 +128,21 @@ class ContextPool:
 
     ``shared_store`` plugs in a :class:`repro.engine.shm.SharedGridStore`
     (typically attached inside a process-sweep worker): dense-mode
-    contexts then resolve their key grid, flat keys and inverse
-    permutation as zero-copy views of the parent-published
-    segments before falling back to local compute, counted under
-    :attr:`repro.engine.CacheStats.shared`.  Chunked contexts ignore the
-    store — they exist precisely to avoid dense ``O(n)`` arrays.
+    contexts then resolve their key grid as a zero-copy view of the
+    parent-published segment before falling back to local compute,
+    counted under :attr:`repro.engine.CacheStats.shared`, and derive
+    flat keys, inverse and curve order from it.  Chunked contexts
+    ignore the store — they exist precisely to avoid dense ``O(n)``
+    arrays.
 
     ``store``/``store_dir`` additionally wires every member context to
     one persistent :class:`repro.engine.store.GridStore`: dense
-    contexts resolve (and write through) their grid intermediates as
-    checksummed on-disk memmaps, counted under
-    :attr:`repro.engine.CacheStats.mmap`, and chunked contexts use the
-    same artifacts for out-of-core spill (see ``docs/persistence.md``).
+    contexts resolve (and write through) their key grid as a
+    checksummed on-disk memmap, counted under
+    :attr:`repro.engine.CacheStats.mmap`, and chunked contexts slice
+    their key slabs from a grid a dense run committed (see
+    ``docs/persistence.md``).  Both tiers hold only grids
+    :func:`repro.engine.shm.reuse_key` keys.
 
     The pool holds strong references to its curves: its lifetime should
     be scoped to a unit of work (one sweep, one report), not global.
@@ -283,21 +257,18 @@ class ContextPool:
     def _wire_shared(
         self, ctx: MetricContext, curve: SpaceFillingCurve
     ) -> None:
-        """Point ``ctx`` at the parent-published shared-memory segments.
+        """Point ``ctx`` at its parent-published key-grid segment.
 
         Curves :func:`repro.engine.shm.reuse_key` exempts are left on
         the local compute path; specs the parent did not publish
         resolve to ``None`` at lookup time and likewise fall through.
         """
-        from repro.engine.shm import SHARED_KINDS, reuse_key
+        from repro.engine.shm import reuse_key
 
         store = self.shared_store
         skey = reuse_key(curve, ctx.backend)
         if skey is not None:
-            for kind in SHARED_KINDS:
-                ctx._shared_sources[kind] = (
-                    lambda k=skey, kd=kind: store.get(k, kd)
-                )
+            ctx._grid_views["shared"] = lambda: store.get(skey, "key_grid")
 
     @property
     def stats(self) -> CacheStats:

@@ -1,4 +1,4 @@
-"""Shared-memory grid store: one key-grid set per spec, many processes.
+"""Shared-memory grid store: one key grid per spec, many processes.
 
 A process-pool sweep (``Sweep(processes=N)``) historically rebuilt every
 curve's key grid privately in each worker — the exact redundancy the
@@ -6,14 +6,15 @@ paper's shared-structure argument says to exploit: all stretch metrics
 of a cell reduce over *one* permutation's key grid.  The
 :class:`SharedGridStore` removes it:
 
-* the **parent** computes one grid set per canonical curve spec — the
-  dense key grid, the rank-ordered flat keys and the inverse
-  permutation — and copies each into a
+* the **parent** computes one key grid per canonical curve spec and
+  copies it into a
   :class:`multiprocessing.shared_memory.SharedMemory` segment;
 * the **workers** receive the segment manifest through the executor
   initializer and attach **zero-copy read-only NumPy views** instead of
   recomputing; resolutions are counted under
-  :attr:`repro.engine.CacheStats.shared`;
+  :attr:`repro.engine.CacheStats.shared`.  Flat keys, the inverse
+  permutation and the curve order are ``O(n)`` rearrangements of the
+  grid, so a worker derives them from the view;
 * after the sweep the parent **unlinks** every segment (in a
   ``finally``, so segments are reclaimed even when a worker raises or
   dies mid-run).
@@ -29,12 +30,14 @@ consults (this store, the persistent
 :class:`repro.engine.store.GridStore`, process sweeps and ``repro
 serve``): it returns ``None`` — compute locally — for instance-keyed
 curves (explicit permutation tables, whose identity cannot be
-re-derived in another process) and for curves a native codec encodes
-on the backend the cells run with (a 2D 1024 grid builds in a few ms,
-less than a verified store read plus a copy into a segment).  What is
-left to share are tables (``random``, ``peano``), every transform
-(``reversed``/``reflected``/``axisperm``, which no codec encodes) and,
-on the NumPy backend, every spec-keyed curve.
+re-derived in another process), for table curves (``random``,
+``peano``: the constructor has built the table before any tier is
+consulted) and for curves a native codec encodes on the backend the
+cells run with (a 2D 1024 grid builds in a few ms, less than a
+verified store read plus a copy into a segment).  What is left to
+share are the transforms (``reversed``/``reflected``/``axisperm``,
+which no codec encodes) and, on the NumPy backend, every other
+spec-keyed curve.
 
 Attached views index shared pages: a worker never pays the curve
 evaluation again, and the grid's memory is mapped once machine-wide
@@ -47,7 +50,7 @@ instead of once per worker.
 >>> view = twin.get(("demo",), "key_grid")
 >>> bool((view == np.arange(4)).all()) and not view.flags.writeable
 True
->>> twin.get(("demo",), "flat_keys") is None   # absent kind -> local compute
+>>> twin.get(("other",), "key_grid") is None   # unpublished -> compute
 True
 >>> twin.close(); store.unlink()
 """
@@ -64,24 +67,10 @@ from repro.curves.base import SpaceFillingCurve
 from repro.grid.universe import Universe
 
 __all__ = [
-    "SHARED_KINDS",
     "SharedGridStore",
     "reuse_key",
     "shared_key",
 ]
-
-#: The per-spec intermediates a shared store can publish, in publish
-#: order.  Each is resolvable by a worker context before local compute:
-#: ``key_grid`` (dense ``(side,)*d``), ``flat_keys`` (rank order),
-#: ``inverse_perm`` (rank of each key) and ``order`` (cells in curve
-#: order, ``(n, d)`` — published only when the sweep runs a windowed
-#: metric, since it costs ``d×`` the key grid's bytes).
-SHARED_KINDS: Tuple[str, ...] = (
-    "key_grid",
-    "flat_keys",
-    "inverse_perm",
-    "order",
-)
 
 
 class _Unshareable(Exception):
@@ -137,21 +126,28 @@ def reuse_key(curve: SpaceFillingCurve, backend: str) -> Optional[tuple]:
     """The key ``curve``'s grids are stored and shared under, or ``None``.
 
     ``None`` means "every context computes its own": the curve is
-    instance-keyed (:func:`shared_key` is ``None``), or a native codec
-    serves it on ``backend`` (the backend the cells run with, resolved
-    as :class:`repro.engine.MetricContext` resolves it), so building
-    the grid is cheaper than reading it back.  Codecs match exact
-    types, so a transform such as ``reversed:inner=hilbert`` keeps its
-    key and is stored and shared like a table.
+    instance-keyed (:func:`shared_key` is ``None``), it is a table
+    curve (its constructor already holds the grid, so a store or a
+    segment would only copy it), or a native codec serves it on
+    ``backend`` (the backend the cells run with, resolved as
+    :class:`repro.engine.MetricContext` resolves it), so building the
+    grid is cheaper than reading it back.  Codecs match exact types and
+    a transform holds no table, so a transform such as
+    ``reversed:inner=random`` keeps its key and is stored and shared.
 
     >>> from repro import Universe, ZCurve
     >>> from repro.curves.random_curve import RandomCurve
+    >>> from repro.curves.transforms import ReversedCurve
     >>> u = Universe.power_of_two(d=2, k=2)
     >>> reuse_key(ZCurve(u), "numpy") == shared_key(ZCurve(u))
     True
-    >>> reuse_key(RandomCurve(u, seed=1), "auto") is not None
+    >>> reuse_key(RandomCurve(u, seed=1), "numpy") is None
+    True
+    >>> reuse_key(ReversedCurve(RandomCurve(u, seed=1)), "auto") is not None
     True
     """
+    if curve._key_grid_cache is not None:
+        return None
     if curve._native_codec(backend) is not None:
         return None
     return shared_key(curve)
@@ -165,8 +161,8 @@ class SharedGridStore:
     (workers) are built from :meth:`manifest` via :meth:`attach` and
     resolve arrays with :meth:`get`.  Entries are keyed by
     ``(spec_key, kind)`` where ``spec_key`` comes from
-    :func:`shared_key` and ``kind`` names the
-    intermediate (see :data:`SHARED_KINDS`).
+    :func:`shared_key` and ``kind`` names the array (the engine
+    publishes only ``key_grid``).
 
     Lifecycle rules:
 

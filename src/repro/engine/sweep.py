@@ -29,12 +29,12 @@ Every benchmark, example and CLI table in this repo is some flavor of
 * ``processes=N`` fans the (universe, curve) cells out over a process
   pool — each cell is independent, so the sweep parallelizes trivially.
   With ``shared`` on (the ``"auto"`` default), the parent precomputes
-  one grid set per canonical curve spec into
+  one key grid per canonical curve spec into
   :class:`repro.engine.shm.SharedGridStore` segments and the workers
   attach zero-copy views instead of rebuilding every key grid privately
   (counted in :attr:`repro.engine.CacheStats.shared`) — except for
-  specs :func:`repro.engine.shm.reuse_key` exempts, such as curves a
-  native codec builds faster than a segment copy; identical cells
+  specs :func:`repro.engine.shm.reuse_key` exempts: tables, and curves
+  a native codec builds faster than a segment copy; identical cells
   are deduplicated spec-keyed before any work runs.  ``shared=False``
   restores fully private workers — then a warning flags the bypassed
   pooling unless ``pooled=False`` acknowledges it.  Either way each
@@ -57,7 +57,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.summary import StretchReport, stretch_report
-from repro.curves.base import SpaceFillingCurve
 from repro.curves.registry import (
     available_curves,
     curve_applicability,
@@ -609,21 +608,6 @@ class CellTask:
     store_dir: Optional[str]
 
 
-#: Metric names whose evaluation walks the curve order / windowed
-#: state; a shared-mode process sweep publishes ``order`` for its
-#: specs exactly when one of these is requested, so workers attach the
-#: curve path zero-copy instead of privately rebuilding the inverse.
-_ORDER_METRICS = frozenset({"dilation"})
-
-
-def _needs_order(metric_texts: Tuple[str, ...]) -> bool:
-    """Whether a cell's metric set consumes the curve-order array."""
-    return any(
-        MetricSpec.parse(text).name in _ORDER_METRICS
-        for text in metric_texts
-    )
-
-
 def _run_cell(
     task: CellTask,
     pool: Optional[ContextPool] = None,
@@ -746,53 +730,22 @@ def _publish_shared(
     max_bytes: Optional[int],
     store_dir: Optional[str] = None,
 ):
-    """Precompute one grid set per canonical spec into shared memory.
+    """Publish one key grid per canonical spec into shared memory.
 
     Returns ``(store, stats)``: the owning
     :class:`repro.engine.shm.SharedGridStore` and the publishing pool's
     :class:`CacheStats` (folded into the sweep result, so parent-side
-    computes and transform derivations stay visible).  Chunked-mode
-    cells are skipped — materializing a beyond-budget dense grid in the
-    parent would defeat the point of chunking — as are cells whose
-    curve fails to construct (the worker will report those as skipped)
-    and specs :func:`repro.engine.shm.reuse_key` exempts (instance-keyed
-    curves, and curves a native codec encodes on the cells' backend):
-    nothing of theirs is published, not even the order.  Publishing
-    reuses a per-universe :class:`ContextPool`, so transform curves'
-    grids are *derived* from their inner curve's arrays instead of
-    evaluated from scratch.
-
-    Publish policy: **base** specs get the full grid set (key grid,
-    flat keys, inverse permutation) — everything a worker would need a
-    curve evaluation or an ``O(n)`` scatter to rebuild.  **Transform-
-    derived** specs (``curve.inner``) get their key grid only: their
-    flat keys / inverse permutation are a single cheap vector op away
-    from the published grid, so shipping them too would spend more
-    parent time and shared memory than the workers save (workers fall
-    back to computing them *from the zero-copy grid view*, never from
-    a curve evaluation).  The **curve order** array (``(n, d)``, the
-    state behind the windowed dilation metrics) is published exactly
-    when a cell requests an order-consuming metric — workers
-    historically rebuilt it privately per cell, and unconditional
-    publishing would cost ``d×`` the key grid's shared memory on
-    sweeps that never touch it.  Consistent with the grid policy, it
-    is published under the spec's *innermost base* curve only: a
-    transform's order is one vector op away (reverse / reflect /
-    column-permute, see
-    :func:`repro.engine.pool.transform_derivations`), so workers
-    derive it from the base's zero-copy view instead of the parent
-    shipping one ``(n, d)`` segment per family member.  A base the
-    rule exempts (``hilbert`` under ``reversed:inner=hilbert``) gets
-    no order segment: workers build its order as they build its grid.
-
-    With a ``store_dir`` the publishing pool is additionally wired to
-    the persistent :class:`repro.engine.store.GridStore`: a warm parent
-    *maps* each grid from disk instead of evaluating curves before
-    copying it into shared memory, and a cold parent's computes are
-    written through for the next run.  The publishing pool runs on the
-    default backend, so with the native kernels loaded the same rule
-    leaves it mapping only tables: it builds a codec curve's grid for a
-    NumPy-backend sweep faster than it could read it back.
+    computes and transform derivations stay visible).  Only dense
+    cells whose spec :func:`repro.engine.shm.reuse_key` keys on the
+    cells' backend publish; workers derive flat keys, inverse and
+    curve order from the attached grid.  Chunked cells are skipped —
+    materializing a beyond-budget dense grid in the parent would
+    defeat the point of chunking — as are cells whose curve fails to
+    construct (the worker reports those as skipped).  One
+    :class:`ContextPool` per universe, on the cells' backend, builds
+    the grids, so a transform's grid is derived from its inner curve's,
+    and with a ``store_dir`` a warm parent maps each grid from disk
+    while a cold one writes its computes through for the next run.
     """
     from repro.engine.shm import SharedGridStore, reuse_key
 
@@ -800,12 +753,6 @@ def _publish_shared(
     stats: List[CacheStats] = []
     pool: Optional[ContextPool] = None
     pool_universe = None
-    # One plan shares one metric set, so parse it once per distinct
-    # tuple instead of once per (universe, curve) task.
-    order_wanted = {
-        metric_texts: _needs_order(metric_texts)
-        for metric_texts in {task.metrics for task in tasks}
-    }
     try:
         for task in tasks:
             if task.chunk_cells is not None:
@@ -815,37 +762,19 @@ def _publish_shared(
             if pool is None or pool_universe != (d, side):
                 if pool is not None:
                     stats.append(pool.stats)
-                pool = ContextPool(max_bytes=max_bytes, store_dir=store_dir)
+                pool = ContextPool(
+                    max_bytes=max_bytes,
+                    backend=task.backend,
+                    store_dir=store_dir,
+                )
                 pool_universe = (d, side)
             try:
                 curve = CurveSpec.parse(task.spec).make(universe)
             except (ValueError, TypeError):
                 continue
             skey = reuse_key(curve, task.backend)
-            if skey is None:
-                continue
-            want_order = order_wanted[task.metrics]
-            if (skey, "key_grid") not in store:
-                ctx = pool.get(curve)
-                store.put(skey, "key_grid", ctx.key_grid())
-                if not isinstance(
-                    getattr(curve, "inner", None), SpaceFillingCurve
-                ):
-                    store.put(skey, "flat_keys", ctx.flat_keys())
-                    store.put(
-                        skey, "inverse_perm", ctx.inverse_permutation()
-                    )
-            if want_order:
-                # Publish under the innermost base spec: workers
-                # derive a transform's order from the base view.
-                target = curve
-                while isinstance(
-                    getattr(target, "inner", None), SpaceFillingCurve
-                ):
-                    target = target.inner
-                okey = reuse_key(target, task.backend)
-                if okey is not None and (okey, "order") not in store:
-                    store.put(okey, "order", pool.get(target).order())
+            if skey is not None and (skey, "key_grid") not in store:
+                store.put(skey, "key_grid", pool.get(curve).key_grid())
     except BaseException:
         store.unlink()  # publishing died midway: leak nothing
         raise
@@ -875,15 +804,15 @@ class Sweep:
     on the result.
 
     **Process-pool sharing** (``shared``): with ``"auto"`` (the
-    default) or ``True``, a process sweep publishes one grid set per
-    canonical curve spec — key grid, flat keys, inverse permutation —
-    into
+    default) or ``True``, a process sweep publishes one key grid per
+    canonical curve spec into
     :class:`repro.engine.shm.SharedGridStore` segments before the
     executor starts; workers attach zero-copy views instead of
-    recomputing (counted under :attr:`CacheStats.shared`), except for
-    specs :func:`repro.engine.shm.reuse_key` exempts — on the native
-    backend, every curve with a native codec, whose grid a worker
-    builds faster than the parent publishes it.  The
+    recomputing (counted under :attr:`CacheStats.shared`) and derive
+    flat keys, inverse and curve order from them.  Specs
+    :func:`repro.engine.shm.reuse_key` exempts publish nothing: table
+    curves, and on the native backend every curve with a native codec,
+    whose grid a worker builds faster than the parent publishes it.  The
     parent unlinks every segment when the sweep finishes, even on
     worker failure.  Identical (universe, curve, metrics) cells are
     deduplicated before any work runs, in every execution mode.
@@ -958,9 +887,10 @@ class Sweep:
     #: threads it through: serial pools, shared-mode publishing parents
     #: and process workers all resolve grid intermediates from (and
     #: write them through to) the same on-disk artifacts, counted in
-    #: :attr:`CacheStats.mmap`.  Curves a native codec encodes are
-    #: store-exempt on the native backend (see
-    #: :func:`repro.engine.shm.reuse_key`).  Values are bit-for-bit
+    #: :attr:`CacheStats.mmap`.  Only key grids are stored, and only
+    #: for curves :func:`repro.engine.shm.reuse_key` keys: tables are
+    #: exempt, and so are curves a native codec encodes on the native
+    #: backend.  Values are bit-for-bit
     #: identical with and without a store; only where the bytes come
     #: from changes.
     store_dir: Optional[str] = None

@@ -8,11 +8,11 @@ rebuilds per invocation and keeps it for the process lifetime:
   (curve, universe) spec resolves the *same* context, so key grids and
   metric memos persist across requests;
 * one owning :class:`repro.engine.shm.SharedGridStore` holding the
-  warm-started hot set's grids as shared-memory segments (zero-copy
-  re-attachable if the LRU ever evicts, and visible in ``/stats`` as
-  the segments to watch for clean teardown) — only the grids
-  :func:`repro.engine.shm.reuse_key` keys, so on the native backend
-  only tables and transforms;
+  warm-started hot set's key grids as shared-memory segments
+  (zero-copy re-attachable if the LRU ever evicts, and visible in
+  ``/stats`` as the segments to watch for clean teardown) — only the
+  grids :func:`repro.engine.shm.reuse_key` keys, so never tables, and
+  on the native backend only transforms;
 * the async request machinery — a :class:`SingleFlight` table keyed by
   the engine's canonical :class:`~repro.engine.sweep.CellTask` and a
   :class:`MicroBatcher`
@@ -221,9 +221,10 @@ class SweepService:
         re-evaluating the curves, and first-boot computes are written
         through for the next restart.  Every hot grid is resident in
         its pooled context afterwards; curves
-        :func:`repro.engine.shm.reuse_key` exempts (encoded by a native
-        codec on the served backend) are neither published nor stored,
-        since a context builds their grid faster than it reads one.
+        :func:`repro.engine.shm.reuse_key` exempts (tables, and curves
+        encoded by a native codec on the served backend) are neither
+        published nor stored, since a context builds their grid faster
+        than it reads one.
         """
         for spec_text, d, side in self.config.hot_set:
             universe = Universe(d=d, side=side)
@@ -237,14 +238,6 @@ class SweepService:
             skey = reuse_key(curve, ctx.backend)
             if skey is not None and (skey, "key_grid") not in self.store:
                 self.store.put(skey, "key_grid", grid)
-                if getattr(curve, "inner", None) is None:
-                    # Base specs get the full grid set; a transform's
-                    # flat keys / inverse are one vector op from the
-                    # grid (the process-sweep publish policy).
-                    self.store.put(skey, "flat_keys", ctx.flat_keys())
-                    self.store.put(
-                        skey, "inverse_perm", ctx.inverse_permutation()
-                    )
             self._warm_pairs.add((d, side, spec.label))
 
     def run_batch(self, tasks: list) -> list:

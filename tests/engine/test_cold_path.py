@@ -9,8 +9,9 @@
 * Per-cell arrays are released by reference counting: a dense plus a
   chunked sweep leaves no cyclic garbage for ``gc`` to find, on either
   backend.
-* A threaded chunked sweep against a grid store completes (its spill
-  view used to wait on the lock the scalar compute held).
+* A threaded chunked sweep against a grid store completes, also when
+  it maps its slabs from a committed grid (the store view used to wait
+  on the lock the scalar compute held).
 """
 
 from __future__ import annotations
@@ -304,19 +305,23 @@ class TestThreadedChunkedStore:
             from repro import Universe
             from repro.engine.sweep import Sweep
 
-            def run(threads):
+            def run(threads, chunk_cells=256):
+                # NumPy backend: native codecs and tables are never
+                # stored, so only a keyed spec exercises the mapped path.
                 return Sweep(
                     universes=[Universe(d=2, side=64)],
-                    curves=["hilbert", "random:seed=2"],
+                    curves=["hilbert", "reversed:inner=random:seed=2"],
                     metrics=["davg", "dmax", "nn_mean"],
                     reports=False,
-                    chunk_cells=256,
+                    chunk_cells=chunk_cells,
                     threads=threads,
+                    backend="numpy",
                     store_dir={str(tmp_path / "store")!r},
                 ).run().records
 
             assert run(2) == run(None)
-            assert run(2) == run(None)  # again, with the store filled
+            assert run(None, chunk_cells=0) == run(None)  # dense commit
+            assert run(2) == run(None)  # again, slabs mapped from the store
             print("ok")
             """
         )

@@ -14,9 +14,9 @@ from repro.curves.base import PermutationCurve
 from repro.curves.zcurve import ZCurve
 from repro.engine import (
     DEFAULT_CACHE_BYTES,
-    SHARED_KINDS,
     CacheStats,
     ContextPool,
+    MetricContext,
     SharedGridStore,
     Sweep,
     native,
@@ -190,7 +190,7 @@ class TestPoolSharedWiring:
             store.put(shared_key(source), "key_grid", source.key_grid())
             pool = ContextPool(shared_store=store, chunk_cells=16)
             ctx = pool.get(ZCurve(u2_8))
-            assert ctx._shared_sources == {}
+            assert ctx._grid_views == {}
             assert ctx.davg() == ContextPool().get(ZCurve(u2_8)).davg()
         finally:
             store.unlink()
@@ -232,17 +232,20 @@ class TestSharedSweep:
         assert serial.records == shared.records == private.records
 
     def test_shared_counts_on_result(self, u2_8):
-        # NumPy backend: z/hilbert are shared there, not exempt.
+        # NumPy backend: z/hilbert are shared there, not exempt; the
+        # random table is never shared.
         result = Sweep(
             universes=[u2_8], **SWEEP_KWARGS, processes=2, backend="numpy"
         ).run()
         stats = result.cache_stats
-        assert stats.shared_count("key_grid") >= 4
-        # the parent published each spec's grid exactly once
-        assert stats.compute_count("key_grid") <= 3
-        # transform derivation happened (parent publish or worker axis
-        # arrays), so the counters mix shared and derived sources
-        assert stats.total_derived > 0
+        # z, hilbert and the reversed cell (whose transitively created
+        # hilbert base context never reads its grid) attach their grids
+        assert stats.shared == {"key_grid": 3}
+        # the parent built z's and hilbert's grids once each; the
+        # random cell builds its own from its table
+        assert stats.compute_count("key_grid") == 3
+        # the parent derived the reversed grid from hilbert's
+        assert stats.derived_count("key_grid") == 1
 
     def test_aggregate_over_mixed_shared_and_derived_workers(self, u2_8):
         result = Sweep(
@@ -361,17 +364,13 @@ class TestSharedSweep:
             ).run()
         assert result.cache_stats.total_shared == 0
 
-    def test_all_shared_kinds_resolve_with_parity(self, u2_8):
-        # Publish the full grid set the way the sweep parent does and
-        # verify every kind resolves shared, bit-for-bit.
+    def test_everything_derives_from_the_shared_grid(self, u2_8):
+        # Only the key grid is published; flat keys, inverse and curve
+        # order are rearrangements of the attached view, bit-for-bit.
         store = SharedGridStore.create()
         try:
             source = ContextPool().get(ZCurve(u2_8))
-            key = shared_key(source.curve)
-            store.put(key, "key_grid", source.key_grid())
-            store.put(key, "flat_keys", source.flat_keys())
-            store.put(key, "inverse_perm", source.inverse_permutation())
-            store.put(key, "order", source.order())
+            store.put(shared_key(source.curve), "key_grid", source.key_grid())
             ctx = ContextPool(shared_store=store, backend="numpy").get(
                 ZCurve(u2_8)
             )
@@ -385,73 +384,163 @@ class TestSharedSweep:
                 ctx.inverse_permutation(), source.inverse_permutation()
             )
             np.testing.assert_array_equal(ctx.order(), source.order())
-            assert set(ctx.stats.shared) == {
-                "key_grid",
-                "flat_keys",
-                "inverse_perm",
-                "order",
-            } == set(SHARED_KINDS)
-            assert ctx.stats.total_computes == 0
+            assert ctx.stats.shared == {"key_grid": 1}
+            assert ctx.stats.computes == {
+                "flat_keys": 1,
+                "inverse_perm": 1,
+                "order": 1,
+            }
         finally:
             store.unlink()
 
 
-class TestOrderPublishing:
-    """The ``order`` segment ships exactly when a windowed metric runs."""
+class TestOrderFromSharedGrid:
+    """Workers scatter the curve order from the attached key grid; no
+    process sweep publishes an order."""
 
-    METRICS_WITH_ORDER = ("davg", "dilation:window=3")
-    METRICS_WITHOUT_ORDER = ("davg", "dmax")
+    METRICS = ("davg", "dilation:window=3")
 
-    def _run(self, u2_8, metrics):
+    def _run(self, u2_8, curves):
         return Sweep(
             universes=[u2_8],
-            curves=["z", "hilbert"],
-            metrics=metrics,
+            curves=curves,
+            metrics=self.METRICS,
             reports=False,
             processes=2,
             shared=True,
             backend="numpy",
         ).run()
 
-    def test_order_resolved_shared_for_dilation(self, u2_8):
-        result = self._run(u2_8, self.METRICS_WITH_ORDER)
+    def test_dilation_walks_an_order_scattered_from_the_shared_grid(
+        self, u2_8
+    ):
+        result = self._run(u2_8, ["z", "hilbert"])
         stats = result.cache_stats
-        assert stats.shared_count("order") == 2  # one per curve cell
+        assert stats.shared == {"key_grid": 2}
+        assert stats.compute_count("order") == 2  # one per curve cell
         serial = Sweep(
             universes=[u2_8],
             curves=["z", "hilbert"],
-            metrics=self.METRICS_WITH_ORDER,
+            metrics=self.METRICS,
             reports=False,
         ).run()
         assert result.records == serial.records
 
-    def test_order_not_published_without_windowed_metric(self, u2_8):
-        result = self._run(u2_8, self.METRICS_WITHOUT_ORDER)
-        assert result.cache_stats.shared_count("order") == 0
+    def test_transform_order_follows_its_own_grid(self, u2_8):
+        result = self._run(u2_8, ["hilbert", "reversed:inner=hilbert"])
+        stats = result.cache_stats
+        # Both specs publish their grid; each cell scatters its order
+        # from its own attached grid, and no order is derived.
+        assert stats.shared == {"key_grid": 2}
+        assert stats.compute_count("order") == 2
+        assert stats.derived_count("order") == 0
 
-    def test_transform_specs_derive_order_from_base_segment(self, u2_8):
-        result = Sweep(
-            universes=[u2_8],
-            curves=["hilbert", "reversed:inner=hilbert"],
-            metrics=("dilation:window=3",),
+    def test_segments_reclaimed_after_a_windowed_sweep(self, u2_8):
+        before = shm_segments()
+        self._run(u2_8, ["z", "hilbert"])
+        assert shm_segments() == before
+
+
+def _worker_arrays(spec: str, d: int, side: int):
+    """What a shared-mode worker derives from its attached grid."""
+    from repro.engine import sweep
+
+    pool = ContextPool(
+        shared_store=sweep._WORKER_SHARED_STORE, backend="numpy"
+    )
+    ctx = pool.get(CurveSpec.parse(spec).make(Universe(d=d, side=side)))
+    arrays = (ctx.flat_keys(), ctx.inverse_permutation(), ctx.order())
+    return arrays, pool.stats
+
+
+class TestKeyGridOnly:
+    """A process sweep publishes one ``key_grid`` per keyed spec and
+    nothing else; tables publish nothing on either backend."""
+
+    SPECS = ["z", "hilbert", "reversed:inner=hilbert", "reflected:inner=z,axes=0"]
+
+    def _store(self, universe, curves, backend):
+        tasks, _ = Sweep(
+            universes=[universe],
+            curves=curves,
+            metrics=("davg", "dilation:window=3"),
             reports=False,
             processes=2,
-            shared=True,
-            backend="numpy",
-        ).run()
-        stats = result.cache_stats
-        # One (n, d) order segment is published (under the base spec);
-        # the base cell and the reversed cell's transitively created
-        # base context both attach it, and the reversed spec's order
-        # is derived from that view rather than shipped or rebuilt.
-        assert stats.shared_count("order") == 2
-        assert stats.derived_count("order") == 1
-        assert stats.compute_count("order") == 1  # the parent's build
+            backend=backend,
+        )._plan()
+        store, _ = _publish_shared(tasks, DEFAULT_CACHE_BYTES)
+        return store
 
-    def test_segments_reclaimed_with_order_published(self, u2_8):
+    def test_one_key_grid_per_keyed_spec(self, u2_8):
+        store = self._store(u2_8, self.SPECS, "numpy")
+        try:
+            assert sorted(store.manifest()) == sorted(
+                (shared_key(CurveSpec.parse(spec).make(u2_8)), "key_grid")
+                for spec in self.SPECS
+            )
+        finally:
+            store.unlink()
+
+    @pytest.mark.parametrize("backend", ["numpy", "auto"])
+    @pytest.mark.parametrize(
+        "spec, universe",
+        [("random:seed=3", Universe(d=2, side=8)),
+         ("peano", Universe(d=2, side=9))],
+    )
+    def test_tables_publish_nothing(self, spec, universe, backend):
+        store = self._store(universe, [spec], backend)
+        try:
+            assert len(store) == 0
+        finally:
+            store.unlink()
         before = shm_segments()
-        self._run(u2_8, self.METRICS_WITH_ORDER)
+        result = Sweep(
+            universes=[universe],
+            curves=[spec],
+            metrics=("davg", "dilation:window=3"),
+            reports=False,
+            processes=2,
+            backend=backend,
+        ).run()
+        assert result.cache_stats.total_shared == 0
         assert shm_segments() == before
+
+    def test_workers_derive_arrays_equal_to_serial(self, u2_8):
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        from repro.engine.sweep import _worker_attach_shared
+
+        store = self._store(u2_8, self.SPECS, "numpy")
+        try:
+            with ProcessPoolExecutor(
+                max_workers=2,
+                mp_context=multiprocessing.get_context("spawn"),
+                initializer=_worker_attach_shared,
+                initargs=(store.manifest(),),
+            ) as executor:
+                outcomes = list(
+                    executor.map(
+                        _worker_arrays,
+                        self.SPECS,
+                        [u2_8.d] * len(self.SPECS),
+                        [u2_8.side] * len(self.SPECS),
+                    )
+                )
+        finally:
+            store.unlink()
+        for spec, (arrays, stats) in zip(self.SPECS, outcomes):
+            serial = MetricContext(CurveSpec.parse(spec).make(u2_8))
+            expected = (
+                serial.flat_keys(),
+                serial.inverse_permutation(),
+                serial.order(),
+            )
+            for got, want in zip(arrays, expected):
+                assert got.dtype == want.dtype
+                assert np.array_equal(got, want), spec
+            assert stats.shared == {"key_grid": 1}, spec
+            assert stats.compute_count("key_grid") == 0, spec
 
 
 class TestConcurrentAttach:
@@ -530,18 +619,26 @@ class TestCodecCurvesNotShared:
     def test_numpy_backend_still_publishes(self, u2_8):
         store = _published(u2_8, CODEC_CURVES, backend="numpy")
         try:
-            kinds = {kind for _, kind in store.manifest()}
-            assert kinds == set(SHARED_KINDS)
+            curves = [CurveSpec.parse(c).make(u2_8) for c in CODEC_CURVES]
+            assert sorted(store.manifest()) == sorted(
+                (shared_key(curve), "key_grid") for curve in curves
+            )
         finally:
             store.unlink()
 
-    def test_tables_still_published(self, u2_8):
+    def test_tables_not_published(self, u2_8):
         store = _published(
             u2_8, ["hilbert", "random:seed=3", "reversed:inner=random:seed=3"]
         )
         try:
-            keys = {key for key, _ in store.manifest()}
-            assert len(keys) == 2  # the two table specs, not hilbert
+            transform = CurveSpec.parse(
+                "reversed:inner=random:seed=3"
+            ).make(u2_8)
+            # only the transform over the table, neither hilbert nor
+            # the table itself
+            assert list(store.manifest()) == [
+                (shared_key(transform), "key_grid")
+            ]
         finally:
             store.unlink()
 
@@ -581,7 +678,7 @@ class TestCodecCurvesNotShared:
             source = ZCurve(u2_8)
             store.put(shared_key(source), "key_grid", source.key_grid())
             ctx = ContextPool(shared_store=store).get(ZCurve(u2_8))
-            assert ctx._shared_sources == {}
+            assert ctx._grid_views == {}
             ctx.key_grid()
             assert ctx.stats.compute_count("key_grid") == 1
             assert ctx.stats.total_shared == 0

@@ -10,7 +10,6 @@ from repro.curves.base import PermutationCurve
 from repro.curves.hilbert import HilbertCurve
 from repro.curves.zcurve import ZCurve
 from repro.engine import (
-    SHARED_KINDS,
     ContextPool,
     CurveSpec,
     GridStore,
@@ -104,11 +103,11 @@ class TestContextWiring:
         ctx.order()
         ctx.flat_keys()
         ctx.inverse_permutation()
-        skey = shared_key(curve)
-        for kind in SHARED_KINDS:
-            assert store.contains(skey, kind), kind
-        # neighbor counts are per-range scratch: never persisted
-        assert "neighbor_counts" not in {e["kind"] for e in store.entries()}
+        # The key grid is the one stored kind: flat keys, inverse and
+        # order are rearrangements of it, and neighbor counts are
+        # per-range scratch.
+        assert [e["kind"] for e in store.entries()] == ["key_grid"]
+        assert store.contains(shared_key(curve), "key_grid")
         assert ctx.stats.total_mmap == 0  # nothing to map on a cold run
 
     def test_warm_context_resolves_from_mmap(self, tmp_path, u2_8):
@@ -180,41 +179,38 @@ class TestSweepWiring:
                 (r.spec, r.d, r.side, r.values) for r in a.records
             ] == [(r.spec, r.d, r.side, r.values) for r in b.records]
 
-    def test_chunked_sweep_spills_and_matches_dense(self, tmp_path, u2_8):
+    def test_chunked_sweep_maps_a_dense_commit(self, tmp_path, u2_8):
         kwargs = dict(
             universes=[Universe(d=2, side=16)],
-            curves=["random:seed=7"],
+            curves=["hilbert", "reversed:inner=z"],
             metrics=("davg", "dmax"),
             reports=False,
+            backend="numpy",
         )
-        dense = Sweep(**kwargs).run()
-        spilled = Sweep(
+        dense = Sweep(store_dir=tmp_path, **kwargs).run()
+        assert {e["kind"] for e in GridStore(tmp_path).entries()} == {
+            "key_grid"
+        }
+        chunked = Sweep(
             store_dir=tmp_path, chunk_cells=64, max_bytes=4096, **kwargs
         ).run()
-        assert [r.values for r in spilled.records] == [
-            r.values for r in dense.records
-        ]
-        store = GridStore(tmp_path)
-        assert any(e["kind"] == "key_grid" for e in store.entries())
-        warm = Sweep(
-            store_dir=tmp_path, chunk_cells=64, max_bytes=4096, **kwargs
-        ).run()
-        assert warm.cache_stats.total_mmap > 0
-        assert [r.values for r in warm.records] == [
+        assert chunked.cache_stats.total_mmap > 0
+        assert [r.values for r in chunked.records] == [
             r.values for r in dense.records
         ]
 
     def test_process_sweep_warm_start_maps_grids(self, tmp_path):
-        # Table curves: the publishing parent builds procedural grids
-        # with the native codec when it can, which beats a store read
-        # (see TestCodecExemption), so only tables are mapped here.
+        # NumPy backend: on the native one the publishing parent builds
+        # codec grids faster than it reads them (see
+        # TestCodecExemption), and tables are never stored.
         kwargs = dict(
             dims=[2],
             sides=[8],
-            curves=["random:seed=3", "reversed:inner=random:seed=3"],
+            curves=["hilbert", "reversed:inner=hilbert"],
             metrics=("davg",),
             reports=False,
             processes=2,
+            backend="numpy",
         )
         plain = Sweep(**kwargs).run()
         cold = Sweep(store_dir=tmp_path, **kwargs).run()
@@ -266,7 +262,7 @@ class TestCodecExemption:
             ctx = MetricContext(_curve(spec, u2_8), store=store)
             _touch_every_kind(ctx)
             assert ctx.stats.total_mmap == 0
-            assert ctx._mmap_sources == {} and ctx._persist_sinks == {}
+            assert ctx._grid_views == {} and ctx._grid_sink is None
         assert store.entries() == []
 
     @pytest.mark.parametrize("spec", ["z", "hilbert", "reversed:inner=hilbert"])
@@ -285,14 +281,14 @@ class TestCodecExemption:
     @pytest.mark.parametrize(
         "spec",
         [
-            "random:seed=3",
+            # No codec encodes a transform, whatever its base, and a
+            # transform holds no table.
             "reversed:inner=random:seed=3",
-            # No codec encodes a transform, whatever its base.
             "reversed:inner=hilbert",
             "reflected:inner=z,axes=0",
         ],
     )
-    def test_tables_still_stored_on_native(self, tmp_path, u2_8, spec):
+    def test_transforms_still_stored_on_native(self, tmp_path, u2_8, spec):
         MetricContext(_curve(spec, u2_8), store_dir=tmp_path).davg()
         warm = MetricContext(_curve(spec, u2_8), store_dir=tmp_path)
         warm.davg()
@@ -328,3 +324,50 @@ class TestCodecExemption:
         assert cold.cache_stats.total_mmap == warm.cache_stats.total_mmap == 0
         assert GridStore(tmp_path).entries() == []
         assert not tmp_path.exists() or not any(tmp_path.iterdir())
+
+
+#: Table curves and a universe each applies to.
+TABLE_SPECS = [
+    ("random:seed=3", Universe(d=2, side=8)),
+    ("peano", Universe(d=2, side=9)),
+]
+
+
+class TestTableExemption:
+    """A table curve's constructor holds its grid, so no store tier
+    writes or maps it, on either backend; a transform over a table is
+    still stored."""
+
+    @pytest.mark.parametrize("chunk_cells", [None, 16])
+    @pytest.mark.parametrize("backend", ["numpy", "auto"])
+    @pytest.mark.parametrize("spec, universe", TABLE_SPECS)
+    def test_table_maps_and_writes_nothing(
+        self, tmp_path, spec, universe, backend, chunk_cells
+    ):
+        store = GridStore(tmp_path)
+        plain = MetricContext(_curve(spec, universe))
+        for _ in range(2):  # cold, then what would be the warm run
+            ctx = MetricContext(
+                _curve(spec, universe),
+                store=store,
+                backend=backend,
+                chunk_cells=chunk_cells,
+            )
+            assert reuse_key(ctx.curve, backend) is None
+            assert ctx.davg() == plain.davg()
+            if chunk_cells is None:
+                _touch_every_kind(ctx)
+            assert ctx.stats.total_mmap == 0
+            assert ctx._grid_views == {} and ctx._grid_sink is None
+        assert store.entries() == []
+
+    @pytest.mark.parametrize("backend", ["numpy", "auto"])
+    def test_transform_over_table_still_stored(self, tmp_path, u2_8, backend):
+        spec = "reversed:inner=random:seed=3"
+        kwargs = dict(store_dir=tmp_path, backend=backend)
+        cold = MetricContext(_curve(spec, u2_8), **kwargs)
+        cold.davg()
+        assert len(GridStore(tmp_path).entries()) == 1
+        warm = MetricContext(_curve(spec, u2_8), **kwargs)
+        assert warm.davg() == cold.davg()
+        assert warm.stats.mmap_count("key_grid") == 1

@@ -428,11 +428,11 @@ class TestSweepThreads:
         ).run()
         assert combo.records == serial.records
         stats = combo.cache_stats
-        # Worker threading under the shm layer: grids and the curve
-        # order resolved shared, and the aggregate counters still
-        # carry every worker's traffic.
-        assert stats.shared_count("key_grid") == len(curves)
-        assert stats.shared_count("order") == len(curves)
+        # Worker threading under the shm layer: grids resolved shared,
+        # each cell's curve order scattered from its shared grid, and
+        # the aggregate counters still carry every worker's traffic.
+        assert stats.shared == {"key_grid": len(curves)}
+        assert stats.compute_count("order") == len(curves)
         assert stats.hits > 0 and stats.total_computes > 0
 
     def test_chunked_threaded_sweep(self, u2_8):

@@ -31,6 +31,13 @@ class TestExports:
         for name in getattr(module, "__all__", []):
             assert hasattr(module, name), f"{module_name}.{name}"
 
+    def test_engine_exports_no_kind_list(self):
+        """The key grid is the one stored and shared kind, so the
+        engine exports no list of kinds."""
+        engine = importlib.import_module("repro.engine")
+        assert "SHARED_KINDS" not in engine.__all__
+        assert not hasattr(engine, "SHARED_KINDS")
+
     def test_version(self):
         assert repro.__version__ == "1.0.0"
 
