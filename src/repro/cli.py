@@ -1081,6 +1081,7 @@ def _cmd_doctor(args: argparse.Namespace) -> int:
     so_path = info["so_path"]
     built = so_path is not None and os.path.exists(so_path)
     print(f"  kernels:   {so_path or 'n/a'}{'' if built else ' (not built)'}")
+    print(f"  fold clone: {info['fold_clone'] or 'n/a'}")
     log = info["build_log"]
     if log is not None and os.path.exists(log):
         print(f"  build log: {log}")

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, Optional
 
-from repro.curves.base import SpaceFillingCurve
+from repro.curves.base import PermutationCurve, SpaceFillingCurve
 from repro.curves.diagonal import DiagonalCurve
 from repro.curves.gray import GrayCurve
 from repro.curves.hilbert import HilbertCurve
@@ -43,6 +43,7 @@ __all__ = [
     "make_curve",
     "available_curves",
     "curve_is_hidden",
+    "curve_holds_table",
     "curve_capabilities",
     "curve_applicability",
     "curves_for_universe",
@@ -165,6 +166,17 @@ def available_curves(include_hidden: bool = False) -> list[str]:
 def curve_is_hidden(name: str) -> bool:
     """True when ``name`` is registered but kept out of default listings."""
     return _require(name).hidden
+
+
+def curve_holds_table(name: str) -> bool:
+    """True when ``name`` builds a :class:`PermutationCurve` subclass,
+    whose constructor computes and keeps the whole key grid.
+
+    >>> curve_holds_table("random"), curve_holds_table("hilbert")
+    (True, False)
+    """
+    factory = _require(name).factory
+    return isinstance(factory, type) and issubclass(factory, PermutationCurve)
 
 
 def curve_capabilities(name: str) -> Optional[CurveCapabilities]:

@@ -53,6 +53,7 @@ __all__ = [
     "slab_axis_slices",
     "accumulate_block_pairs",
     "fold_ranges",
+    "check_fold_envelope",
     "nn_planes",
     "run_ranges",
     "nn_block_reduction",
@@ -275,6 +276,13 @@ def _dense_step(ctx, total: int) -> int:
     return -(-total // (ctx.threads * _DENSE_OVERSUBSCRIPTION))
 
 
+def _fold_step(ctx) -> int:
+    """Planes per NN fold range (see :func:`fold_ranges`)."""
+    side = ctx.universe.side
+    per_slab = ctx._slab_thickness()
+    return per_slab if per_slab < side else _dense_step(ctx, side)
+
+
 def fold_ranges(ctx) -> list:
     """Axis-0 plane ranges ``(lo, hi)`` the NN fold walks.
 
@@ -282,11 +290,35 @@ def fold_ranges(ctx) -> list:
     a one-slab partition (every dense context) is split by
     :func:`_dense_step` instead.
     """
-    ranges = ctx._slab_ranges()
-    if len(ranges) > 1:
-        return ranges
-    side = ctx.universe.side
-    return _spans(side, _dense_step(ctx, side))
+    return _spans(ctx.universe.side, _fold_step(ctx))
+
+
+def check_fold_envelope(universe, cells: int) -> None:
+    """Refuse a fold whose int64 partials could overflow.
+
+    Both backends fold in int64: a cell's stretch sum can reach
+    ``2d·(n−1)``, and a range's ``Λ`` or ``Σ max`` partial
+    ``cells·(n−1)``, ``cells`` being the largest range's cell count.
+    Raises ``ValueError`` when either bound reaches ``2^63``.
+
+    >>> from repro.grid.universe import Universe
+    >>> check_fold_envelope(Universe(d=2, side=2**31), 2**31)
+    ... # doctest: +ELLIPSIS
+    Traceback (most recent call last):
+    ...
+    ValueError: the NN fold of a 2-d universe ... overflows int64: ...
+    """
+    d, side = universe.d, universe.side
+    top = universe.n - 1
+    for what, bound in (
+        ("a cell's stretch sum can reach 2d·(n−1)", 2 * d * top),
+        ("a range's Λ or Σ max partial can reach cells·(n−1)", cells * top),
+    ):
+        if bound >= 1 << 63:
+            raise ValueError(
+                f"the NN fold of a {d}-d universe of side {side} "
+                f"overflows int64: {what} = {bound} >= 2^63"
+            )
 
 
 def nn_planes(
@@ -416,13 +448,15 @@ def nn_block_reduction(ctx) -> dict:
     ``{"davg", "dmax", "lambdas", "nn_sum"}``, bit-for-bit equal in
     every mode (see the module docstring for why).  Requires
     ``side >= 2``; the degenerate cases are handled by the calling
-    metric methods.
+    metric methods.  A universe beyond the int64 envelope is refused
+    before any range runs (:func:`check_fold_envelope`).
     """
     # Lazy import: threads.py imports this module at its top level.
     from repro.engine.threads import prepare_key_reads
 
     universe = ctx.universe
     d, n = universe.d, universe.n
+    check_fold_envelope(universe, _fold_step(ctx) * universe.side ** (d - 1))
     prepare_key_reads(ctx)
     results = run_ranges(
         ctx, fold_ranges(ctx), _nn_range_kernel, resolve=ctx._key_slab

@@ -6,10 +6,14 @@ window block maxima, and the registry curves'
 encode/decode and key-grid slabs — have C implementations in
 ``native_kernels.c`` (shipped in-tree next to this module).  The first
 use on a machine compiles them with the system C compiler into a
-shared library cached under a ``sha256(source + compiler)`` key, so
-rebuilds happen only when the source or toolchain changes; the library
-is loaded through ``ctypes`` and degrades gracefully to the NumPy
-kernels when no compiler exists.
+shared library cached under a ``sha256(source + compiler + flags)``
+key, so rebuilds happen only when the source, toolchain or compile
+flags change; the library is loaded through ``ctypes`` and degrades
+gracefully to the NumPy kernels when no compiler exists.  On x86-64
+GCC the range fold is built once per x86-64 level and the loader
+picks the widest one the CPU runs (:meth:`NativeKernels.fold_clone`
+names it), so a cache shared between hosts never hands a CPU
+instructions it lacks.
 
 Backend selection (``resolve_backend``) accepts ``"numpy"``,
 ``"native"`` and ``"auto"``: ``auto`` uses the native kernels whenever
@@ -56,6 +60,8 @@ __all__ = [
     "available",
     "build_info",
     "cache_dir",
+    "compile_flags",
+    "compile_kernels",
     "compiler_path",
     "encoder_for",
     "load_kernels",
@@ -200,23 +206,56 @@ def sanitize_flags(spec: Optional[str] = None) -> list:
     return [f"-fsanitize={spec}", "-g", "-fno-omit-frame-pointer"]
 
 
-def _build_dir(cc: str, spec: Optional[str] = _UNSET) -> Path:
-    """Cache dir for one (source, compiler, sanitizer-config) triple.
+def compile_flags(spec: Optional[str] = _UNSET) -> list:
+    """Every flag of a kernel build with sanitizer ``spec``.
 
-    The sanitizer spec is both hashed and appended to the directory
-    name, so clean and instrumented builds coexist and a human can tell
-    them apart in the cache.
+    ``-O3`` lets GCC vectorize the fold's line loop;
+    ``-ffp-contract=off`` keeps it from fusing a multiply and an add,
+    which would round differently from NumPy.  ``spec`` defaults to
+    the env setting; ``None`` is a clean build.
+    """
+    if spec is _UNSET:
+        spec = sanitize_spec()
+    flags = ["-O3", "-ffp-contract=off", "-fPIC", "-shared"]
+    return flags + (sanitize_flags(spec) if spec is not None else [])
+
+
+def _build_dir(cc: str, spec: Optional[str] = _UNSET) -> Path:
+    """Cache dir for one (source, compiler, compile flags) triple.
+
+    Every flag of :func:`compile_flags` is hashed, so a change of flags
+    alone never reuses a stale build.  The sanitizer spec is also
+    appended to the directory name, so clean and instrumented builds
+    coexist and a human can tell them apart in the cache.
     """
     if spec is _UNSET:
         spec = sanitize_spec()
     digest = hashlib.sha256()
     digest.update(_SOURCE.read_bytes())
     digest.update(cc.encode())
-    stem = ""
-    if spec is not None:
-        digest.update(spec.encode())
-        stem = "-" + spec.replace(",", "-")
+    for flag in compile_flags(spec):
+        digest.update(b"\0" + flag.encode())
+    stem = "" if spec is None else "-" + spec.replace(",", "-")
     return cache_dir() / (digest.hexdigest()[:16] + stem)
+
+
+def compile_kernels(cc: str, flags: list, out: Path) -> str:
+    """Compile ``native_kernels.c`` with ``flags`` into ``out``.
+
+    Returns the build log (the command, the compiler's output and its
+    exit status); raises ``RuntimeError`` carrying the log when the
+    compile fails.
+    """
+    cmd = [cc, *flags, "-o", str(out), str(_SOURCE)]
+    proc = subprocess.run(cmd, capture_output=True, text=True)
+    log = (
+        "$ " + " ".join(cmd) + "\n" + proc.stdout + proc.stderr
+        + f"exit status {proc.returncode}\n"
+    )
+    if proc.returncode != 0:
+        out.unlink(missing_ok=True)
+        raise RuntimeError(log)
+    return log
 
 
 def _build(cc: str) -> Path:
@@ -227,19 +266,14 @@ def _build(cc: str) -> Path:
         return so_path
     out_dir.mkdir(parents=True, exist_ok=True)
     tmp = out_dir / f"repro_kernels.tmp.{os.getpid()}.so"
-    cmd = [cc, "-O2", "-fPIC", "-shared"]
-    cmd += sanitize_flags()
-    cmd += ["-o", str(tmp), str(_SOURCE)]
-    proc = subprocess.run(cmd, capture_output=True, text=True)
-    (out_dir / "build.log").write_text(
-        "$ " + " ".join(cmd) + "\n" + proc.stdout + proc.stderr
-        + f"exit status {proc.returncode}\n"
-    )
-    if proc.returncode != 0:
-        tmp.unlink(missing_ok=True)
+    try:
+        log = compile_kernels(cc, compile_flags(), tmp)
+    except RuntimeError as exc:
+        (out_dir / "build.log").write_text(str(exc))
         raise RuntimeError(
             f"native kernel build failed (see {out_dir / 'build.log'})"
-        )
+        ) from None
+    (out_dir / "build.log").write_text(log)
     # Atomic rename: concurrent builders race benignly to the same path.
     os.replace(tmp, so_path)
     return so_path
@@ -270,6 +304,8 @@ class NativeKernels:
             _i64, _i64, _i64, _F64Array, _I64Array,
         ]
         lib.repro_nn_range.restype = _i64
+        lib.repro_fold_clone.argtypes = []
+        lib.repro_fold_clone.restype = ctypes.c_char_p
         for name in ("repro_window_max_manhattan",
                      "repro_window_max_euclidean_sq"):
             fn = getattr(lib, name)
@@ -362,6 +398,12 @@ class NativeKernels:
             body, below, above, body.size // plane, side, d, avg, lam
         )
         return lam.tolist(), int(max_sum)
+
+    def fold_clone(self) -> str:
+        """The x86-64 level of the ``nn_range`` clone in use
+        (``x86-64-v4``, ``x86-64-v3`` or ``default``; ``n/a`` in a
+        build without clones)."""
+        return self._lib.repro_fold_clone().decode()
 
     # -- window maxima -------------------------------------------------
     def window_max(
@@ -695,6 +737,7 @@ def build_info() -> dict:
         "cache_dir": str(cache_dir()),
         "so_path": None,
         "build_log": None,
+        "fold_clone": None,
         "sanitize": spec,
         "sanitize_supported": None,
         "clean_dir": None,
@@ -713,6 +756,7 @@ def build_info() -> dict:
     kernels = _kernels
     if kernels is not None:
         info["so_path"] = str(kernels.so_path)
+        info["fold_clone"] = kernels.fold_clone()
         info["build_log"] = str(kernels.so_path.parent / "build.log")
     elif cc is not None:
         log = _build_dir(cc) / "build.log"

@@ -21,6 +21,20 @@
 
 #define EXPORT __attribute__((visibility("default")))
 
+/* The range fold is built once per x86-64 level; the loader picks
+ * the widest clone the CPU runs through an ifunc, so one cached
+ * library serves every x86-64 host, old ones included.  Only GCC 12
+ * or later, which takes these levels as clone targets, on glibc;
+ * -DREPRO_NO_CLONES turns the clones off. */
+#if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__) \
+    && __GNUC__ >= 12 && defined(__GLIBC__) && !defined(REPRO_NO_CLONES)
+#define REPRO_CLONES_ON 1
+#define REPRO_CLONES __attribute__((target_clones( \
+    "arch=x86-64-v4", "arch=x86-64-v3", "default")))
+#else
+#define REPRO_CLONES
+#endif
+
 static inline int64_t i64abs(int64_t v) { return v < 0 ? -v : v; }
 static inline int64_t i64max(int64_t a, int64_t b) { return a > b ? a : b; }
 
@@ -148,8 +162,8 @@ static inline __attribute__((always_inline)) int64_t nn_cell(
  * L = 2(d-1) neighbour lines hold `present` real ones.  Writes the
  * line's averages, adds its Λ partials into lam[0 .. d-1] and returns
  * its sum of per-cell maxima.  The two end cells are peeled, so every
- * inner cell divides by the same count (side >= 2).  A literal L
- * unrolls the neighbour loop. */
+ * inner cell divides by the same count (side >= 2).  d >= 4 only:
+ * d = 2 and 3 take nn_line_simd. */
 static inline __attribute__((always_inline)) int64_t nn_line(
     const int64_t *restrict line, const int64_t *const *restrict nb,
     const int64_t L, int64_t present, int64_t side,
@@ -171,6 +185,65 @@ static inline __attribute__((always_inline)) int64_t nn_line(
         nb, L, side - 1, line[side - 1], right, 0, (double)(present + 1),
         avg, lam);
     lam[L >> 1] += lam_last;
+    return max_sum;
+}
+
+/* The inner cells 1 .. side-2 of a d = 2 (L = 2) or d = 3 (L = 4)
+ * line, in one loop GCC vectorizes: the neighbour lines are literal
+ * pointers, every cell recomputes both last-axis distances instead of
+ * carrying one across iterations, and Λ, the max sum and the
+ * last-axis pairs go to local accumulators.  The int64 lanes are
+ * exact and a vector int64 -> double convert and divide round each
+ * lane as the scalar instructions do, so every clone writes the same
+ * bits.  Returns the cells' sum of maxima. */
+static inline __attribute__((always_inline)) int64_t nn_inner(
+    const int64_t *restrict line, const int64_t *const *restrict nb,
+    const int64_t L, int64_t side, double count,
+    double *restrict avg, int64_t *restrict lam)
+{
+    const int64_t *restrict a0 = nb[0], *restrict a1 = nb[1];
+    const int64_t *restrict b0 = nb[L - 2], *restrict b1 = nb[L - 1];
+    int64_t lam_a = 0, lam_b = 0, lam_last = 0, max_sum = 0;
+    for (int64_t v = 1; v + 1 < side; ++v) {
+        int64_t k = line[v];
+        int64_t left = i64abs(k - line[v - 1]);
+        int64_t right = i64abs(line[v + 1] - k);
+        int64_t da = i64abs(a0[v] - k), ua = i64abs(a1[v] - k);
+        int64_t sum = left + right + da + ua;
+        int64_t best = i64max(i64max(left, right), i64max(da, ua));
+        if (L == 4) {
+            int64_t db = i64abs(b0[v] - k), ub = i64abs(b1[v] - k);
+            sum += db + ub;
+            best = i64max(best, i64max(db, ub));
+            lam_b += db;
+        }
+        lam_a += da;
+        lam_last += left;
+        avg[v] = (double)sum / count;
+        max_sum += best;
+    }
+    lam[0] += lam_a;
+    if (L == 4) lam[1] += lam_b;
+    lam[L >> 1] += lam_last;
+    return max_sum;
+}
+
+/* nn_line for d = 2 and 3: the end cells peeled as there, the inner
+ * cells through nn_inner. */
+static inline __attribute__((always_inline)) int64_t nn_line_simd(
+    const int64_t *restrict line, const int64_t *const *restrict nb,
+    const int64_t L, int64_t present, int64_t side,
+    double *restrict avg, int64_t *restrict lam)
+{
+    int64_t first = i64abs(line[1] - line[0]);
+    int64_t last = i64abs(line[side - 1] - line[side - 2]);
+    double edge = (double)(present + 1);
+    int64_t max_sum = nn_cell(nb, L, 0, line[0], 0, first, edge, avg, lam);
+    max_sum += nn_inner(
+        line, nb, L, side, (double)(present + 2), avg, lam);
+    max_sum += nn_cell(
+        nb, L, side - 1, line[side - 1], last, 0, edge, avg, lam);
+    lam[L >> 1] += last;
     return max_sum;
 }
 
@@ -204,7 +277,7 @@ static int64_t nn_range_1d(
  * its upper endpoint (the pair (lo-1, lo) here, (hi-1, hi) in the next
  * range — the convention of repro.engine.chunked.nn_planes); the
  * return value is the range's sum of per-cell maxima. */
-EXPORT int64_t repro_nn_range(
+EXPORT REPRO_CLONES int64_t repro_nn_range(
     const int64_t *body, const int64_t *below, const int64_t *above,
     int64_t t, int64_t side, int64_t d, double *avg, int64_t *lambdas)
 {
@@ -236,15 +309,17 @@ EXPORT int64_t repro_nn_range(
                 present += has_lo + has_hi;
             }
             double *out = avg + r * plane + off;
-            /* A literal L for 2D and 3D, the grids the benchmark folds;
-             * every other d takes the runtime-L loop (docs/performance.md
-             * gives the measured gap). */
+            /* The vector line loop for 2D and 3D, the grids the
+             * benchmark folds; every other d takes the runtime-L loop
+             * (docs/performance.md gives the measured gaps). */
             switch (d) {
             case 2:
-                max_sum += nn_line(line, nb, 2, present, side, out, lambdas);
+                max_sum += nn_line_simd(
+                    line, nb, 2, present, side, out, lambdas);
                 break;
             case 3:
-                max_sum += nn_line(line, nb, 4, present, side, out, lambdas);
+                max_sum += nn_line_simd(
+                    line, nb, 4, present, side, out, lambdas);
                 break;
             default:
                 max_sum += nn_line(
@@ -257,6 +332,21 @@ EXPORT int64_t repro_nn_range(
         }
     }
     return max_sum;
+}
+
+/* The clone of repro_nn_range the loader picked.  A clone's body
+ * cannot tell which clone it is, so this repeats the resolver's tests:
+ * GCC's resolver checks the same two x86-64 levels, widest first. */
+EXPORT const char *repro_fold_clone(void)
+{
+#ifdef REPRO_CLONES_ON
+    __builtin_cpu_init();
+    if (__builtin_cpu_supports("x86-64-v4")) return "x86-64-v4";
+    if (__builtin_cpu_supports("x86-64-v3")) return "x86-64-v3";
+    return "default";
+#else
+    return "n/a";
+#endif
 }
 
 /* ------------------------------------------------------------------ */

@@ -60,6 +60,7 @@ from repro.core.summary import StretchReport, stretch_report
 from repro.curves.registry import (
     available_curves,
     curve_applicability,
+    curve_holds_table,
     curve_is_hidden,
     make_curve,
 )
@@ -741,7 +742,9 @@ def _publish_shared(
     curve order from the attached grid.  Chunked cells are skipped —
     materializing a beyond-budget dense grid in the parent would
     defeat the point of chunking — as are cells whose curve fails to
-    construct (the worker reports those as skipped).  One
+    construct (the worker reports those as skipped) and table curves,
+    which :func:`repro.engine.shm.reuse_key` never keys: their
+    constructor alone already costs the full grid build.  One
     :class:`ContextPool` per universe, on the cells' backend, builds
     the grids, so a transform's grid is derived from its inner curve's,
     and with a ``store_dir`` a warm parent maps each grid from disk
@@ -768,8 +771,11 @@ def _publish_shared(
                     store_dir=store_dir,
                 )
                 pool_universe = (d, side)
+            spec = CurveSpec.parse(task.spec)
+            if curve_holds_table(spec.name):
+                continue  # reuse_key would refuse it, after the build
             try:
-                curve = CurveSpec.parse(task.spec).make(universe)
+                curve = spec.make(universe)
             except (ValueError, TypeError):
                 continue
             skey = reuse_key(curve, task.backend)

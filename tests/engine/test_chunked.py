@@ -445,3 +445,50 @@ class TestStreamingPrimitives:
             assert np.array_equal(
                 slab_neighbor_counts(universe, lo, hi), dense[lo:hi]
             )
+
+
+class TestFoldEnvelope:
+    """The fold's int64 partials are bounded before any range runs."""
+
+    @pytest.mark.parametrize("backend", ["numpy", "native"])
+    @pytest.mark.parametrize(
+        "side, chunk_cells, bound",
+        [
+            # n = 2^62: a cell's sum 2d·(n−1) passes 2^63
+            (2**31, 1 << 20, "2d·"),
+            # n = 2^42, 2^22-cell ranges: cells·(n−1) passes 2^63
+            (2**21, 1 << 22, "cells·"),
+        ],
+    )
+    def test_huge_universe_refused_before_any_read(
+        self, side, chunk_cells, bound, backend, monkeypatch
+    ):
+        import tracemalloc
+
+        from repro.engine import threads
+
+        def unreachable(*args):
+            raise AssertionError("the fold read keys past the envelope")
+
+        ctx = MetricContext(
+            ZCurve(Universe(d=2, side=side)),
+            chunk_cells=chunk_cells,
+            backend=backend,
+        )
+        monkeypatch.setattr(ctx, "_key_slab", unreachable)
+        monkeypatch.setattr(threads, "prepare_key_reads", unreachable)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"overflows int64.*{bound}"):
+                ctx.davg()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_whole_grid_ranges_pass_up_to_2_30_cells(self):
+        from repro.engine.chunked import check_fold_envelope
+
+        for d, side in ((2, 2048), (3, 64), (2, 2**15), (3, 2**10)):
+            universe = Universe(d=d, side=side)
+            check_fold_envelope(universe, universe.n)

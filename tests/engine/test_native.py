@@ -11,6 +11,9 @@ reference exactly (``==``, never ``approx``).  These tests exercise
 * the metric parity matrix {dense, threaded dense, chunked, threaded,
   one plane per chunk} x {numpy, native} on d = 1 to 5, and the fused
   native range kernel against the NumPy range kernel, range by range;
+* the range kernel on every ``(lo, hi)`` range of grids long enough to
+  run its vector loop, on the per-CPU cloned build and on one without
+  clones;
 * backend resolution, ``REPRO_NATIVE=0``, and the warn-once fallback
   when ``backend="native"`` cannot be honored.
 
@@ -358,6 +361,111 @@ class TestMetricParityMatrix:
 
 
 # ----------------------------------------------------------------------
+# The range kernel over every (lo, hi) range, on both builds
+# ----------------------------------------------------------------------
+class _GridKeys:
+    """The key reads of a NumPy-backend context over any int64 grid:
+    all :func:`repro.engine.chunked._nn_range_kernel` needs, without a
+    curve (the synthetic keys below are no permutation)."""
+
+    kernels = None
+
+    def __init__(self, grid: np.ndarray) -> None:
+        self.universe = Universe(d=grid.ndim, side=grid.shape[0])
+        self._grid = grid
+
+    def _key_slab(self, lo: int, hi: int) -> np.ndarray:
+        return self._grid[lo:hi]
+
+
+def _harness_grids(d: int, side: int):
+    """A permutation key grid and one of keys above 2^53 whose spread
+    keeps every partial of a whole-grid range below 2^63."""
+    rng = np.random.default_rng(side * 10 + d)
+    n = side**d
+    spread = (2**63 - 1) // n  # cells · max|Δ| < 2^63, and 2d <= n
+    yield rng.permutation(n).astype(np.int64).reshape((side,) * d)
+    big = rng.integers(2**53, 2**53 + spread, size=n, dtype=np.int64)
+    yield big.reshape((side,) * d)
+
+
+#: (d, side) of the harness: every 2D and 3D line length up to 38 and
+#: 10 inner cells (the 8-lane vector body and its epilogue), and spot
+#: checks of d = 1 and the generic d >= 4 loop.
+HARNESS_CASES = (
+    [(2, side) for side in range(2, 41)]
+    + [(3, side) for side in range(2, 13)]
+    + [(1, 2), (1, 17), (4, 3), (4, 4), (5, 2), (5, 3)]
+)
+
+
+@pytest.fixture(scope="module")
+def clone_free_kernels(tmp_path_factory):
+    """The kernels built without the per-CPU clones: the ``default``
+    path, tested on any host."""
+    out = tmp_path_factory.mktemp("clone-free") / "repro_kernels.so"
+    native.compile_kernels(
+        native.compiler_path(),
+        native.compile_flags() + ["-DREPRO_NO_CLONES"],
+        out,
+    )
+    return native.NativeKernels(out)
+
+
+@requires_native
+class TestRangeKernelHarness:
+    """``repro_nn_range`` against the NumPy range kernel on every
+    ``(lo, hi)`` range of each grid, boundary planes included:
+    averages bit for bit, Λ and Σ max exactly."""
+
+    @pytest.fixture(params=["cloned", "clone-free"])
+    def kernels(self, request, clone_free_kernels):
+        if request.param == "cloned":
+            return native.load_kernels()
+        assert clone_free_kernels.fold_clone() == "n/a"
+        return clone_free_kernels
+
+    @pytest.mark.parametrize("d, side", HARNESS_CASES)
+    def test_every_range_matches_numpy(self, kernels, d, side):
+        from repro.engine.chunked import _nn_range_kernel
+        from repro.engine.threads import ScratchBuffers
+
+        scratch = ScratchBuffers()
+        for grid in _harness_grids(d, side):
+            ref = _GridKeys(grid)
+            for lo in range(side):
+                below = grid[lo - 1 : lo] if lo > 0 else None
+                for hi in range(lo + 1, side + 1):
+                    above = grid[hi : hi + 1] if hi < side else None
+                    avg = np.empty(grid[lo:hi].shape)
+                    lambdas, max_sum = kernels.nn_range(
+                        grid[lo:hi], below, above, side, d, avg
+                    )
+                    want, want_lambdas, want_max = _nn_range_kernel(
+                        ref, lo, hi, scratch
+                    )
+                    assert np.array_equal(
+                        avg.reshape(-1).view(np.int64),
+                        want.view(np.int64),
+                    ), (lo, hi)
+                    assert lambdas == want_lambdas, (lo, hi)
+                    assert max_sum == want_max, (lo, hi)
+
+    def test_fold_clone_names_a_level(self):
+        assert native.load_kernels().fold_clone() in (
+            "x86-64-v4", "x86-64-v3", "default", "n/a"
+        )
+
+    def test_doctor_names_the_fold_clone(self, capsys):
+        from repro.cli import main
+
+        assert main(["doctor"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        clone = native.load_kernels().fold_clone()
+        assert f"  fold clone: {clone}" in lines
+
+
+# ----------------------------------------------------------------------
 # Sweep integration: backend knob, per-cell backend accounting
 # ----------------------------------------------------------------------
 class TestSweepBackend:
@@ -404,6 +512,15 @@ class TestBuildPipeline:
         info = native.build_info()
         assert os.path.exists(info["so_path"])
         assert os.path.exists(info["build_log"])
+
+    def test_flags_key_the_build_dir(self, monkeypatch):
+        cc = native.compiler_path()
+        flags = native.compile_flags(None)
+        assert "-O3" in flags and "-ffp-contract=off" in flags
+        current = native._build_dir(cc, None)
+        older = [flag if flag != "-O3" else "-O2" for flag in flags]
+        monkeypatch.setattr(native, "compile_flags", lambda spec: older)
+        assert native._build_dir(cc, None) != current
 
     def test_cache_dir_override(self, fresh_native, tmp_path):
         fresh_native.setenv("REPRO_NATIVE_CACHE", str(tmp_path))

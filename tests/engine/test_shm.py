@@ -505,6 +505,38 @@ class TestKeyGridOnly:
         assert result.cache_stats.total_shared == 0
         assert shm_segments() == before
 
+    def test_parent_never_builds_a_table(self, u2_8, monkeypatch):
+        """A table curve's constructor is its whole grid build, and
+        nothing of it is published: the parent skips it before
+        building, and the records are those of a serial sweep."""
+        from repro.curves.random_curve import RandomCurve
+
+        built = []
+        init = RandomCurve.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(RandomCurve, "__init__", counting_init)
+        kwargs = dict(
+            universes=[u2_8],
+            curves=["random:seed=3", "z"],
+            metrics=("davg", "dmax", "dilation:window=3"),
+            reports=False,
+        )
+        tasks, _ = Sweep(processes=2, **kwargs)._plan()
+        store, _ = _publish_shared(tasks, DEFAULT_CACHE_BYTES)
+        store.unlink()
+        # Forked workers build their own tables; only the parent's
+        # constructions land in ``built``.
+        shared = Sweep(processes=2, **kwargs).run()
+        assert built == []
+        serial = Sweep(**kwargs).run()
+        assert [(r.spec, r.values) for r in shared.records] == [
+            (r.spec, r.values) for r in serial.records
+        ]
+
     def test_workers_derive_arrays_equal_to_serial(self, u2_8):
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
