@@ -170,7 +170,8 @@ def curve_is_hidden(name: str) -> bool:
 
 def curve_holds_table(name: str) -> bool:
     """True when ``name`` builds a :class:`PermutationCurve` subclass,
-    whose constructor computes and keeps the whole key grid.
+    whose constructor computes and keeps the whole key grid: the
+    by-name form of the table test in :func:`repro.engine.shm.reuse_key`.
 
     >>> curve_holds_table("random"), curve_holds_table("hilbert")
     (True, False)

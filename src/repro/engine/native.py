@@ -10,8 +10,8 @@ shared library cached under a ``sha256(source + compiler + flags)``
 key, so rebuilds happen only when the source, toolchain or compile
 flags change; the library is loaded through ``ctypes`` and degrades
 gracefully to the NumPy kernels when no compiler exists.  On x86-64
-GCC the range fold is built once per x86-64 level and the loader
-picks the widest one the CPU runs (:meth:`NativeKernels.fold_clone`
+GCC the range fold is built for x86-64-v4 and for the baseline, and
+the loader picks the one the CPU runs (:meth:`NativeKernels.fold_clone`
 names it), so a cache shared between hosts never hands a CPU
 instructions it lacks.
 
@@ -401,8 +401,8 @@ class NativeKernels:
 
     def fold_clone(self) -> str:
         """The x86-64 level of the ``nn_range`` clone in use
-        (``x86-64-v4``, ``x86-64-v3`` or ``default``; ``n/a`` in a
-        build without clones)."""
+        (``x86-64-v4`` or ``default``; ``n/a`` in a build without
+        clones)."""
         return self._lib.repro_fold_clone().decode()
 
     # -- window maxima -------------------------------------------------

@@ -21,16 +21,16 @@
 
 #define EXPORT __attribute__((visibility("default")))
 
-/* The range fold is built once per x86-64 level; the loader picks
- * the widest clone the CPU runs through an ifunc, so one cached
- * library serves every x86-64 host, old ones included.  Only GCC 12
- * or later, which takes these levels as clone targets, on glibc;
- * -DREPRO_NO_CLONES turns the clones off. */
+/* The range fold is built for x86-64-v4 (AVX-512) and for the
+ * baseline; the loader picks the clone the CPU runs through an ifunc,
+ * so one cached library serves every x86-64 host, old ones included.
+ * Only GCC 12 or later, which takes the level as a clone target, on
+ * glibc; -DREPRO_NO_CLONES turns the clones off. */
 #if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__) \
     && __GNUC__ >= 12 && defined(__GLIBC__) && !defined(REPRO_NO_CLONES)
 #define REPRO_CLONES_ON 1
-#define REPRO_CLONES __attribute__((target_clones( \
-    "arch=x86-64-v4", "arch=x86-64-v3", "default")))
+#define REPRO_CLONES \
+    __attribute__((target_clones("arch=x86-64-v4", "default")))
 #else
 #define REPRO_CLONES
 #endif
@@ -158,36 +158,6 @@ static inline __attribute__((always_inline)) int64_t nn_cell(
     return best;
 }
 
-/* One line of `side` cells along the last grid axis (stride 1), whose
- * L = 2(d-1) neighbour lines hold `present` real ones.  Writes the
- * line's averages, adds its Λ partials into lam[0 .. d-1] and returns
- * its sum of per-cell maxima.  The two end cells are peeled, so every
- * inner cell divides by the same count (side >= 2).  d >= 4 only:
- * d = 2 and 3 take nn_line_simd. */
-static inline __attribute__((always_inline)) int64_t nn_line(
-    const int64_t *restrict line, const int64_t *const *restrict nb,
-    const int64_t L, int64_t present, int64_t side,
-    double *restrict avg, int64_t *restrict lam)
-{
-    int64_t right = i64abs(line[1] - line[0]);
-    int64_t max_sum = nn_cell(
-        nb, L, 0, line[0], 0, right, (double)(present + 1), avg, lam);
-    int64_t lam_last = 0;
-    double inner = (double)(present + 2);
-    for (int64_t v = 1; v + 1 < side; ++v) {
-        int64_t k = line[v], left = right;
-        right = i64abs(line[v + 1] - k);
-        lam_last += left;
-        max_sum += nn_cell(nb, L, v, k, left, right, inner, avg, lam);
-    }
-    lam_last += right;
-    max_sum += nn_cell(
-        nb, L, side - 1, line[side - 1], right, 0, (double)(present + 1),
-        avg, lam);
-    lam[L >> 1] += lam_last;
-    return max_sum;
-}
-
 /* The inner cells 1 .. side-2 of a d = 2 (L = 2) or d = 3 (L = 4)
  * line, in one loop GCC vectorizes: the neighbour lines are literal
  * pointers, every cell recomputes both last-axis distances instead of
@@ -228,19 +198,34 @@ static inline __attribute__((always_inline)) int64_t nn_inner(
     return max_sum;
 }
 
-/* nn_line for d = 2 and 3: the end cells peeled as there, the inner
- * cells through nn_inner. */
-static inline __attribute__((always_inline)) int64_t nn_line_simd(
+/* One line of `side` cells along the last grid axis (stride 1), whose
+ * L = 2(d-1) neighbour lines hold `present` real ones.  Writes the
+ * line's averages, adds its Λ partials into lam[0 .. d-1] and returns
+ * its sum of per-cell maxima.  The two end cells are peeled, so every
+ * inner cell divides by the same count (side >= 2).  The inner cells
+ * take nn_inner's vector loop for a literal L of 2 or 4 (d = 2, 3)
+ * and nn_cell's runtime-L loop otherwise. */
+static inline __attribute__((always_inline)) int64_t nn_line(
     const int64_t *restrict line, const int64_t *const *restrict nb,
     const int64_t L, int64_t present, int64_t side,
     double *restrict avg, int64_t *restrict lam)
 {
     int64_t first = i64abs(line[1] - line[0]);
     int64_t last = i64abs(line[side - 1] - line[side - 2]);
-    double edge = (double)(present + 1);
+    double edge = (double)(present + 1), inner = (double)(present + 2);
     int64_t max_sum = nn_cell(nb, L, 0, line[0], 0, first, edge, avg, lam);
-    max_sum += nn_inner(
-        line, nb, L, side, (double)(present + 2), avg, lam);
+    if (L <= 4) {
+        max_sum += nn_inner(line, nb, L, side, inner, avg, lam);
+    } else {
+        int64_t right = first, lam_last = 0;
+        for (int64_t v = 1; v + 1 < side; ++v) {
+            int64_t k = line[v], left = right;
+            right = i64abs(line[v + 1] - k);
+            lam_last += left;
+            max_sum += nn_cell(nb, L, v, k, left, right, inner, avg, lam);
+        }
+        lam[L >> 1] += lam_last;
+    }
     max_sum += nn_cell(
         nb, L, side - 1, line[side - 1], last, 0, edge, avg, lam);
     lam[L >> 1] += last;
@@ -271,8 +256,9 @@ static int64_t nn_range_1d(
 /* The whole NN fold of one range x_0 in [lo, hi) in one gather pass,
  * replacing repro_nn_block_pairs + repro_neighbor_counts + the NumPy
  * divide: `body` is the range's t >= 1 key planes of side >= 2,
- * `below` and `above` the planes lo-1 and hi (NULL at the grid edge).  Every cell reads its
- * <= 2d neighbours and writes avg[c] = (double)sum / (double)|N(c)|;
+ * `below` and `above` the planes lo-1 and hi (NULL at the grid edge).
+ * Every cell reads its <= 2d neighbours and writes
+ * avg[c] = (double)sum / (double)|N(c)|;
  * lambdas[axis] receives the range's Λ partials, each pair counted at
  * its upper endpoint (the pair (lo-1, lo) here, (hi-1, hi) in the next
  * range — the convention of repro.engine.chunked.nn_planes); the
@@ -309,17 +295,16 @@ EXPORT REPRO_CLONES int64_t repro_nn_range(
                 present += has_lo + has_hi;
             }
             double *out = avg + r * plane + off;
-            /* The vector line loop for 2D and 3D, the grids the
-             * benchmark folds; every other d takes the runtime-L loop
-             * (docs/performance.md gives the measured gaps). */
+            /* A literal L for 2D and 3D, the grids the benchmark
+             * folds, gives them the vector line loop; every other d
+             * takes the runtime-L loop (docs/performance.md gives the
+             * measured gaps). */
             switch (d) {
             case 2:
-                max_sum += nn_line_simd(
-                    line, nb, 2, present, side, out, lambdas);
+                max_sum += nn_line(line, nb, 2, present, side, out, lambdas);
                 break;
             case 3:
-                max_sum += nn_line_simd(
-                    line, nb, 4, present, side, out, lambdas);
+                max_sum += nn_line(line, nb, 4, present, side, out, lambdas);
                 break;
             default:
                 max_sum += nn_line(
@@ -335,15 +320,13 @@ EXPORT REPRO_CLONES int64_t repro_nn_range(
 }
 
 /* The clone of repro_nn_range the loader picked.  A clone's body
- * cannot tell which clone it is, so this repeats the resolver's tests:
- * GCC's resolver checks the same two x86-64 levels, widest first. */
+ * cannot tell which clone it is, so this repeats the resolver's test
+ * of the one x86-64 level. */
 EXPORT const char *repro_fold_clone(void)
 {
 #ifdef REPRO_CLONES_ON
     __builtin_cpu_init();
-    if (__builtin_cpu_supports("x86-64-v4")) return "x86-64-v4";
-    if (__builtin_cpu_supports("x86-64-v3")) return "x86-64-v3";
-    return "default";
+    return __builtin_cpu_supports("x86-64-v4") ? "x86-64-v4" : "default";
 #else
     return "n/a";
 #endif

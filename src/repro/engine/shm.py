@@ -63,7 +63,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.curves.base import SpaceFillingCurve
+from repro.curves.base import PermutationCurve, SpaceFillingCurve
 from repro.grid.universe import Universe
 
 __all__ = [
@@ -146,7 +146,7 @@ def reuse_key(curve: SpaceFillingCurve, backend: str) -> Optional[tuple]:
     >>> reuse_key(ReversedCurve(RandomCurve(u, seed=1)), "auto") is not None
     True
     """
-    if curve._key_grid_cache is not None:
+    if isinstance(curve, PermutationCurve):
         return None
     if curve._native_codec(backend) is not None:
         return None

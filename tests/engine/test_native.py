@@ -453,7 +453,7 @@ class TestRangeKernelHarness:
 
     def test_fold_clone_names_a_level(self):
         assert native.load_kernels().fold_clone() in (
-            "x86-64-v4", "x86-64-v3", "default", "n/a"
+            "x86-64-v4", "default", "n/a"
         )
 
     def test_doctor_names_the_fold_clone(self, capsys):

@@ -22,6 +22,7 @@ from repro.engine import (
     native,
     shared_key,
 )
+from repro.engine.shm import reuse_key
 from repro.engine.sweep import CurveSpec, _publish_shared
 
 SHM_DIR = Path("/dev/shm")
@@ -536,6 +537,26 @@ class TestKeyGridOnly:
         assert [(r.spec, r.values) for r in shared.records] == [
             (r.spec, r.values) for r in serial.records
         ]
+
+    def test_table_rule_by_name_and_by_instance_agree(self):
+        """The parent's by-name skip and ``reuse_key``'s by-instance
+        test name the same curves: those whose instance holds a table."""
+        from repro.curves.registry import (
+            available_curves,
+            curve_holds_table,
+            curves_for_universe,
+        )
+
+        names = available_curves(include_hidden=True)
+        built = {}
+        for side in (8, 9):  # bitwise curves and Peano
+            built.update(curves_for_universe(Universe(d=2, side=side), names))
+        assert sorted(built) == names
+        for name, curve in built.items():
+            holds = curve._key_grid_cache is not None
+            assert curve_holds_table(name) == holds, name
+            if holds:
+                assert reuse_key(curve, "numpy") is None, name
 
     def test_workers_derive_arrays_equal_to_serial(self, u2_8):
         import multiprocessing
