@@ -125,6 +125,26 @@ class SpaceFillingCurve(abc.ABC):
     # ------------------------------------------------------------------
     # Dense representations
     # ------------------------------------------------------------------
+    def key_slab(self, lo: int, hi: int, backend: str = "auto") -> np.ndarray:
+        """``key_grid()[lo:hi]``: the keys of axis-0 planes ``[lo, hi)``.
+
+        The metric engine's key source.  Cheapest first: a slice of a
+        table curve's table, the native codec's one-call ``key_slab``,
+        then :meth:`keys_of` on a meshgrid of the slab's coordinates.
+        """
+        if self._key_grid_cache is not None:
+            return self._key_grid_cache[lo:hi]
+        codec = self._native_codec(backend)
+        if codec is not None:
+            return codec.key_slab(lo, hi)
+        side, d = self.universe.side, self.universe.d
+        axes = [np.arange(lo, hi, dtype=np.int64)]
+        axes += [np.arange(side, dtype=np.int64)] * (d - 1)
+        mesh = np.meshgrid(*axes, indexing="ij")
+        coords = np.stack([m.reshape(-1) for m in mesh], axis=-1)
+        keys = self.keys_of(coords, backend=backend)
+        return keys.reshape((hi - lo,) + (side,) * (d - 1))
+
     def key_grid(self) -> np.ndarray:
         """Dense ``(side,)*d`` int64 array: ``key_grid[tuple(α)] = π(α)``.
 

@@ -6,21 +6,74 @@ equivalent … for the metrics that we consider."  These wrappers make that
 remark testable: each produces a new SFC from an existing one, and the
 invariance of every stretch metric under them is asserted in the tests
 and the E12 bench.
+
+Each transform is a grid automorphism, so its key slabs are an ``O(n)``
+array map (complement, flip, transpose) of the inner curve's slabs,
+never a per-point evaluation.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+import abc
+import functools
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from repro.curves.base import SpaceFillingCurve
-from repro.grid.universe import Universe
 
-__all__ = ["AxisPermutedCurve", "ReflectedCurve", "ReversedCurve"]
+__all__ = [
+    "AxisPermutedCurve",
+    "CurveTransform",
+    "ReflectedCurve",
+    "ReversedCurve",
+]
+
+#: ``(lo, hi) -> slab``: the inner curve's key slab for planes ``[lo, hi)``.
+SlabSource = Callable[[int, int], np.ndarray]
 
 
-class AxisPermutedCurve(SpaceFillingCurve):
+class CurveTransform(SpaceFillingCurve):
+    """A curve defined by a grid automorphism of an ``inner`` curve."""
+
+    def __init__(self, inner: SpaceFillingCurve) -> None:
+        super().__init__(inner.universe)
+        self.inner = inner
+
+    def derives_slab(self, lo: int, hi: int) -> bool:
+        """Whether :meth:`key_slab` maps ``[lo, hi)`` from inner slabs."""
+        return True
+
+    def key_slab(
+        self,
+        lo: int,
+        hi: int,
+        backend: str = "auto",
+        inner_slab: Optional[SlabSource] = None,
+    ) -> np.ndarray:
+        """``key_grid()[lo:hi]``, mapped from the inner curve's slabs.
+
+        ``inner_slab`` reads those slabs: a pooled base context passes
+        its cached ``_key_slab``; the default is the inner curve's own
+        :meth:`key_slab`.  A range :meth:`derives_slab` declines is
+        built like any curve's.
+        """
+        if not self.derives_slab(lo, hi):
+            return super().key_slab(lo, hi, backend)
+        if inner_slab is None:
+            inner_slab = functools.partial(
+                self.inner.key_slab, backend=backend
+            )
+        return self._map_slab(lo, hi, inner_slab)
+
+    @abc.abstractmethod
+    def _map_slab(
+        self, lo: int, hi: int, inner_slab: SlabSource
+    ) -> np.ndarray:
+        """Slab ``[lo, hi)`` of this curve from the inner curve's slabs."""
+
+
+class AxisPermutedCurve(CurveTransform):
     """Relabel grid dimensions before applying the inner curve.
 
     ``π'(x) = π(x ∘ perm)``: coordinate axis ``i`` of the new curve feeds
@@ -32,14 +85,13 @@ class AxisPermutedCurve(SpaceFillingCurve):
     def __init__(
         self, inner: SpaceFillingCurve, perm: Sequence[int]
     ) -> None:
-        super().__init__(inner.universe)
+        super().__init__(inner)
         # Checked before the int64 cast, which overflows on huge ints.
         if sorted(int(v) for v in perm) != list(range(inner.universe.d)):
             raise ValueError(
                 f"perm must be a permutation of 0..{inner.universe.d - 1}"
             )
         perm_arr = np.asarray(perm, dtype=np.int64)
-        self.inner = inner
         self.perm = perm_arr
         self.name = f"{inner.name}-perm{''.join(map(str, perm_arr.tolist()))}"
 
@@ -65,8 +117,20 @@ class AxisPermutedCurve(SpaceFillingCurve):
         out[..., self.perm] = inner_coords
         return out
 
+    def derives_slab(self, lo: int, hi: int) -> bool:
+        # Relabeling axes transposes the whole grid; one slab of the
+        # result gathers from every plane of the inner grid.
+        return (lo, hi) == (0, self.universe.side)
 
-class ReflectedCurve(SpaceFillingCurve):
+    def _map_slab(
+        self, lo: int, hi: int, inner_slab: SlabSource
+    ) -> np.ndarray:
+        # grid'[x] = grid[y] with y[k] = x[perm[k]]  ⇔  transpose(inv).
+        inv = tuple(int(v) for v in np.argsort(self.perm))
+        return np.ascontiguousarray(inner_slab(lo, hi).transpose(inv))
+
+
+class ReflectedCurve(CurveTransform):
     """Reflect selected axes (``x_i → side − 1 − x_i``) before indexing.
 
     Reflections are grid automorphisms, so stretch metrics are invariant.
@@ -75,13 +139,12 @@ class ReflectedCurve(SpaceFillingCurve):
     def __init__(
         self, inner: SpaceFillingCurve, axes: Sequence[int]
     ) -> None:
-        super().__init__(inner.universe)
+        super().__init__(inner)
         axes_list = sorted(set(int(a) for a in axes))
         if axes_list and not (
             0 <= axes_list[0] and axes_list[-1] < inner.universe.d
         ):
             raise ValueError(f"axes must lie in [0, {inner.universe.d})")
-        self.inner = inner
         self.axes = axes_list
         self.name = f"{inner.name}-reflect{''.join(map(str, axes_list))}"
 
@@ -107,8 +170,16 @@ class ReflectedCurve(SpaceFillingCurve):
     def coords_of(self, keys, backend: str = "auto") -> np.ndarray:
         return self._reflect(self.inner.coords_of(keys, backend=backend))
 
+    def _map_slab(
+        self, lo: int, hi: int, inner_slab: SlabSource
+    ) -> np.ndarray:
+        # Reflecting axis 0 reads the mirrored plane range.
+        if 0 in self.axes:
+            lo, hi = self.universe.side - hi, self.universe.side - lo
+        return np.flip(inner_slab(lo, hi), axis=tuple(self.axes)).copy()
 
-class ReversedCurve(SpaceFillingCurve):
+
+class ReversedCurve(CurveTransform):
     """Traverse the inner curve backwards: ``π'(x) = n − 1 − π(x)``.
 
     ``|π'(α) − π'(β)| = |π(α) − π(β)|`` identically, so every metric is
@@ -116,8 +187,7 @@ class ReversedCurve(SpaceFillingCurve):
     """
 
     def __init__(self, inner: SpaceFillingCurve) -> None:
-        super().__init__(inner.universe)
-        self.inner = inner
+        super().__init__(inner)
         self.name = f"{inner.name}-reversed"
 
     def _cache_token(self) -> object:
@@ -139,3 +209,8 @@ class ReversedCurve(SpaceFillingCurve):
         return self.inner.coords_of(
             self.universe.n - 1 - arr, backend=backend
         )
+
+    def _map_slab(
+        self, lo: int, hi: int, inner_slab: SlabSource
+    ) -> np.ndarray:
+        return self.universe.n - 1 - inner_slab(lo, hi)

@@ -66,7 +66,7 @@ from repro.engine.context import (
     MetricContext,
     get_context,
 )
-from repro.engine.pool import ContextPool, transform_derivations
+from repro.engine.pool import ContextPool
 from repro.engine.shm import SharedGridStore, shared_key
 from repro.engine.store import (
     FORMAT_VERSION,
@@ -106,7 +106,6 @@ __all__ = [
     "DynamicMetrics",
     "DynamicUniverse",
     "ReselectionEvent",
-    "transform_derivations",
     "SharedGridStore",
     "shared_key",
     "GridStore",

@@ -14,7 +14,8 @@ stretch) consumes the same handful of intermediates:
 * the per-cell sum / max grids, on request,
 * the **inverse permutation** (rank grid), the rank-ordered flat key
   array and the **curve order** consumed by the analysis and
-  application layers — each an ``O(n)`` rearrangement of the key grid.
+  application layers — each an ``O(n)`` rearrangement of the key grid
+  (dense mode only).
 
 Historically each free function in :mod:`repro.core.stretch` rebuilt
 these from scratch, so a full :func:`repro.core.summary.stretch_report`
@@ -31,18 +32,16 @@ metric.  Copy first if you need a scratch buffer.
 
 **Chunked mode** (``chunk_cells=...``) serves universes whose dense
 ``(side,)*d`` arrays would not fit the cache budget (or memory): the key
-grid, flat keys and inverse permutation are produced as iterators of
-fixed-size blocks
-(:meth:`MetricContext.iter_key_slabs`, :meth:`~MetricContext.iter_key_blocks`,
-:meth:`~MetricContext.iter_inverse_blocks`,
-:meth:`~MetricContext.iter_window_pairs`), recently used blocks are kept
+grid is produced as axis-0 slabs of about ``chunk_cells`` cells
+(:meth:`MetricContext.iter_key_slabs`; curve steps stream through
+:meth:`~MetricContext.iter_window_pairs`), recently used slabs are kept
 in the same ``max_bytes`` LRU store, and every metric method reduces
 block-wise with values bit-for-bit equal to the dense path (see
 :mod:`repro.engine.chunked` for how that equality is engineered).
 Memory model: ``max_bytes`` bounds what is *retained*, ``chunk_cells``
 bounds what is *materialized at once*.  Methods that inherently return a
-dense ``O(n)`` array raise in chunked mode and name the block iterator
-to use instead.  The ``O(block)`` guarantee holds for procedural curves
+dense ``O(n)`` array raise in chunked mode and name what to use
+instead.  The ``O(block)`` guarantee holds for procedural curves
 (Z, Gray, Hilbert, Moore, snake, simple, spiral, diagonal);
 table-backed curves (:class:`repro.curves.base.PermutationCurve`
 subclasses such as ``random`` or ``peano``) are already defined by a
@@ -93,7 +92,7 @@ duplication picture.
 **Persistent store** (``store_dir=...`` / ``repro sweep --store``): a
 context wired to a :class:`repro.engine.store.GridStore` resolves its
 key grid as a read-only ``np.memmap`` view of a checksummed on-disk
-artifact — resolution order **shared → mmap → derived → compute**,
+artifact — resolution order **shared → mmap → the curve's slab**,
 counted in :attr:`CacheStats.mmap` — and writes a freshly computed
 whole grid through, so a later process (a sweep rerun, a ``repro
 serve`` restart) starts warm from disk.  Key slabs are slices of the
@@ -105,6 +104,12 @@ that a dense run committed.  Only curves
 **One key accessor.**  Every key read goes through
 :meth:`MetricContext._key_slab`; a dense context is the context whose
 slab partition is the one slab ``(0, side)``, cached as ``key_grid``.
+The context only picks the tier — cache, then a shared or mapped view,
+then the curve's own
+:meth:`~repro.curves.base.SpaceFillingCurve.key_slab`.  A transform
+curve in a :class:`repro.engine.ContextPool` reads its inner curve's
+slabs through the pooled base context (``_base``), and such slabs count
+under :attr:`CacheStats.derived`.
 """
 
 from __future__ import annotations
@@ -159,8 +164,9 @@ class CacheStats:
     #: How many times each intermediate's compute function actually ran.
     computes: Dict[str, int] = field(default_factory=dict)
     #: How many times an intermediate was *derived* from another context
-    #: (cheap array transform of a base curve's cache) instead of
-    #: materialized from scratch; see :class:`repro.engine.ContextPool`.
+    #: (a transform curve's slab mapped from its pooled base context's
+    #: slabs) instead of materialized from scratch; see
+    #: :class:`repro.engine.ContextPool`.
     derived: Dict[str, int] = field(default_factory=dict)
     #: How many times an intermediate was resolved as a zero-copy view
     #: of a :class:`repro.engine.SharedGridStore` segment published by
@@ -270,7 +276,7 @@ class _BoundedStore:
     budget, and evicting a view would save nothing.
 
     The store is **thread-safe**: dict state and counters mutate under
-    a lock, while compute/derive factories run outside it so worker
+    a lock, while compute factories run outside it so worker
     threads materializing *different* blocks proceed concurrently
     (the :class:`repro.engine.threads.BlockScheduler` regime).  Two
     threads missing the *same* key may both run its factory — results
@@ -298,7 +304,7 @@ class _BoundedStore:
         key: str,
         compute: Callable[[], np.ndarray],
         freeze: bool = True,
-        derive: Optional[Callable[[], np.ndarray]] = None,
+        derived: bool = False,
         shared: Optional[Callable[[], Optional[np.ndarray]]] = None,
         mmap: Optional[Callable[[], Optional[np.ndarray]]] = None,
         persist: Optional[Callable[[np.ndarray], object]] = None,
@@ -338,25 +344,17 @@ class _BoundedStore:
                 if self.max_bytes != 0:
                     self._views[key] = value
             return value
-        if derive is not None:
-            value = np.asarray(derive())
-            computed = False
-            with self._lock:
-                self.stats.derived[key] = self.stats.derived.get(key, 0) + 1
-        else:
-            value = np.asarray(compute())
-            computed = True
-            with self._lock:
-                self.stats.computes[key] = (
-                    self.stats.computes.get(key, 0) + 1
-                )
+        # ``derived``: ``compute`` maps another context's arrays, so the
+        # value counts under ``derived`` instead of ``computes``.
+        value = np.asarray(compute())
+        with self._lock:
+            counter = self.stats.derived if derived else self.stats.computes
+            counter[key] = counter.get(key, 0) + 1
         if freeze:
             value.flags.writeable = False
-        if persist is not None and computed:
-            # Write-through to the persistent store, only for genuinely
-            # computed arrays (derived ones are cheap transforms that a
-            # warm restart re-derives from their mapped base).  Best
-            # effort: the store swallows I/O errors.
+        if persist is not None:
+            # Write-through to the persistent store.  Best effort: the
+            # store swallows I/O errors.
             persist(value)
         with self._lock:
             if self.max_bytes != 0:
@@ -471,12 +469,10 @@ class MetricContext:
         self._scheduler = None
         self._scalar_lock = threading.RLock()
         self._store = _BoundedStore(max_bytes)
-        #: Block kind → ``(lo, hi) -> block`` factory deriving it
-        #: cheaply from another curve's context (wired by the pool for
-        #: transform-derived curves; kinds ``key_slab``, ``key_block``,
-        #: ``inverse_block``).  Derived arrays are bit-for-bit
-        #: identical to from-scratch computation; only the cost differs.
-        self._derivations: Dict[str, Callable[..., np.ndarray]] = {}
+        #: The pooled context of ``curve.inner``, set by a
+        #: :class:`repro.engine.ContextPool` for a transform curve: the
+        #: curve's slabs then map this context's cached slabs.
+        self._base: Optional["MetricContext"] = None
         #: View tier → zero-arg factory mapping the whole key grid:
         #: ``"shared"``, a zero-copy view of a parent-published
         #: :class:`repro.engine.shm.SharedGridStore` segment (wired by
@@ -646,7 +642,7 @@ class MetricContext:
         The rank order is the simple-curve enumeration (axis 0 fastest),
         matching :meth:`repro.grid.universe.Universe.all_coords`.
         """
-        self._require_dense("flat_keys", "iter_key_blocks()")
+        self._require_dense("flat_keys", "iter_key_slabs()")
         return self._cached(
             "flat_keys",
             lambda: self.key_grid().reshape(-1, order="F"),
@@ -659,7 +655,9 @@ class MetricContext:
         any key array — the cached inverse the range-query index and the
         window metrics build on.
         """
-        self._require_dense("inverse_permutation", "iter_inverse_blocks()")
+        self._require_dense(
+            "inverse_permutation", "curve.coords_of on key ranges"
+        )
         return self._cached(
             "inverse_perm", lambda: inverse_ranks(self.flat_keys())
         )
@@ -788,26 +786,6 @@ class MetricContext:
         lo = (x0 // per_slab) * per_slab
         return lo, min(side, lo + per_slab)
 
-    def _span_ranges(self) -> list:
-        """1-D ranges ``(start, stop)`` of the flat block partition."""
-        n = self.universe.n
-        if not self.chunked:
-            return [(0, n)]
-        return [
-            (start, min(n, start + self.chunk_cells))
-            for start in range(0, n, self.chunk_cells)
-        ]
-
-    def _cached_block(
-        self, kind: str, lo: int, hi: int, compute: Callable[[], np.ndarray]
-    ) -> np.ndarray:
-        """LRU-cached block, honoring pool-installed range derivations."""
-        rule = self._derivations.get(kind)
-        derive = None if rule is None else (lambda: rule(lo, hi))
-        return self._store.get_or_compute(
-            f"{kind}[{lo}:{hi}]", compute, derive=derive
-        )
-
     def _slab_key(self, lo: int, hi: int) -> str:
         """Cache key of slab ``[lo, hi)``; the whole grid is ``key_grid``."""
         if (lo, hi) == (0, self.universe.side):
@@ -826,40 +804,29 @@ class MetricContext:
     def _key_slab_values(self, lo: int, hi: int) -> np.ndarray:
         """Key-grid slab for ``x_0 ∈ [lo, hi)``, uncached.
 
-        Sources, cheapest first: a pool-installed derivation; a slice
-        of the mapped ``key_grid`` (shared memory, then the store); a
-        slice of a table curve's table; the native codec's one-call
-        ``key_slab``; a meshgrid of the slab's coordinates through
-        ``keys_of``.  The whole axis ``(0, side)`` is no special case.
+        A slice of the mapped ``key_grid`` (shared memory, then the
+        store), else the curve's own ``key_slab`` — a transform's read
+        from the pooled base context's slabs when it has one.  The
+        whole axis ``(0, side)`` is no special case.
         """
-        rule = self._derivations.get("key_slab")
-        if rule is not None:
-            return rule(lo, hi)
         for tier in ("shared", "mmap"):
             slab = self._mapped_slab(tier, lo, hi)
             if slab is not None:
                 return slab
-        side, d = self.universe.side, self.universe.d
-        table = self.curve._key_grid_cache
-        if table is not None:
-            return table[lo:hi]
-        codec = self.curve._native_codec(self.backend)
-        if codec is not None:
-            return codec.key_slab(lo, hi)
-        axes = [np.arange(lo, hi, dtype=np.int64)]
-        axes += [np.arange(side, dtype=np.int64)] * (d - 1)
-        mesh = np.meshgrid(*axes, indexing="ij")
-        coords = np.stack([m.reshape(-1) for m in mesh], axis=-1)
-        keys = self.curve.keys_of(coords, backend=self.backend)
-        return keys.reshape((hi - lo,) + (side,) * (d - 1))
+        if self._base is None:
+            return self.curve.key_slab(lo, hi, self.backend)
+        return self.curve.key_slab(
+            lo, hi, self.backend, self._base._key_slab
+        )
 
     def _key_slab(self, lo: int, hi: int) -> np.ndarray:
         """Key-grid slab for ``x_0 ∈ [lo, hi)`` — the one key accessor.
 
         A canonical range of the slab partition resolves cheapest-first
         and is LRU-cached: cached slab, a slice of the shared-memory
-        ``key_grid``, a slice of the store's, derivation, compute (a
-        computed whole grid is written through to the store).  Any
+        ``key_grid``, a slice of the store's, the curve's slab (a
+        computed whole grid is written through to the store; one mapped
+        from a pooled base counts as derived and is not).  Any
         other range — a threaded fold's sub-range, a boundary plane —
         is a zero-copy slice of the resident canonical slab holding it,
         found with a silent ``peek``, or else evaluated uncached, so
@@ -867,48 +834,23 @@ class MetricContext:
         """
         span_lo, span_hi = self._slab_span(lo)
         if (lo, hi) == (span_lo, span_hi):
-            rule = self._derivations.get("key_slab")
+            derived = self._base is not None and self.curve.derives_slab(
+                lo, hi
+            )
             whole = (lo, hi) == (0, self.universe.side)
             return self._store.get_or_compute(
                 self._slab_key(lo, hi),
                 lambda: self._key_slab_values(lo, hi),
-                derive=None if rule is None else (lambda: rule(lo, hi)),
+                derived=derived,
                 shared=lambda: self._mapped_slab("shared", lo, hi),
                 mmap=lambda: self._mapped_slab("mmap", lo, hi),
-                persist=self._grid_sink if whole else None,
+                persist=self._grid_sink if whole and not derived else None,
             )
         if hi <= span_hi:
             slab = self._store.peek(self._slab_key(span_lo, span_hi))
             if slab is not None:
                 return slab[lo - span_lo : hi - span_lo]
         return self._key_slab_values(lo, hi)
-
-    def _key_block(self, start: int, stop: int) -> np.ndarray:
-        """Flat keys for ranks ``[start, stop)``, computed per block."""
-
-        def compute() -> np.ndarray:
-            from repro.grid.coords import rank_to_coords
-
-            ranks = np.arange(start, stop, dtype=np.int64)
-            return self.curve.keys_of(
-                rank_to_coords(ranks, self.universe), backend=self.backend
-            )
-
-        return self._cached_block("key_block", start, stop, compute)
-
-    def _inverse_block(self, start: int, stop: int) -> np.ndarray:
-        """Ranks of keys ``[start, stop)``, computed per block."""
-
-        def compute() -> np.ndarray:
-            from repro.grid.coords import coords_to_rank
-
-            keys = np.arange(start, stop, dtype=np.int64)
-            return coords_to_rank(
-                self.curve.coords_of(keys, backend=self.backend),
-                self.universe,
-            )
-
-        return self._cached_block("inverse_block", start, stop, compute)
 
     def iter_key_slabs(self):
         """Yield ``(lo, hi, slab)``: the key grid for ``x_0 ∈ [lo, hi)``.
@@ -922,32 +864,6 @@ class MetricContext:
         """
         for lo, hi in self._slab_ranges():
             yield lo, hi, self._key_slab(lo, hi)
-
-    def iter_key_blocks(self):
-        """Yield ``(start, stop, keys)`` blocks of :meth:`flat_keys`.
-
-        Blocks cover ranks ``[start, stop)`` in simple-curve order; the
-        concatenation equals ``flat_keys()`` bit-for-bit.
-        """
-        if not self.chunked:
-            yield 0, self.universe.n, self.flat_keys()
-            return
-        for start, stop in self._span_ranges():
-            yield start, stop, self._key_block(start, stop)
-
-    def iter_inverse_blocks(self):
-        """Yield ``(start, stop, ranks)`` blocks of the rank-of-key map.
-
-        ``ranks[i]`` is the rank of the cell with key ``start + i``; the
-        concatenation equals ``inverse_permutation()`` bit-for-bit.  In
-        chunked mode this uses ``curve.coords`` per block — ``O(block)``
-        for curves with an analytic inverse.
-        """
-        if not self.chunked:
-            yield 0, self.universe.n, self.inverse_permutation()
-            return
-        for start, stop in self._span_ranges():
-            yield start, stop, self._inverse_block(start, stop)
 
     def iter_window_pairs(self, window: int):
         """Yield ``(t0, t1, a, b)`` coordinate blocks of curve steps.

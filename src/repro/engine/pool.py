@@ -5,14 +5,14 @@ curve; a :class:`ContextPool` kills it *across* curves:
 
 * **Transform derivation** — the curves in
   :mod:`repro.curves.transforms` are grid automorphisms of an inner
-  curve, so their key grids are cheap array transforms (negate / flip
-  / transpose) of the inner curve's context arrays, and everything
-  else a derived context needs (flat keys, inverse, curve order)
-  follows from its derived grid.  The pool wires those derivation
-  rules into the derived curve's context: the arrays produced are
-  **bit-for-bit identical** to from-scratch computation, but cost
-  ``O(n)`` array ops instead of a full curve evaluation, and are
-  counted under :attr:`CacheStats.derived` rather than ``computes``.
+  curve, and each derives its key slabs from the inner curve's in its
+  own ``key_slab`` (negate / flip / transpose).  The pool points a
+  transform's context at the inner curve's pooled context
+  (``ctx._base``), so those slabs are read from that context's cache:
+  **bit-for-bit identical** to from-scratch computation, ``O(n)``
+  array ops instead of a curve evaluation, and counted under
+  :attr:`CacheStats.derived` rather than ``computes``.  Everything
+  else (flat keys, inverse, curve order) follows from the grid.
 
 :class:`repro.engine.Sweep` runs over a pool by default; the aggregate
 :attr:`ContextPool.stats` land on the sweep result (and behind
@@ -22,86 +22,17 @@ curve; a :class:`ContextPool` kills it *across* curves:
 from __future__ import annotations
 
 import threading
-from typing import Callable, Dict, Optional, Union
-
-import numpy as np
+from typing import Dict, Optional, Union
 
 from repro.curves.base import SpaceFillingCurve
+from repro.curves.transforms import CurveTransform
 from repro.engine.context import (
     DEFAULT_CACHE_BYTES,
     CacheStats,
     MetricContext,
 )
 
-__all__ = [
-    "ContextPool",
-    "transform_derivations",
-]
-
-
-def transform_derivations(
-    curve: SpaceFillingCurve, base: MetricContext
-) -> Optional[Dict[str, Callable[..., np.ndarray]]]:
-    """Derivation rules for a transform-derived ``curve``, or ``None``.
-
-    ``base`` is the context of ``curve.inner``.  Each rule produces an
-    intermediate bit-for-bit equal to what the derived curve would
-    compute from scratch, but built from the base context's cached
-    state.  Each rule is a range rule ``(lo, hi) -> block``;
-    ``key_slab`` ranges over axis-0 planes, read through
-    ``base._key_slab`` — the dense key grid is its ``(0, side)`` call:
-
-    * :class:`~repro.curves.transforms.ReversedCurve` —
-      ``π' = n−1−π``: every slab and key block is the arithmetic
-      complement of the base's, and inverse blocks are mirrored base
-      blocks.
-    * :class:`~repro.curves.transforms.ReflectedCurve` — a slab flips
-      the listed axes of the base slab, read from the mirrored plane
-      range when axis 0 is reflected.
-    * :class:`~repro.curves.transforms.AxisPermutedCurve` — axis
-      relabeling transposes the base grid, which only a one-slab base
-      partition holds whole, so a multi-slab partition computes its
-      slabs.
-
-    Everything the NN fold needs comes from the key slabs, and the
-    curve order scatters from the key grid, so a derived context folds
-    and walks its derived slabs like any other.
-    """
-    from repro.curves.transforms import (
-        AxisPermutedCurve,
-        ReflectedCurve,
-        ReversedCurve,
-    )
-
-    universe = curve.universe
-    n, side = universe.n, universe.side
-    if isinstance(curve, ReversedCurve):
-        return {
-            "key_slab": lambda lo, hi: n - 1 - base._key_slab(lo, hi),
-            "key_block": lambda lo, hi: n - 1 - base._key_block(lo, hi),
-            "inverse_block": lambda lo, hi: np.ascontiguousarray(
-                base._inverse_block(n - hi, n - lo)[::-1]
-            ),
-        }
-    if isinstance(curve, ReflectedCurve):
-        axes = tuple(curve.axes)
-
-        def reflected_slab(lo: int, hi: int) -> np.ndarray:
-            if 0 in axes:
-                lo, hi = side - hi, side - lo
-            return np.flip(base._key_slab(lo, hi), axis=axes).copy()
-
-        return {"key_slab": reflected_slab}
-    if isinstance(curve, AxisPermutedCurve):
-        # grid'[x] = grid[y] with y[k] = x[perm[k]]  ⇔  transpose(inv).
-        inv = tuple(int(v) for v in np.argsort(curve.perm))
-        if len(base._slab_ranges()) == 1:
-            return {
-                "key_slab": lambda lo, hi: np.ascontiguousarray(
-                    base._key_slab(0, side).transpose(inv)[lo:hi]
-                )
-            }
-    return None
+__all__ = ["ContextPool"]
 
 
 class ContextPool:
@@ -113,17 +44,17 @@ class ContextPool:
     ``(type, universe, parameters)`` — so two separately instantiated
     but equivalent curves (e.g. two ``ZCurve`` objects on equal
     universes, or two ``RandomCurve(seed=3)``) share one context and
-    one cached intermediate set.  Transform-derived curves
-    (``curve.inner``) get derivation rules against their inner curve's
-    context (created transitively).
+    one cached intermediate set.  A transform curve's context reads
+    its inner curve's slabs through that curve's pooled context
+    (created transitively).
     ``get`` also accepts an existing :class:`MetricContext` and returns
     it unchanged, so the pool composes with the ``get_context``
     coercion used throughout :mod:`repro.analysis` and
     :mod:`repro.apps`.
 
     ``chunk_cells`` puts every pooled context into the engine's chunked
-    mode.  Transform derivation is the same either way: its rules map
-    slab ranges (see :func:`transform_derivations`), and a dense
+    mode.  Transform derivation is the same either way: a transform
+    maps slab ranges (see :mod:`repro.curves.transforms`), and a dense
     context is the one-slab case.
 
     ``shared_store`` plugs in a :class:`repro.engine.shm.SharedGridStore`
@@ -158,7 +89,6 @@ class ContextPool:
     def __init__(
         self,
         max_bytes: Optional[int] = DEFAULT_CACHE_BYTES,
-        derive_transforms: bool = True,
         chunk_cells: Optional[int] = None,
         shared_store: Optional[object] = None,
         threads: Union[None, int, str] = None,
@@ -167,7 +97,6 @@ class ContextPool:
         store_dir: Optional[str] = None,
     ) -> None:
         self.max_bytes = max_bytes
-        self.derive_transforms = derive_transforms
         self.chunk_cells = chunk_cells
         self.shared_store = shared_store
         #: One persistent :class:`repro.engine.store.GridStore` shared
@@ -243,13 +172,8 @@ class ContextPool:
                 ctx._scheduler = self._scheduler
             if self.shared_store is not None and self.chunk_cells is None:
                 self._wire_shared(ctx, curve)
-            inner = getattr(curve, "inner", None)
-            if self.derive_transforms and isinstance(
-                inner, SpaceFillingCurve
-            ):
-                rules = transform_derivations(curve, self.get(inner))
-                if rules:
-                    ctx._derivations.update(rules)
+            if isinstance(curve, CurveTransform):
+                ctx._base = self.get(curve.inner)
             self._contexts[key] = ctx
             self._curves[key] = curve
             return ctx

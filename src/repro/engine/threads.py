@@ -267,7 +267,8 @@ def prepare_key_reads(ctx) -> None:
 
     The NN fold and the sampling loops that run through the scheduler
     (cluster counts, range-query costs) read key slabs — or, in
-    chunked mode, call ``curve.index`` on rectangle cells.  The slabs
+    chunked mode, encode rectangle cells with ``curve.keys_of``
+    (:func:`repro.analysis.clustering.box_keys`).  The slabs
     live in the context's LRU store, whose cold first touch must not
     be raced by N workers (N redundant ``O(n)`` builds).  Resolving the
     first canonical slab in the calling thread — in a dense context,

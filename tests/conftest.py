@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import os
+import shutil
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -29,35 +31,60 @@ def _tree_snapshot(root: Path):
     return sorted(str(p.relative_to(root)) for p in root.rglob("*"))
 
 
+#: The native cache state :func:`pytest_configure` set up: whether
+#: ``REPRO_NATIVE_CACHE`` was preset, the session build dir, and the
+#: snapshot of the real default cache dir taken before any test module
+#: was imported.
+_NATIVE_CACHE: dict = {}
+
+
+def pytest_configure(config):
+    """Route the native build cache before collection imports anything.
+
+    Test modules call ``native.available()`` at import time (``skipif``
+    marks), which builds the kernels; a session fixture would run too
+    late and let that first build land in ``~/.cache/repro-sfc``.
+    """
+    preset = bool(os.environ.get("REPRO_NATIVE_CACHE"))
+    _NATIVE_CACHE["preset"] = preset
+    if not preset:
+        build_dir = tempfile.mkdtemp(prefix="repro-native-cache-")
+        _NATIVE_CACHE["build_dir"] = build_dir
+        os.environ["REPRO_NATIVE_CACHE"] = build_dir
+    _NATIVE_CACHE["before"] = _tree_snapshot(_default_native_cache())
+
+
+def pytest_unconfigure(config):
+    build_dir = _NATIVE_CACHE.pop("build_dir", None)
+    if build_dir is not None:
+        del os.environ["REPRO_NATIVE_CACHE"]
+        shutil.rmtree(build_dir, ignore_errors=True)
+
+
 @pytest.fixture(scope="session", autouse=True)
-def _isolated_disk_caches(tmp_path_factory):
-    """Route every on-disk cache the suite can touch into session tmp.
+def _isolated_disk_caches():
+    """Keep every on-disk cache the suite can touch off the host.
 
     Two subsystems persist outside the repo: the native build cache
     (``REPRO_NATIVE_CACHE`` → ``~/.cache/repro-sfc``) and the artifact
     store (``$REPRO_STORE`` as the CLI default).  A test run must leave
-    neither fingerprint on the host — compiled kernels land in a
-    session-scoped temp dir, the store/crash-injection variables are
-    cleared so CLI-default behavior is hermetic, and a before/after
-    snapshot of the *real* default cache dir asserts nothing leaked.
+    neither fingerprint on the host — compiled kernels land in the
+    session build dir :func:`pytest_configure` made, the
+    store/crash-injection variables are cleared so CLI-default behavior
+    is hermetic, and a before/after snapshot of the *real* default
+    cache dir asserts nothing leaked.
     """
-    preset = os.environ.get("REPRO_NATIVE_CACHE")
-    if not preset:
-        os.environ["REPRO_NATIVE_CACHE"] = str(
-            tmp_path_factory.mktemp("native-cache")
-        )
     saved = {
         name: os.environ.pop(name, None)
         for name in ("REPRO_STORE", "REPRO_STORE_CRASH")
     }
     default_cache = _default_native_cache()
-    before = _tree_snapshot(default_cache)
     try:
         yield
     finally:
-        after = _tree_snapshot(default_cache)
-        if not preset:
-            del os.environ["REPRO_NATIVE_CACHE"]
+        if not _NATIVE_CACHE["preset"]:
+            after = _tree_snapshot(default_cache)
+            before = _NATIVE_CACHE["before"]
             assert after == before, (
                 f"test run leaked into {default_cache}: "
                 f"{set(after or []) ^ set(before or [])}"

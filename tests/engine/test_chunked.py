@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from repro import Universe
+from repro.curves.base import inverse_ranks
 from repro.curves.random_curve import RandomCurve
 from repro.curves.snake import SnakeCurve
 from repro.curves.transforms import ReversedCurve
@@ -122,24 +123,6 @@ class TestMetricParity:
 
 class TestBlockIterators:
     @pytest.mark.parametrize("chunk", BLOCK_SIZES)
-    def test_key_blocks_concatenate_to_flat_keys(self, u2_8, chunk):
-        dense = MetricContext(ZCurve(u2_8))
-        ctx = MetricContext(ZCurve(u2_8), chunk_cells=chunk)
-        parts = [block for _, _, block in ctx.iter_key_blocks()]
-        assert np.array_equal(np.concatenate(parts), dense.flat_keys())
-        sizes = {part.size for part in parts[:-1]}
-        assert sizes <= {min(chunk, u2_8.n)}  # fixed-size but the tail
-
-    @pytest.mark.parametrize("chunk", BLOCK_SIZES)
-    def test_inverse_blocks_concatenate_to_inverse(self, u2_8, chunk):
-        dense = MetricContext(ZCurve(u2_8))
-        ctx = MetricContext(ZCurve(u2_8), chunk_cells=chunk)
-        parts = [block for _, _, block in ctx.iter_inverse_blocks()]
-        assert np.array_equal(
-            np.concatenate(parts), dense.inverse_permutation()
-        )
-
-    @pytest.mark.parametrize("chunk", BLOCK_SIZES)
     def test_key_slabs_concatenate_to_key_grid(self, u2_8, chunk):
         dense = MetricContext(ZCurve(u2_8))
         ctx = MetricContext(ZCurve(u2_8), chunk_cells=chunk)
@@ -150,8 +133,8 @@ class TestBlockIterators:
 
     def test_dense_mode_yields_single_full_blocks(self, u2_8):
         ctx = MetricContext(ZCurve(u2_8))
-        (_, stop, block), = list(ctx.iter_key_blocks())
-        assert stop == u2_8.n and block.size == u2_8.n
+        (lo, hi, slab), = list(ctx.iter_key_slabs())
+        assert (lo, hi) == (0, u2_8.side) and slab.size == u2_8.n
 
     def test_window_pairs_match_order_slices(self, u2_8):
         dense = MetricContext(ZCurve(u2_8))
@@ -226,8 +209,8 @@ class TestDenseOnlyGuards:
         ctx = MetricContext(ZCurve(u2_8), chunk_cells=8)
         for method, hint in (
             (ctx.key_grid, "iter_key_slabs"),
-            (ctx.flat_keys, "iter_key_blocks"),
-            (ctx.inverse_permutation, "iter_inverse_blocks"),
+            (ctx.flat_keys, "iter_key_slabs"),
+            (ctx.inverse_permutation, "coords_of"),
         ):
             with pytest.raises(ValueError, match=hint):
                 method()
@@ -269,17 +252,17 @@ class TestBlockCacheLRU:
 
     def test_tiny_budget_evicts_but_stays_correct(self, u2_8):
         dense = MetricContext(ZCurve(u2_8))
-        # budget holds ~2 blocks of 8 cells (64 B of int64 keys each)
+        # budget holds 4 one-plane slabs (64 B of int64 keys each)
         ctx = MetricContext(ZCurve(u2_8), chunk_cells=8, max_bytes=256)
         assert ctx.davg() == dense.davg()
-        list(ctx.iter_key_blocks())
+        list(ctx.iter_key_slabs())
         assert ctx.stats.evictions > 0
         assert ctx.cache_bytes <= 256
-        # evicted blocks recompute on the next pass, values unchanged
+        # evicted slabs recompute on the next pass, values unchanged
         before = ctx.stats.total_computes
         assert np.array_equal(
-            np.concatenate([b for _, _, b in ctx.iter_key_blocks()]),
-            dense.flat_keys(),
+            np.concatenate([s for _, _, s in ctx.iter_key_slabs()]),
+            dense.key_grid(),
         )
         assert ctx.stats.total_computes > before
 
@@ -309,9 +292,14 @@ class TestChunkedPool:
             if key.startswith("key_slab")
         )
         assert slab_computes == 0  # every slab came from the base cache
-        parts = [blk for _, _, blk in ctx.iter_inverse_blocks()]
+        slabs = [slab for _, _, slab in ctx.iter_key_slabs()]
         assert np.array_equal(
-            np.concatenate(parts), reference.inverse_permutation()
+            inverse_ranks(np.concatenate(slabs)),
+            reference.inverse_permutation(),
+        )
+        dense = ContextPool().get(ReversedCurve(inner))
+        assert np.array_equal(
+            dense.inverse_permutation(), reference.inverse_permutation()
         )
 
     def test_pool_threads_chunk_cells(self, u2_8):

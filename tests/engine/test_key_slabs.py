@@ -4,12 +4,14 @@ A dense context is the context whose slab partition is one slab,
 ``(0, side)``, cached as ``key_grid``.  These tests pin what that
 collapse must keep and what it changes:
 
-* transform derivation is one set of range rules, and a derived slab
-  equals a fresh curve's key grid in every mode, on every backend and
-  on non-power-of-two universes, with metrics equal to an unpooled
-  dense context;
-* reversed and reflected contexts derive every chunked slab;
-  axis-permuted ones derive only on a one-slab partition;
+* a transform builds its slabs from its inner curve's slabs, pooled or
+  not, and the slab equals a fresh curve's key grid in every mode, on
+  every backend and on non-power-of-two universes, with metrics equal
+  to an unpooled dense NumPy context;
+* pooled reversed and reflected contexts derive every chunked slab;
+  axis-permuted ones derive only on a one-slab partition; a bare
+  context derives nothing, and never encodes a transform point by
+  point;
 * a chunked context maps only a grid a dense run *committed* to the
   store: it writes nothing itself, and maps every slab once the grid
   is there;
@@ -22,6 +24,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.curves.base import SpaceFillingCurve
 from repro.curves.hilbert import HilbertCurve
 from repro.curves.registry import make_curve
 from repro.curves.transforms import (
@@ -50,7 +53,7 @@ SPECS = (
     "axisperm-direct",
 )
 UNIVERSES = ((2, 8), (2, 9), (3, 5))
-#: Pool settings per context flavor.  ``planes3`` cuts slabs of three
+#: Context settings per flavor.  ``planes3`` cuts slabs of three
 #: planes with an uneven tail, so a reflected slab's mirrored range
 #: straddles two base slabs; ``uncached`` leaves no slab resident, so
 #: every sub-range and boundary plane is evaluated uncached.
@@ -63,6 +66,9 @@ CONTEXTS = {
     "chunk7-threads2": {"chunk_cells": 7, "threads": 2},
     "uncached-threads2": {"threads": 2, "max_bytes": 0},
 }
+#: Every flavor runs from a pool and, as ``bare-<flavor>``, on a bare
+#: context, where a transform reads its inner curve's own slabs.
+FLAVORS = sorted(CONTEXTS) + [f"bare-{flavor}" for flavor in sorted(CONTEXTS)]
 BACKENDS = ("numpy", pytest.param("native", marks=requires_native))
 
 
@@ -86,12 +92,17 @@ CASES = [
 ]
 
 
-def _pool(flavor: str, universe: Universe, backend: str) -> ContextPool:
-    settings = dict(CONTEXTS[flavor])
+def _context(flavor: str, curve, backend: str) -> MetricContext:
+    """``curve``'s context in ``flavor``: pooled, or bare for ``bare-``."""
+    universe = curve.universe
+    pooled = not flavor.startswith("bare-")
+    settings = dict(CONTEXTS[flavor.removeprefix("bare-")], backend=backend)
     planes = settings.pop("planes", None)
     if planes is not None:
         settings["chunk_cells"] = planes * universe.side ** (universe.d - 1)
-    return ContextPool(backend=backend, **settings)
+    if pooled:
+        return ContextPool(**settings).get(curve)
+    return MetricContext(curve, **settings)
 
 
 def test_cases_cover_every_spec_and_universe():
@@ -101,14 +112,13 @@ def test_cases_cover_every_spec_and_universe():
 
 class TestDerivedSlabParity:
     @pytest.mark.parametrize("backend", BACKENDS)
-    @pytest.mark.parametrize("flavor", sorted(CONTEXTS))
+    @pytest.mark.parametrize("flavor", FLAVORS)
     @pytest.mark.parametrize("spec,d,side", CASES)
     def test_slabs_and_metrics_equal_dense(
         self, spec, d, side, flavor, backend
     ):
         universe = Universe(d=d, side=side)
-        pool = _pool(flavor, universe, backend)
-        ctx = pool.get(_make(spec, universe))
+        ctx = _context(flavor, _make(spec, universe), backend)
         reference = _make(spec, universe).key_grid()
         slabs = [slab for _, _, slab in ctx.iter_key_slabs()]
         assert np.array_equal(np.concatenate(slabs), reference)
@@ -116,10 +126,23 @@ class TestDerivedSlabParity:
         assert ctx.davg() == dense.davg()
         assert ctx.dmax() == dense.dmax()
         assert np.array_equal(ctx.lambda_sums(), dense.lambda_sums())
-        # the slabs really were derived (axis permutation: one slab only)
+        # pooled slabs really were derived (axis permutation: one slab
+        # only); a bare context has no base to derive from
         one_slab = len(ctx._slab_ranges()) == 1
-        derives = not spec.startswith("axisperm") or one_slab
+        pooled = not flavor.startswith("bare-")
+        derives = pooled and (not spec.startswith("axisperm") or one_slab)
         assert (ctx.stats.total_derived > 0) == derives
+
+    @requires_native
+    def test_bare_transform_never_encodes_points(self, monkeypatch, u2_8):
+        def refuse(self, points, backend="auto"):
+            raise AssertionError("per-point encode")
+
+        for cls in (SpaceFillingCurve, ReversedCurve):
+            monkeypatch.setattr(cls, "keys_of", refuse)
+        curve = ReversedCurve(HilbertCurve(u2_8))
+        grid = MetricContext(curve, backend="native").key_grid()
+        assert np.array_equal(grid, curve.key_grid())
 
 
 def _slab_counts(counter: dict) -> dict:

@@ -266,14 +266,6 @@ class TestTransformDerivation:
         assert ctx.stats.compute_count("key_grid") == 0
         assert ctx.stats.derived_count("key_grid") == 1
 
-    def test_derivation_disabled(self, u2_8):
-        pool = ContextPool(derive_transforms=False)
-        rev = ReversedCurve(ZCurve(u2_8))
-        ctx = pool.get(rev)
-        ctx.davg()
-        assert ctx.stats.total_derived == 0
-        assert ctx.stats.compute_count("key_grid") == 1
-
     def test_permuted_3d(self, u3_4):
         """Non-trivial 3-D permutation derives bit-for-bit too."""
         pool = ContextPool()

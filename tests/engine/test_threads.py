@@ -342,10 +342,10 @@ class TestThreadSafety:
         assert len(pool) == 2
 
     def test_lru_store_hammered_under_tiny_budget(self, u2_8):
-        """Concurrent block iteration under eviction stays correct."""
+        """Concurrent slab iteration under eviction stays correct."""
         dense = MetricContext(ZCurve(u2_8))
         ctx = MetricContext(ZCurve(u2_8), chunk_cells=8, max_bytes=256)
-        expected = dense.flat_keys()
+        expected = dense.key_grid()
         errors = []
         barrier = threading.Barrier(6)
 
@@ -353,7 +353,7 @@ class TestThreadSafety:
             try:
                 barrier.wait()
                 for _ in range(3):
-                    parts = [b for _, _, b in ctx.iter_key_blocks()]
+                    parts = [s for _, _, s in ctx.iter_key_slabs()]
                     if not np.array_equal(
                         np.concatenate(parts), expected
                     ):
