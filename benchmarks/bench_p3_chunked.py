@@ -1,16 +1,16 @@
 """P3 — chunked vs dense engine: peak memory O(block) vs O(cells).
 
 The paper's lower bounds only become visible at large side lengths, but
-the dense engine holds the full ``(side,)*d`` key grid plus the per-axis
-distance arrays — ``O(cells)`` peak memory — capping how far
-convergence studies can climb.  The chunked mode streams fixed-size
-blocks instead; this bench measures both paths on the same universe and
-asserts the point of the feature:
+the dense engine holds the full ``(side,)*d`` key grid — ``O(cells)``
+peak memory — capping how far convergence studies can climb.  The
+chunked mode streams fixed-size blocks instead; this bench measures
+both paths on the same universe and asserts the point of the feature:
 
 * every metric value is **bit-for-bit identical**, and
-* the chunked allocation peak is bounded by the block size, not the
-  cell count (we demand at least a 4x reduction; the measured gap is
-  far larger).
+* the chunked allocation peak is bounded by the block cache budget
+  plus a few ranges' key slabs, whatever the dense peak is, and does
+  not grow with the cell count: the chunked peak at 2D 2048 stays
+  within one slab of the peak at 2D 1024.
 
 Peak memory is the tracemalloc allocation peak (resettable per phase,
 and it tracks NumPy buffers); ``ru_maxrss`` is recorded alongside for
@@ -28,11 +28,17 @@ from repro.curves.zcurve import ZCurve
 
 from _bench_utils import run_once
 
-#: 1M cells: the dense path holds ~8 MB of keys plus ~32 MB of
-#: distance/per-cell intermediates; one chunked block is 512 KiB.
+#: 1M cells: the dense path holds the 8 MiB key grid; one chunked
+#: key slab is 512 KiB.
 UNIVERSE = Universe.power_of_two(d=2, k=10)
+#: 4x the cells, for the check that the chunked peak does not grow.
+LARGER = Universe.power_of_two(d=2, k=11)
 CHUNK_CELLS = 1 << 16
+SLAB_BYTES = CHUNK_CELLS * 8
 CHUNK_BUDGET = 4 * 2**20  # block cache budget: a handful of blocks
+#: Ranges' key slabs a chunked fold may hold beyond its cache budget:
+#: the range being folded, its boundary planes and one being resolved.
+SLAB_SLACK = 4
 
 
 def _metric_set(ctx: MetricContext) -> tuple:
@@ -49,9 +55,9 @@ def _dense() -> tuple:
     return _metric_set(MetricContext(ZCurve(UNIVERSE)))
 
 
-def _chunked() -> tuple:
+def _chunked(universe: Universe = UNIVERSE) -> tuple:
     ctx = MetricContext(
-        ZCurve(UNIVERSE), max_bytes=CHUNK_BUDGET, chunk_cells=CHUNK_CELLS
+        ZCurve(universe), max_bytes=CHUNK_BUDGET, chunk_cells=CHUNK_CELLS
     )
     return _metric_set(ctx)
 
@@ -67,6 +73,9 @@ def test_p3_chunked_peak_memory_bounded(benchmark, peak_memory, results_writer):
     chunked_values, chunked_peak, chunked_time = peak_memory(
         "chunked", lambda: run_once(benchmark, _chunked)
     )
+    _, larger_peak, _ = peak_memory(
+        "chunked_larger", lambda: _chunked(LARGER)
+    )
     rss_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 
     assert chunked_values == dense_values  # bit-for-bit identical
@@ -81,6 +90,7 @@ def test_p3_chunked_peak_memory_bounded(benchmark, peak_memory, results_writer):
         f"wall: {dense_time * 1e3:8.1f} ms\n"
         f"chunked peak alloc: {chunked_peak / 2**20:9.2f} MiB   "
         f"wall: {chunked_time * 1e3:8.1f} ms\n"
+        f"chunked on {LARGER}: {larger_peak / 2**20:9.2f} MiB\n"
         f"reduction:          {dense_peak / chunked_peak:9.1f}x\n"
         f"process ru_maxrss:  {rss_kib / 1024:9.1f} MiB (monotone)\n",
     )
@@ -89,9 +99,14 @@ def test_p3_chunked_peak_memory_bounded(benchmark, peak_memory, results_writer):
         f"{chunked_peak / 2**20:.1f} MiB "
         f"({dense_peak / chunked_peak:.1f}x)"
     )
-    # O(block) vs O(cells): demand a clear multiple with noise slack.
-    assert chunked_peak * 4 < dense_peak, (
-        f"chunked peak {chunked_peak} not O(block) vs dense {dense_peak}"
+    # O(block): the retained slabs plus the ranges in flight.
+    bound = CHUNK_BUDGET + SLAB_SLACK * SLAB_BYTES
+    assert chunked_peak < bound, (
+        f"chunked peak {chunked_peak} exceeds budget + slabs {bound}"
+    )
+    # Not O(cells): 4x the cells costs at most one more slab.
+    assert larger_peak < chunked_peak + SLAB_BYTES, (
+        f"chunked peak grew with n: {chunked_peak} -> {larger_peak}"
     )
 
 

@@ -415,8 +415,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the invariant lint rules over the source tree",
         description=(
             "Static analysis of the engine's hand-enforced invariants: "
-            "R001 float determinism (block reductions stream through "
-            "pairwise_sum_stream), R002 lock discipline (guarded "
+            "R001 float determinism (block reductions add integers "
+            "and divide once), R002 lock discipline (guarded "
             "attributes stay behind their lock), R003 read-only "
             "returns (public methods freeze shared arrays), R004 "
             "allocation-free hot kernels.  Exits 1 when findings "

@@ -1,8 +1,8 @@
 """Developer tooling: the ``repro check`` invariant lint engine.
 
 The engine's correctness story rests on a handful of hand-enforced
-invariants — float reductions must stream through
-``pairwise_sum_stream``, lock-guarded state must stay behind its lock,
+invariants — block reductions accumulate no floats (exact integer
+totals, one division), lock-guarded state must stay behind its lock,
 cached arrays must come back read-only, hot block kernels must not
 allocate.  This package checks them mechanically with a zero-dependency
 stdlib-``ast`` lint framework (:mod:`repro.devtools.lint`) hosting the

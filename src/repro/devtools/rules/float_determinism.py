@@ -1,13 +1,13 @@
-"""R001 — float accumulation must stream through ``pairwise_sum_stream``.
+"""R001 — the block engines accumulate no floats.
 
 The engine's block paths (``engine/chunked.py``, ``engine/threads.py``)
-promise results *bit-for-bit equal* to the dense reference.  For float
-reductions that only holds when partial sums replicate NumPy's pairwise
-summation tree exactly — which is what ``pairwise_sum_stream`` does.
-Any ad-hoc float accumulation (``np.sum``/``np.mean`` over a whole
-array, ``math.fsum``, a bare ``+=`` running total) imposes a different
-association order and silently breaks the contract, so this rule flags
-it at the accumulation site.
+promise results *bit-for-bit equal* in every block partition, thread
+count and backend.  They keep that promise by holding no float sum:
+the NN fold adds exact integer totals and divides once (``int / int``),
+and the window fold takes maxima.  Any float accumulation (``np.sum``/
+``np.mean`` over a whole array, ``math.fsum``, a bare ``+=`` running
+total) makes a value depend on the partition's association order, so
+this rule flags it at the accumulation site.
 
 What stays legal on purpose:
 
@@ -16,8 +16,8 @@ What stays legal on purpose:
 * axis-wise reductions (``arr.sum(axis=-1, out=...)``): those are
   element-wise folds of a fixed small width, not streaming
   accumulations, and NumPy evaluates them identically on every path;
-* ``np.add.reduce`` — the primitive ``pairwise_sum_stream`` itself is
-  built on.
+* ``np.add.reduce`` — the primitive of ``pairwise_sum_stream``, the
+  NumPy-order float stream the folds no longer call.
 
 The rule infers float-ness structurally (float literals, true
 division, ``dtype=np.float64`` arguments, ``np.sqrt``/``.astype``
@@ -56,11 +56,11 @@ _INT_ATTRS = frozenset({"size", "shape", "ndim", "nbytes", "itemsize"})
 
 class FloatDeterminismRule(LintRule):
     rule_id = "R001"
-    title = "float accumulation outside pairwise_sum_stream"
+    title = "float accumulation in a block engine"
     rationale = (
-        "block/threaded float reductions must replicate NumPy pairwise "
-        "summation via pairwise_sum_stream or results stop being "
-        "bit-for-bit equal to the dense path"
+        "block/threaded reductions must add exact integers and divide "
+        "once, or results stop being bit-for-bit equal across block "
+        "partitions"
     )
     version = 1
     scope = ("engine/chunked.py", "engine/threads.py")
@@ -222,9 +222,9 @@ class FloatDeterminismRule(LintRule):
                 self.finding(
                     path,
                     call,
-                    "math.fsum uses exact summation, which is *not* "
-                    "NumPy's pairwise order; stream the values through "
-                    "pairwise_sum_stream instead",
+                    "math.fsum rounds each call's result, so block "
+                    "partials depend on the partition; add exact "
+                    "integer totals and divide once instead",
                 )
             )
             return
@@ -245,8 +245,8 @@ class FloatDeterminismRule(LintRule):
                     path,
                     call,
                     f"np.{func.attr} collapses the whole array in one "
-                    "reduction; block paths must accumulate floats with "
-                    "pairwise_sum_stream to stay bit-for-bit with dense",
+                    "float reduction; block paths must add integer "
+                    "totals and divide once to stay bit-for-bit",
                 )
             )
             return
@@ -258,8 +258,8 @@ class FloatDeterminismRule(LintRule):
                     path,
                     call,
                     f".{func.attr}() over a float array accumulates "
-                    "outside pairwise_sum_stream; the partial order will "
-                    "not match the dense reference",
+                    "in block order; the value will depend on the "
+                    "partition",
                 )
             )
 
@@ -278,7 +278,7 @@ class FloatDeterminismRule(LintRule):
                     path,
                     node,
                     "float '+=' running total imposes left-to-right "
-                    "association; fold the blocks through "
-                    "pairwise_sum_stream instead",
+                    "association; add integer totals and divide once "
+                    "instead",
                 )
             )

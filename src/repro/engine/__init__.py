@@ -9,10 +9,9 @@
   same ``max_bytes`` budget) and every metric reduces block-wise with
   values bit-for-bit equal to the dense path — the door to universes
   whose dense ``(side,)*d`` arrays would not fit the budget.
-* :mod:`repro.engine.chunked` — the block-streaming machinery
-  (``pairwise_sum_stream`` replicating NumPy's summation order, the
+* :mod:`repro.engine.chunked` — the block-streaming machinery (the
   engine's one NN fold ``nn_block_reduction`` that every mode runs,
-  per-slab neighbor counts).
+  integer-only, and per-slab neighbor counts).
 * :mod:`repro.engine.threads` — :class:`BlockScheduler`, fanning the
   block iterators of one context out over a thread pool (the NumPy
   block kernels release the GIL) with per-thread scratch buffers and

@@ -2,7 +2,7 @@
 
 A chunked :class:`repro.engine.MetricContext` never materializes a dense
 ``(side,)*d`` array.  The key space is walked in fixed-size blocks in
-one of four orders, each serving a different consumer:
+one of two orders, each serving a different consumer:
 
 * **grid slabs** along axis 0 (C order) — the unit of the NN-pair
   reductions (``D^avg``, ``D^max``, ``Λ_i``, partition edge cuts).  A
@@ -13,8 +13,6 @@ one of four orders, each serving a different consumer:
   the fold splits into ``~threads × 4`` ranges when threaded.  Every
   slab, sub-range and boundary plane is read through
   ``MetricContext._key_slab``.
-* **rank blocks** (simple-curve order) — the ``flat_keys`` stream.
-* **key blocks** (curve order) — the inverse-permutation stream.
 * **position ranges** (curve order) — the unit of the window fold
   (:func:`window_max_reduction`): cells ``window`` apart on the curve,
   decoded per block when chunked, order slices when dense.
@@ -22,24 +20,21 @@ one of four orders, each serving a different consumer:
 Both folds run their ranges through :func:`run_ranges`, inline when
 the context is serial and over its thread pool when it is threaded.
 
-Bit-for-bit parity with the dense path is engineered, not hoped for:
+Bit-for-bit parity with the dense path holds because neither fold
+holds a float sum: every partial is an integer (``Λ`` sums, edge cuts,
+the NN fold's class totals) or a maximum, so any block partition gives
+the dense value, and every NN scalar is one ``int / int`` division of
+exact totals, which Python rounds correctly at any size.
 
-* integer reductions (``Λ`` sums, maxima, edge cuts, cluster counts)
-  are order-independent, so any block partition gives the dense value;
-* integer *means* (``D^max``, ``nn_mean``) agree with ``np.mean``
-  because every partial sum of integer-valued float64s below ``2^53``
-  is exact, making NumPy's summation order immaterial;
-* the one genuinely order-sensitive reduction — the float mean behind
-  ``D^avg`` — replicates NumPy's pairwise summation exactly:
-  :func:`pairwise_sum_stream` splits the logical array at the offsets
-  ``np.add.reduce`` uses (half, rounded down to a multiple of 8) and
-  reduces aligned segments with ``np.add.reduce`` itself, so the
-  chunked path performs the identical sequence of float additions
-  while buffering only ``O(leaf)`` values.
+:func:`pairwise_sum_stream` (NumPy's pairwise summation over a stream
+of blocks) is called by neither fold; it survives only because the
+benchmark harness (``perfbench/layers.py``) looks it up by name to
+install its trace span.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Iterator, Optional, Tuple
 
 import numpy as np
@@ -52,6 +47,7 @@ __all__ = [
     "slab_neighbor_counts",
     "slab_axis_slices",
     "accumulate_block_pairs",
+    "fold_step",
     "fold_ranges",
     "check_fold_envelope",
     "nn_planes",
@@ -267,20 +263,24 @@ def _spans(total: int, step: int) -> list:
     return [(lo, min(total, lo + step)) for lo in range(0, total, step)]
 
 
-def _dense_step(ctx, total: int) -> int:
+def _dense_step(threads: int, total: int) -> int:
     """Span length of a dense fold over ``total`` units: one span when
     serial, ``~threads × 4`` when threaded — mild oversubscription, so
     one slow range cannot stall the merge."""
-    if not ctx.threaded:
+    if threads < 2:
         return total
-    return -(-total // (ctx.threads * _DENSE_OVERSUBSCRIPTION))
+    return -(-total // (threads * _DENSE_OVERSUBSCRIPTION))
 
 
-def _fold_step(ctx) -> int:
-    """Planes per NN fold range (see :func:`fold_ranges`)."""
-    side = ctx.universe.side
-    per_slab = ctx._slab_thickness()
-    return per_slab if per_slab < side else _dense_step(ctx, side)
+def fold_step(universe, chunk_cells: Optional[int], threads: int) -> int:
+    """Planes per NN fold range of a context with these knobs: its slab
+    thickness when that splits the grid, else :func:`_dense_step`.
+    Known before any context exists, so a sweep can check the fold's
+    envelope when it plans (:func:`check_fold_envelope`)."""
+    side, plane = universe.side, universe.side ** (universe.d - 1)
+    if chunk_cells is not None and chunk_cells // plane < side:
+        return max(1, chunk_cells // plane)
+    return _dense_step(threads, side)
 
 
 def fold_ranges(ctx) -> list:
@@ -288,37 +288,40 @@ def fold_ranges(ctx) -> list:
 
     The slab partition, so the LRU-cached slabs are the fold's units;
     a one-slab partition (every dense context) is split by
-    :func:`_dense_step` instead.
+    :func:`fold_step` instead.
     """
-    return _spans(ctx.universe.side, _fold_step(ctx))
+    step = fold_step(ctx.universe, ctx.chunk_cells, ctx.threads)
+    return _spans(ctx.universe.side, step)
 
 
-def check_fold_envelope(universe, cells: int) -> None:
-    """Refuse a fold whose int64 partials could overflow.
+def check_fold_envelope(
+    universe, chunk_cells: Optional[int], threads: int
+) -> None:
+    """Refuse an NN fold whose int64 partials could overflow.
 
-    Both backends fold in int64: a cell's stretch sum can reach
-    ``2d·(n−1)``, and a range's ``Λ`` or ``Σ max`` partial
-    ``cells·(n−1)``, ``cells`` being the largest range's cell count.
-    Raises ``ValueError`` when either bound reaches ``2^63``.
+    Both backends fold in int64.  A cell's stretch sum can reach
+    ``2d·(n−1)``, so a range's class total can reach
+    ``cells·2d·(n−1)``, ``cells`` being the cell count of the largest
+    range a context with these knobs folds (:func:`fold_step`); the
+    range's ``Λ`` and ``Σ max`` partials stay below ``cells·(n−1)``.
+    Raises ``ValueError`` when the class-total bound reaches ``2^63``.
 
     >>> from repro.grid.universe import Universe
-    >>> check_fold_envelope(Universe(d=2, side=2**31), 2**31)
+    >>> check_fold_envelope(Universe(d=2, side=2**31), None, 1)
     ... # doctest: +ELLIPSIS
     Traceback (most recent call last):
     ...
     ValueError: the NN fold of a 2-d universe ... overflows int64: ...
     """
     d, side = universe.d, universe.side
-    top = universe.n - 1
-    for what, bound in (
-        ("a cell's stretch sum can reach 2d·(n−1)", 2 * d * top),
-        ("a range's Λ or Σ max partial can reach cells·(n−1)", cells * top),
-    ):
-        if bound >= 1 << 63:
-            raise ValueError(
-                f"the NN fold of a {d}-d universe of side {side} "
-                f"overflows int64: {what} = {bound} >= 2^63"
-            )
+    cells = fold_step(universe, chunk_cells, threads) * side ** (d - 1)
+    bound = cells * 2 * d * (universe.n - 1)
+    if bound >= 1 << 63:
+        raise ValueError(
+            f"the NN fold of a {d}-d universe of side {side} overflows "
+            f"int64: a range's class total can reach cells·2d·(n−1) = "
+            f"{bound} >= 2^63"
+        )
 
 
 def nn_planes(
@@ -369,31 +372,27 @@ def nn_planes(
 
 
 def _nn_range_kernel(ctx, lo: int, hi: int, scratch, body=None):
-    """One fold task: ``(avg values, Λ partials, Σ per-cell max)``.
+    """One fold task: ``(class totals, Λ partials, Σ per-cell max)``.
 
-    With native kernels the whole range is one C call
+    ``totals[c - d]`` is the sum of the stretch sums ``S(α)`` over the
+    range's cells with ``c`` neighbours (``d ≤ c ≤ 2d``); every value
+    is an int.  With native kernels the whole range is one C call
     (``NativeKernels.nn_range``): it reads the range's planes and the
     boundary planes ``lo - 1`` and ``hi`` — read here exactly as
-    :func:`nn_planes` reads them — and writes the per-cell averages
-    directly, so it takes no scratch.  The NumPy reference runs
-    :func:`nn_planes` into scratch grids and divides by the range's
-    neighbor counts, computed into scratch as well.  Only the per-cell
-    average array — the task's result — is freshly allocated.
+    :func:`nn_planes` reads them — and takes no scratch.  The NumPy
+    reference runs :func:`nn_planes` into scratch grids and sums each
+    neighbour-count class of them, the counts and the class mask
+    computed into scratch as well.
     """
     d, side = ctx.universe.d, ctx.universe.side
-    shape = (hi - lo,) + (side,) * (d - 1)
-    # repro: allow[R004] — the task's *result* array: it leaves the
-    # scratch arena and is merged in range order, so it cannot reuse a
-    # per-thread buffer
-    avg = np.empty(shape, dtype=np.float64)
     kernels = ctx.kernels
     if kernels is not None:
         if body is None:
             body = ctx._key_slab(lo, hi)
         below = ctx._key_slab(lo - 1, lo) if lo > 0 else None
         above = ctx._key_slab(hi, hi + 1) if hi < side else None
-        lambdas, max_sum = kernels.nn_range(body, below, above, side, d, avg)
-        return avg.reshape(-1), lambdas, max_sum
+        return kernels.nn_range(body, below, above, side, d)
+    shape = (hi - lo,) + (side,) * (d - 1)
     sums = scratch.take("nn_sums", shape, np.int64)
     best = scratch.take("nn_best", shape, np.int64)
     lambdas = [0] * d
@@ -401,8 +400,12 @@ def _nn_range_kernel(ctx, lo: int, hi: int, scratch, body=None):
     counts = slab_neighbor_counts(
         ctx.universe, lo, hi, out=scratch.take("nn_counts", shape, np.int64)
     )
-    np.divide(sums, counts, out=avg)
-    return avg.reshape(-1), lambdas, int(best.sum())
+    mask = scratch.take("nn_class", shape, np.bool_)
+    totals = [
+        int(sums.sum(where=np.equal(counts, c, out=mask)))
+        for c in range(d, 2 * d + 1)
+    ]
+    return totals, lambdas, int(best.sum())
 
 
 def run_ranges(ctx, ranges, kernel, resolve=None) -> Iterator:
@@ -443,39 +446,36 @@ def nn_block_reduction(ctx) -> dict:
     """All NN-stretch scalars of ``ctx``: the engine's one NN fold.
 
     Runs one :func:`_nn_range_kernel` task per :func:`fold_ranges`
-    range through :func:`run_ranges` and merges the per-cell averages
-    in range order through :func:`pairwise_sum_stream`.  Returns
-    ``{"davg", "dmax", "lambdas", "nn_sum"}``, bit-for-bit equal in
-    every mode (see the module docstring for why).  Requires
-    ``side >= 2``; the degenerate cases are handled by the calling
-    metric methods.  A universe beyond the int64 envelope is refused
-    before any range runs (:func:`check_fold_envelope`).
+    range through :func:`run_ranges` and adds the tasks' integer
+    partials.  ``D^avg = (1/n) Σ_c T_c / c`` over the class totals
+    ``T_c``: with ``L = lcm(d, …, 2d)`` it is the one ``int / int``
+    division ``Σ_c T_c·(L/c) / (L·n)``, correctly rounded, as are
+    ``dmax`` and the NN mean.  Returns ``{"davg", "dmax", "lambdas",
+    "nn_sum"}``, bit-for-bit equal in every mode and on every backend.
+    Requires ``side >= 2``; the degenerate cases are handled by the
+    calling metric methods.  A universe beyond the int64 envelope is
+    refused before any range runs (:func:`check_fold_envelope`).
     """
     # Lazy import: threads.py imports this module at its top level.
     from repro.engine.threads import prepare_key_reads
 
     universe = ctx.universe
     d, n = universe.d, universe.n
-    check_fold_envelope(universe, _fold_step(ctx) * universe.side ** (d - 1))
+    check_fold_envelope(universe, ctx.chunk_cells, ctx.threads)
     prepare_key_reads(ctx)
-    results = run_ranges(
+    totals, lambdas, max_total = [0] * (d + 1), [0] * d, 0
+    for part, partial, max_part in run_ranges(
         ctx, fold_ranges(ctx), _nn_range_kernel, resolve=ctx._key_slab
-    )
-    lambdas = [0] * d
-    max_total = [0]
-
-    def avg_blocks() -> Iterator[np.ndarray]:
-        for avg, partial, max_part in results:
-            for axis in range(d):
-                lambdas[axis] += partial[axis]
-            max_total[0] += max_part
-            yield avg
-
-    davg = pairwise_sum_stream(avg_blocks(), n) / n
+    ):
+        totals = [t + p for t, p in zip(totals, part)]
+        lambdas = [t + p for t, p in zip(lambdas, partial)]
+        max_total += max_part
+    lcm = math.lcm(*range(d, 2 * d + 1))
+    weighted = sum(t * (lcm // c) for c, t in enumerate(totals, start=d))
     return {
-        "davg": davg,
         # int / int: one correctly rounded division, also past 2^53.
-        "dmax": max_total[0] / n,
+        "davg": weighted / (lcm * n),
+        "dmax": max_total / n,
         "lambdas": tuple(lambdas),
         "nn_sum": sum(lambdas),
     }
@@ -497,8 +497,8 @@ def window_ranges(ctx, window: int) -> list:
     """Ranges ``(t0, t1)`` of the ``n - window`` left curve positions:
     ``chunk_cells`` steps when chunked, else :func:`_dense_step`."""
     total = ctx.universe.n - window
-    step = ctx.chunk_cells if ctx.chunked else _dense_step(ctx, total)
-    return _spans(total, step)
+    step = _dense_step(ctx.threads, total)
+    return _spans(total, ctx.chunk_cells if ctx.chunked else step)
 
 
 def window_path(ctx) -> Optional[np.ndarray]:

@@ -6,8 +6,9 @@ stretch) consumes the same handful of intermediates:
 * the dense **key grid** ``π(α)`` (one ``O(n)`` curve evaluation),
 * the **NN fold** over every nearest-neighbour key pair — one integer
   pass (:func:`repro.engine.chunked.nn_block_reduction`) that yields
-  ``D^avg``, ``D^max``, ``Λ_i`` and the NN mean together, dividing by
-  neighbor counts ``|N(α)|`` each range computes into scratch,
+  ``D^avg``, ``D^max``, ``Λ_i`` and the NN mean together, each one
+  ``int / int`` division of exact totals (``D^avg`` sums the stretch
+  sums per neighbour-count class ``|N(α)|``),
 * the **window fold** over every pair of cells ``window`` apart on the
   curve (:func:`repro.engine.chunked.window_max_reduction`), memoized
   per ``(window, metric)`` as a scalar,
@@ -65,18 +66,17 @@ how ranges run.
 submits the range tasks to a :class:`repro.engine.threads.BlockScheduler`
 thread pool (dense work splits into ``~threads × 4`` ranges); the
 NumPy block kernels release the GIL.  Results stay bit-for-bit
-identical to serial runs: maxima and integer sums are order-free, and
-the ``D^avg`` mean is merged in range order through
-:func:`~repro.engine.chunked.pairwise_sum_stream`.
+identical to serial runs: every range returns integers and maxima,
+which merge the same in any order.
 
 **Native backend** (``backend="native"``/``"auto"``): a kernel-table
 swap.  The range kernel's pair fold, neighbor counts, window max and
 batch curve encode/decode dispatch to the compiled C library of
 :mod:`repro.engine.native` when it is available, falling back to the
-NumPy bodies otherwise.  Backend choice never changes values: integer
-kernels are exact and the float reductions (``D^avg`` division,
-pairwise mean) stay in Python, so every metric is bit-for-bit equal
-across ``{numpy, native}`` × ``{dense, chunked, threaded}``.
+NumPy bodies otherwise.  Backend choice never changes values: the
+kernels return exact integers and the one division per scalar stays
+in Python, so every metric is bit-for-bit equal across
+``{numpy, native}`` × ``{dense, chunked, threaded}``.
 
 **Shared mode** (process sweeps): a context wired to a
 :class:`repro.engine.shm.SharedGridStore` (via
@@ -759,12 +759,12 @@ class MetricContext:
     # dense mode, where each iterator yields one full-size block)
     # ------------------------------------------------------------------
     def _slab_thickness(self) -> int:
-        """Planes per canonical slab — the one source of the partition
-        arithmetic shared by :meth:`_slab_ranges` and :meth:`_slab_span`."""
-        side, d = self.universe.side, self.universe.d
-        if not self.chunked:
-            return side
-        return max(1, self.chunk_cells // side ** (d - 1))
+        """Planes per canonical slab, shared by :meth:`_slab_ranges` and
+        :meth:`_slab_span`: the serial NN fold's range, so the partition
+        arithmetic lives in :func:`repro.engine.chunked.fold_step`."""
+        from repro.engine.chunked import fold_step
+
+        return fold_step(self.universe, self.chunk_cells, 1)
 
     def _slab_ranges(self) -> list:
         """Axis-0 plane ranges ``(lo, hi)`` of the slab partition."""
@@ -954,8 +954,11 @@ class MetricContext:
     def per_cell_avg_stretch(self) -> np.ndarray:
         """Dense grid of ``δ^avg_π(α)`` (Definition 1).
 
-        On a degenerate universe (``side == 1``: no NN pairs) the
-        per-cell average over the empty neighbor set is defined as 0.
+        Each entry is one rounded float64 division, so the grid's
+        ``.mean()`` may differ from :meth:`davg` (the correctly
+        rounded exact mean) by an ulp.  On a degenerate universe
+        (``side == 1``: no NN pairs) the per-cell average over the
+        empty neighbor set is defined as 0.
         """
         sums, counts = self.per_cell_stretch_sums()
         if self.universe.side < 2:
@@ -1068,7 +1071,8 @@ class MetricContext:
         )
 
     def davg(self) -> float:
-        """``D^avg(π)`` (Definition 2), exact.
+        """``D^avg(π)`` (Definition 2): the exact rational, correctly
+        rounded to float64.
 
         0.0 on degenerate universes (the average over each empty
         neighbor set is defined as 0).

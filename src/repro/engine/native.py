@@ -114,12 +114,6 @@ class _I64Array:
         return ctypes.c_void_p(obj.ctypes.data)
 
 
-class _F64Array(_I64Array):
-    """The float64 twin of :class:`_I64Array`."""
-
-    dtype = np.dtype(np.float64)
-
-
 class _OptionalI64Array(_I64Array):
     """:class:`_I64Array`, or ``None`` passed as a NULL pointer."""
 
@@ -301,7 +295,7 @@ class NativeKernels:
         lib.repro_neighbor_counts.restype = None
         lib.repro_nn_range.argtypes = [
             _I64Array, _OptionalI64Array, _OptionalI64Array,
-            _i64, _i64, _i64, _F64Array, _I64Array,
+            _i64, _i64, _i64, _I64Array, _I64Array,
         ]
         lib.repro_nn_range.restype = _i64
         lib.repro_fold_clone.argtypes = []
@@ -375,29 +369,27 @@ class NativeKernels:
         above: Optional[np.ndarray],
         side: int,
         d: int,
-        avg: np.ndarray,
     ) -> tuple:
         """The NN fold of one range in one C pass (``_nn_range_kernel``).
 
         ``body`` holds the range's key planes, ``below``/``above`` the
-        adjacent boundary planes (``None`` at the grid edge).  Writes
-        the per-cell ``D^avg`` terms into the float64 ``avg`` (the
-        size of ``body``) and returns ``(Λ partials, Σ per-cell
-        max)``.
+        adjacent boundary planes (``None`` at the grid edge).  Returns
+        ``(class totals, Λ partials, Σ per-cell max)``, all ints:
+        ``totals[c - d]`` sums the stretch sums of the range's cells
+        with ``c`` neighbours.
         """
         plane = side ** (d - 1)
         if side < 2 or not body.size or body.size % plane:
             raise ValueError("body must hold whole planes of side >= 2")
-        if avg.size != body.size:
-            raise ValueError("avg must have the size of body")
         for edge in (below, above):
             if edge is not None and edge.size != plane:
                 raise ValueError("a boundary plane must hold one plane")
+        totals = np.empty(d + 1, dtype=np.int64)
         lam = np.empty(d, dtype=np.int64)
         max_sum = self._lib.repro_nn_range(
-            body, below, above, body.size // plane, side, d, avg, lam
+            body, below, above, body.size // plane, side, d, totals, lam
         )
-        return lam.tolist(), int(max_sum)
+        return totals.tolist(), lam.tolist(), int(max_sum)
 
     def fold_clone(self) -> str:
         """The x86-64 level of the ``nn_range`` clone in use

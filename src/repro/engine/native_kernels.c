@@ -2,19 +2,18 @@
  *
  * Compiled on demand by repro.engine.native with the system C compiler
  * into a per-machine cached shared library and loaded through ctypes.
- * Every kernel mirrors one NumPy reference implementation *exactly*:
- * all stretch arithmetic stays in int64 (order-free); the one float
- * operation, the D^avg divide of repro_nn_range, is a single correctly
- * rounded IEEE-754 division of the same two doubles NumPy divides; the
- * order-sensitive pairwise mean remains on the Python side.  Results
- * are therefore bit-for-bit identical to the NumPy backend (the parity
- * argument is spelled out in docs/performance.md and enforced by
- * tests/engine/test_native.py).
+ * Every kernel mirrors one NumPy reference implementation *exactly*.
+ * The NN kernels are int64 throughout: repro_nn_range returns integer
+ * class totals, and the one D^avg division happens once in Python
+ * (int / int, correctly rounded), so no float summation order exists
+ * to reproduce and every result is bit-for-bit the NumPy backend's
+ * (docs/performance.md gives the argument, tests/engine/test_native.py
+ * enforces it).
  *
  * Array layout contract: every array argument is a C-contiguous int64
- * buffer (repro_nn_range's averages are float64).  A "slab" of t key
- * planes has t * side^(d-1) cells, with grid axis a >= 1 at stride
- * side^(d-1-a) — the layout of MetricContext.iter_key_slabs slabs.
+ * buffer.  A "slab" of t key planes has t * side^(d-1) cells, with grid
+ * axis a >= 1 at stride side^(d-1-a) — the layout of
+ * MetricContext.iter_key_slabs slabs.
  */
 
 #include <stdint.h>
@@ -138,13 +137,14 @@ EXPORT void repro_neighbor_counts(
  * the last axis (0 where there is no neighbour), `nb` its L neighbour
  * lines along the other axes, axis by axis, lower one first.  A
  * missing neighbour line is the cell's own line, so it adds distance
- * 0 to the sum and to the max (distances are >= 0).  Writes the
- * cell's average, adds the lower neighbours' distances into lam (each
- * pair counted once, at its upper endpoint) and returns the max. */
+ * 0 to the sum and to the max (distances are >= 0).  Adds the cell's
+ * stretch sum into *total, the lower neighbours' distances into lam
+ * (each pair counted once, at its upper endpoint) and returns the
+ * max. */
 static inline __attribute__((always_inline)) int64_t nn_cell(
     const int64_t *const *restrict nb, const int64_t L, int64_t v,
-    int64_t k, int64_t left, int64_t right, double count,
-    double *restrict avg, int64_t *restrict lam)
+    int64_t k, int64_t left, int64_t right,
+    int64_t *restrict total, int64_t *restrict lam)
 {
     int64_t sum = left + right, best = i64max(left, right);
 #pragma GCC unroll 6
@@ -154,26 +154,25 @@ static inline __attribute__((always_inline)) int64_t nn_cell(
         best = i64max(best, dist);
         if (!(j & 1)) lam[j >> 1] += dist;
     }
-    avg[v] = (double)sum / count;
+    *total += sum;
     return best;
 }
 
 /* The inner cells 1 .. side-2 of a d = 2 (L = 2) or d = 3 (L = 4)
  * line, in one loop GCC vectorizes: the neighbour lines are literal
  * pointers, every cell recomputes both last-axis distances instead of
- * carrying one across iterations, and Λ, the max sum and the
- * last-axis pairs go to local accumulators.  The int64 lanes are
- * exact and a vector int64 -> double convert and divide round each
- * lane as the scalar instructions do, so every clone writes the same
- * bits.  Returns the cells' sum of maxima. */
+ * carrying one across iterations, and the stretch sums (one class:
+ * the inner cells share a neighbour count), Λ, the max sum and the
+ * last-axis pairs go to local int64 accumulators, exact in any lane
+ * order on every clone.  Returns the cells' sum of maxima. */
 static inline __attribute__((always_inline)) int64_t nn_inner(
     const int64_t *restrict line, const int64_t *const *restrict nb,
-    const int64_t L, int64_t side, double count,
-    double *restrict avg, int64_t *restrict lam)
+    const int64_t L, int64_t side,
+    int64_t *restrict total, int64_t *restrict lam)
 {
     const int64_t *restrict a0 = nb[0], *restrict a1 = nb[1];
     const int64_t *restrict b0 = nb[L - 2], *restrict b1 = nb[L - 1];
-    int64_t lam_a = 0, lam_b = 0, lam_last = 0, max_sum = 0;
+    int64_t lam_a = 0, lam_b = 0, lam_last = 0, max_sum = 0, sums = 0;
     for (int64_t v = 1; v + 1 < side; ++v) {
         int64_t k = line[v];
         int64_t left = i64abs(k - line[v - 1]);
@@ -189,9 +188,10 @@ static inline __attribute__((always_inline)) int64_t nn_inner(
         }
         lam_a += da;
         lam_last += left;
-        avg[v] = (double)sum / count;
+        sums += sum;
         max_sum += best;
     }
+    *total += sums;
     lam[0] += lam_a;
     if (L == 4) lam[1] += lam_b;
     lam[L >> 1] += lam_last;
@@ -199,35 +199,34 @@ static inline __attribute__((always_inline)) int64_t nn_inner(
 }
 
 /* One line of `side` cells along the last grid axis (stride 1), whose
- * L = 2(d-1) neighbour lines hold `present` real ones.  Writes the
- * line's averages, adds its Λ partials into lam[0 .. d-1] and returns
- * its sum of per-cell maxima.  The two end cells are peeled, so every
- * inner cell divides by the same count (side >= 2).  The inner cells
- * take nn_inner's vector loop for a literal L of 2 or 4 (d = 2, 3)
- * and nn_cell's runtime-L loop otherwise. */
+ * L = 2(d-1) neighbour lines hold `present` real ones.  Adds the
+ * stretch sums of its two end cells (present + 1 neighbours) into
+ * tot[0] and of its inner cells (present + 2) into tot[1], its Λ
+ * partials into lam[0 .. d-1], and returns its sum of per-cell
+ * maxima.  The inner cells take nn_inner's vector loop for a literal
+ * L of 2 or 4 (d = 2, 3) and nn_cell's runtime-L loop otherwise. */
 static inline __attribute__((always_inline)) int64_t nn_line(
     const int64_t *restrict line, const int64_t *const *restrict nb,
-    const int64_t L, int64_t present, int64_t side,
-    double *restrict avg, int64_t *restrict lam)
+    const int64_t L, int64_t side,
+    int64_t *restrict tot, int64_t *restrict lam)
 {
     int64_t first = i64abs(line[1] - line[0]);
     int64_t last = i64abs(line[side - 1] - line[side - 2]);
-    double edge = (double)(present + 1), inner = (double)(present + 2);
-    int64_t max_sum = nn_cell(nb, L, 0, line[0], 0, first, edge, avg, lam);
+    int64_t max_sum = nn_cell(nb, L, 0, line[0], 0, first, tot, lam);
     if (L <= 4) {
-        max_sum += nn_inner(line, nb, L, side, inner, avg, lam);
+        max_sum += nn_inner(line, nb, L, side, tot + 1, lam);
     } else {
         int64_t right = first, lam_last = 0;
         for (int64_t v = 1; v + 1 < side; ++v) {
             int64_t k = line[v], left = right;
             right = i64abs(line[v + 1] - k);
             lam_last += left;
-            max_sum += nn_cell(nb, L, v, k, left, right, inner, avg, lam);
+            max_sum += nn_cell(nb, L, v, k, left, right, tot + 1, lam);
         }
         lam[L >> 1] += lam_last;
     }
     max_sum += nn_cell(
-        nb, L, side - 1, line[side - 1], last, 0, edge, avg, lam);
+        nb, L, side - 1, line[side - 1], last, 0, tot, lam);
     lam[L >> 1] += last;
     return max_sum;
 }
@@ -236,7 +235,7 @@ static inline __attribute__((always_inline)) int64_t nn_line(
  * neighbours are the boundary cells `below` and `above`. */
 static int64_t nn_range_1d(
     const int64_t *body, const int64_t *below, const int64_t *above,
-    int64_t t, double *avg, int64_t *lambdas)
+    int64_t t, int64_t *totals, int64_t *lambdas)
 {
     int64_t max_sum = 0, lam = 0;
     for (int64_t r = 0; r < t; ++r) {
@@ -247,28 +246,31 @@ static int64_t nn_range_1d(
         int64_t dh = hi ? i64abs(*hi - k) : 0;
         lam += dl;
         max_sum += i64max(dl, dh);
-        avg[r] = (double)(dl + dh) / (double)((lo != 0) + (hi != 0));
+        totals[(lo != 0) + (hi != 0) - 1] += dl + dh;
     }
     lambdas[0] = lam;
     return max_sum;
 }
 
 /* The whole NN fold of one range x_0 in [lo, hi) in one gather pass,
- * replacing repro_nn_block_pairs + repro_neighbor_counts + the NumPy
- * divide: `body` is the range's t >= 1 key planes of side >= 2,
- * `below` and `above` the planes lo-1 and hi (NULL at the grid edge).
- * Every cell reads its <= 2d neighbours and writes
- * avg[c] = (double)sum / (double)|N(c)|;
+ * replacing repro_nn_block_pairs + repro_neighbor_counts: `body` is
+ * the range's t >= 1 key planes of side >= 2, `below` and `above` the
+ * planes lo-1 and hi (NULL at the grid edge).  Every cell reads its
+ * <= 2d neighbours; totals[c - d] receives the range's class total,
+ * the stretch sums of its cells with c = |N| neighbours summed;
  * lambdas[axis] receives the range's Λ partials, each pair counted at
  * its upper endpoint (the pair (lo-1, lo) here, (hi-1, hi) in the next
  * range — the convention of repro.engine.chunked.nn_planes); the
- * return value is the range's sum of per-cell maxima. */
+ * return value is the range's sum of per-cell maxima.  Everything is
+ * int64: the caller keeps every total below 2^63
+ * (repro.engine.chunked.check_fold_envelope). */
 EXPORT REPRO_CLONES int64_t repro_nn_range(
     const int64_t *body, const int64_t *below, const int64_t *above,
-    int64_t t, int64_t side, int64_t d, double *avg, int64_t *lambdas)
+    int64_t t, int64_t side, int64_t d, int64_t *totals, int64_t *lambdas)
 {
     for (int64_t a = 0; a < d; ++a) lambdas[a] = 0;
-    if (d == 1) return nn_range_1d(body, below, above, t, avg, lambdas);
+    for (int64_t c = 0; c <= d; ++c) totals[c] = 0;
+    if (d == 1) return nn_range_1d(body, below, above, t, totals, lambdas);
 
     int64_t plane = 1;
     for (int64_t i = 0; i < d - 1; ++i) plane *= side;
@@ -294,21 +296,21 @@ EXPORT REPRO_CLONES int64_t repro_nn_range(
                 nb[2 * a + 1] = has_hi ? line + stride[a] : line;
                 present += has_lo + has_hi;
             }
-            double *out = avg + r * plane + off;
+            int64_t *tot = totals + present + 1 - d; /* ends: present + 1 */
             /* A literal L for 2D and 3D, the grids the benchmark
              * folds, gives them the vector line loop; every other d
              * takes the runtime-L loop (docs/performance.md gives the
              * measured gaps). */
             switch (d) {
             case 2:
-                max_sum += nn_line(line, nb, 2, present, side, out, lambdas);
+                max_sum += nn_line(line, nb, 2, side, tot, lambdas);
                 break;
             case 3:
-                max_sum += nn_line(line, nb, 4, present, side, out, lambdas);
+                max_sum += nn_line(line, nb, 4, side, tot, lambdas);
                 break;
             default:
                 max_sum += nn_line(
-                    line, nb, 2 * (d - 1), present, side, out, lambdas);
+                    line, nb, 2 * (d - 1), side, tot, lambdas);
             }
             for (int64_t a = d - 2; a >= 1; --a) {
                 if (++x[a] < side) break;

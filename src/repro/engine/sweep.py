@@ -18,7 +18,8 @@ Every benchmark, example and CLI table in this repo is some flavor of
   every metric of a cell shares one cached set of intermediates —
   stretch, clustering, dilation and the application metrics all pull
   from the same context.
-* **Applicability** uses the curve registry's capability metadata;
+* **Applicability** uses the curve registry's capability metadata and,
+  when a metric or report reads the NN fold, the fold's int64 envelope;
   skipped (universe, curve) cells are reported on the result, and
   ``strict=True`` raises on genuine construction errors.
 * Serial sweeps run over a shared :class:`repro.engine.ContextPool`
@@ -64,7 +65,7 @@ from repro.curves.registry import (
     curve_is_hidden,
     make_curve,
 )
-from repro.engine.chunked import DEFAULT_CHUNK_CELLS
+from repro.engine.chunked import DEFAULT_CHUNK_CELLS, check_fold_envelope
 from repro.engine.context import (
     DEFAULT_CACHE_BYTES,
     CacheStats,
@@ -500,6 +501,10 @@ register_metric(
         "rangequery", box=1, samples=1, seek=0, scan=0
     ),
 )
+
+#: The metrics that read the NN fold (so do the cell reports).
+_NN_FOLD_METRICS = {"davg", "dmax", "davg_ratio", "lambdas", "nn_mean"}
+
 
 #: Metric set matching the legacy ``survey()`` columns.
 DEFAULT_METRICS: Tuple[str, ...] = (
@@ -977,13 +982,23 @@ class Sweep:
         # picklable for the dedup dict and the process executor.
         store_dir = None if self.store_dir is None else str(self.store_dir)
         curve_specs = self._curve_specs()
+        folds = self.reports or any(s.name in _NN_FOLD_METRICS for s in specs)
         tasks: List[CellTask] = []
         skipped: List[SkippedCell] = []
         for universe in self.resolved_universes():
+            chunk_cells = self.resolve_chunk_cells(universe)
+            envelope = None
+            try:  # refuse what the NN fold would, before any build
+                if folds:
+                    check_fold_envelope(universe, chunk_cells, thread_count)
+            except ValueError as exc:
+                envelope = str(exc)
             for spec in curve_specs:
                 applicable, reason = curve_applicability(
                     spec.name, universe
                 )
+                if applicable is not False and envelope:
+                    applicable, reason = False, envelope
                 if applicable is False:
                     skipped.append(
                         SkippedCell(
@@ -1005,7 +1020,7 @@ class Sweep:
                         allpairs_samples=self.allpairs_samples,
                         seed=self.seed,
                         strict=self.strict,
-                        chunk_cells=self.resolve_chunk_cells(universe),
+                        chunk_cells=chunk_cells,
                         max_bytes=self.max_bytes,
                         threads=thread_count,
                         backend=self.backend,

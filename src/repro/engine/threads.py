@@ -1,14 +1,8 @@
 """Thread-parallel block execution inside one :class:`MetricContext`.
 
-The fourth and final leg of the engine's parallelism story:
-
-* PR 1 **vectorized** every metric onto dense NumPy kernels,
-* PR 3 **chunked** them into fixed-size block reductions,
-* PR 4 **shared** grids across process-sweep workers, and
-* this module **threads** the block reductions of a single context, so
-  one cell's metric set saturates several cores instead of one.
-
-Why threads work here: the block kernels are NumPy ufunc chains over
+This module **threads** the block reductions of a single context, so
+one cell's metric set saturates several cores instead of one.  Why
+threads work here: the block kernels are NumPy ufunc chains over
 int64/float64 arrays, and NumPy releases the GIL for the duration of
 each array operation.  A :class:`BlockScheduler` therefore fans the
 engine's block iterators (key slabs, window-pair ranges) out to a
@@ -23,16 +17,11 @@ instead of inline.  Determinism needs nothing extra:
 * every range task is **self-contained** (a task owning grid planes
   ``[lo, hi)`` reads the two adjacent boundary planes itself, so no
   cross-task carry exists to race on);
-* integer reductions (``Λ`` sums, per-cell maxima, boundary pairs,
-  window maxima) are associative, so per-task partials merge to the
-  dense value exactly;
-* the one order-sensitive reduction — the float mean behind ``D^avg``
-  — is merged **in range order** through
-  :func:`repro.engine.chunked.pairwise_sum_stream`, which replays
-  NumPy's pairwise summation tree over the logical value stream.  The
-  stream's content and order are independent of which thread produced
-  which range, so threaded results are **bit-for-bit identical** to
-  serial ones.
+* every partial is an integer (``Λ`` sums, per-cell maxima, the
+  ``D^avg`` class totals, window maxima) or a maximum, so per-task
+  partials merge to the dense value in any order, and each NN scalar
+  is one ``int / int`` division of the merged totals.  Threaded
+  results are therefore **bit-for-bit identical** to serial ones.
 
 Workers write into per-thread :class:`ScratchBuffers` (``out=`` ufunc
 targets reused across blocks), so steady-state kernels allocate only
@@ -170,8 +159,7 @@ class BlockScheduler:
     The scheduler owns a lazily created ``ThreadPoolExecutor`` and a
     per-thread :class:`ScratchBuffers` set.  :meth:`imap` submits
     callables with a bounded prefetch window and yields their results
-    **in submission order**, so a streaming consumer (such as
-    :func:`repro.engine.chunked.pairwise_sum_stream`) sees the same
+    **in submission order**, so a streaming consumer sees the same
     deterministic block sequence a serial loop would produce while at
     most ``threads + 2`` block results are in flight.
 

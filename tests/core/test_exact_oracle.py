@@ -8,32 +8,34 @@ count.  Every registry curve (and the three transforms over
 contexts, must agree with it:
 
 * ``nn_mean`` is ``float(Fraction)`` exactly: the pair sum and count
-  are exact integers below ``2^53`` here and the one division is
-  correctly rounded;
-* ``davg`` is one value across every backend and mode, within
-  ``(ceil(log2 n) + 2) · 2^-53`` relative error of the Fraction: each
-  per-cell average is one rounded division and NumPy's pairwise
-  summation adds at most ``ceil(log2 n)`` roundings along any path.
+  are exact integers and the one division is correctly rounded;
+* ``davg`` is ``float(Fraction)`` exactly too: the fold sums the
+  stretch sums per neighbour-count class as integers and divides
+  once, ``Σ_c T_c·(L/c) / (L·n)`` with ``L = lcm(d, …, 2d)``.
 
-The paper's closed forms are oracles at sizes the cell-by-cell oracle
-cannot reach (2D side 2048, 3D side 128): ``Λ_i(Z)`` is an exact
-integer and ``D^avg`` of Z and of the simple curve an exact Fraction,
-each computed in microseconds.  ``D^max`` and the NN mean finalize an
-exact integer total with one ``int / int`` division, which stays
-correctly rounded past ``2^53``; synthetic totals test that boundary
-without allocating anything large.
+A hypothesis property runs the same oracle on random permutation
+curves of random small universes.  The paper's closed forms are
+oracles at sizes the cell-by-cell oracle cannot reach (2D side 2048,
+3D side 128): ``Λ_i(Z)`` is an exact integer and ``D^avg`` of Z and of
+the simple curve an exact Fraction, each computed in microseconds.
+``D^max``, the NN mean and ``D^avg`` finalize exact integer totals
+with one ``int / int`` division, which stays correctly rounded past
+``2^53``; synthetic totals test that boundary without allocating
+anything large.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.core.asymptotics import davg_simple_exact, lambda_z_exact
 from repro.core.zexact import davg_z_exact
+from repro.curves.base import PermutationCurve
 from repro.curves.registry import available_curves, curve_is_hidden, make_curve
 from repro.engine import chunked, native
 from repro.engine.context import MetricContext
@@ -119,23 +121,54 @@ def test_cases_cover_every_visible_registry_curve():
     assert visible | {"reversed", "reflected", "axisperm"} == covered
 
 
+def _assert_rounds_exactly(make, davg_exact, nn_exact) -> None:
+    """Every backend and mode of ``make()``'s curve gives the
+    correctly rounded D^avg and NN mean."""
+    for backend in BACKENDS:
+        for mode, kwargs in MODES.items():
+            ctx = MetricContext(make(), backend=backend, **kwargs)
+            label = f"{backend}/{mode}"
+            assert ctx.nn_mean() == float(nn_exact), label
+            assert ctx.davg() == float(davg_exact), label
+            if ctx.threaded:
+                ctx.scheduler.close()
+
+
 @pytest.mark.parametrize("universe, spec", CASES)
 def test_metrics_round_to_the_exact_oracle(universe, spec):
     davg_exact, nn_exact = exact_metrics(_make(spec, universe))
-    bound = (math.ceil(math.log2(universe.n)) + 2) * 2.0**-53
-    seen = set()
-    for backend in BACKENDS:
-        for mode, kwargs in MODES.items():
-            ctx = MetricContext(
-                _make(spec, universe), backend=backend, **kwargs
-            )
-            label = f"{backend}/{mode}"
-            assert ctx.nn_mean() == float(nn_exact), label
-            davg = ctx.davg()
-            error = abs(Fraction(davg) - davg_exact)
-            assert error <= bound * davg_exact, label
-            seen.add(davg)
-    assert len(seen) == 1, seen
+    _assert_rounds_exactly(
+        lambda: _make(spec, universe), davg_exact, nn_exact
+    )
+
+
+@settings(
+    max_examples=30,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(
+    shape=st.sampled_from(
+        [(1, s) for s in range(2, 12)]
+        + [(2, s) for s in range(2, 9)]
+        + [(3, s) for s in range(2, 5)]
+        + [(4, 2), (4, 3), (5, 2)]
+    ),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_random_permutations_round_to_the_exact_oracle(shape, seed):
+    """A random bijection of a random small universe: D^avg and the NN
+    mean are ``float(Fraction)`` on both backends, dense, chunked and
+    threaded."""
+    universe = Universe(d=shape[0], side=shape[1])
+    keys = np.random.default_rng(seed).permutation(universe.n)
+    grid = keys.reshape(universe.shape)
+
+    def make():
+        return PermutationCurve(universe, key_grid=grid)
+
+    davg_exact, nn_exact = exact_metrics(make())
+    _assert_rounds_exactly(make, davg_exact, nn_exact)
 
 
 def test_oracle_matches_a_hand_count():
@@ -161,10 +194,9 @@ LARGE_MODES = {
 @pytest.mark.parametrize("universe", LARGE, ids=lambda u: f"{u.d}x{u.side}")
 def test_paper_closed_forms_at_large_n(universe, backend, mode):
     """``Λ_i(Z)`` is ``==`` :func:`lambda_z_exact`; ``D^avg`` of Z and
-    of the simple curve is within the summation bound of the exact
-    closed forms."""
+    of the simple curve is ``==`` ``float`` of the exact closed
+    forms."""
     kwargs = dict(backend=backend, max_bytes=0, **LARGE_MODES[mode])
-    bound = (math.ceil(math.log2(universe.n)) + 2) * 2.0**-53
     z = MetricContext(make_curve("z", universe), **kwargs)
     exact = [lambda_z_exact(universe, i) for i in range(1, universe.d + 1)]
     assert [int(v) for v in z.lambda_sums()] == exact
@@ -175,8 +207,7 @@ def test_paper_closed_forms_at_large_n(universe, backend, mode):
             davg_simple_exact(universe),
         ),
     ):
-        error = abs(Fraction(ctx.davg()) - oracle)
-        assert error <= bound * oracle
+        assert ctx.davg() == float(oracle)
         if ctx.threaded:
             ctx.scheduler.close()
 
@@ -186,6 +217,7 @@ def test_paper_closed_forms_at_large_n(universe, backend, mode):
     [
         ("dmax", 1187039413221620805, 9),
         ("nn_mean", 1662460411857191065, 12),
+        ("davg", 2052054364602709040, 4 * 9),
     ],
 )
 def test_integer_totals_divide_once_past_2_53(
@@ -193,16 +225,21 @@ def test_integer_totals_divide_once_past_2_53(
 ):
     """A total past ``2^53`` is divided as ``int / int``, not rounded to
     a float first.  The fold of a 3x3 grid (``n = 9`` cells, 12 NN
-    pairs) reports a synthetic total in place of its own."""
+    pairs) reports a synthetic total in place of its own; a ``D^avg``
+    class total of the cells with 4 neighbours counts ``T_4 / (4·9)``.
+    """
     assert float(total) / count != total / count
     assert total / count == float(Fraction(total, count))
     kernel = chunked._nn_range_kernel
 
     def synthetic(ctx, lo, hi, scratch, body=None):
-        avg, lambdas, max_sum = kernel(ctx, lo, hi, scratch, body)
+        totals, lambdas, max_sum = kernel(ctx, lo, hi, scratch, body)
+        mine = total if lo == 0 else 0
         if metric == "dmax":
-            return avg, lambdas, total if lo == 0 else 0
-        return avg, [total if lo == 0 else 0, 0], max_sum
+            return totals, lambdas, mine
+        if metric == "davg":
+            return [0, 0, mine], lambdas, max_sum
+        return totals, [mine, 0], max_sum
 
     monkeypatch.setattr(chunked, "_nn_range_kernel", synthetic)
     universe = Universe(d=2, side=3)

@@ -1,4 +1,4 @@
-"""Seeded R001 violations: float accumulation outside pairwise_sum_stream.
+"""Seeded R001 violations: float accumulation in a block engine.
 
 Lint input only — never imported.  Violating lines carry a trailing
 ``lint-expect`` marker the tests parse for exact locations.

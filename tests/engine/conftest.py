@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -9,10 +11,11 @@ from repro.grid.neighbors import axis_pair_index_arrays, neighbor_count_grid
 
 
 def legacy_metrics(curve):
-    """Seed-identical metric computation, straight from the key grid.
+    """Reference metric computation, straight from the key grid.
 
     Kept independent of the engine so parity failures cannot hide
-    behind shared code.
+    behind shared code.  ``davg`` is the exact rational rounded once,
+    as the engine's is.
     """
     universe = curve.universe
     grid = curve.key_grid()
@@ -30,8 +33,14 @@ def legacy_metrics(curve):
         lambdas.append(int(dist.sum()))
         parts.append(dist.reshape(-1))
     counts = neighbor_count_grid(universe)
+    # D^avg as the exact rational mean of the per-cell averages,
+    # correctly rounded once.
+    davg = sum(
+        Fraction(int(sums[counts == c].sum()), int(c))
+        for c in np.unique(counts)
+    )
     return {
-        "davg": float((sums / counts).mean()),
+        "davg": float(davg / universe.n),
         "dmax": float(best.mean()),
         "lambdas": lambdas,
         "nn_values": np.concatenate(parts),

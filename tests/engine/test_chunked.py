@@ -442,9 +442,9 @@ class TestFoldEnvelope:
     @pytest.mark.parametrize(
         "side, chunk_cells, bound",
         [
-            # n = 2^62: a cell's sum 2d·(n−1) passes 2^63
+            # n = 2^62: a single cell's sum 2d·(n−1) passes 2^63
             (2**31, 1 << 20, "2d·"),
-            # n = 2^42, 2^22-cell ranges: cells·(n−1) passes 2^63
+            # n = 2^42, 2^22-cell ranges: cells·2d·(n−1) passes 2^63
             (2**21, 1 << 22, "cells·"),
         ],
     )
@@ -479,4 +479,65 @@ class TestFoldEnvelope:
 
         for d, side in ((2, 2048), (3, 64), (2, 2**15), (3, 2**10)):
             universe = Universe(d=d, side=side)
-            check_fold_envelope(universe, universe.n)
+            check_fold_envelope(universe, None, 1)
+
+    def test_one_range_class_total_bound(self):
+        """2D side 38968 as one range: its Λ and Σ max partials
+        (≤ n·(n−1)) fit int64, its class totals (≤ n·4·(n−1)) do not."""
+        from repro.engine.chunked import check_fold_envelope
+
+        fits = Universe(d=2, side=38967)
+        refused = Universe(d=2, side=38968)
+        assert refused.n * (refused.n - 1) < 1 << 63
+        check_fold_envelope(fits, None, 1)
+        with pytest.raises(ValueError, match="class total"):
+            check_fold_envelope(refused, None, 1)
+
+    def test_sweep_skips_the_universe_when_it_plans(self, monkeypatch):
+        """An NN metric on 2D side 2^31 is a plan-time skip: no curve is
+        built, no key read, nothing large allocated."""
+        import tracemalloc
+
+        from repro.curves.base import SpaceFillingCurve
+        from repro.engine.sweep import CurveSpec
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the sweep ran a cell past the envelope")
+
+        monkeypatch.setattr(CurveSpec, "make", unreachable)
+        monkeypatch.setattr(SpaceFillingCurve, "key_slab", unreachable)
+        monkeypatch.setattr(MetricContext, "_key_slab", unreachable)
+        huge = Universe(d=2, side=2**31)
+        tracemalloc.start()
+        try:
+            result = Sweep(
+                universes=[huge], curves=["z", "hilbert"],
+                metrics=("lower_bound", "davg"), reports=False,
+            ).run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert result.records == []
+        assert [s.spec for s in result.skipped] == ["z", "hilbert"]
+        for skip in result.skipped:
+            assert "overflows int64" in skip.reason
+            assert "class total" in skip.reason
+
+    def test_plan_checks_the_ranges_the_cell_will_fold(self):
+        """Only NN metrics (and reports) are checked, on the ranges the
+        cell's knobs give: 2D side 40000 dense is one refused range
+        serially and fits when 8 threads cut it into 32."""
+
+        def plan(**kwargs):
+            knobs = dict(universes=[Universe(d=2, side=40000)],
+                         curves=["snake"], reports=False, chunk_cells=0)
+            knobs.update(kwargs)
+            tasks, skipped = Sweep(**knobs)._plan()
+            assert all("class total" in s.reason for s in skipped)
+            return len(tasks), len(skipped)
+
+        assert plan(metrics=("davg",)) == (0, 1)
+        assert plan(metrics=(), reports=True) == (0, 1)
+        assert plan(metrics=("lower_bound",)) == (1, 0)
+        assert plan(metrics=("davg",), threads=8) == (1, 0)

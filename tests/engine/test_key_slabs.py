@@ -241,7 +241,7 @@ class TestOneSlabChunked:
         dense = MetricContext(HilbertCurve(u2_8))
         assert ctx._slab_ranges() == [(0, 8)]
         assert chunked.fold_ranges(ctx) == chunked._spans(
-            8, chunked._dense_step(ctx, 8)
+            8, chunked._dense_step(ctx.threads, 8)
         )
         assert len(chunked.fold_ranges(ctx)) == 8
         assert ctx.davg() == dense.davg()

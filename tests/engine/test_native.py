@@ -262,10 +262,8 @@ class TestMetricParityMatrix:
         want = _metric_values(
             MetricContext(curve, backend="numpy", **kwargs)
         )
-        # Exact equality, floats included: the C kernels produce int64
-        # partials and the D^avg terms by the same IEEE-754 division
-        # NumPy performs; the order-sensitive mean stays in Python on
-        # both paths.
+        # Exact equality, floats included: both backends return the
+        # same int64 partials and divide them once in Python.
         assert got == want
 
     @pytest.mark.parametrize("layout", ["fortran", "transposed"])
@@ -294,7 +292,7 @@ class TestMetricParityMatrix:
     @pytest.mark.parametrize("mode", ["dense_threaded", "chunked", "plane"])
     def test_range_kernel_matches_numpy_per_range(self, universe, spec, mode):
         """Every fold range: the fused native task returns the NumPy
-        task's per-cell averages, Λ partials and Σ max exactly."""
+        task's class totals, Λ partials and Σ max exactly."""
         from repro.engine.chunked import _nn_range_kernel, fold_ranges
         from repro.engine.threads import ScratchBuffers
 
@@ -306,34 +304,30 @@ class TestMetricParityMatrix:
         ranges = fold_ranges(nat)
         assert ranges == fold_ranges(ref)
         for lo, hi in ranges:
-            avg, lambdas, max_sum = _nn_range_kernel(
-                nat, lo, hi, ScratchBuffers()
-            )
-            want_avg, want_lambdas, want_max = _nn_range_kernel(
-                ref, lo, hi, ScratchBuffers()
-            )
-            assert avg.dtype == np.float64
-            assert np.array_equal(avg, want_avg), (lo, hi)
-            assert lambdas == want_lambdas, (lo, hi)
-            assert max_sum == want_max, (lo, hi)
+            got = _nn_range_kernel(nat, lo, hi, ScratchBuffers())
+            want = _nn_range_kernel(ref, lo, hi, ScratchBuffers())
+            assert len(got[0]) == universe.d + 1
+            assert got == want, (lo, hi)
 
     def test_nn_range_refuses_mismatched_buffers(self):
         """The C kernel trusts its sizes, so the wrapper checks them."""
         kernels = native.load_kernels()
         body = np.zeros((2, 4), dtype=np.int64)
         plane = np.zeros((1, 4), dtype=np.int64)
-        with pytest.raises(ValueError, match="size of body"):
-            kernels.nn_range(body, None, None, 4, 2, np.empty(7))
+        with pytest.raises(ValueError, match="whole planes"):
+            kernels.nn_range(body[:, :3].copy(), None, None, 4, 2)
         with pytest.raises(ValueError, match="one plane"):
-            kernels.nn_range(body, body, None, 4, 2, np.empty(8))
+            kernels.nn_range(body, body, None, 4, 2)
         with pytest.raises(ValueError, match="side >= 2"):
-            kernels.nn_range(body[:, :1].copy(), None, None, 1, 2,
-                             np.empty(2))
-        with pytest.raises(ctypes.ArgumentError, match="float64"):
-            kernels.nn_range(body, plane, None, 4, 2, np.empty(8, "i8"))
+            kernels.nn_range(body[:, :1].copy(), None, None, 1, 2)
+        with pytest.raises(ctypes.ArgumentError, match="int64"):
+            kernels.nn_range(body, plane.astype(np.int32), None, 4, 2)
+        assert kernels.nn_range(body, plane, None, 4, 2) == (
+            [0, 0, 0], [0, 0], 0
+        )
 
     def test_native_range_kernel_takes_no_scratch(self, u2_8):
-        """The fused kernel writes the result directly: no int64 sums,
+        """The fused kernel returns its totals directly: no int64 sums,
         maxima or counts scratch grids, unlike the NumPy reference."""
         from repro.engine.chunked import _nn_range_kernel
         from repro.engine.threads import ScratchBuffers
@@ -380,10 +374,11 @@ class _GridKeys:
 
 def _harness_grids(d: int, side: int):
     """A permutation key grid and one of keys above 2^53 whose spread
-    keeps every partial of a whole-grid range below 2^63."""
+    keeps every class total of a whole-grid range below 2^63 (the
+    envelope ``cells · 2d · max|Δ|`` of ``check_fold_envelope``)."""
     rng = np.random.default_rng(side * 10 + d)
     n = side**d
-    spread = (2**63 - 1) // n  # cells · max|Δ| < 2^63, and 2d <= n
+    spread = (2**63 - 1) // (2 * d * n)
     yield rng.permutation(n).astype(np.int64).reshape((side,) * d)
     big = rng.integers(2**53, 2**53 + spread, size=n, dtype=np.int64)
     yield big.reshape((side,) * d)
@@ -415,8 +410,8 @@ def clone_free_kernels(tmp_path_factory):
 @requires_native
 class TestRangeKernelHarness:
     """``repro_nn_range`` against the NumPy range kernel on every
-    ``(lo, hi)`` range of each grid, boundary planes included:
-    averages bit for bit, Λ and Σ max exactly."""
+    ``(lo, hi)`` range of each grid, boundary planes included: class
+    totals, Λ and Σ max exactly."""
 
     @pytest.fixture(params=["cloned", "clone-free"])
     def kernels(self, request, clone_free_kernels):
@@ -437,19 +432,11 @@ class TestRangeKernelHarness:
                 below = grid[lo - 1 : lo] if lo > 0 else None
                 for hi in range(lo + 1, side + 1):
                     above = grid[hi : hi + 1] if hi < side else None
-                    avg = np.empty(grid[lo:hi].shape)
-                    lambdas, max_sum = kernels.nn_range(
-                        grid[lo:hi], below, above, side, d, avg
+                    got = kernels.nn_range(
+                        grid[lo:hi], below, above, side, d
                     )
-                    want, want_lambdas, want_max = _nn_range_kernel(
-                        ref, lo, hi, scratch
-                    )
-                    assert np.array_equal(
-                        avg.reshape(-1).view(np.int64),
-                        want.view(np.int64),
-                    ), (lo, hi)
-                    assert lambdas == want_lambdas, (lo, hi)
-                    assert max_sum == want_max, (lo, hi)
+                    want = _nn_range_kernel(ref, lo, hi, scratch)
+                    assert got == want, (lo, hi)
 
     def test_fold_clone_names_a_level(self):
         assert native.load_kernels().fold_clone() in (

@@ -117,7 +117,8 @@ class TestSweepVsLegacySurvey:
     def test_matches_independent_legacy_computation(
         self, u2_8, u3_4, legacy_metrics
     ):
-        """Sweep values equal the seed algorithm bit-for-bit."""
+        """Sweep values equal the independent reference bit-for-bit
+        (``davg`` the correctly rounded exact rational)."""
         for universe in (u2_8, u3_4):
             result = Sweep(universes=[universe], metrics=()).run()
             zoo = curves_for_universe(universe)
