@@ -19,6 +19,7 @@ import numpy as np
 
 from repro.apps.partition import partition_by_curve
 from repro.engine.context import get_context
+from repro.grid.neighbors import axis_pair_index_arrays
 
 __all__ = ["HaloExchange", "halo_exchange"]
 
@@ -47,7 +48,7 @@ def halo_exchange(
     """Partition by ``curve`` and tally the halo-exchange cost.
 
     ``curve`` may be a curve or a :class:`repro.engine.MetricContext`;
-    the key grid and NN pair enumeration come from the context.
+    the key grid comes from the context's cache.
 
     A ghost transfer is a (sender, receiver, cell) triple: receiver
     owns a cell whose neighbor `cell` is owned by sender.  A cell sent
@@ -64,7 +65,7 @@ def halo_exchange(
     receivers = []
     cells = []
     for axis in range(universe.d):
-        lo, hi = ctx.axis_pair_slices(axis)
+        lo, hi = axis_pair_index_arrays(universe, axis)
         a_lab = labels[lo].reshape(-1)
         b_lab = labels[hi].reshape(-1)
         a_key = keys[lo].reshape(-1)

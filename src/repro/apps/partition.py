@@ -220,30 +220,24 @@ def _uniform_part_sizes(n: int, n_parts: int) -> np.ndarray:
 
 
 def _edge_cut_slabs(ctx, n_parts: int) -> int:
-    """Equal-count-split edge cut via key slabs (no dense labels).
+    """Equal-count-split edge cut via the NN-pair blocks (no dense labels).
 
     The part of a cell is ``(key * n_parts) // n`` — exactly the label
     :func:`partition_by_curve` assigns — so counting label mismatches
-    across the slab-wise NN pairs reproduces :func:`edge_cut`
-    bit-for-bit while holding one slab (plus a carried boundary plane)
-    at a time.
+    over :func:`repro.engine.chunked.nn_pair_blocks` reproduces
+    :func:`edge_cut` bit-for-bit while holding one slab's labels at a
+    time.  The labels are computed once per slab and boundary plane,
+    not per pair endpoint.
     """
-    universe = ctx.universe
-    cut = 0
-    prev_labels = None
-    for lo, hi, slab in ctx.iter_key_slabs():
-        labels = (slab * n_parts) // universe.n
-        for axis in range(1, universe.d):
-            # Axes >= 1 span whole slab planes, so the grid's pair
-            # slices apply to a slab unchanged.
-            sel_lo, sel_hi = axis_pair_index_arrays(universe, axis)
-            cut += int((labels[sel_lo] != labels[sel_hi]).sum())
-        if hi - lo > 1:
-            cut += int((labels[1:] != labels[:-1]).sum())
-        if prev_labels is not None:
-            cut += int((labels[:1] != prev_labels).sum())
-        prev_labels = labels[-1:].copy()
-    return cut
+    from repro.engine.chunked import nn_pair_blocks
+
+    n = ctx.universe.n
+    return sum(
+        int(np.count_nonzero(a != b))
+        for _, _, a, b in nn_pair_blocks(
+            ctx, of=lambda keys: (keys * n_parts) // n
+        )
+    )
 
 
 def partition_quality(

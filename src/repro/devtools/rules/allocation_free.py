@@ -36,6 +36,7 @@ HOT_KERNELS: Dict[str, FrozenSet[str]] = {
         {
             "slab_neighbor_counts",
             "accumulate_block_pairs",
+            "nn_pair_blocks",
             "nn_planes",
             "_nn_range_kernel",
             "window_block_max",

@@ -12,7 +12,10 @@ one of two orders, each serving a different consumer:
   slabs.  A dense context's partition is one whole-grid slab, which
   the fold splits into ``~threads × 4`` ranges when threaded.  Every
   slab, sub-range and boundary plane is read through
-  ``MetricContext._key_slab``.
+  ``MetricContext._key_slab``.  Outside the fold's range kernels,
+  :func:`nn_pair_blocks` is the one slab-wise walk over the NN pairs:
+  ``nn_distance_values``, the Lemma 5 groups and the partition edge
+  cut all read their pairs from it.
 * **position ranges** (curve order) — the unit of the window fold
   (:func:`window_max_reduction`): cells ``window`` apart on the curve,
   decoded per block when chunked, order slices when dense.
@@ -35,18 +38,19 @@ install its trace span.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Iterator, Optional, Tuple
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
+from repro.grid.neighbors import axis_pair_index_arrays
 from repro.grid.universe import strict_index
 
 __all__ = [
     "DEFAULT_CHUNK_CELLS",
     "pairwise_sum_stream",
     "slab_neighbor_counts",
-    "slab_axis_slices",
     "accumulate_block_pairs",
+    "nn_pair_blocks",
     "fold_step",
     "fold_ranges",
     "check_fold_envelope",
@@ -184,28 +188,9 @@ def slab_neighbor_counts(
     return counts
 
 
-def slab_axis_slices(d: int, side: int, axis: int) -> Tuple[tuple, tuple]:
-    """Slab slicing tuples for the NN pairs along grid ``axis >= 1``.
-
-    Applied to a slab from
-    :meth:`repro.engine.MetricContext.iter_key_slabs`, ``slab[lo]`` and
-    ``slab[hi]`` are the aligned endpoints of every within-slab pair
-    along ``axis`` (axis-0 pairs instead span consecutive planes and
-    slab boundaries).
-    """
-    lo = tuple(
-        slice(0, side - 1) if i == axis else slice(None) for i in range(d)
-    )
-    hi = tuple(
-        slice(1, side) if i == axis else slice(None) for i in range(d)
-    )
-    return lo, hi
-
-
 def accumulate_block_pairs(
     body: np.ndarray,
-    d: int,
-    side: int,
+    universe,
     sums: np.ndarray,
     best: np.ndarray,
     lambdas: list,
@@ -214,18 +199,20 @@ def accumulate_block_pairs(
 ) -> None:
     """Fold every *within-block* NN pair of ``body`` into the partials.
 
-    ``body`` is a block of key planes (shape ``(t,) + (side,)*(d-1)``);
-    pairs along axes >= 1 and interior axis-0 pairs (both endpoints in
-    the block) update the per-cell ``sums``/``best`` grids and the
-    per-axis ``lambdas`` totals in place.  Boundary axis-0 pairs (one
-    endpoint outside the block) are the caller's job —
-    :func:`nn_planes` reads the adjacent boundary planes itself.  Distance temporaries live in ``scratch``
-    (a :class:`repro.engine.threads.ScratchBuffers`).  When ``kernels``
+    ``body`` is a block of key planes of ``universe`` (shape
+    ``(t,) + (side,)*(d-1)``); pairs along axes >= 1 and interior
+    axis-0 pairs (both endpoints in the block) update the per-cell
+    ``sums``/``best`` grids and the per-axis ``lambdas`` totals in
+    place.  Boundary axis-0 pairs (one endpoint outside the block) are
+    the caller's job — :func:`nn_planes` reads the adjacent boundary
+    planes itself.  Distance temporaries live in ``scratch`` (a
+    :class:`repro.engine.threads.ScratchBuffers`).  When ``kernels``
     (a loaded :class:`repro.engine.native.NativeKernels`) is given and
     the arrays are contiguous, the whole fold runs as one compiled
     pass — pure int64 arithmetic either way, so the partials are
     bit-for-bit identical.
     """
+    d, side = universe.d, universe.side
     if (
         kernels is not None
         and body.flags["C_CONTIGUOUS"]
@@ -235,7 +222,9 @@ def accumulate_block_pairs(
         kernels.nn_block_pairs(body, side, d, sums, best, lambdas)
         return
     for axis in range(1, d):
-        lo_s, hi_s = slab_axis_slices(d, side, axis)
+        # Axes >= 1 span whole planes, so the grid's pair slices apply
+        # to a block of planes unchanged.
+        lo_s, hi_s = axis_pair_index_arrays(universe, axis)
         dist = scratch.take("pair_dist", body[hi_s].shape, np.int64)
         np.subtract(body[hi_s], body[lo_s], out=dist)
         np.abs(dist, out=dist)
@@ -253,6 +242,36 @@ def accumulate_block_pairs(
         sums[1:] += dist0
         np.maximum(best[:-1], dist0, out=best[:-1])
         np.maximum(best[1:], dist0, out=best[1:])
+
+
+def nn_pair_blocks(ctx, of=None) -> Iterator[tuple]:
+    """Every NN pair of ``ctx`` as aligned blocks: the one slab-wise walk.
+
+    Walks :meth:`~repro.engine.MetricContext.iter_key_slabs` and yields
+    ``(axis, p, a, b)``: ``a`` and ``b`` are aligned views of the lower
+    and upper endpoint keys of the pairs along ``axis`` in the block,
+    and ``p`` is the first axis-0 plane of ``a``.  Each slab yields the
+    axis-0 pair crossing into it first (``a`` is the plane below, read
+    through ``ctx._key_slab(lo - 1, lo)`` as :func:`nn_planes` reads
+    it, so no carry crosses slabs), then its interior axis-0 pairs,
+    then its pairs along each axis >= 1.  So the blocks of one axis
+    come in the C order of their lower endpoints.  ``of``, when given,
+    is an elementwise map applied once per slab and once per boundary
+    plane; ``a`` and ``b`` are then views of its values instead.
+    """
+    pairs = [
+        axis_pair_index_arrays(ctx.universe, axis)
+        for axis in range(1, ctx.universe.d)
+    ]
+    for lo, hi, slab in ctx.iter_key_slabs():
+        values = slab if of is None else of(slab)
+        if lo > 0:
+            below = ctx._key_slab(lo - 1, lo)
+            yield 0, lo - 1, below if of is None else of(below), values[:1]
+        if hi - lo > 1:
+            yield 0, lo, values[:-1], values[1:]
+        for axis, (lo_s, hi_s) in enumerate(pairs, start=1):
+            yield axis, lo, values[lo_s], values[hi_s]
 
 
 # ----------------------------------------------------------------------
@@ -347,13 +366,13 @@ def nn_planes(
     any range partition gives the same grids and totals.  ``body``,
     when given, is the range's key slab, already resolved.
     """
-    d, side = ctx.universe.d, ctx.universe.side
+    side = ctx.universe.side
     if body is None:
         body = ctx._key_slab(lo, hi)
     sums[...] = 0
     best[...] = 0
     accumulate_block_pairs(
-        body, d, side, sums, best, lambdas, scratch, kernels=ctx.kernels
+        body, ctx.universe, sums, best, lambdas, scratch, kernels=ctx.kernels
     )
     plane_shape = (1,) + body.shape[1:]
     if lo > 0:

@@ -60,7 +60,10 @@ curve-position ranges and merges block maxima.  The modes differ only
 in the ranges: a dense context folds as one range, a chunked one folds
 its block partition.  Both folds hand their ranges to
 :func:`~repro.engine.chunked.run_ranges`, the one place that decides
-how ranges run.
+how ranges run.  The consumers that keep every pair's value — the NN
+distance values and the Lemma 5 groups — read the pairs from
+:func:`~repro.engine.chunked.nn_pair_blocks`, the one slab-wise
+NN-pair walk.
 
 **Threaded mode** (``threads=N`` / ``threads="auto"``): ``run_ranges``
 submits the range tasks to a :class:`repro.engine.threads.BlockScheduler`
@@ -662,22 +665,6 @@ class MetricContext:
             "inverse_perm", lambda: inverse_ranks(self.flat_keys())
         )
 
-    def axis_pair_slices(self, axis: int) -> tuple:
-        """``(lo, hi)`` slicing tuples over the NN pairs of ``G_{axis+1}``.
-
-        Memoized; downstream consumers (partitioning, halo exchange)
-        take these from the context instead of rebuilding the pair
-        enumeration themselves.
-        """
-        if not 0 <= axis < self.universe.d:
-            raise ValueError(
-                f"axis must be in [0, {self.universe.d}), got {axis}"
-            )
-        return self._scalar(
-            ("axis_slices", axis),
-            lambda: axis_pair_index_arrays(self.universe, axis),
-        )
-
     def axis_pair_curve_distances(self, axis: int) -> np.ndarray:
         """``∆π`` over the NN pairs of ``G_{axis+1}`` (cached per axis)."""
         if not 0 <= axis < self.universe.d:
@@ -691,7 +678,7 @@ class MetricContext:
 
         def compute() -> np.ndarray:
             grid = self.key_grid()
-            lo, hi = self.axis_pair_slices(axis)
+            lo, hi = axis_pair_index_arrays(self.universe, axis)
             return np.abs(grid[hi] - grid[lo])
 
         return self._cached(f"axis_dist[{axis}]", compute)
@@ -983,11 +970,10 @@ class MetricContext:
         """Flat ``∆π`` over all unordered NN pairs (each once).
 
         Empty (not an error) on degenerate universes with no NN pairs.
-        The per-axis distance arrays are assembled slab by slab in the
-        per-axis C enumeration order (within-slab pairs land at their
-        flat offsets; axis-0 boundary pairs are filled from the carried
-        plane); a dense context is one slab.  The result is inherently
-        ``O(n·d)``.
+        The per-axis distance arrays are assembled block by block from
+        :func:`repro.engine.chunked.nn_pair_blocks`, each pair at its
+        flat offset in the per-axis C enumeration order; a dense
+        context is one slab.  The result is inherently ``O(n·d)``.
         """
         if self.universe.side < 2:
             empty = np.empty(0, dtype=np.int64)
@@ -1001,16 +987,15 @@ class MetricContext:
         """Slab-wise assembly behind :meth:`nn_distance_values`.
 
         Allocation-free per block (R004): the flat result is allocated
-        once up front and every per-axis slab distance lands in a
-        reshaped *view* of it through ``subtract``/``abs`` with
-        ``out=`` targets, so the slab walk does zero allocator traffic
-        no matter how many blocks stream through.  The axis-0 boundary
-        carry plane lives in a :class:`ScratchBuffers` slot reused
-        across slabs.  The per-axis segments occupy the flat offsets a
-        ``concatenate`` of the per-axis arrays would give them.
+        once up front and every block of
+        :func:`repro.engine.chunked.nn_pair_blocks` lands in a reshaped
+        *view* of it through ``subtract``/``abs`` with ``out=``
+        targets, so the walk does zero allocator traffic no matter how
+        many blocks stream through.  The per-axis segments occupy the
+        flat offsets a ``concatenate`` of the per-axis arrays would
+        give them.
         """
-        from repro.engine.chunked import slab_axis_slices
-        from repro.engine.threads import ScratchBuffers
+        from repro.engine.chunked import nn_pair_blocks
 
         universe = self.universe
         d, side = universe.d, universe.side
@@ -1029,28 +1014,10 @@ class MetricContext:
                     shape
                 )
             )
-        scratch = ScratchBuffers()
-        plane_shape = (1,) + (side,) * (d - 1)
-        prev_keys = None
-        for lo, hi, slab in self.iter_key_slabs():
-            for axis in range(1, d):
-                lo_s, hi_s = slab_axis_slices(d, side, axis)
-                out = parts[axis][lo:hi]
-                np.subtract(slab[hi_s], slab[lo_s], out=out)
-                np.abs(out, out=out)
-            if hi - lo > 1:
-                out = parts[0][lo : hi - 1]
-                np.subtract(slab[1:], slab[:-1], out=out)
-                np.abs(out, out=out)
-            if prev_keys is not None:
-                out = parts[0][lo - 1 : lo]
-                np.subtract(slab[:1], prev_keys, out=out)
-                np.abs(out, out=out)
-            else:
-                prev_keys = scratch.take(
-                    "nn_values_carry", plane_shape, np.int64
-                )
-            np.copyto(prev_keys, slab[-1:])
+        for axis, p, a, b in nn_pair_blocks(self):
+            out = parts[axis][p : p + len(a)]
+            np.subtract(b, a, out=out)
+            np.abs(out, out=out)
         return values
 
     # ------------------------------------------------------------------
@@ -1193,11 +1160,11 @@ class MetricContext:
     ) -> dict[int, tuple[int, np.ndarray]]:
         """Split ``G_{axis+1}`` into the Lemma 5 groups ``G_{i,j}``.
 
-        Walks key slabs (a dense context is one slab) and groups each
-        block's pair distances by the trailing-ones index of the pair's
-        coordinate along ``axis``; group membership depends only on
-        that coordinate, and block order preserves the C-order value
-        enumeration, so every mode gives the same groups.  Note the
+        Walks the NN-pair blocks (a dense context is one slab) and
+        groups each block's pair distances by the trailing-ones index
+        of the pair's coordinate along ``axis``; membership depends
+        only on that coordinate, and block order preserves the C-order
+        value enumeration, so every mode gives the same groups.  Note the
         *result* is inherently ``O(n)`` — it partitions every NN pair
         along the axis — so decomposing a beyond-memory universe still
         needs a consumer that reduces the groups streamwise.
@@ -1209,43 +1176,32 @@ class MetricContext:
         return self._scalar(("gij", axis), lambda: self._gij(axis))
 
     def _gij(self, axis: int) -> dict[int, tuple[int, np.ndarray]]:
-        """The slab walk behind :meth:`gij_decomposition`.
+        """The pair walk behind :meth:`gij_decomposition`.
 
-        Axis-0 pairs span consecutive planes (the boundary pair of
-        each slab is handled via a one-plane carry); pairs along higher
-        axes live entirely inside a slab.  Values are appended in slab
-        order, which equals the C-order enumeration.
+        Reads the ``axis`` blocks of
+        :func:`repro.engine.chunked.nn_pair_blocks`, which come in the
+        C-order enumeration, and appends each group's distances in
+        block order.  An axis-0 block spans the planes ``[p, p + t)``,
+        so its pairs are grouped by those planes' indices.
         """
         from repro.core.stretch import trailing_ones
-        from repro.engine.chunked import slab_axis_slices
+        from repro.engine.chunked import nn_pair_blocks
 
-        universe = self.universe
-        k = universe.k  # requires power-of-two side, as in the paper
-        d, side = universe.d, universe.side
+        side = self.universe.side
+        k = self.universe.k  # requires power-of-two side, as in the paper
         groups = trailing_ones(np.arange(max(side - 1, 0), dtype=np.int64)) + 1
         parts: dict[int, list] = {j: [] for j in range(1, k + 1)}
-        if axis == 0:
-            prev = None
-            for lo, hi, slab in self.iter_key_slabs():
-                if prev is not None:
-                    j0 = int(groups[lo - 1])
-                    parts[j0].append(np.abs(slab[:1] - prev).reshape(-1))
-                if hi - lo > 1:
-                    dist0 = np.abs(slab[1:] - slab[:-1])
-                    in_slab = groups[lo : hi - 1]
-                    for j in range(1, k + 1):
-                        picked = np.compress(in_slab == j, dist0, axis=0)
-                        if picked.size:
-                            parts[j].append(picked.reshape(-1))
-                prev = np.ascontiguousarray(slab[-1:])
-        else:
-            lo_s, hi_s = slab_axis_slices(d, side, axis)
-            for _, _, slab in self.iter_key_slabs():
-                dist = np.abs(slab[hi_s] - slab[lo_s])
-                for j in range(1, k + 1):
-                    picked = np.compress(groups == j, dist, axis=axis)
-                    if picked.size:
-                        parts[j].append(picked.reshape(-1))
+        for block_axis, p, a, b in nn_pair_blocks(self):
+            if block_axis != axis:
+                continue
+            dist = np.abs(b - a)
+            of_block = groups[p : p + len(a)] if axis == 0 else groups
+            # An axis-0 block of a few planes holds few groups: stop at
+            # its largest rather than testing all k.
+            for j in range(1, int(of_block.max(initial=0)) + 1):
+                picked = np.compress(of_block == j, dist, axis=axis)
+                if picked.size:
+                    parts[j].append(picked.reshape(-1))
         out: dict[int, tuple[int, np.ndarray]] = {}
         for j in range(1, k + 1):
             values = (

@@ -276,11 +276,13 @@ class DynamicUniverse:
     def bulk_load(self, positions: np.ndarray) -> np.ndarray:
         """Insert many points at once; returns their pids.
 
-        On an empty universe this takes a fully vectorized path — one
-        ``keys_of`` batch encode, one lexsort, one unique — producing
-        aggregates identical to (because computed the same way as) the
-        from-scratch reference; afterwards the structures are exactly
-        what op-by-op inserts would have built.
+        On a universe with no live point this takes a fully vectorized
+        path — one ``keys_of`` batch encode, one lexsort, one unique
+        (:meth:`_rebuild_cells`) — producing aggregates identical to
+        (because computed the same way as) the from-scratch reference;
+        afterwards the structures and the pids, which continue after
+        every pid ever issued, are exactly what op-by-op inserts would
+        have built.
         """
         pos = self.universe.validate_coords(positions)
         if pos.ndim != 2:
@@ -294,53 +296,17 @@ class DynamicUniverse:
             )
             return self._last_pids
         keys = self.ctx.curve.keys_of(pos, backend=self.ctx.backend)
-        m = len(pos)
-        self._grow(m)
-        self._pos[:m] = pos
-        self._keys[:m] = keys
-        self._alive[:m] = True
-        self._next_id = m
-        self._count = m
-
-        pids = np.arange(m, dtype=np.int64)
-        order = np.lexsort((pids, keys))
-        self._sorted = list(
-            zip(keys[order].tolist(), pids[order].tolist())
-        )
-
-        ranks = pos @ np.asarray(self._strides, dtype=np.int64)
-        cell_ranks, first, counts = np.unique(
-            ranks, return_index=True, return_counts=True
-        )
-        cell_keys = keys[first]
-        cell_pos = pos[first]
-        for rank, count, key, row in zip(
-            cell_ranks.tolist(),
-            counts.tolist(),
-            cell_keys.tolist(),
-            cell_pos.tolist(),
-        ):
-            self._occ[rank] = [count, key]
-            self._cell_coords[key] = tuple(row)
-        self._occ_keys = sorted(self._cell_coords)
-        self._dirty_buckets.update(
-            key // self._bucket_width for key in self._occ_keys
-        )
-
-        stretch = population_stretch(
-            self.ctx.curve,
-            pos,
-            backend=self.ctx.backend,
-            kernels=self.ctx.kernels,
-        )
-        self._stretch_sum = stretch.stretch_sum
-        self._edge_count = stretch.edge_count
-        part_idx = keys * self.parts // self.universe.n
-        loads = np.bincount(part_idx, minlength=self.parts)
-        self._loads = [int(v) for v in loads]
+        start, stop = self._next_id, self._next_id + len(pos)
+        self._grow(stop)
+        self._pos[start:stop] = pos
+        self._keys[start:stop] = keys
+        self._alive[start:stop] = True
+        self._next_id = stop
+        self._count = len(pos)
+        self._rebuild_cells(pos, keys)
         self._baseline_davg = self._davg()
-        self._last_pids = pids
-        return pids
+        self._last_pids = np.arange(start, stop, dtype=np.int64)
+        return self._last_pids
 
     def apply(self, moves: Sequence, *, _reselect: bool = True) -> DynamicMetrics:
         """Apply one batch of ops and return the updated metrics.
@@ -477,6 +443,47 @@ class DynamicUniverse:
         self._sorted = list(
             zip(keys[order].tolist(), live[order].tolist())
         )
+
+    def _rebuild_cells(self, pos: np.ndarray, keys: np.ndarray) -> None:
+        """Rebuild every cell structure and aggregate from scratch.
+
+        ``pos`` and ``keys`` are the live points' positions and curve
+        keys in pid order.  One ``unique`` over the cell ranks, one
+        population stretch pass and one ``bincount`` give the same
+        structures op-by-op inserts would have built.
+        """
+        self._occ.clear()
+        self._cell_coords.clear()
+        self._bucket_max.clear()
+        ranks = pos @ np.asarray(self._strides, dtype=np.int64)
+        cell_ranks, first, counts = np.unique(
+            ranks, return_index=True, return_counts=True
+        )
+        for rank, count, key, row in zip(
+            cell_ranks.tolist(),
+            counts.tolist(),
+            keys[first].tolist(),
+            pos[first].tolist(),
+        ):
+            self._occ[rank] = [count, key]
+            self._cell_coords[key] = tuple(row)
+        self._occ_keys = sorted(self._cell_coords)
+        self._dirty_buckets = {
+            key // self._bucket_width for key in self._occ_keys
+        }
+        stretch = population_stretch(
+            self.ctx.curve,
+            pos,
+            backend=self.ctx.backend,
+            kernels=self.ctx.kernels,
+        )
+        self._stretch_sum = stretch.stretch_sum
+        self._edge_count = stretch.edge_count
+        part_idx = keys * self.parts // self.universe.n
+        self._loads = [
+            int(v) for v in np.bincount(part_idx, minlength=self.parts)
+        ]
+        self._rebuild_sorted()
 
     # -- cell-level bookkeeping ----------------------------------------
     def _add_point(self, key: int, coords: Tuple[int, ...]) -> None:
@@ -719,37 +726,4 @@ class DynamicUniverse:
         pos = self._pos[live]
         keys = ctx.curve.keys_of(pos, backend=ctx.backend)
         self._keys[live] = keys
-        self._occ.clear()
-        self._cell_coords.clear()
-        self._occ_keys = []
-        self._bucket_max.clear()
-        self._dirty_buckets.clear()
-        self._stretch_sum = 0
-        self._edge_count = 0
-        self._loads = [0] * self.parts
-        ranks = pos @ np.asarray(self._strides, dtype=np.int64)
-        cell_ranks, first, counts = np.unique(
-            ranks, return_index=True, return_counts=True
-        )
-        for rank, count, key, row in zip(
-            cell_ranks.tolist(),
-            counts.tolist(),
-            keys[first].tolist(),
-            pos[first].tolist(),
-        ):
-            self._occ[rank] = [count, key]
-            self._cell_coords[key] = tuple(row)
-        self._occ_keys = sorted(self._cell_coords)
-        self._dirty_buckets.update(
-            key // self._bucket_width for key in self._occ_keys
-        )
-        stretch = population_stretch(
-            ctx.curve, pos, backend=ctx.backend, kernels=ctx.kernels
-        )
-        self._stretch_sum = stretch.stretch_sum
-        self._edge_count = stretch.edge_count
-        part_idx = keys * self.parts // self.universe.n
-        self._loads = [
-            int(v) for v in np.bincount(part_idx, minlength=self.parts)
-        ]
-        self._rebuild_sorted()
+        self._rebuild_cells(pos, keys)

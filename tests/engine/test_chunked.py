@@ -111,8 +111,9 @@ class TestMetricParity:
         assert chunked.dmax() == dense.dmax()
 
     def test_larger_universe_awkward_blocks(self):
-        # The pairwise-replicated D^avg mean is the one genuinely
-        # order-sensitive reduction; hammer it on a bigger grid.
+        # D^avg is one division of exact integer class totals, so any
+        # block partition must give the same bits; check awkward block
+        # sizes (partial planes, uneven tails) on a bigger grid.
         u = Universe(d=2, side=64)
         dense = MetricContext(ZCurve(u))
         for chunk in (13, 100, 1000, 4097):

@@ -79,6 +79,24 @@ class TestBulkLoad:
         assert pids.tolist() == [1, 2]
         assert dyn.metrics() == dyn.recompute()
 
+    def test_reload_after_deleting_all_never_reuses_pids(self):
+        """Once every point is deleted, the vectorized path continues
+        the pids exactly as inserts through ``apply`` do."""
+        first = np.array([[0, 0], [1, 1], [5, 2]])
+        second = np.array([[3, 3], [0, 0]])
+        bulk, applied = make_dynamic(), make_dynamic()
+        for dyn in (bulk, applied):
+            old = dyn.bulk_load(first)
+            dyn.apply([("delete", int(pid)) for pid in old])
+            assert len(dyn) == 0
+        pids = bulk.bulk_load(second)
+        applied.apply([("insert", tuple(row)) for row in second.tolist()])
+        assert pids.tolist() == applied.pids().tolist() == [3, 4]
+        assert bulk.metrics() == bulk.recompute()
+        assert bulk.metrics() == applied.metrics()
+        assert bulk.sorted_pids().tolist() == applied.sorted_pids().tolist()
+        assert np.array_equal(bulk.particle_ranks(), applied.particle_ranks())
+
     def test_full_occupancy_equals_context_mean(self):
         """With every cell occupied, the population D^avg is exactly
         the static engine's nn_distance_values mean."""

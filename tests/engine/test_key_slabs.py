@@ -24,6 +24,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.apps.partition import partition_quality
 from repro.curves.base import SpaceFillingCurve
 from repro.curves.hilbert import HilbertCurve
 from repro.curves.registry import make_curve
@@ -110,6 +111,35 @@ def test_cases_cover_every_spec_and_universe():
     assert {(d, side) for _, d, side in CASES} == set(UNIVERSES)
 
 
+def _assert_pair_walk_matches_diff(ctx, grid) -> None:
+    """The NN-pair walk's three consumers against ``np.diff`` oracles.
+
+    Each reference is built from the dense key grid one axis at a time,
+    independent of the slab walk: the NN distance values, the Lemma 5
+    groups (power-of-two sides) and the equal-count edge cut.
+    """
+    d, side, n = grid.ndim, grid.shape[0], grid.size
+    dists = [np.abs(np.diff(grid, axis=axis)) for axis in range(d)]
+    values = np.concatenate([dist.reshape(-1) for dist in dists])
+    assert np.array_equal(ctx.nn_distance_values(), values)
+    if side & (side - 1) == 0:
+        # group of the pair (i, i + 1): 1 + the trailing ones of i
+        group = np.array([(i ^ (i + 1)).bit_length() for i in range(side - 1)])
+        for axis, dist in enumerate(dists):
+            got = ctx.gij_decomposition(axis)
+            assert sorted(got) == list(range(1, side.bit_length()))
+            for j, (count, picked) in got.items():
+                want = np.compress(group == j, dist, axis=axis).reshape(-1)
+                assert count == want.size
+                assert np.array_equal(picked, want)
+    labels = (grid * 5) // n
+    cut = sum(
+        int(np.count_nonzero(np.diff(labels, axis=axis))) for axis in range(d)
+    )
+    edge_cut = partition_quality(ctx, 5).edge_cut
+    assert type(edge_cut) is int and edge_cut == cut
+
+
 class TestDerivedSlabParity:
     @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("flavor", FLAVORS)
@@ -126,6 +156,7 @@ class TestDerivedSlabParity:
         assert ctx.davg() == dense.davg()
         assert ctx.dmax() == dense.dmax()
         assert np.array_equal(ctx.lambda_sums(), dense.lambda_sums())
+        _assert_pair_walk_matches_diff(ctx, reference)
         # pooled slabs really were derived (axis permutation: one slab
         # only); a bare context has no base to derive from
         one_slab = len(ctx._slab_ranges()) == 1
