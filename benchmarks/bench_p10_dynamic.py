@@ -18,7 +18,8 @@ Acceptance: at k ≤ N/100 the incremental path wins by ≥ 5x, and the
 incrementally maintained metrics equal a full recompute — with ``==``,
 never approximately — after the stream.  The speedup is the median,
 over the batches, of the per-batch (recompute / incremental) time
-ratio, the two sides timed back to back in alternating order.  Both
+ratio, the two sides timed back to back in alternating order, each
+in CPU time of the process (``time.process_time``).  Both
 the parity flag and the workload shape (k, N) land in the benchmark
 JSON via ``extra_info``.
 """
@@ -141,16 +142,19 @@ def test_p10_incremental_vs_recompute(
         the side that runs first alternating from batch to batch."""
         inc_times, rec_times = [], []
 
+        # CPU time of this process, not wall time: a ~1 ms batch is
+        # shorter than a scheduler slice, so one preemption by another
+        # process would inflate a whole wall-clock sample.
         def incremental(moves):
-            start = time.perf_counter()
+            start = time.process_time()
             inc.apply(moves)
-            inc_times.append(time.perf_counter() - start)
+            inc_times.append(time.process_time() - start)
 
         def recompute(moves):
-            start = time.perf_counter()
+            start = time.process_time()
             ref.apply(moves)
             ref.recompute()
-            rec_times.append(time.perf_counter() - start)
+            rec_times.append(time.process_time() - start)
 
         for index, moves in enumerate(batches):
             sides = (incremental, recompute)

@@ -7,9 +7,10 @@ Section II stresses that clustering and stretch are **different** metrics
 — our A2 bench shows they rank curves differently.
 
 Functions accept a curve or a :class:`repro.engine.MetricContext`; box
-keys are read straight off the context's cached key grid (no per-query
-coordinate materialization or curve evaluation).  ``"clusters:box=4"``
-is also a registered sweep metric (:data:`repro.engine.METRICS`).
+keys are sliced straight off the context's cached key slabs (no
+per-query coordinate materialization or curve evaluation).
+``"clusters:box=4"`` is also a registered sweep metric
+(:data:`repro.engine.METRICS`).
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.analysis.sampling import sample_rectangles
 from repro.engine.context import get_context
-from repro.engine.threads import prepare_key_reads
 
 __all__ = [
     "box_bounds",
@@ -49,23 +50,34 @@ def box_bounds(
 
 
 def box_keys(ctx, lo: Sequence[int], hi: Sequence[int]) -> np.ndarray:
-    """Sorted curve keys of the box ``[lo, hi)``, off the cached key grid.
+    """Sorted curve keys of the box ``[lo, hi)``, off the key slabs.
 
     ``ctx`` is a :class:`repro.engine.MetricContext` (or anything
     :func:`get_context` accepts).  The shared primitive behind the
-    cluster count and the range-query index.  Chunked contexts evaluate
-    the curve on the box's cells directly (``O(volume)``, no dense
-    grid); the sorted keys are identical either way.
+    cluster count and the range-query index: the keys are sliced from
+    the canonical key slabs holding the box's axis-0 planes (a dense
+    context's one slab is its cached key grid).
     """
     ctx = get_context(ctx)
-    lo_arr, hi_arr = box_bounds(ctx.universe, lo, hi)
-    if ctx.chunked:
-        cells = rectangle_cells(ctx.universe, lo_arr, hi_arr)
-        return np.sort(
-            ctx.curve.keys_of(cells, backend=ctx.backend), axis=None
-        )
-    box = tuple(slice(int(a), int(b)) for a, b in zip(lo_arr, hi_arr))
-    return np.sort(ctx.key_grid()[box], axis=None)
+    views = box_views(ctx, *box_bounds(ctx.universe, lo, hi))
+    return np.sort(np.concatenate(views), axis=None)
+
+
+def box_views(ctx, lo: np.ndarray, hi: np.ndarray) -> list:
+    """Views of the validated box ``[lo, hi)`` in each canonical key
+    slab its axis-0 planes cross.  The sampling loops resolve them in
+    the calling thread and hand them to their tasks, so no cached slab
+    is built in a worker (see :func:`repro.engine.chunked.run_ranges`).
+    """
+    rest = tuple(slice(int(a), int(b)) for a, b in zip(lo[1:], hi[1:]))
+    views, plane = [], int(lo[0])
+    while plane < hi[0]:
+        start, stop = ctx._slab_span(plane)
+        top = min(stop, int(hi[0]))
+        slab = ctx._key_slab(start, stop)
+        views.append(slab[(slice(plane - start, top - start),) + rest])
+        plane = top
+    return views
 
 
 def rectangle_cells(
@@ -89,11 +101,12 @@ def cluster_count(
     This is Moon et al.'s clustering number: each run corresponds to one
     contiguous read when the data is laid out in curve order.
     """
-    keys = box_keys(curve, lo, hi)
-    if keys.size == 0:
-        return 0
-    breaks = int((np.diff(keys) > 1).sum())
-    return breaks + 1
+    return key_runs(box_keys(curve, lo, hi))
+
+
+def key_runs(keys: np.ndarray) -> int:
+    """Maximal consecutive runs in the sorted, non-empty ``keys``."""
+    return int((np.diff(keys) > 1).sum()) + 1
 
 
 def expected_clusters(
@@ -105,31 +118,30 @@ def expected_clusters(
     """Average cluster count over uniformly placed boxes of a fixed shape.
 
     Moon et al.'s quantity of interest for query workloads.  Placement is
-    uniform over all in-bounds positions.
+    uniform over all in-bounds positions (:func:`map_boxes`); the
+    integer count sum is order-free, so the average is bit-for-bit the
+    same at any thread count.
+    """
+    counts = map_boxes(curve, box_shape, n_samples, seed, key_runs)
+    return sum(counts) / n_samples
 
-    The per-box counts run on the context's
-    :class:`repro.engine.threads.BlockScheduler` (inline when the
-    context is serial).  The box placements are drawn up front in one
-    RNG order, and the integer count sum is order-free, so the average
-    is bit-for-bit the same at any thread count.
+
+def map_boxes(curve, box_shape, n_samples: int, seed: int, value):
+    """``value(box_keys)`` of ``n_samples`` seeded uniform boxes, in order.
+
+    The boxes are drawn up front in one RNG order
+    (:func:`repro.analysis.sampling.sample_rectangles`), and the values
+    run on the context's :class:`repro.engine.threads.BlockScheduler`
+    (inline when the context is serial).  Each box's key slabs are
+    resolved in the calling thread as its task is submitted.
     """
     ctx = get_context(curve)
-    universe = ctx.universe
-    shape = np.asarray(box_shape, dtype=np.int64)
-    if shape.shape != (universe.d,):
-        raise ValueError(f"box_shape must have {universe.d} entries")
-    if np.any(shape < 1) or np.any(shape > universe.side):
-        raise ValueError("box_shape must fit in the universe")
-    rng = np.random.default_rng(seed)
-    max_lo = universe.side - shape  # inclusive upper bound per axis
-    placements = [
-        np.array([rng.integers(0, m + 1) for m in max_lo], dtype=np.int64)
-        for _ in range(n_samples)
-    ]
-    tasks = [
-        (lambda lo=lo: cluster_count(ctx, lo, lo + shape))
-        for lo in placements
-    ]
-    prepare_key_reads(ctx)
-    total = sum(ctx.scheduler.imap(tasks))
-    return total / n_samples
+    boxes = sample_rectangles(
+        ctx.universe.side, ctx.universe.d, box_shape, n_samples, seed
+    )
+    return ctx.scheduler.imap(
+        lambda views=box_views(ctx, lo, hi): value(
+            np.sort(np.concatenate(views), axis=None)
+        )
+        for lo, hi in boxes
+    )

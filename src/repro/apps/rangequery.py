@@ -11,9 +11,9 @@ scan volume is the box volume (runs are exact covers, no over-read).
 Bench A5 compares curves under this model.
 
 The index is backed by a :class:`repro.engine.MetricContext` (a bare
-curve is coerced): box keys come from the cached key grid and run
-contents from the cached inverse permutation, so repeated queries do no
-curve evaluation at all.  ``"rangequery:box=4"`` is also a registered
+curve is coerced): box keys come from the cached key slabs and run
+contents from the cached order blocks, so repeated queries do no curve
+evaluation at all.  ``"rangequery:box=4"`` is also a registered
 sweep metric (:data:`repro.engine.METRICS`).
 """
 
@@ -24,10 +24,8 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.analysis.clustering import box_keys
+from repro.analysis.clustering import box_keys, key_runs, map_boxes
 from repro.engine.context import get_context
-from repro.engine.threads import prepare_key_reads
-from repro.grid.coords import rank_to_coords
 
 __all__ = ["SFCIndex", "QueryCost"]
 
@@ -86,27 +84,31 @@ class SFCIndex:
     ) -> np.ndarray:
         """Coordinates retrieved by the runs (sorted by key) — must equal
         the box contents; verified against the brute-force oracle in
-        tests."""
+        tests.  Read from the canonical order blocks holding the runs'
+        keys: a dense context's one block is the cached order."""
         runs = self.query_runs(lo, hi)
         keys = np.concatenate(
             [np.arange(a, b + 1, dtype=np.int64) for a, b in runs]
         )
-        if self._ctx.chunked:
-            # No dense inverse in chunked mode; invert the run's keys
-            # directly (O(cells read) for analytically invertible curves).
-            return self._ctx.curve.coords_of(keys, backend=self._ctx.backend)
-        ranks = self._ctx.inverse_permutation()[keys]
-        return rank_to_coords(ranks, self._ctx.universe)
+        parts, i = [], 0
+        while i < keys.size:
+            t0, t1 = self._ctx._order_span(int(keys[i]))
+            j = int(np.searchsorted(keys, t1))
+            parts.append(self._ctx._order_block(t0, t1)[keys[i:j] - t0])
+            i = j
+        return np.concatenate(parts)
 
     def query_cost(
         self, lo: Sequence[int], hi: Sequence[int]
     ) -> QueryCost:
         """I/O cost of the box query under the seek+scan model."""
-        runs = self.query_runs(lo, hi)
-        cells = sum(b - a + 1 for a, b in runs)
+        return self._cost(box_keys(self._ctx, lo, hi))
+
+    def _cost(self, keys: np.ndarray) -> QueryCost:
+        """The cost of reading the runs of the sorted box ``keys``."""
         return QueryCost(
-            runs=len(runs),
-            cells_read=cells,
+            runs=key_runs(keys),
+            cells_read=keys.size,
             seek_cost=self.seek_cost,
             scan_cost=self.scan_cost,
         )
@@ -119,24 +121,18 @@ class SFCIndex:
     ) -> float:
         """Mean total cost over uniformly placed boxes of a fixed shape.
 
-        The per-box costs are evaluated on the context's scheduler
-        (inline when the context is serial) and merged in submission
-        order, so the float accumulation performs the identical
-        addition sequence and the average is bit-for-bit the same at
-        any thread count.
+        The per-box costs (:func:`repro.analysis.clustering.map_boxes`)
+        are merged in submission order, so the float accumulation
+        performs the identical addition sequence and the average is
+        bit-for-bit the same at any thread count.
         """
-        from repro.analysis.sampling import sample_rectangles
-
-        universe = self._ctx.universe
-        boxes = sample_rectangles(
-            universe.side, universe.d, box_shape, n_samples, seed
-        )
-        tasks = [
-            (lambda lo=lo, hi=hi: self.query_cost(lo, hi).total)
-            for lo, hi in boxes
-        ]
-        prepare_key_reads(self._ctx)
         total = 0.0
-        for value in self._ctx.scheduler.imap(tasks):
+        for value in map_boxes(
+            self._ctx,
+            box_shape,
+            n_samples,
+            seed,
+            lambda keys: self._cost(keys).total,
+        ):
             total += value
         return total / n_samples

@@ -348,9 +348,9 @@ class PermutationCurve(SpaceFillingCurve):
         return self._key_grid_cache
 
     def _index_impl(self, coords: np.ndarray) -> np.ndarray:
-        flat = self._key_grid_cache.reshape(-1, order="F")
-        ranks = coords_to_rank(coords, self.universe)
-        return flat[ranks]
+        # Index the C-order table by coordinate: an F-order flattening
+        # of it would copy the whole table on every call.
+        return self._key_grid_cache[tuple(np.moveaxis(coords, -1, 0))]
 
     def _coords_impl(self, index: np.ndarray) -> np.ndarray:
         if self._decode_table is None:

@@ -18,7 +18,8 @@ one of two orders, each serving a different consumer:
   cut all read their pairs from it.
 * **position ranges** (curve order) — the unit of the window fold
   (:func:`window_max_reduction`): cells ``window`` apart on the curve,
-  decoded per block when chunked, order slices when dense.
+  read through ``MetricContext._order_block``, the order's
+  counterpart of ``_key_slab``.
 
 Both folds run their ranges through :func:`run_ranges`, inline when
 the context is serial and over its thread pool when it is threaded.
@@ -513,40 +514,36 @@ def check_window(ctx, window) -> int:
 
 
 def window_ranges(ctx, window: int) -> list:
-    """Ranges ``(t0, t1)`` of the ``n - window`` left curve positions:
-    ``chunk_cells`` steps when chunked, else :func:`_dense_step`."""
-    total = ctx.universe.n - window
-    step = _dense_step(ctx.threads, total)
-    return _spans(total, ctx.chunk_cells if ctx.chunked else step)
+    """Ranges ``(t0, t1)`` of the order partition that hold left
+    positions of ``window`` steps: the canonical order blocks, or
+    :func:`_dense_step` spans when the order is one block."""
+    n = ctx.universe.n
+    _, step = ctx._order_span(0)
+    step = _dense_step(ctx.threads, n) if step == n else step
+    return [span for span in _spans(n, step) if span[0] < n - window]
 
 
-def window_path(ctx) -> Optional[np.ndarray]:
-    """Resolve what the window ranges read, once, in the calling thread.
-
-    Dense: the order, returned so that every range slices this one
-    array (an order the budget does not retain would otherwise be
-    rebuilt per range).  Chunked: ``None``, after a one-key probe that
-    builds a table curve's lazy decode table before N workers race it.
+def window_pairs(ctx, t0: int, t1: int, window: int, block=None) -> list:
+    """The steps ``(t, t + window)`` leaving positions ``[t0, t1)``, as
+    up to two aligned ``(s0, s1, a, b)`` blocks: ``a`` holds the cells at
+    positions ``[s0, s1)``, ``b`` those ``window`` further on.  Steps
+    inside the order block ``[t0, t1)`` (``block``, when resolved) are
+    two slices of it; the rest pair its tail with an order read past it.
     """
-    if ctx.chunked:
-        ctx.curve.coords(np.zeros(1, dtype=np.int64))
-        return None
-    return ctx.order()
-
-
-def window_pairs(
-    ctx, t0: int, t1: int, window: int, path: Optional[np.ndarray]
-) -> tuple:
-    """Cells at curve positions ``[t0, t1)`` and ``[t0+window, t1+window)``:
-    zero-copy slices of ``path`` (the order, see :func:`window_path`)
-    when given, else ``coords_of`` blocks."""
-    if path is not None:
-        return path[t0:t1], path[t0 + window : t1 + window]
-    idx = np.arange(t0, t1, dtype=np.int64)
-    return (
-        ctx.curve.coords_of(idx, backend=ctx.backend),
-        ctx.curve.coords_of(idx + window, backend=ctx.backend),
-    )
+    if block is None:
+        block = ctx._order_block(t0, t1)
+    inner = max(0, t1 - t0 - window)
+    stop = min(t1, ctx.universe.n - window)
+    pairs = []
+    if inner:
+        pairs.append((t0, t0 + inner, block[:inner], block[window:]))
+    if t0 + inner < stop:
+        lo, hi = t0 + inner + window, stop + window
+        # This read may run in a worker: a whole block is not cached.
+        whole = ctx._order_span(lo) == (lo, hi)
+        tail = (ctx._order_values if whole else ctx._order_block)(lo, hi)
+        pairs.append((t0 + inner, stop, block[inner : stop - t0], tail))
+    return pairs
 
 
 def window_block_max(
@@ -592,13 +589,23 @@ def window_max_reduction(ctx, window: int, metric: str = "manhattan"):
     :func:`window_block_max` over the :func:`window_pairs` of each
     :func:`window_ranges` range, run by :func:`run_ranges` and merged
     with ``max`` — order-free, so the value is bit-for-bit the same in
-    every mode and on every backend.  ``window`` is already checked.
+    every mode and on every backend.  Each range's order block is
+    resolved in the calling thread, as the NN fold's key slabs are.
+    ``window`` is already checked.
     """
-    path = window_path(ctx)
+    # Lazy import: threads.py imports this module at its top level.
+    from repro.engine.threads import prepare_order_reads
 
-    def kernel(ctx, t0: int, t1: int, scratch, body=None):
-        a, b = window_pairs(ctx, t0, t1, window, path)
-        return window_block_max(a, b, metric, scratch, kernels=ctx.kernels)
+    def kernel(ctx, t0: int, t1: int, scratch, block=None):
+        return max(
+            window_block_max(a, b, metric, scratch, kernels=ctx.kernels)
+            for _, _, a, b in window_pairs(ctx, t0, t1, window, block)
+        )
 
-    best = max(run_ranges(ctx, window_ranges(ctx, window), kernel))
+    prepare_order_reads(ctx)
+    best = max(
+        run_ranges(
+            ctx, window_ranges(ctx, window), kernel, resolve=ctx._order_block
+        )
+    )
     return int(best) if metric == "manhattan" else float(best)

@@ -13,31 +13,35 @@ stretch) consumes the same handful of intermediates:
   curve (:func:`repro.engine.chunked.window_max_reduction`), memoized
   per ``(window, metric)`` as a scalar,
 * the per-cell sum / max grids, on request,
-* the **inverse permutation** (rank grid), the rank-ordered flat key
-  array and the **curve order** consumed by the analysis and
-  application layers — each an ``O(n)`` rearrangement of the key grid
-  (dense mode only).
+* the **curve order** ``π^{-1}``, the one position→cell artifact, and
+  the rank-ordered flat key array.
 
-Historically each free function in :mod:`repro.core.stretch` rebuilt
-these from scratch, so a full :func:`repro.core.summary.stretch_report`
-paid for the axis distance arrays four times over.  A
-:class:`MetricContext` materializes each intermediate **at most once**,
-holds it in a memory-bounded LRU store, and exposes every metric as a
-method that reuses the shared state.  The legacy free functions now
-delegate here through :func:`get_context`, so existing call sites get
-the caching for free.
+A :class:`MetricContext` materializes each intermediate **at most
+once**, holds it in a memory-bounded LRU store, and exposes every
+metric as a method that reuses the shared state; the free functions in
+:mod:`repro.core` delegate here through :func:`get_context`.
 
 Cached arrays are returned **read-only** (``writeable=False``): callers
 share the cache, so in-place mutation would silently corrupt every later
 metric.  Copy first if you need a scratch buffer.
 
+**Two block accessors.**  Every key read goes through
+:meth:`MetricContext._key_slab` (axis-0 plane ranges) and every read of
+cells in curve order through :meth:`MetricContext._order_block`
+(curve-position ranges).  Each caches the canonical blocks of its
+partition and slices or evaluates any other range
+(:meth:`~MetricContext._canonical_read`).  A dense context's partitions
+are one block each, cached as ``key_grid`` and ``order``.  The NN
+fold, the window fold, the cluster count and the range-query index
+read these blocks in every mode.
+
 **Chunked mode** (``chunk_cells=...``) serves universes whose dense
-``(side,)*d`` arrays would not fit the cache budget (or memory): the key
-grid is produced as axis-0 slabs of about ``chunk_cells`` cells
-(:meth:`MetricContext.iter_key_slabs`; curve steps stream through
-:meth:`~MetricContext.iter_window_pairs`), recently used slabs are kept
-in the same ``max_bytes`` LRU store, and every metric method reduces
-block-wise with values bit-for-bit equal to the dense path (see
+``(side,)*d`` arrays would not fit the cache budget (or memory): key
+slabs hold about ``chunk_cells`` cells and order blocks ``chunk_cells``
+positions (:meth:`MetricContext.iter_key_slabs`; curve steps stream
+through :meth:`~MetricContext.iter_window_pairs`), recently used blocks
+are kept in the same ``max_bytes`` LRU store, and every metric method
+reduces block-wise with values bit-for-bit equal to the dense path (see
 :mod:`repro.engine.chunked` for how that equality is engineered).
 Memory model: ``max_bytes`` bounds what is *retained*, ``chunk_cells``
 bounds what is *materialized at once*.  Methods that inherently return a
@@ -49,21 +53,17 @@ subclasses such as ``random`` or ``peano``) are already defined by a
 dense table and gain no memory over the dense mode.
 
 **One runner, two folds.**  Every NN metric reads one memoized result
-of :func:`repro.engine.chunked.nn_block_reduction`, which walks axis-0
-plane ranges with the self-contained range task
-:func:`~repro.engine.chunked._nn_range_kernel` — one native call, or
-:func:`~repro.engine.chunked.nn_planes` on NumPy (either reads its own
-boundary planes, so the per-cell state it leaves is final).  Every window
-dilation reads one memoized result of
-:func:`~repro.engine.chunked.window_max_reduction`, which walks
-curve-position ranges and merges block maxima.  The modes differ only
-in the ranges: a dense context folds as one range, a chunked one folds
-its block partition.  Both folds hand their ranges to
+of :func:`repro.engine.chunked.nn_block_reduction`, which runs the
+self-contained range task :func:`~repro.engine.chunked._nn_range_kernel`
+over axis-0 plane ranges.  Every window dilation reads one memoized
+result of :func:`~repro.engine.chunked.window_max_reduction`, which
+walks curve-position ranges and merges block maxima.  A dense context
+folds as one range, a chunked one folds its slab or order-block
+partition, and both folds hand their ranges to
 :func:`~repro.engine.chunked.run_ranges`, the one place that decides
-how ranges run.  The consumers that keep every pair's value — the NN
-distance values and the Lemma 5 groups — read the pairs from
-:func:`~repro.engine.chunked.nn_pair_blocks`, the one slab-wise
-NN-pair walk.
+how ranges run.  The NN distance values and the Lemma 5 groups read
+their pairs from :func:`~repro.engine.chunked.nn_pair_blocks`, the one
+slab-wise NN-pair walk.
 
 **Threaded mode** (``threads=N`` / ``threads="auto"``): ``run_ranges``
 submits the range tasks to a :class:`repro.engine.threads.BlockScheduler`
@@ -81,38 +81,20 @@ kernels return exact integers and the one division per scalar stays
 in Python, so every metric is bit-for-bit equal across
 ``{numpy, native}`` × ``{dense, chunked, threaded}``.
 
-**Shared mode** (process sweeps): a context wired to a
-:class:`repro.engine.shm.SharedGridStore` (via
-:class:`repro.engine.ContextPool`) resolves its key grid as a
-zero-copy read-only view of a parent-published shared-memory segment
-before computing it locally; resolutions are counted in
-:attr:`CacheStats.shared` and the view is retained outside the
-``max_bytes`` budget (its pages are mapped once machine-wide, not
-owned by this process).  Everything else derives from the grid.  See
-``docs/memory-model.md`` for the full retention / materialization /
-duplication picture.
-
-**Persistent store** (``store_dir=...`` / ``repro sweep --store``): a
-context wired to a :class:`repro.engine.store.GridStore` resolves its
-key grid as a read-only ``np.memmap`` view of a checksummed on-disk
-artifact — resolution order **shared → mmap → the curve's slab**,
-counted in :attr:`CacheStats.mmap` — and writes a freshly computed
-whole grid through, so a later process (a sweep rerun, a ``repro
-serve`` restart) starts warm from disk.  Key slabs are slices of the
-mapped ``key_grid`` in every mode, so a chunked context maps a grid
-that a dense run committed.  Only curves
+**Key-slab tiers.**  A canonical slab resolves cheapest first: the
+cache, a slice of a zero-copy view of the ``key_grid`` a process sweep
+published in shared memory (:class:`repro.engine.shm.SharedGridStore`,
+counted in :attr:`CacheStats.shared`), a slice of a read-only memmap
+of a checksummed :class:`repro.engine.store.GridStore` artifact
+(``store_dir=...``, counted in :attr:`CacheStats.mmap`), then the
+curve's own :meth:`~repro.curves.base.SpaceFillingCurve.key_slab`.
+Views are retained outside the ``max_bytes`` budget, and a computed
+whole grid is written through to the store, so a later process starts
+warm.  A transform curve in a :class:`repro.engine.ContextPool` reads
+its inner curve's slabs through the pooled base context (``_base``),
+counted in :attr:`CacheStats.derived`.  Only curves
 :func:`repro.engine.shm.reuse_key` keys are shared or stored.  See
-``docs/persistence.md``.
-
-**One key accessor.**  Every key read goes through
-:meth:`MetricContext._key_slab`; a dense context is the context whose
-slab partition is the one slab ``(0, side)``, cached as ``key_grid``.
-The context only picks the tier — cache, then a shared or mapped view,
-then the curve's own
-:meth:`~repro.curves.base.SpaceFillingCurve.key_slab`.  A transform
-curve in a :class:`repro.engine.ContextPool` reads its inner curve's
-slabs through the pooled base context (``_base``), and such slabs count
-under :attr:`CacheStats.derived`.
+``docs/memory-model.md`` and ``docs/persistence.md``.
 """
 
 from __future__ import annotations
@@ -131,7 +113,14 @@ from repro.core.allpairs import (
     average_allpairs_stretch_sampled,
 )
 from repro.core.lower_bounds import davg_lower_bound
-from repro.curves.base import SpaceFillingCurve, inverse_ranks
+from repro.curves.base import SpaceFillingCurve
+from repro.engine import chunked
+from repro.engine.threads import (
+    BlockScheduler,
+    ScratchBuffers,
+    prepare_order_reads,
+    resolve_threads,
+)
 from repro.grid.neighbors import axis_pair_index_arrays
 
 __all__ = [
@@ -409,6 +398,13 @@ class _BoundedStore:
             self._bytes = 0
 
 
+def _span(x: int, step: int, total: int) -> tuple:
+    """The range ``(lo, hi)`` of ``[0, total)`` cut into spans of
+    ``step`` that holds ``x``."""
+    lo = x - x % step
+    return lo, min(total, lo + step)
+
+
 class MetricContext:
     """Cached metric engine for one curve on its universe.
 
@@ -436,7 +432,6 @@ class MetricContext:
         store_dir: Optional[str] = None,
     ) -> None:
         from repro.engine import native
-        from repro.engine.threads import resolve_threads
 
         if chunk_cells is not None and chunk_cells < 1:
             raise ValueError(
@@ -561,8 +556,6 @@ class MetricContext:
         metrics of a cell.
         """
         if self._scheduler is None:
-            from repro.engine.threads import BlockScheduler
-
             self._scheduler = BlockScheduler(self.threads)
         return self._scheduler
 
@@ -612,32 +605,12 @@ class MetricContext:
     def order(self) -> np.ndarray:
         """Cells in curve order, ``(n, d)``: ``order()[j]`` is ``π^{-1}(j)``.
 
-        Scattered from the key grid, ``order[π(α)] = α``: an ``O(n)``
-        rearrangement, like :meth:`flat_keys`, instead of a decode of
-        every key.  The grid is read where it is resident; otherwise it
-        is resolved through the key-slab sources without being
-        retained, so a context that only walks the curve keeps only
-        the order.  Cached under the ``max_bytes`` budget.
+        The whole order block ``(0, n)`` (see :meth:`_order_block`):
+        scattered from the key grid, cached under the ``max_bytes``
+        budget.
         """
-        self._require_dense(
-            "order", "iter_window_pairs() or curve.coords on key blocks"
-        )
-
-        def compute() -> np.ndarray:
-            side, d = self.universe.side, self.universe.d
-            grid = self._store.peek("key_grid")
-            if grid is None:
-                grid = self._key_slab_values(0, side)
-            path = np.empty((self.universe.n, d), dtype=np.int64)
-            for axis in range(d):
-                shape = [1] * d
-                shape[axis] = side
-                path[:, axis][grid] = np.arange(
-                    side, dtype=np.int64
-                ).reshape(shape)
-            return path
-
-        return self._cached("order", compute)
+        self._require_dense("order", "iter_window_pairs()")
+        return self._order_block(0, self.universe.n)
 
     def flat_keys(self) -> np.ndarray:
         """Keys in cell-rank order: ``flat_keys()[rank(α)] = π(α)``.
@@ -649,20 +622,6 @@ class MetricContext:
         return self._cached(
             "flat_keys",
             lambda: self.key_grid().reshape(-1, order="F"),
-        )
-
-    def inverse_permutation(self) -> np.ndarray:
-        """The rank grid ``π^{-1}`` as ranks: ``inv[π(α)] = rank(α)``.
-
-        ``rank_to_coords(inv[keys], universe)`` recovers coordinates for
-        any key array — the cached inverse the range-query index and the
-        window metrics build on.
-        """
-        self._require_dense(
-            "inverse_permutation", "curve.coords_of on key ranges"
-        )
-        return self._cached(
-            "inverse_perm", lambda: inverse_ranks(self.flat_keys())
         )
 
     def axis_pair_curve_distances(self, axis: int) -> np.ndarray:
@@ -693,9 +652,7 @@ class MetricContext:
         dilation metrics (which run the window fold and keep no such
         array).
         """
-        from repro.engine.chunked import check_window
-
-        window = check_window(self, window)
+        window = chunked.check_window(self, window)
         if metric not in ("manhattan", "euclidean"):
             raise ValueError("metric must be 'manhattan' or 'euclidean'")
         self._require_dense(
@@ -726,11 +683,9 @@ class MetricContext:
         """
 
         def compute() -> np.ndarray:
-            from repro.engine.chunked import slab_neighbor_counts
-
             counts = np.empty(self.universe.shape, dtype=np.int64)
             for lo, hi in self._slab_ranges():
-                slab_neighbor_counts(
+                chunked.slab_neighbor_counts(
                     self.universe,
                     lo,
                     hi,
@@ -749,35 +704,34 @@ class MetricContext:
         """Planes per canonical slab, shared by :meth:`_slab_ranges` and
         :meth:`_slab_span`: the serial NN fold's range, so the partition
         arithmetic lives in :func:`repro.engine.chunked.fold_step`."""
-        from repro.engine.chunked import fold_step
-
-        return fold_step(self.universe, self.chunk_cells, 1)
+        return chunked.fold_step(self.universe, self.chunk_cells, 1)
 
     def _slab_ranges(self) -> list:
         """Axis-0 plane ranges ``(lo, hi)`` of the slab partition."""
-        side = self.universe.side
-        per_slab = self._slab_thickness()
-        return [
-            (lo, min(side, lo + per_slab))
-            for lo in range(0, side, per_slab)
-        ]
+        return chunked._spans(self.universe.side, self._slab_thickness())
 
     def _slab_span(self, x0: int) -> tuple:
-        """The canonical slab range ``(lo, hi)`` containing plane ``x0``.
+        """The canonical slab range ``(lo, hi)`` containing plane ``x0``."""
+        return _span(x0, self._slab_thickness(), self.universe.side)
 
-        Lets consumers address the LRU-cached slab a plane lives in
-        without scanning the range list.
-        """
-        side = self.universe.side
-        per_slab = self._slab_thickness()
-        lo = (x0 // per_slab) * per_slab
-        return lo, min(side, lo + per_slab)
+    def _order_span(self, t: int) -> tuple:
+        """The canonical order block ``(t0, t1)`` holding position ``t``:
+        the order is one block in a dense context and is cut into
+        ``chunk_cells`` positions in a chunked one."""
+        n = self.universe.n
+        return _span(t, min(n, self.chunk_cells) if self.chunked else n, n)
 
     def _slab_key(self, lo: int, hi: int) -> str:
         """Cache key of slab ``[lo, hi)``; the whole grid is ``key_grid``."""
         if (lo, hi) == (0, self.universe.side):
             return "key_grid"
         return f"key_slab[{lo}:{hi}]"
+
+    def _order_key(self, t0: int, t1: int) -> str:
+        """Cache key of order block ``[t0, t1)``; the whole is ``order``."""
+        if (t0, t1) == (0, self.universe.n):
+            return "order"
+        return f"order_block[{t0}:{t1}]"
 
     def _mapped_slab(
         self, tier: str, lo: int, hi: int
@@ -806,21 +760,51 @@ class MetricContext:
             lo, hi, self.backend, self._base._key_slab
         )
 
+    def _order_values(self, t0: int, t1: int) -> np.ndarray:
+        """Cells at curve positions ``[t0, t1)``, uncached: the whole
+        order is scattered from the key grid (``order[π(α)] = α``, read
+        where resident, else resolved without being retained); any other
+        block is ``curve.coords_of`` on its positions."""
+        side, d, n = self.universe.side, self.universe.d, self.universe.n
+        if (t0, t1) != (0, n):
+            positions = np.arange(t0, t1, dtype=np.int64)
+            return self.curve.coords_of(positions, backend=self.backend)
+        grid = self._store.peek("key_grid")
+        if grid is None:
+            grid = self._key_slab_values(0, side)
+        path = np.empty((n, d), dtype=np.int64)
+        for axis in range(d):
+            shape = [1] * d
+            shape[axis] = side
+            path[:, axis][grid] = np.arange(side).reshape(shape)
+        return path
+
+    def _canonical_read(self, lo, hi, span, key, values, cached):
+        """The range resolver of both block accessors: ``[lo, hi)``
+        equal to its canonical range ``span(lo)`` is ``cached()``; any
+        other range (a threaded fold's sub-range, a boundary plane, a
+        shifted order read) is a slice of the resident canonical block
+        holding it, found with a silent ``peek``, or else ``values(lo,
+        hi)`` uncached, so off-partition reads add no cache keys."""
+        span_lo, span_hi = span(lo)
+        if (lo, hi) == (span_lo, span_hi):
+            return cached()
+        block = self._store.peek(key(span_lo, span_hi))
+        if block is None or hi > span_hi:
+            return values(lo, hi)
+        return block[lo - span_lo : hi - span_lo]
+
     def _key_slab(self, lo: int, hi: int) -> np.ndarray:
         """Key-grid slab for ``x_0 ∈ [lo, hi)`` — the one key accessor.
 
-        A canonical range of the slab partition resolves cheapest-first
-        and is LRU-cached: cached slab, a slice of the shared-memory
-        ``key_grid``, a slice of the store's, the curve's slab (a
-        computed whole grid is written through to the store; one mapped
-        from a pooled base counts as derived and is not).  Any
-        other range — a threaded fold's sub-range, a boundary plane —
-        is a zero-copy slice of the resident canonical slab holding it,
-        found with a silent ``peek``, or else evaluated uncached, so
-        off-partition reads never add overlapping cache keys.
+        A canonical slab resolves cheapest-first and is LRU-cached:
+        cached slab, a slice of the shared-memory ``key_grid``, a slice
+        of the store's, the curve's slab (a computed whole grid is
+        written through to the store; one mapped from a pooled base
+        counts as derived and is not).
         """
-        span_lo, span_hi = self._slab_span(lo)
-        if (lo, hi) == (span_lo, span_hi):
+
+        def cached() -> np.ndarray:
             derived = self._base is not None and self.curve.derives_slab(
                 lo, hi
             )
@@ -833,11 +817,21 @@ class MetricContext:
                 mmap=lambda: self._mapped_slab("mmap", lo, hi),
                 persist=self._grid_sink if whole and not derived else None,
             )
-        if hi <= span_hi:
-            slab = self._store.peek(self._slab_key(span_lo, span_hi))
-            if slab is not None:
-                return slab[lo - span_lo : hi - span_lo]
-        return self._key_slab_values(lo, hi)
+
+        span, key = self._slab_span, self._slab_key
+        return self._canonical_read(
+            lo, hi, span, key, self._key_slab_values, cached
+        )
+
+    def _order_block(self, t0: int, t1: int) -> np.ndarray:
+        """Cells at curve positions ``[t0, t1)`` — the order's
+        counterpart of :meth:`_key_slab`: a canonical block is resolved
+        once and LRU-cached under the ``max_bytes`` budget."""
+        key, values = self._order_key(t0, t1), self._order_values
+        return self._canonical_read(
+            t0, t1, self._order_span, self._order_key, values,
+            lambda: self._cached(key, lambda: values(t0, t1)),
+        )
 
     def iter_key_slabs(self):
         """Yield ``(lo, hi, slab)``: the key grid for ``x_0 ∈ [lo, hi)``.
@@ -857,18 +851,17 @@ class MetricContext:
 
         ``a`` and ``b`` are the cells at curve positions ``[t0, t1)``
         and ``[t0 + window, t1 + window)`` — the pairs behind the
-        Gotsman–Lindenbaum window metrics, one block per window-fold
-        range; ``window`` is checked before the first block.  Blocks
-        are not cached (two shifted coordinate streams would double the
-        block footprint for a single-pass consumer).
+        Gotsman–Lindenbaum window metrics, in curve order, read from
+        the order blocks the window fold reads
+        (:func:`repro.engine.chunked.window_pairs`); ``window`` is
+        checked before the first block.
         """
-        from repro.engine import chunked
-
         window = chunked.check_window(self, window)
-        path = chunked.window_path(self)
+        prepare_order_reads(self)
         return (
-            (t0, t1) + chunked.window_pairs(self, t0, t1, window, path)
+            pair
             for t0, t1 in chunked.window_ranges(self, window)
+            for pair in chunked.window_pairs(self, t0, t1, window)
         )
 
     def _nn_stats(self) -> dict:
@@ -880,8 +873,6 @@ class MetricContext:
         :meth:`nn_mean` in every mode (dense, chunked, threaded) and
         on every backend.
         """
-        from repro.engine import chunked
-
         return self._scalar(("nn",), lambda: chunked.nn_block_reduction(self))
 
     # ------------------------------------------------------------------
@@ -902,16 +893,13 @@ class MetricContext:
         sums = self._store.peek("per_cell_sums")
         best = self._store.peek("per_cell_max")
         if sums is None or best is None:
-            from repro.engine.chunked import fold_ranges, nn_planes
-            from repro.engine.threads import ScratchBuffers
-
             shape = self.universe.shape
             computed_sums = np.empty(shape, dtype=np.int64)
             computed_best = np.empty(shape, dtype=np.int64)
             lambdas = [0] * self.universe.d
             scratch = ScratchBuffers()
-            for lo, hi in fold_ranges(self):
-                nn_planes(
+            for lo, hi in chunked.fold_ranges(self):
+                chunked.nn_planes(
                     self,
                     lo,
                     hi,
@@ -995,8 +983,6 @@ class MetricContext:
         flat offsets a ``concatenate`` of the per-axis arrays would
         give them.
         """
-        from repro.engine.chunked import nn_pair_blocks
-
         universe = self.universe
         d, side = universe.d, universe.side
         per_axis = (side - 1) * side ** (d - 1)
@@ -1014,7 +1000,7 @@ class MetricContext:
                     shape
                 )
             )
-        for axis, p, a, b in nn_pair_blocks(self):
+        for axis, p, a, b in chunked.nn_pair_blocks(self):
             out = parts[axis][p : p + len(a)]
             np.subtract(b, a, out=out)
             np.abs(out, out=out)
@@ -1096,8 +1082,6 @@ class MetricContext:
         equal in every mode and on every backend.  Returns 0 on the
         1-cell universe, where no step exists.
         """
-        from repro.engine import chunked
-
         if metric not in ("manhattan", "euclidean"):
             raise ValueError("metric must be 'manhattan' or 'euclidean'")
         if self.universe.n < 2:
@@ -1185,13 +1169,12 @@ class MetricContext:
         so its pairs are grouped by those planes' indices.
         """
         from repro.core.stretch import trailing_ones
-        from repro.engine.chunked import nn_pair_blocks
 
         side = self.universe.side
         k = self.universe.k  # requires power-of-two side, as in the paper
         groups = trailing_ones(np.arange(max(side - 1, 0), dtype=np.int64)) + 1
         parts: dict[int, list] = {j: [] for j in range(1, k + 1)}
-        for block_axis, p, a, b in nn_pair_blocks(self):
+        for block_axis, p, a, b in chunked.nn_pair_blocks(self):
             if block_axis != axis:
                 continue
             dist = np.abs(b - a)

@@ -52,6 +52,7 @@ __all__ = [
     "resolve_threads",
     "quiesce_schedulers",
     "prepare_key_reads",
+    "prepare_order_reads",
 ]
 
 #: Every live scheduler, so a process sweep can join their worker
@@ -251,24 +252,24 @@ class BlockScheduler:
 # Fan-out preparation
 # ----------------------------------------------------------------------
 def prepare_key_reads(ctx) -> None:
-    """Resolve the key state fanned-out workers share, before fan-out.
+    """Resolve the first canonical key slab before the NN fold fans out.
 
-    The NN fold and the sampling loops that run through the scheduler
-    (cluster counts, range-query costs) read key slabs — or, in
-    chunked mode, encode rectangle cells with ``curve.keys_of``
-    (:func:`repro.analysis.clustering.box_keys`).  The slabs
-    live in the context's LRU store, whose cold first touch must not
-    be raced by N workers (N redundant ``O(n)`` builds).  Resolving the
-    first canonical slab in the calling thread — in a dense context,
-    the whole grid — caches it once and makes the fanned-out tasks
-    pure readers.  A budget too small to keep that slab would drop it
-    at once and the fold would build it again, so then nothing is
-    resolved ahead and each task builds only its own range.
+    A dense context's threaded ranges slice its one slab, the key grid,
+    only when it is resident: caching it here keeps N workers from
+    building it N times.  A budget too small to keep the slab resolves
+    nothing ahead, and each range builds its own keys.
     """
     lo, hi = ctx._slab_ranges()[0]
     side, d = ctx.universe.side, ctx.universe.d
     if ctx._store.retains(8 * (hi - lo) * side ** (d - 1)):
         ctx._key_slab(lo, hi)
+
+
+def prepare_order_reads(ctx) -> None:
+    """:func:`prepare_key_reads` for the window fold's order blocks."""
+    t0, t1 = ctx._order_span(0)
+    if ctx._store.retains(8 * ctx.universe.d * (t1 - t0)):
+        ctx._order_block(t0, t1)
 
 
 #: The NN fold is :func:`repro.engine.chunked.nn_block_reduction` in

@@ -103,7 +103,7 @@ class TestContextAcceptance:
         via_ctx = SFCIndex(get_context(curve)).query_runs((1, 2), (5, 7))
         assert via_curve == via_ctx
 
-    def test_queries_reuse_cached_inverse(self, u2_8):
+    def test_queries_reuse_cached_order(self, u2_8):
         from repro.engine.context import MetricContext
         from repro.curves.zcurve import ZCurve
 
@@ -111,7 +111,7 @@ class TestContextAcceptance:
         index = SFCIndex(ctx)
         index.query_cells((0, 0), (3, 3))
         index.query_cells((2, 2), (6, 6))
-        assert ctx.stats.compute_count("inverse_perm") == 1
+        assert ctx.stats.compute_count("order") == 1
         assert ctx.stats.compute_count("key_grid") == 1
 
 

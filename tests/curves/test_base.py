@@ -7,6 +7,7 @@ from repro import Universe
 from repro.curves.base import PermutationCurve, check_bijection
 from repro.curves.simple import SimpleCurve
 from repro.curves.zcurve import ZCurve
+from repro.engine import native
 
 
 class TestCheckBijection:
@@ -97,6 +98,41 @@ class TestPermutationCurve:
         z = ZCurve(u2_8)
         clone = PermutationCurve(u2_8, key_grid=z.key_grid().copy())
         assert np.array_equal(clone.order(), z.order())
+
+    @pytest.mark.parametrize(
+        "backend",
+        [
+            "numpy",
+            pytest.param(
+                "native",
+                marks=pytest.mark.skipif(
+                    not native.available(), reason="native backend unavailable"
+                ),
+            ),
+        ],
+    )
+    def test_few_point_encode_reads_the_table_in_place(self, backend):
+        """Encoding a few points indexes the C-order table: no O(n)
+        flattening of it per call."""
+        import tracemalloc
+
+        u = Universe(d=2, side=512)
+        rng = np.random.default_rng(5)
+        curve = PermutationCurve(
+            u, key_grid=rng.permutation(u.n).reshape(u.shape)
+        )
+        coords = np.array([[0, 0], [511, 3], [7, 511], [200, 100]])
+        expected = curve.key_grid()[tuple(coords.T)]
+        tracemalloc.start()
+        try:
+            keys = curve.keys_of(coords, backend=backend)
+            points = curve.index(coords[:, None, :])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(keys, expected)
+        assert np.array_equal(points, expected[:, None])
+        assert peak < curve.key_grid().nbytes // 16, peak
 
     def test_rejects_both_arguments(self):
         u = Universe(d=2, side=2)

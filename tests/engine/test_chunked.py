@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from repro import Universe
-from repro.curves.base import inverse_ranks
 from repro.curves.random_curve import RandomCurve
 from repro.curves.snake import SnakeCurve
 from repro.curves.transforms import ReversedCurve
@@ -211,7 +210,6 @@ class TestDenseOnlyGuards:
         for method, hint in (
             (ctx.key_grid, "iter_key_slabs"),
             (ctx.flat_keys, "iter_key_slabs"),
-            (ctx.inverse_permutation, "coords_of"),
         ):
             with pytest.raises(ValueError, match=hint):
                 method()
@@ -294,14 +292,9 @@ class TestChunkedPool:
         )
         assert slab_computes == 0  # every slab came from the base cache
         slabs = [slab for _, _, slab in ctx.iter_key_slabs()]
-        assert np.array_equal(
-            inverse_ranks(np.concatenate(slabs)),
-            reference.inverse_permutation(),
-        )
+        assert np.array_equal(np.concatenate(slabs), reference.key_grid())
         dense = ContextPool().get(ReversedCurve(inner))
-        assert np.array_equal(
-            dense.inverse_permutation(), reference.inverse_permutation()
-        )
+        assert np.array_equal(dense.order(), reference.order())
 
     def test_pool_threads_chunk_cells(self, u2_8):
         pool = ContextPool(chunk_cells=8)

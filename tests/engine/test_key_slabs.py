@@ -16,15 +16,23 @@ collapse must keep and what it changes:
   store: it writes nothing itself, and maps every slab once the grid
   is there;
 * a one-slab chunked context caches the whole grid as ``key_grid``
-  and its threaded fold reads sub-ranges of it without adding keys.
+  and its threaded fold reads sub-ranges of it without adding keys;
+* the order blocks (``MetricContext._order_block``) behind the window
+  fold and the range-query index, and the key slabs behind box
+  sampling, give the dense values in every flavor, and a threaded
+  chunked context builds none of its cached blocks in a worker thread.
 """
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 import pytest
 
+from repro.analysis.clustering import expected_clusters
 from repro.apps.partition import partition_quality
+from repro.apps.rangequery import SFCIndex
 from repro.curves.base import SpaceFillingCurve
 from repro.curves.hilbert import HilbertCurve
 from repro.curves.registry import make_curve
@@ -140,6 +148,40 @@ def _assert_pair_walk_matches_diff(ctx, grid) -> None:
     assert type(edge_cut) is int and edge_cut == cut
 
 
+def _assert_order_readers_match_dense(ctx, grid, dense) -> None:
+    """The order-block and box readers against the dense oracles.
+
+    The window pairs against slices of the order scattered from the
+    reference key grid; the window dilation, cluster count and range
+    queries against a dense NumPy context.  Windows 1, 3 and 10 span
+    in-block steps, steps crossing a block boundary and steps longer
+    than a block.
+    """
+    d, n = grid.ndim, grid.size
+    order = np.empty((n, d), dtype=np.int64)
+    order[grid.reshape(-1)] = np.indices(grid.shape).reshape(d, -1).T
+    for window in (1, 3, 10):
+        _, _, a, b = zip(*ctx.iter_window_pairs(window))
+        assert np.array_equal(np.concatenate(a), order[:-window])
+        assert np.array_equal(np.concatenate(b), order[window:])
+        for metric in ("manhattan", "euclidean"):
+            got = ctx.window_dilation(window, metric)
+            assert got == dense.window_dilation(window, metric)
+            assert type(got) is type(dense.window_dilation(window, metric))
+    for shape in ((1,) * d, (2,) * d, (3,) + (2,) * (d - 1)):
+        assert expected_clusters(ctx, shape, 20, seed=1) == expected_clusters(
+            dense, shape, 20, seed=1
+        )
+        assert SFCIndex(ctx).average_query_cost(
+            shape, 20, seed=2
+        ) == SFCIndex(dense).average_query_cost(shape, 20, seed=2)
+    side = grid.shape[0]
+    boxes = [((0,) * d, (side,) * d), ((1,) * d, (side - 2,) + (3,) * (d - 1))]
+    for lo, hi in boxes:
+        got = SFCIndex(ctx).query_cells(lo, hi)
+        assert np.array_equal(got, SFCIndex(dense).query_cells(lo, hi))
+
+
 class TestDerivedSlabParity:
     @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("flavor", FLAVORS)
@@ -157,6 +199,7 @@ class TestDerivedSlabParity:
         assert ctx.dmax() == dense.dmax()
         assert np.array_equal(ctx.lambda_sums(), dense.lambda_sums())
         _assert_pair_walk_matches_diff(ctx, reference)
+        _assert_order_readers_match_dense(ctx, reference, dense)
         # pooled slabs really were derived (axis permutation: one slab
         # only); a bare context has no base to derive from
         one_slab = len(ctx._slab_ranges()) == 1
@@ -294,3 +337,49 @@ class TestOneSlabChunked:
         plane = ctx._key_slab(3, 4)  # slab (2, 4) is not resident
         assert np.array_equal(plane, HilbertCurve(u2_8).key_grid()[3:4])
         assert ctx.stats.misses == 0 and ctx.cache_bytes == 0
+
+
+class TestFanOutResolution:
+    """A threaded chunked context resolves every cached key slab and
+    order block in the calling thread: built in a worker, a cached
+    block would sit in that thread's malloc arena."""
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize(
+        "chunk_cells,windows", [(512, (16, 512)), (1000, (100, 1500))]
+    )
+    def test_no_cached_block_is_built_in_a_worker(
+        self, chunk_cells, windows, backend, monkeypatch
+    ):
+        universe = Universe(d=2, side=64)
+        ctx = MetricContext(
+            HilbertCurve(universe),
+            chunk_cells=chunk_cells,
+            threads=2,
+            backend=backend,
+        )
+        built = []
+        resolve = ctx._store.get_or_compute
+
+        def spy(key, compute, **tiers):
+            def traced():
+                built.append((key, threading.current_thread().name))
+                return compute()
+
+            return resolve(key, traced, **tiers)
+
+        monkeypatch.setattr(ctx._store, "get_or_compute", spy)
+        dense = MetricContext(HilbertCurve(universe), backend="numpy")
+        for window in windows:
+            assert ctx.window_dilation(window) == dense.window_dilation(window)
+        for shape in ((4, 4), (40, 3)):
+            assert expected_clusters(ctx, shape, 50) == expected_clusters(
+                dense, shape, 50
+            )
+            assert SFCIndex(ctx).average_query_cost(shape, 50) == SFCIndex(
+                dense
+            ).average_query_cost(shape, 50)
+        main = threading.main_thread().name
+        assert {name for _, name in built} == {main}, built
+        kinds = {key.split("[")[0] for key, _ in built}
+        assert {"order_block", "key_slab"} <= kinds

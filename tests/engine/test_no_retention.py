@@ -1,7 +1,7 @@
 """Contexts are the only retainers of grids, orders and inverses.
 
 A curve is a stateless mapping: every ``O(n)`` array a metric needs
-(key grid, order, inverse permutation) is an intermediate of the
+(key grid, order) is an intermediate of the
 :class:`repro.engine.MetricContext` that folds it, held in its
 budgeted LRU store or not at all.  The one exception is a
 :class:`repro.curves.base.PermutationCurve`, whose table *is* the curve
@@ -66,7 +66,7 @@ def _run_everything(ctx) -> None:
     ctx.window_dilation(3)
     if not ctx.chunked:
         ctx.flat_keys()
-        ctx.inverse_permutation()
+        ctx.order()
         ctx.per_cell_avg_stretch()
     lo, hi = (5, 9), (37, 20)
     cluster_count(ctx, lo, hi)

@@ -381,16 +381,9 @@ class TestSharedSweep:
             np.testing.assert_array_equal(
                 ctx.flat_keys(), source.flat_keys()
             )
-            np.testing.assert_array_equal(
-                ctx.inverse_permutation(), source.inverse_permutation()
-            )
             np.testing.assert_array_equal(ctx.order(), source.order())
             assert ctx.stats.shared == {"key_grid": 1}
-            assert ctx.stats.computes == {
-                "flat_keys": 1,
-                "inverse_perm": 1,
-                "order": 1,
-            }
+            assert ctx.stats.computes == {"flat_keys": 1, "order": 1}
         finally:
             store.unlink()
 
@@ -450,7 +443,7 @@ def _worker_arrays(spec: str, d: int, side: int):
         shared_store=sweep._WORKER_SHARED_STORE, backend="numpy"
     )
     ctx = pool.get(CurveSpec.parse(spec).make(Universe(d=d, side=side)))
-    arrays = (ctx.flat_keys(), ctx.inverse_permutation(), ctx.order())
+    arrays = (ctx.flat_keys(), ctx.order())
     return arrays, pool.stats
 
 
@@ -584,11 +577,7 @@ class TestKeyGridOnly:
             store.unlink()
         for spec, (arrays, stats) in zip(self.SPECS, outcomes):
             serial = MetricContext(CurveSpec.parse(spec).make(u2_8))
-            expected = (
-                serial.flat_keys(),
-                serial.inverse_permutation(),
-                serial.order(),
-            )
+            expected = (serial.flat_keys(), serial.order())
             for got, want in zip(arrays, expected):
                 assert got.dtype == want.dtype
                 assert np.array_equal(got, want), spec

@@ -102,10 +102,9 @@ class TestContextWiring:
         ctx.davg()
         ctx.order()
         ctx.flat_keys()
-        ctx.inverse_permutation()
-        # The key grid is the one stored kind: flat keys, inverse and
-        # order are rearrangements of it, and neighbor counts are
-        # per-range scratch.
+        # The key grid is the one stored kind: flat keys and order are
+        # rearrangements of it, and neighbor counts are per-range
+        # scratch.
         assert [e["kind"] for e in store.entries()] == ["key_grid"]
         assert store.contains(shared_key(curve), "key_grid")
         assert ctx.stats.total_mmap == 0  # nothing to map on a cold run
@@ -247,7 +246,6 @@ def _touch_every_kind(ctx) -> None:
     ctx.davg()
     ctx.order()
     ctx.flat_keys()
-    ctx.inverse_permutation()
 
 
 @requires_native
