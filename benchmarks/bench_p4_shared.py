@@ -51,8 +51,9 @@ from conftest import cache_stats_payload
 UNIVERSE = Universe.power_of_two(d=2, k=9)
 
 #: Two expensive bases and their stretch-invariant transform family;
-#: private workers evaluate each variant's grid from scratch, while the
-#: shared parent derives the ten transforms from the two base grids.
+#: unshared workers build a base grid again for every variant's cell,
+#: while the shared parent derives the ten transforms from the two base
+#: grids.
 CURVES = tuple(
     spec
     for base in ("hilbert", "gray")

@@ -78,15 +78,14 @@ def run_sweep(request):
             **kwargs,
         )
         result = sweep.run()
-        if result.cache_stats is not None:
-            try:
-                bench = request.getfixturevalue("benchmark")
-            except Exception:
-                bench = None
-            if bench is not None:
-                bench.extra_info["engine_cache"] = cache_stats_payload(
-                    result.cache_stats
-                )
+        try:
+            bench = request.getfixturevalue("benchmark")
+        except Exception:
+            bench = None
+        if bench is not None:
+            bench.extra_info["engine_cache"] = cache_stats_payload(
+                result.cache_stats
+            )
         return result
 
     return run

@@ -9,8 +9,8 @@ Public API highlights
   :mod:`repro.curves`).
 * Metrics: :class:`repro.MetricContext` — one cached compute core per
   (curve, universe) exposing ``D^avg``, ``D^max``, ``Λ_i`` sums, per-cell
-  grids, all-pairs stretch, the inverse permutation and windowed
-  curve-shift arrays over shared intermediates.  Every function in
+  grids, all-pairs stretch, the curve order and windowed curve-shift
+  arrays over shared intermediates.  Every function in
   :mod:`repro.analysis` and :mod:`repro.apps` accepts a curve *or* a
   context, and the classic free functions
   (:func:`repro.average_average_nn_stretch`, …) remain as thin wrappers.

@@ -140,8 +140,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--processes",
         type=int,
         default=None,
-        help="fan cells out over N worker processes (grids are shared "
-        "through shared memory unless --no-shared is given)",
+        help="fan cells out over N worker processes, one ContextPool "
+        "per cell (shared memory carries the grids unless --no-shared "
+        "is given)",
     )
 
     def threads_spec(text: str):
@@ -178,8 +179,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-shared",
         dest="shared",
         action="store_false",
-        help="disable the shared-memory grid store; every worker "
-        "rebuilds its key grids privately",
+        help="disable the shared-memory grid store of process sweeps; "
+        "every worker builds its cells' key grids itself",
     )
     p_sweep.add_argument(
         "--strict",
@@ -194,7 +195,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument(
         "--no-pool",
         action="store_true",
-        help="disable the shared ContextPool (per-cell contexts)",
+        help="scope a serial sweep's ContextPool to each cell instead "
+        "of each universe (process workers always use one per cell)",
     )
     p_sweep.add_argument(
         "--chunk-cells",
@@ -225,8 +227,8 @@ def build_parser() -> argparse.ArgumentParser:
         description=(
             "Long-lived sweep service: POST /sweep accepts the repro "
             "sweep grammar and returns JSON records bit-for-bit "
-            "identical to the CLI; the server keeps one ContextPool "
-            "and shared-memory grid store alive across requests, "
+            "identical to the CLI; the server keeps its ContextPools "
+            "(with the warm-started hot set) alive across requests, "
             "dedups concurrent identical cells and micro-batches "
             "bursts.  GET /stats exposes engine cache counters, "
             "GET /healthz liveness.  See docs/serving.md."
@@ -543,19 +545,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     metrics = tuple(args.metrics)
     if args.allpairs:
         metrics += ("allpairs_manhattan", "allpairs_euclidean")
-    shared = "auto" if args.shared is None else args.shared
-    # A --no-shared process sweep cannot pool; the CLI user made no
-    # pooling choice to warn about, so opt out explicitly instead of
-    # surfacing the API-level RuntimeWarning (whose remedy names a
-    # Python kwarg).  With the shared store active, worker contexts do
-    # resolve through shared state, so pooling stays on.
-    pooled = not args.no_pool
-    if (
-        args.processes is not None
-        and args.processes > 1
-        and shared is False
-    ):
-        pooled = False
     result = Sweep(
         dims=args.dims,
         sides=args.sides,
@@ -564,9 +553,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         reports=False,
         processes=args.processes,
         strict=args.strict,
-        pooled=pooled,
+        pooled=not args.no_pool,
         chunk_cells=args.chunk_cells,
-        shared=shared,
+        shared="auto" if args.shared is None else args.shared,
         threads=args.threads,
         backend=args.backend,
         store_dir=args.store,
@@ -582,18 +571,13 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             )
     if args.stats:
         print()
-        if result.cache_stats is None:
-            print("engine cache: unavailable (process-pool sweep)")
-        else:
-            print(f"engine cache: {result.cache_stats!r}")
-            if result.cache_stats.backends:
-                served = ", ".join(
-                    f"{name}={count}"
-                    for name, count in sorted(
-                        result.cache_stats.backends.items()
-                    )
-                )
-                print(f"cells by backend: {served}")
+        print(f"engine cache: {result.cache_stats!r}")
+        if result.cache_stats.backends:
+            served = ", ".join(
+                f"{name}={count}"
+                for name, count in sorted(result.cache_stats.backends.items())
+            )
+            print(f"cells by backend: {served}")
     return 0
 
 

@@ -2,8 +2,8 @@
 
 * :mod:`repro.engine.context` — :class:`MetricContext`, one memory-bounded
   cached compute core per (curve, universe); every stretch metric as a
-  method over shared intermediates, plus the inverse-permutation /
-  flat-key / windowed-shift arrays the analysis and app layers consume.
+  method over shared intermediates, plus the curve-order / flat-key /
+  windowed-shift arrays the analysis and app layers consume.
   ``chunk_cells=...`` switches the context into **chunked mode**: state
   is produced as iterators of fixed-size blocks (LRU-cached under the
   same ``max_bytes`` budget) and every metric reduces block-wise with

@@ -55,6 +55,7 @@ __all__ = [
     "fold_step",
     "fold_ranges",
     "check_fold_envelope",
+    "nn_reads",
     "nn_planes",
     "run_ranges",
     "nn_block_reduction",
@@ -253,7 +254,7 @@ def nn_pair_blocks(ctx, of=None) -> Iterator[tuple]:
     and upper endpoint keys of the pairs along ``axis`` in the block,
     and ``p`` is the first axis-0 plane of ``a``.  Each slab yields the
     axis-0 pair crossing into it first (``a`` is the plane below, read
-    through ``ctx._key_slab(lo - 1, lo)`` as :func:`nn_planes` reads
+    through ``ctx._key_slab(lo - 1, lo)`` as :func:`nn_reads` reads
     it, so no carry crosses slabs), then its interior axis-0 pairs,
     then its pairs along each axis >= 1.  So the blocks of one axis
     come in the C order of their lower endpoints.  ``of``, when given,
@@ -344,6 +345,25 @@ def check_fold_envelope(
         )
 
 
+def nn_reads(ctx, lo: int, hi: int) -> tuple:
+    """The key reads of the NN fold range ``[lo, hi)``: ``(body, below,
+    above)``, the range's planes and the boundary planes ``lo - 1`` and
+    ``hi`` (``None`` past the grid's edge).
+
+    The one read behind :func:`nn_planes` and :func:`_nn_range_kernel`.
+    The NN fold resolves it in the calling thread (see
+    :func:`run_ranges`): a boundary plane of a one-plane slab partition
+    is itself a canonical slab, and read in a worker it would be built
+    and cached there.
+    """
+    side = ctx.universe.side
+    return (
+        ctx._key_slab(lo, hi),
+        ctx._key_slab(lo - 1, lo) if lo > 0 else None,
+        ctx._key_slab(hi, hi + 1) if hi < side else None,
+    )
+
+
 def nn_planes(
     ctx,
     lo: int,
@@ -352,71 +372,66 @@ def nn_planes(
     best: np.ndarray,
     lambdas: list,
     scratch,
-    body=None,
+    reads=None,
 ) -> None:
     """Final per-cell NN sums and maxima of the planes ``x_0 ∈ [lo, hi)``.
 
     Self-contained: besides its own key planes the kernel reads the
-    boundary planes ``lo - 1`` and ``hi`` itself, so the ``sums`` and
-    ``best`` it writes (int64 arrays of the range's shape, overwritten)
-    are final — no carry crosses ranges, and ranges can run in any
-    order or concurrently.  The range's ``Λ`` partials are added to
-    ``lambdas``: the axis-0 boundary pair ``(lo-1, lo)`` counts here,
-    the pair ``(hi-1, hi)`` only updates per-cell state and is counted
-    by the next range.  All updates are integer sums and maxima, so
-    any range partition gives the same grids and totals.  ``body``,
-    when given, is the range's key slab, already resolved.
+    boundary planes ``lo - 1`` and ``hi`` itself (:func:`nn_reads`), so
+    the ``sums`` and ``best`` it writes (int64 arrays of the range's
+    shape, overwritten) are final — no carry crosses ranges, and ranges
+    can run in any order or concurrently.  The range's ``Λ`` partials
+    are added to ``lambdas``: the axis-0 boundary pair ``(lo-1, lo)``
+    counts here, the pair ``(hi-1, hi)`` only updates per-cell state and
+    is counted by the next range.  All updates are integer sums and
+    maxima, so any range partition gives the same grids and totals.
+    ``reads``, when given, is the range's :func:`nn_reads`, already
+    resolved.
     """
-    side = ctx.universe.side
-    if body is None:
-        body = ctx._key_slab(lo, hi)
+    body, below, above = nn_reads(ctx, lo, hi) if reads is None else reads
     sums[...] = 0
     best[...] = 0
     accumulate_block_pairs(
         body, ctx.universe, sums, best, lambdas, scratch, kernels=ctx.kernels
     )
     plane_shape = (1,) + body.shape[1:]
-    if lo > 0:
+    if below is not None:
         bdist = scratch.take("nn_bdist", plane_shape, np.int64)
-        np.subtract(body[:1], ctx._key_slab(lo - 1, lo), out=bdist)
+        np.subtract(body[:1], below, out=bdist)
         np.abs(bdist, out=bdist)
         lambdas[0] += int(bdist.sum())
         sums[:1] += bdist
         np.maximum(best[:1], bdist, out=best[:1])
-    if hi < side:
+    if above is not None:
         udist = scratch.take("nn_bdist", plane_shape, np.int64)
-        np.subtract(ctx._key_slab(hi, hi + 1), body[-1:], out=udist)
+        np.subtract(above, body[-1:], out=udist)
         np.abs(udist, out=udist)
         sums[-1:] += udist
         np.maximum(best[-1:], udist, out=best[-1:])
 
 
-def _nn_range_kernel(ctx, lo: int, hi: int, scratch, body=None):
+def _nn_range_kernel(ctx, lo: int, hi: int, scratch, reads=None):
     """One fold task: ``(class totals, Λ partials, Σ per-cell max)``.
 
     ``totals[c - d]`` is the sum of the stretch sums ``S(α)`` over the
     range's cells with ``c`` neighbours (``d ≤ c ≤ 2d``); every value
-    is an int.  With native kernels the whole range is one C call
-    (``NativeKernels.nn_range``): it reads the range's planes and the
-    boundary planes ``lo - 1`` and ``hi`` — read here exactly as
-    :func:`nn_planes` reads them — and takes no scratch.  The NumPy
-    reference runs :func:`nn_planes` into scratch grids and sums each
-    neighbour-count class of them, the counts and the class mask
-    computed into scratch as well.
+    is an int.  ``reads`` is the range's :func:`nn_reads` (resolved
+    here when not given).  With native kernels the whole range is one C
+    call (``NativeKernels.nn_range``) over those planes, and takes no
+    scratch.  The NumPy reference runs :func:`nn_planes` into scratch
+    grids and sums each neighbour-count class of them, the counts and
+    the class mask computed into scratch as well.
     """
     d, side = ctx.universe.d, ctx.universe.side
-    kernels = ctx.kernels
-    if kernels is not None:
-        if body is None:
-            body = ctx._key_slab(lo, hi)
-        below = ctx._key_slab(lo - 1, lo) if lo > 0 else None
-        above = ctx._key_slab(hi, hi + 1) if hi < side else None
-        return kernels.nn_range(body, below, above, side, d)
+    if reads is None:
+        reads = nn_reads(ctx, lo, hi)
+    if ctx.kernels is not None:
+        return ctx.kernels.nn_range(*reads, side, d)
     shape = (hi - lo,) + (side,) * (d - 1)
     sums = scratch.take("nn_sums", shape, np.int64)
     best = scratch.take("nn_best", shape, np.int64)
     lambdas = [0] * d
-    nn_planes(ctx, lo, hi, sums, best, lambdas, scratch, body)
+    nn_planes(ctx, lo, hi, sums, best, lambdas, scratch, reads)
     counts = slab_neighbor_counts(
         ctx.universe, lo, hi, out=scratch.take("nn_counts", shape, np.int64)
     )
@@ -429,33 +444,33 @@ def _nn_range_kernel(ctx, lo: int, hi: int, scratch, body=None):
 
 
 def run_ranges(ctx, ranges, kernel, resolve=None) -> Iterator:
-    """Results of ``kernel(ctx, lo, hi, scratch, body)`` per range, in order.
+    """Results of ``kernel(ctx, lo, hi, scratch, reads)`` per range, in order.
 
     The one place that decides how a fold's ranges run: inline on a
     per-call scratch set (freed with the call) when the context is
     serial, through ``ctx.scheduler`` on per-thread scratch when it is
-    threaded.  ``resolve(lo, hi)``, when given, supplies ``body``
-    in the calling thread as each range is submitted.  The NN fold
-    resolves its key slabs there: built in a worker, a cached slab
+    threaded.  ``resolve(lo, hi)``, when given, supplies ``reads``
+    in the calling thread as each range is submitted.  Both folds
+    resolve their blocks there: built in a worker, a cached block
     would sit in that thread's malloc arena, which keeps the memory
     resident after the sweep where no other thread can reuse it.
     """
     # Lazy import: threads.py imports this module at its top level.
     from repro.engine.threads import ScratchBuffers
 
-    def body(lo: int, hi: int):
+    def reads(lo: int, hi: int):
         return None if resolve is None else resolve(lo, hi)
 
     if not ctx.threaded:
         scratch = ScratchBuffers()
         return (
-            kernel(ctx, lo, hi, scratch, body(lo, hi)) for lo, hi in ranges
+            kernel(ctx, lo, hi, scratch, reads(lo, hi)) for lo, hi in ranges
         )
     scheduler = ctx.scheduler
     return scheduler.imap(
         (
-            lambda lo=lo, hi=hi, b=body(lo, hi): kernel(
-                ctx, lo, hi, scheduler.scratch(), b
+            lambda lo=lo, hi=hi, r=reads(lo, hi): kernel(
+                ctx, lo, hi, scheduler.scratch(), r
             )
         )
         for lo, hi in ranges
@@ -485,7 +500,10 @@ def nn_block_reduction(ctx) -> dict:
     prepare_key_reads(ctx)
     totals, lambdas, max_total = [0] * (d + 1), [0] * d, 0
     for part, partial, max_part in run_ranges(
-        ctx, fold_ranges(ctx), _nn_range_kernel, resolve=ctx._key_slab
+        ctx,
+        fold_ranges(ctx),
+        _nn_range_kernel,
+        resolve=lambda lo, hi: nn_reads(ctx, lo, hi),
     ):
         totals = [t + p for t, p in zip(totals, part)]
         lambdas = [t + p for t, p in zip(lambdas, partial)]

@@ -68,7 +68,10 @@ slab-wise NN-pair walk.
 **Threaded mode** (``threads=N`` / ``threads="auto"``): ``run_ranges``
 submits the range tasks to a :class:`repro.engine.threads.BlockScheduler`
 thread pool (dense work splits into ``~threads × 4`` ranges); the
-NumPy block kernels release the GIL.  Results stay bit-for-bit
+NumPy block kernels release the GIL.  Each range's blocks — for the NN
+fold its planes and both boundary planes
+(:func:`~repro.engine.chunked.nn_reads`) — are resolved in the calling
+thread, so no worker builds a cached block.  Results stay bit-for-bit
 identical to serial runs: every range returns integers and maxima,
 which merge the same in any order.
 

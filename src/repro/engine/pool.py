@@ -12,7 +12,7 @@ curve; a :class:`ContextPool` kills it *across* curves:
   **bit-for-bit identical** to from-scratch computation, ``O(n)``
   array ops instead of a curve evaluation, and counted under
   :attr:`CacheStats.derived` rather than ``computes``.  Everything
-  else (flat keys, inverse, curve order) follows from the grid.
+  else (flat keys, curve order) follows from the grid.
 
 :class:`repro.engine.Sweep` runs over a pool by default; the aggregate
 :attr:`ContextPool.stats` land on the sweep result (and behind
@@ -62,7 +62,7 @@ class ContextPool:
     contexts then resolve their key grid as a zero-copy view of the
     parent-published segment before falling back to local compute,
     counted under :attr:`repro.engine.CacheStats.shared`, and derive
-    flat keys, inverse and curve order from it.  Chunked contexts
+    flat keys and curve order from it.  Chunked contexts
     ignore the store — they exist precisely to avoid dense ``O(n)``
     arrays.
 

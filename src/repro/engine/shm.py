@@ -12,9 +12,9 @@ of a cell reduce over *one* permutation's key grid.  The
 * the **workers** receive the segment manifest through the executor
   initializer and attach **zero-copy read-only NumPy views** instead of
   recomputing; resolutions are counted under
-  :attr:`repro.engine.CacheStats.shared`.  Flat keys, the inverse
-  permutation and the curve order are ``O(n)`` rearrangements of the
-  grid, so a worker derives them from the view;
+  :attr:`repro.engine.CacheStats.shared`.  Flat keys and the curve
+  order are ``O(n)`` rearrangements of the grid, so a worker derives
+  them from the view;
 * after the sweep the parent **unlinks** every segment (in a
   ``finally``, so segments are reclaimed even when a worker raises or
   dies mid-run).
@@ -27,8 +27,7 @@ resolve to the same segments.
 Only grids a worker cannot build faster than it can read them are
 shared.  :func:`reuse_key` is the one rule every publisher and reader
 consults (this store, the persistent
-:class:`repro.engine.store.GridStore`, process sweeps and ``repro
-serve``): it returns ``None`` — compute locally — for instance-keyed
+:class:`repro.engine.store.GridStore` and process sweeps): it returns ``None`` — compute locally — for instance-keyed
 curves (explicit permutation tables, whose identity cannot be
 re-derived in another process), for table curves (``random``,
 ``peano``: the constructor has built the table before any tier is

@@ -22,24 +22,25 @@ Every benchmark, example and CLI table in this repo is some flavor of
   when a metric or report reads the NN fold, the fold's int64 envelope;
   skipped (universe, curve) cells are reported on the result, and
   ``strict=True`` raises on genuine construction errors.
-* Serial sweeps run over a shared :class:`repro.engine.ContextPool`
-  (``pooled=False`` opts out), so equivalent specs share one context
-  and transform-derived curves reuse their inner curve's arrays; the
-  pool's aggregate
-  :class:`repro.engine.CacheStats` land on the result.
+* Every cell runs on a :class:`repro.engine.ContextPool` built from
+  the cell's knobs, so equivalent specs share one context and
+  transform-derived curves reuse their inner curve's arrays.  A serial
+  sweep scopes one pool to each universe (``pooled=False``: to each
+  cell); the pools' aggregate :class:`repro.engine.CacheStats` land on
+  the result.
 * ``processes=N`` fans the (universe, curve) cells out over a process
-  pool — each cell is independent, so the sweep parallelizes trivially.
-  With ``shared`` on (the ``"auto"`` default), the parent precomputes
-  one key grid per canonical curve spec into
-  :class:`repro.engine.shm.SharedGridStore` segments and the workers
-  attach zero-copy views instead of rebuilding every key grid privately
-  (counted in :attr:`repro.engine.CacheStats.shared`) — except for
-  specs :func:`repro.engine.shm.reuse_key` exempts: tables, and curves
-  a native codec builds faster than a segment copy; identical cells
-  are deduplicated spec-keyed before any work runs.  ``shared=False``
-  restores fully private workers — then a warning flags the bypassed
-  pooling unless ``pooled=False`` acknowledges it.  Either way each
-  worker's cache stats are piped back and aggregated on the result.
+  pool — each cell is independent, so the sweep parallelizes trivially
+  — and each worker runs its cell on a cell-scoped pool, whose stats
+  are piped back and aggregated on the result.  With ``shared`` on
+  (the ``"auto"`` default), the parent precomputes one key grid per
+  canonical curve spec into
+  :class:`repro.engine.shm.SharedGridStore` segments and the workers'
+  pools attach zero-copy views instead of rebuilding every key grid
+  privately (counted in :attr:`repro.engine.CacheStats.shared`) —
+  except for specs :func:`repro.engine.shm.reuse_key` exempts:
+  tables, and curves a native codec builds faster than a segment
+  copy; identical cells are deduplicated spec-keyed before any work
+  runs.  ``shared=False`` leaves every worker to build its own grids.
 * ``chunk_cells`` (or the automatic selection against ``max_bytes``)
   runs cells in the engine's **chunked mode**, so universes whose dense
   ``(side,)*d`` key grid would blow the cache budget still sweep, with
@@ -52,7 +53,6 @@ value dicts, a ready-to-print table, and the engine cache counters.
 
 from __future__ import annotations
 
-import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
@@ -559,10 +559,10 @@ class SweepResult:
 
     records: List[SweepRecord]
     skipped: List[SkippedCell] = field(default_factory=list)
-    #: Aggregate engine cache counters of the run.  Process-pool sweeps
-    #: pipe each worker's per-cell stats back through the executor and
-    #: aggregate them here, so the counters cover every execution mode.
-    cache_stats: Optional[CacheStats] = None
+    #: Aggregate engine cache counters of the run: the stats of every
+    #: pool the run's cells ran on (process workers pipe theirs back
+    #: through the executor), so they cover every execution mode.
+    cache_stats: CacheStats = field(default_factory=CacheStats)
 
     def __len__(self) -> int:
         return len(self.records)
@@ -614,13 +614,26 @@ class CellTask:
     store_dir: Optional[str]
 
 
-def _run_cell(
-    task: CellTask,
-    pool: Optional[ContextPool] = None,
-    stats_sink: Optional[List[CacheStats]] = None,
-    shared_store=None,
-):
-    """Compute one (universe, curve) cell; top-level for pickling."""
+def _task_pool(task: CellTask, shared_store=None) -> ContextPool:
+    """The :class:`ContextPool` a cell runs on, built from its knobs.
+
+    ``shared_store`` is a process worker's attached
+    :class:`repro.engine.shm.SharedGridStore` (``None`` when the sweep
+    does not share).
+    """
+    return ContextPool(
+        max_bytes=task.max_bytes,
+        chunk_cells=task.chunk_cells,
+        shared_store=shared_store,
+        threads=task.threads,
+        backend=task.backend,
+        store_dir=task.store_dir,
+    )
+
+
+def _run_cell(task: CellTask, pool: ContextPool):
+    """Compute one (universe, curve) cell on ``pool``; top-level for
+    pickling.  The cell's cache counters land in ``pool.stats``."""
     d, side = task.d, task.side
     universe = Universe(d=d, side=side)
     spec = CurveSpec.parse(task.spec)
@@ -640,33 +653,7 @@ def _run_cell(
             side=side,
             reason=f"construction error: {exc}",
         )
-    cell_pool: Optional[ContextPool] = None
-    if pool is not None:
-        ctx = pool.get(curve)
-    elif shared_store is not None:
-        # Shared-mode worker: a cell-scoped pool wires this context (and
-        # any transform base contexts, created transitively) to the
-        # parent-published shared-memory segments.
-        cell_pool = ContextPool(
-            max_bytes=task.max_bytes,
-            chunk_cells=task.chunk_cells,
-            shared_store=shared_store,
-            threads=task.threads,
-            backend=task.backend,
-            store_dir=task.store_dir,
-        )
-        ctx = cell_pool.get(curve)
-    else:
-        ctx = MetricContext(
-            curve,
-            max_bytes=task.max_bytes,
-            chunk_cells=task.chunk_cells,
-            threads=task.threads,
-            backend=task.backend,
-            store_dir=task.store_dir,
-        )
-    if pool is None and cell_pool is None and stats_sink is not None:
-        stats_sink.append(ctx.stats)
+    ctx = pool.get(curve)
     # Record which backend actually serves this cell (the *resolved*
     # backend: an unavailable "native" request degrades to "numpy"), so
     # --stats / the serve /stats payload can report it.
@@ -686,10 +673,6 @@ def _run_cell(
             seed=task.seed,
             context=ctx,
         )
-    if cell_pool is not None and stats_sink is not None:
-        # Aggregated after the metrics ran so transitively created base
-        # contexts (transform derivation) are included.
-        stats_sink.append(cell_pool.stats)
     return SweepRecord(
         spec=spec.label,
         curve_name=curve.name,
@@ -717,41 +700,34 @@ def _worker_attach_shared(manifest) -> None:
 def _run_cell_with_stats(task: CellTask):
     """Process-pool entry point: one cell plus its worker cache stats.
 
-    Returning the per-cell :class:`CacheStats` lets the parent
-    aggregate engine counters across workers — without this, process
-    sweeps silently reported no cache statistics at all.  When the
-    sweep published a :class:`repro.engine.shm.SharedGridStore`, the
-    cell resolves grids through it (see :func:`_worker_attach_shared`).
+    The cell runs on a cell-scoped pool, wired to the parent's
+    published segments when the sweep shares (see
+    :func:`_worker_attach_shared`), so a transform's base context is
+    created transitively in it.  Returning the pool's
+    :class:`CacheStats` after the cell ran lets the parent aggregate
+    engine counters across workers.
     """
-    sink: List[CacheStats] = []
-    outcome = _run_cell(
-        task, pool=None, stats_sink=sink, shared_store=_WORKER_SHARED_STORE
-    )
-    stats = CacheStats.aggregate(sink) if sink else CacheStats()
-    return outcome, stats
+    pool = _task_pool(task, shared_store=_WORKER_SHARED_STORE)
+    return _run_cell(task, pool), pool.stats
 
 
-def _publish_shared(
-    tasks: List[CellTask],
-    max_bytes: Optional[int],
-    store_dir: Optional[str] = None,
-):
+def _publish_shared(tasks: List[CellTask]):
     """Publish one key grid per canonical spec into shared memory.
 
     Returns ``(store, stats)``: the owning
-    :class:`repro.engine.shm.SharedGridStore` and the publishing pool's
+    :class:`repro.engine.shm.SharedGridStore` and the publishing pools'
     :class:`CacheStats` (folded into the sweep result, so parent-side
     computes and transform derivations stay visible).  Only dense
     cells whose spec :func:`repro.engine.shm.reuse_key` keys on the
-    cells' backend publish; workers derive flat keys, inverse and
-    curve order from the attached grid.  Chunked cells are skipped —
+    cells' backend publish; workers derive flat keys and curve order
+    from the attached grid.  Chunked cells are skipped —
     materializing a beyond-budget dense grid in the parent would
     defeat the point of chunking — as are cells whose curve fails to
     construct (the worker reports those as skipped) and table curves,
     which :func:`repro.engine.shm.reuse_key` never keys: their
-    constructor alone already costs the full grid build.  One
-    :class:`ContextPool` per universe, on the cells' backend, builds
-    the grids, so a transform's grid is derived from its inner curve's,
+    constructor alone already costs the full grid build.  One pool per
+    universe, built from the cells' knobs as a worker's is, builds the
+    grids, so a transform's grid is derived from its inner curve's,
     and with a ``store_dir`` a warm parent maps each grid from disk
     while a cold one writes its computes through for the next run.
     """
@@ -766,21 +742,15 @@ def _publish_shared(
             if task.chunk_cells is not None:
                 continue
             d, side = task.d, task.side
-            universe = Universe(d=d, side=side)
             if pool is None or pool_universe != (d, side):
                 if pool is not None:
                     stats.append(pool.stats)
-                pool = ContextPool(
-                    max_bytes=max_bytes,
-                    backend=task.backend,
-                    store_dir=store_dir,
-                )
-                pool_universe = (d, side)
+                pool, pool_universe = _task_pool(task), (d, side)
             spec = CurveSpec.parse(task.spec)
             if curve_holds_table(spec.name):
                 continue  # reuse_key would refuse it, after the build
             try:
-                curve = spec.make(universe)
+                curve = spec.make(Universe(d=d, side=side))
             except (ValueError, TypeError):
                 continue
             skey = reuse_key(curve, task.backend)
@@ -808,11 +778,13 @@ class Sweep:
     parameterized (``"dilation:window=16"``).  ``reports=True``
     additionally builds a full :class:`StretchReport` per cell (sharing
     the cell's cached intermediates, so this costs nothing extra for the
-    default metric set).  Serial runs share one
-    :class:`repro.engine.ContextPool` per universe (disable with
-    ``pooled=False``); ``processes`` > 1 distributes cells over a
-    process pool instead, and the workers' cache stats are aggregated
-    on the result.
+    default metric set).  Every cell runs on a
+    :class:`repro.engine.ContextPool`: a serial run scopes one to each
+    universe (``pooled=False``: to each cell); ``processes`` > 1
+    distributes cells over a process pool instead, each worker running
+    its cell on a cell-scoped pool, and the workers' cache stats are
+    aggregated on the result.  ``pooled`` only sets a serial run's
+    pool scope, just as ``shared`` only applies to process runs.
 
     **Process-pool sharing** (``shared``): with ``"auto"`` (the
     default) or ``True``, a process sweep publishes one key grid per
@@ -820,17 +792,14 @@ class Sweep:
     :class:`repro.engine.shm.SharedGridStore` segments before the
     executor starts; workers attach zero-copy views instead of
     recomputing (counted under :attr:`CacheStats.shared`) and derive
-    flat keys, inverse and curve order from them.  Specs
+    flat keys and curve order from them.  Specs
     :func:`repro.engine.shm.reuse_key` exempts publish nothing: table
     curves, and on the native backend every curve with a native codec,
     whose grid a worker builds faster than the parent publishes it.  The
     parent unlinks every segment when the sweep finishes, even on
     worker failure.  Identical (universe, curve, metrics) cells are
     deduplicated before any work runs, in every execution mode.
-    ``shared=False`` keeps workers fully private — each cell rebuilds
-    its grids, and a warning flags the bypassed pooling unless
-    ``pooled=False`` acknowledges it.  Serial sweeps ignore ``shared``
-    (the in-process pool already shares everything).
+    ``shared=False`` leaves every worker to build its own grids.
 
     **Intra-cell threading** (``threads``): each cell's block
     reductions can additionally fan out over a per-context thread pool
@@ -849,8 +818,8 @@ class Sweep:
     explicit positive ``chunk_cells`` forces chunked execution with
     that block size, and ``chunk_cells=0`` forces the dense mode.
     Chunked cells never use the shared store — they exist precisely to
-    avoid materializing dense ``O(n)`` arrays — and fall back to the
-    PR-3 private-context behavior inside workers.
+    avoid materializing dense ``O(n)`` arrays — so a worker builds
+    their slabs itself.
 
     >>> from repro import Universe
     >>> result = Sweep(universes=[Universe(d=2, side=4)],
@@ -878,7 +847,7 @@ class Sweep:
     max_bytes: Optional[int] = DEFAULT_CACHE_BYTES
     #: Shared-memory grid store policy for process sweeps: ``"auto"``
     #: (share whenever ``processes`` > 1), ``True`` (same, stated
-    #: explicitly) or ``False`` (fully private workers).
+    #: explicitly) or ``False`` (each worker builds its own grids).
     shared: Union[bool, str] = "auto"
     #: Worker threads per cell for block-parallel metric reductions:
     #: ``None`` (serial), a positive int, or ``"auto"`` — which sizes
@@ -1044,37 +1013,19 @@ class Sweep:
     def run(self) -> SweepResult:
         """Execute the sweep and return structured results."""
         tasks, skipped = self._plan()
+        shared_active = self._shared_active()  # validated in every mode
         # Spec-keyed result reuse: identical (universe, curve, metrics)
         # cells are computed once and their outcome reused positionally.
         unique_tasks = list(dict.fromkeys(tasks))
-        cache_stats: Optional[CacheStats] = None
+        stats: List[CacheStats] = []
         outcome_of: Dict[CellTask, object] = {}
         if self.processes is not None and self.processes > 1 and tasks:
-            shared_active = self._shared_active()
-            if self.pooled and not shared_active:
-                warnings.warn(
-                    "Sweep(processes=N, shared=False) cannot share a "
-                    "ContextPool across worker processes; each cell "
-                    "builds a private context (pass pooled=False to "
-                    "acknowledge, or drop shared=False to publish a "
-                    "shared grid store)",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
             store = None
-            parent_stats: List[CacheStats] = []
             initializer = None
             initargs = ()
             if shared_active:
-                store, publish_stats = _publish_shared(
-                    unique_tasks,
-                    self.max_bytes,
-                    store_dir=(
-                        None if self.store_dir is None
-                        else str(self.store_dir)
-                    ),
-                )
-                parent_stats.append(publish_stats)
+                store, publish_stats = _publish_shared(unique_tasks)
+                stats.append(publish_stats)
                 initializer = _worker_attach_shared
                 initargs = (store.manifest(),)
             # fork() in a multi-threaded parent is hazardous (a child
@@ -1099,40 +1050,26 @@ class Sweep:
                 # segments must never outlive the sweep.
                 if store is not None:
                     store.unlink()
-            outcome_of = {
-                task: outcome
-                for task, (outcome, _) in zip(unique_tasks, pairs)
-            }
-            cache_stats = CacheStats.aggregate(
-                parent_stats + [stats for _, stats in pairs]
-            )
+            for task, (outcome, cell_stats) in zip(unique_tasks, pairs):
+                outcome_of[task] = outcome
+                stats.append(cell_stats)
         else:
-            self._shared_active()  # validate the value even when unused
             # One pool per universe: cross-curve sharing happens within
             # a universe, and plan order groups cells by universe, so a
             # finished universe's contexts are dead weight — scoping the
             # pool bounds peak memory to one universe's curve set.
-            sink: List[CacheStats] = []
+            # ``pooled=False`` scopes a pool to each cell instead.
             pool: Optional[ContextPool] = None
-            pool_universe = None
+            scope = None
             for task in unique_tasks:
-                if self.pooled and (task.d, task.side) != pool_universe:
+                cell_scope = (task.d, task.side) if self.pooled else task
+                if pool is None or cell_scope != scope:
                     if pool is not None:
-                        sink.append(pool.stats)
-                    pool = ContextPool(
-                        max_bytes=self.max_bytes,
-                        chunk_cells=task.chunk_cells,
-                        threads=task.threads,
-                        backend=task.backend,
-                        store_dir=task.store_dir,
-                    )
-                    pool_universe = (task.d, task.side)
-                outcome_of[task] = _run_cell(
-                    task, pool=pool, stats_sink=sink
-                )
+                        stats.append(pool.stats)
+                    pool, scope = _task_pool(task), cell_scope
+                outcome_of[task] = _run_cell(task, pool)
             if pool is not None:
-                sink.append(pool.stats)
-            cache_stats = CacheStats.aggregate(sink)
+                stats.append(pool.stats)
         records: List[SweepRecord] = []
         for task in tasks:
             outcome = outcome_of[task]
@@ -1141,5 +1078,7 @@ class Sweep:
             else:
                 records.append(outcome)
         return SweepResult(
-            records=records, skipped=skipped, cache_stats=cache_stats
+            records=records,
+            skipped=skipped,
+            cache_stats=CacheStats.aggregate(stats),
         )

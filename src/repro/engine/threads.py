@@ -15,8 +15,9 @@ context runs their range tasks through the context's scheduler
 instead of inline.  Determinism needs nothing extra:
 
 * every range task is **self-contained** (a task owning grid planes
-  ``[lo, hi)`` reads the two adjacent boundary planes itself, so no
-  cross-task carry exists to race on);
+  ``[lo, hi)`` is handed the two adjacent boundary planes with its own,
+  read in the calling thread, so no cross-task carry exists to race
+  on);
 * every partial is an integer (``Λ`` sums, per-cell maxima, the
   ``D^avg`` class totals, window maxima) or a maximum, so per-task
   partials merge to the dense value in any order, and each NN scalar

@@ -2,15 +2,15 @@
 
 The CLI's ``repro sweep`` computes each canonical (curve, universe)
 cell once *per invocation*; everything it builds — key grids, NN
-arrays, shared-memory segments, metric memos — dies with the process.
+arrays, metric memos — dies with the process.
 This package keeps that state alive behind a long-lived HTTP/JSON
 service (stdlib asyncio, no new dependencies), so canonical specs are
 computed once per *process lifetime*:
 
 * :mod:`repro.serve.service` — the engine side: persistent
   :class:`repro.engine.ContextPool`\\ s, a warm-started hot set
-  published to one :class:`repro.engine.shm.SharedGridStore`, and
-  admission control (byte budget, bounded in-flight cells);
+  resident in them, and admission control (byte budget, bounded
+  in-flight cells);
 * :mod:`repro.serve.singleflight` — concurrent identical requests
   await one in-flight computation per canonical cell key;
 * :mod:`repro.serve.batching` — cells arriving within a window run as

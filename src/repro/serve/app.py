@@ -23,9 +23,8 @@ framework's worth of routing:
 :func:`run` is the blocking CLI entry point (``repro serve``): it
 installs SIGTERM/SIGINT handlers, prints the bound address (port 0
 binds an ephemeral port, so smoke tests parse the line), and on
-shutdown closes the listener, drains in-flight compute and unlinks
-every shared-memory segment before printing the clean-exit line the
-lifecycle tests assert on.  :class:`BackgroundServer` runs the same
+shutdown closes the listener and drains in-flight compute before
+printing the clean-exit line the lifecycle tests assert on.  :class:`BackgroundServer` runs the same
 stack on a daemon-thread event loop for in-process tests and benches.
 """
 
@@ -278,8 +277,8 @@ class BackgroundServer:
     For tests and benchmarks that need a live HTTP endpoint inside one
     process: construction warm-starts and binds (``port`` attribute
     carries the ephemeral port), :meth:`stop` performs the same clean
-    teardown as the signal path — shared-memory segments are unlinked
-    when it returns.
+    teardown as the signal path — in-flight compute is drained when it
+    returns.
     """
 
     def __init__(self, config: ServeConfig) -> None:

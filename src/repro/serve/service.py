@@ -4,15 +4,11 @@ One :class:`SweepService` owns the engine state that ``repro sweep``
 rebuilds per invocation and keeps it for the process lifetime:
 
 * a :class:`repro.engine.ContextPool` per execution mode
-  ``(chunk_cells, threads)`` — every request computing a canonical
-  (curve, universe) spec resolves the *same* context, so key grids and
-  metric memos persist across requests;
-* one owning :class:`repro.engine.shm.SharedGridStore` holding the
-  warm-started hot set's key grids as shared-memory segments
-  (zero-copy re-attachable if the LRU ever evicts, and visible in
-  ``/stats`` as the segments to watch for clean teardown) — only the
-  grids :func:`repro.engine.shm.reuse_key` keys, so never tables, and
-  on the native backend only transforms;
+  ``(chunk_cells, threads, backend)`` — every request computing a
+  canonical (curve, universe) spec resolves the *same* context, so key
+  grids and metric memos persist across requests, and the warm-started
+  hot set's grids stay resident in their pooled contexts under the
+  same LRU rule as every other grid;
 * the async request machinery — a :class:`SingleFlight` table keyed by
   the engine's canonical :class:`~repro.engine.sweep.CellTask` and a
   :class:`MicroBatcher`
@@ -34,7 +30,6 @@ from typing import Dict, Optional, Tuple, Union
 
 from repro.engine.context import DEFAULT_CACHE_BYTES, CacheStats
 from repro.engine.pool import ContextPool
-from repro.engine.shm import SharedGridStore, reuse_key
 from repro.engine.sweep import CurveSpec, SkippedCell, _run_cell
 from repro.engine.threads import resolve_threads
 from repro.grid.universe import Universe
@@ -121,8 +116,8 @@ class ServeConfig:
     #: start *maps* previously computed hot-set grids from disk instead
     #: of evaluating curves, every pool writes fresh grids through, and
     #: a server restart comes back warm — persistence across restarts,
-    #: which ``--hot-set`` alone (shared memory dies with the process)
-    #: cannot provide.
+    #: which ``--hot-set`` alone (the pooled contexts die with the
+    #: process) cannot provide.
     store_dir: Optional[str] = None
 
 
@@ -146,13 +141,12 @@ class SweepService:
     Construction performs the warm start synchronously (the server
     should not accept requests advertising a cold hot set);
     :meth:`start` (async) brings up the batcher and executor, and
-    :meth:`aclose` tears everything down including the shared-memory
-    segments — the teardown the lifecycle tests assert on.
+    :meth:`aclose` drains and tears them down — the clean shutdown the
+    lifecycle tests assert on.
     """
 
     def __init__(self, config: ServeConfig) -> None:
         self.config = config
-        self.store = SharedGridStore.create()
         #: The persistent grid store behind every pool, or ``None``.
         self.grid_store = None
         if config.store_dir is not None:
@@ -200,7 +194,6 @@ class SweepService:
                 pool = ContextPool(
                     max_bytes=self.config.max_bytes,
                     chunk_cells=chunk_cells,
-                    shared_store=self.store,
                     threads=threads,
                     backend=backend,
                     store=self.grid_store,
@@ -209,35 +202,28 @@ class SweepService:
             return pool
 
     def _warm_start(self) -> None:
-        """Compute the hot set's grids; publish the shareable ones.
+        """Compute the hot set's grids into the default pool.
 
         A hot entry that fails to parse or construct raises — a typo'd
         hot set should stop the server at startup, not surface as
         mysteriously cold requests later.
 
+        Every hot grid is resident in its pooled context afterwards.
         With a persistent store configured the pools are already wired
         to it, so a restarted server *maps* previously computed grids
         from disk here (counted in ``cache.mmap``) instead of
         re-evaluating the curves, and first-boot computes are written
-        through for the next restart.  Every hot grid is resident in
-        its pooled context afterwards; curves
-        :func:`repro.engine.shm.reuse_key` exempts (tables, and curves
-        encoded by a native codec on the served backend) are neither
-        published nor stored, since a context builds their grid faster
-        than it reads one.
+        through for the next restart — except for the curves the store
+        exempts (tables, and curves encoded by a native codec on the
+        served backend), which a context builds faster than it reads.
         """
         for spec_text, d, side in self.config.hot_set:
-            universe = Universe(d=d, side=side)
             spec = CurveSpec.parse(spec_text)
-            curve = spec.make(universe)
+            curve = spec.make(Universe(d=d, side=side))
             pool = self._pool_for(
                 None, self._default_threads, self.config.backend
             )
-            ctx = pool.get(curve)
-            grid = ctx.key_grid()
-            skey = reuse_key(curve, ctx.backend)
-            if skey is not None and (skey, "key_grid") not in self.store:
-                self.store.put(skey, "key_grid", grid)
+            pool.get(curve).key_grid()
             self._warm_pairs.add((d, side, spec.label))
 
     def run_batch(self, tasks: list) -> list:
@@ -265,7 +251,8 @@ class SweepService:
 
         Chunked cells hold ~64 bytes per block cell (keys, coordinates,
         reduction temporaries); dense cells hold the key grid plus the
-        same-order derived arrays (flat keys, inverse, per-cell grids).
+        same-order derived arrays (flat keys, curve order, per-cell
+        grids).
         """
         n = task.side**task.d
         if task.chunk_cells:
@@ -294,15 +281,14 @@ class SweepService:
         self.flight.resolve(key, outcome)
 
     async def aclose(self) -> None:
-        """Stop the batcher, drain compute, unlink shared memory."""
+        """Stop the batcher, fail waiting requests, drain compute."""
         if self.batcher is not None:
             await self.batcher.aclose()
         self.flight.fail_all(RuntimeError("server shutting down"))
         if self._executor is not None:
-            # wait=True: a batch still computing must finish before the
-            # store unlinks (its contexts may read shared views).
+            # wait=True: a batch still computing finishes before the
+            # service reports itself closed.
             self._executor.shutdown(wait=True)
-        self.store.unlink()
 
     # ------------------------------------------------------------------
     # Request handling
@@ -632,10 +618,6 @@ class SweepService:
             "warm_pairs": sorted(
                 f"{spec}@{d}x{side}" for d, side, spec in self._warm_pairs
             ),
-            "shm": {
-                "segments": list(self.store.segment_names),
-                "nbytes": self.store.nbytes,
-            },
             "dynamic": {
                 "sessions": {
                     name: {

@@ -13,7 +13,6 @@ from repro import Universe
 from repro.curves.base import PermutationCurve
 from repro.curves.zcurve import ZCurve
 from repro.engine import (
-    DEFAULT_CACHE_BYTES,
     CacheStats,
     ContextPool,
     MetricContext,
@@ -462,7 +461,7 @@ class TestKeyGridOnly:
             processes=2,
             backend=backend,
         )._plan()
-        store, _ = _publish_shared(tasks, DEFAULT_CACHE_BYTES)
+        store, _ = _publish_shared(tasks)
         return store
 
     def test_one_key_grid_per_keyed_spec(self, u2_8):
@@ -520,7 +519,7 @@ class TestKeyGridOnly:
             reports=False,
         )
         tasks, _ = Sweep(processes=2, **kwargs)._plan()
-        store, _ = _publish_shared(tasks, DEFAULT_CACHE_BYTES)
+        store, _ = _publish_shared(tasks)
         store.unlink()
         # Forked workers build their own tables; only the parent's
         # constructions land in ``built``.
@@ -642,7 +641,7 @@ def _published(u2_8, curves, **kwargs) -> SharedGridStore:
         processes=2,
         **kwargs,
     )._plan()
-    store, _ = _publish_shared(tasks, DEFAULT_CACHE_BYTES)
+    store, _ = _publish_shared(tasks)
     return store
 
 

@@ -511,3 +511,54 @@ class TestKeyReadsUnderBudget:
 
     def test_default_budget_still_resolves_once(self, monkeypatch):
         assert self._planes(monkeypatch, threads=2) == self.SIDE
+
+
+class TestFoldReadsOnCallingThread:
+    """The threaded NN fold resolves every key read — each range's
+    planes and its two boundary planes — in the calling thread, so no
+    canonical slab is built (and cached) in a worker.  With one plane
+    per slab every boundary plane is itself a canonical slab."""
+
+    @staticmethod
+    def _off_main_builds(ctx) -> list:
+        """Spy on ``ctx``'s store: keys whose value a worker builds."""
+        built = []
+        get_or_compute = ctx._store.get_or_compute
+
+        def spy(key, compute, *args, **kwargs):
+            def traced():
+                if threading.current_thread() is not threading.main_thread():
+                    built.append(key)
+                return compute()
+
+            return get_or_compute(key, traced, *args, **kwargs)
+
+        ctx._store.get_or_compute = spy
+        return built
+
+    @pytest.mark.parametrize("backend", ["numpy", "native"])
+    def test_no_slab_is_built_off_the_main_thread(self, backend):
+        from repro.curves.hilbert import HilbertCurve
+
+        universe = Universe(d=2, side=64)
+        curve = HilbertCurve(universe)
+        ctx = MetricContext(curve, chunk_cells=64, threads=2, backend=backend)
+        built = self._off_main_builds(ctx)
+        assert ctx.davg() == MetricContext(curve, backend=backend).davg()
+        assert ctx.stats.compute_count("key_slab[0:1]") == 1
+        assert built == []
+
+    @pytest.mark.parametrize("backend", ["numpy", "native"])
+    def test_transform_base_slabs_stay_on_the_main_thread(self, backend):
+        from repro.curves.hilbert import HilbertCurve
+
+        universe = Universe(d=2, side=64)
+        inner = HilbertCurve(universe)
+        pool = ContextPool(chunk_cells=64, threads=2, backend=backend)
+        base = pool.get(inner)
+        ctx = pool.get(ReversedCurve(inner))
+        built = self._off_main_builds(ctx), self._off_main_builds(base)
+        dense = MetricContext(ReversedCurve(inner), backend=backend)
+        assert ctx.davg() == dense.davg()
+        assert ctx.stats.total_derived > 0
+        assert built == ([], [])

@@ -49,8 +49,6 @@ class TestEndpoints:
     def test_stats_shape(self):
         from repro.serve import BackgroundServer, ServeConfig
 
-        # NumPy backend: the hilbert hot set is published to shared
-        # memory there (a native codec would exempt it).
         config = ServeConfig(
             port=0,
             hot_set=(("hilbert", 2, 8),),
@@ -60,9 +58,8 @@ class TestEndpoints:
         with BackgroundServer(config) as server:
             status, stats = fetch(server.url + "/stats")
         assert status == 200
-        assert set(stats) >= {"cache", "counters", "inflight", "shm"}
+        assert set(stats) >= {"cache", "counters", "inflight"}
         assert stats["warm_pairs"] == ["hilbert@2x8"]
-        assert stats["shm"]["segments"]
         assert stats["cache"]["computes"]["key_grid"] == 1
 
     def test_unknown_route_404(self, server):
@@ -358,8 +355,8 @@ class TestPersistentStore:
     )
     def test_native_codec_curves_skip_store(self, tmp_path):
         """On the native backend a codec curve's grid is built per
-        server lifetime: the hot set publishes no segment, requests
-        write no store entry, and a restart maps nothing."""
+        server lifetime: neither the hot set nor a request writes a
+        store entry, and a restart maps nothing."""
         from repro.serve import BackgroundServer, ServeConfig
 
         config = ServeConfig(
@@ -378,7 +375,6 @@ class TestPersistentStore:
                 assert status == 200
                 _, stats = fetch(server.url + "/stats")
             records.append(payload["records"])
-            assert stats["shm"]["segments"] == []
             assert stats["store"]["entries"] == 0
             assert stats["cache"]["mmap"] == {}
             assert stats["cache"]["computes"]["key_grid"] == 3

@@ -1,8 +1,10 @@
 """Lifecycle tests: clean teardown of the serve stack.
 
-The hard requirement: every shared-memory segment the server created is
-unlinked on shutdown — both the in-process :class:`BackgroundServer`
-path and the real-process SIGTERM path the CLI smoke exercises.
+The hard requirement: shutdown drains compute and ends the process
+cleanly — both the in-process :class:`BackgroundServer` path and the
+real-process SIGTERM path the CLI smoke exercises.  The service is one
+process and owns no shared memory, so ``/stats`` has no ``shm``
+section.
 """
 
 import json
@@ -11,9 +13,11 @@ import re
 import signal
 import subprocess
 import sys
+import urllib.error
 import urllib.request
-from multiprocessing import shared_memory
 from pathlib import Path
+
+import pytest
 
 import repro
 from repro.serve import BackgroundServer, ServeConfig
@@ -21,38 +25,28 @@ from repro.serve import BackgroundServer, ServeConfig
 from tests.serve.conftest import http as fetch
 
 
-def assert_unlinked(segment_names):
-    for name in segment_names:
-        try:
-            segment = shared_memory.SharedMemory(name=name)
-        except FileNotFoundError:
-            continue
-        segment.close()
-        raise AssertionError(f"shared-memory segment {name} still exists")
-
-
 class TestBackgroundServer:
-    def test_stop_unlinks_shared_memory(self):
-        # NumPy backend: a native codec would exempt hilbert from
-        # publishing, leaving no segment to check.
+    def test_stop_shuts_down_cleanly(self):
         config = ServeConfig(
             port=0, hot_set=(("hilbert", 2, 8),), backend="numpy"
         )
         server = BackgroundServer(config)
         try:
             _, stats = fetch(server.url + "/stats")
-            segments = stats["shm"]["segments"]
-            assert segments  # warm start published grids
+            assert stats["warm_pairs"] == ["hilbert@2x8"]
+            assert "shm" not in stats
         finally:
             server.stop()
-        assert_unlinked(segments)
+        assert not server._thread.is_alive()
+        assert len(server.service.flight) == 0
+        with pytest.raises(urllib.error.URLError):
+            fetch(server.url + "/healthz", timeout=5)
 
     def test_context_manager_round_trip(self):
         with BackgroundServer(ServeConfig(port=0)) as server:
             status, _ = fetch(server.url + "/healthz")
             assert status == 200
-            segments = fetch(server.url + "/stats")[1]["shm"]["segments"]
-        assert_unlinked(segments)
+        assert not server._thread.is_alive()
 
     def test_ephemeral_ports_are_independent(self):
         with BackgroundServer(ServeConfig(port=0)) as a:
@@ -63,7 +57,7 @@ class TestBackgroundServer:
 
 
 class TestSigterm:
-    def test_sigterm_exits_cleanly_and_unlinks(self):
+    def test_sigterm_exits_cleanly(self):
         env = dict(os.environ)
         env["PYTHONPATH"] = str(Path(repro.__file__).parents[1])
         process = subprocess.Popen(
@@ -93,8 +87,8 @@ class TestSigterm:
                 assert r.status == 200
             with urllib.request.urlopen(url + "/stats", timeout=30) as r:
                 stats = json.loads(r.read())
-            segments = stats["shm"]["segments"]
-            assert segments
+            assert stats["warm_pairs"] == ["hilbert@2x8"]
+            assert "shm" not in stats
             process.send_signal(signal.SIGTERM)
             output, _ = process.communicate(timeout=60)
         finally:
@@ -103,4 +97,3 @@ class TestSigterm:
                 process.communicate()
         assert process.returncode == 0
         assert "shut down cleanly" in output
-        assert_unlinked(segments)
