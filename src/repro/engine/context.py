@@ -452,9 +452,6 @@ class MetricContext:
         #: results are bit-for-bit identical to the serial paths; see
         #: :mod:`repro.engine.threads`.
         self.threads = resolve_threads(threads)
-        #: The compute backend as requested (``"numpy"``/``"native"``/
-        #: ``"auto"``); kept for introspection and task replication.
-        self.backend_requested = backend
         #: The backend actually serving this context: ``"native"`` when
         #: the compiled kernels of :mod:`repro.engine.native` loaded,
         #: else ``"numpy"``.  An explicit ``"native"`` request on a host

@@ -190,8 +190,15 @@ class CurveSpec(_Spec):
     _kind = "curve"
 
     def make(self, universe: Universe):
-        """Instantiate the spec'd curve on ``universe``."""
-        return make_curve(self.name, universe, **dict(self.kwargs))
+        """Instantiate the spec'd curve on ``universe``.
+
+        A keyword the curve does not take (``z:bogus=1``) raises
+        ``ValueError``, like every other bad spec, not ``TypeError``.
+        """
+        try:
+            return make_curve(self.name, universe, **dict(self.kwargs))
+        except TypeError as exc:
+            raise ValueError(f"curve spec {self.label!r}: {exc}") from exc
 
     def check_names(self) -> None:
         """Refuse an unknown curve name, here or in a nested ``inner=``.
@@ -639,8 +646,8 @@ def _run_cell(task: CellTask, pool: ContextPool):
     spec = CurveSpec.parse(task.spec)
     try:
         curve = spec.make(universe)
-    except (ValueError, TypeError) as exc:
-        # TypeError covers bad spec kwargs ("z:bogus=1"); one bad cell
+    except ValueError as exc:
+        # Bad spec kwargs ("z:bogus=1") included; one bad cell
         # must not crash the rest of the sweep.
         if task.strict:
             raise ValueError(
@@ -682,6 +689,27 @@ def _run_cell(task: CellTask, pool: ContextPool):
         values=values,
         report=report,
     )
+
+
+def _assemble(
+    tasks: List[CellTask],
+    outcome_of: Dict[CellTask, object],
+    skipped: List[SkippedCell],
+) -> Tuple[List[SweepRecord], List[SkippedCell]]:
+    """The records and skips of a run, in plan order.
+
+    Each task's outcome (a record or a cell-level skip) is looked up
+    by value, so repeated cells reuse one outcome positionally; cell
+    skips follow the planned ``skipped``, which is extended in place.
+    """
+    records: List[SweepRecord] = []
+    for task in tasks:
+        outcome = outcome_of[task]
+        if isinstance(outcome, SkippedCell):
+            skipped.append(outcome)
+        else:
+            records.append(outcome)
+    return records, skipped
 
 
 #: Worker-process handle on the parent's published segments, set by
@@ -751,7 +779,7 @@ def _publish_shared(tasks: List[CellTask]):
                 continue  # reuse_key would refuse it, after the build
             try:
                 curve = spec.make(Universe(d=d, side=side))
-            except (ValueError, TypeError):
+            except ValueError:
                 continue
             skey = reuse_key(curve, task.backend)
             if skey is not None and (skey, "key_grid") not in store:
@@ -1070,13 +1098,7 @@ class Sweep:
                 outcome_of[task] = _run_cell(task, pool)
             if pool is not None:
                 stats.append(pool.stats)
-        records: List[SweepRecord] = []
-        for task in tasks:
-            outcome = outcome_of[task]
-            if isinstance(outcome, SkippedCell):
-                skipped.append(outcome)
-            else:
-                records.append(outcome)
+        records, skipped = _assemble(tasks, outcome_of, skipped)
         return SweepResult(
             records=records,
             skipped=skipped,

@@ -1,14 +1,18 @@
 """Minimal asyncio HTTP/1.1 front end for the sweep service.
 
 Stdlib only — ``asyncio.start_server`` plus a small request parser —
-because the service's surface is three JSON endpoints, not a web
-framework's worth of routing:
+because the service's surface is four JSON endpoints, not a web
+framework's worth of routing.  :meth:`HttpServer.dispatch` reads them
+from one route table, ``_ROUTES`` (path, method, request schema,
+service method):
 
 * ``POST /sweep``  — a :class:`repro.serve.schemas.SweepRequest` body;
   returns the :class:`repro.serve.schemas.SweepResponse` (200) or an
   ``{"error": ...}`` body with 400/413/429/504 per the service's
-  admission and timeout rules.  A request whose headers and body do
-  not arrive within ``_READ_DEADLINE_S`` of its request line gets 408.
+  admission and timeout rules.  A body that is not UTF-8 JSON, or
+  nests deeper than the decoder's stack, is a 400 on both POST
+  routes.  A request whose headers and body do not arrive within
+  ``_READ_DEADLINE_S`` of its request line gets 408.
 * ``POST /dynamic/step`` — a
   :class:`repro.serve.schemas.DynamicStepRequest` body applying one
   move batch to a named
@@ -34,7 +38,7 @@ import asyncio
 import json
 import signal
 import threading
-from typing import Optional, Tuple
+from typing import Tuple
 
 from repro.serve.schemas import DynamicStepRequest, SweepRequest
 from repro.serve.service import ServeConfig, SweepService
@@ -61,6 +65,20 @@ _REASONS = {
     431: "Request Header Fields Too Large",
     500: "Internal Server Error",
     504: "Gateway Timeout",
+}
+
+
+#: ``path -> (method, request schema, SweepService method name)``.  A
+#: POST route parses its JSON body with the schema's ``from_dict`` and
+#: awaits the service method on the request; a GET route (no schema)
+#: answers the method's payload, or liveness when it names none.  The
+#: service methods are looked up by name on each request, so a wrapper
+#: installed on the class later still sees every call.
+_ROUTES = {
+    "/healthz": ("GET", None, None),
+    "/stats": ("GET", None, "stats_payload"),
+    "/sweep": ("POST", SweepRequest, "handle_sweep"),
+    "/dynamic/step": ("POST", DynamicStepRequest, "handle_dynamic"),
 }
 
 
@@ -173,39 +191,27 @@ class HttpServer:
         self, method: str, target: str, body: bytes
     ) -> Tuple[int, dict]:
         path = target.split("?", 1)[0]
-        if path == "/healthz":
-            if method != "GET":
-                return 405, {"error": "GET /healthz"}
-            return 200, {"status": "ok"}
-        if path == "/stats":
-            if method != "GET":
-                return 405, {"error": "GET /stats"}
-            return 200, self.service.stats_payload()
-        if path == "/sweep":
-            if method != "POST":
-                return 405, {"error": "POST /sweep"}
-            try:
-                payload = json.loads(body.decode("utf-8") or "{}")
-            except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-                return 400, {"error": f"invalid JSON body: {exc}"}
-            try:
-                request = SweepRequest.from_dict(payload)
-            except ValueError as exc:
-                return 400, {"error": str(exc)}
-            return await self.service.handle_sweep(request)
-        if path == "/dynamic/step":
-            if method != "POST":
-                return 405, {"error": "POST /dynamic/step"}
-            try:
-                payload = json.loads(body.decode("utf-8") or "{}")
-            except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-                return 400, {"error": f"invalid JSON body: {exc}"}
-            try:
-                request = DynamicStepRequest.from_dict(payload)
-            except ValueError as exc:
-                return 400, {"error": str(exc)}
-            return await self.service.handle_dynamic(request)
-        return 404, {"error": f"no route {method} {path}"}
+        route = _ROUTES.get(path)
+        if route is None:
+            return 404, {"error": f"no route {method} {path}"}
+        allowed, schema, handler = route
+        if method != allowed:
+            return 405, {"error": f"{allowed} {path}"}
+        if schema is None:
+            if handler is None:
+                return 200, {"status": "ok"}
+            return 200, getattr(self.service, handler)()
+        try:
+            payload = json.loads(body.decode("utf-8") or "{}")
+        except (ValueError, RecursionError) as exc:
+            # ValueError covers UnicodeDecodeError and JSONDecodeError;
+            # RecursionError is nesting deeper than the decoder's stack.
+            return 400, {"error": f"invalid JSON body: {exc}"}
+        try:
+            request = schema.from_dict(payload)
+        except ValueError as exc:
+            return 400, {"error": str(exc)}
+        return await getattr(self.service, handler)(request)
 
     @staticmethod
     async def _respond(

@@ -17,7 +17,9 @@ tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import sys
+from dataclasses import dataclass, fields, is_dataclass
+from functools import lru_cache
 from typing import Dict, Optional, Tuple, Union
 
 import numpy as np
@@ -37,26 +39,105 @@ __all__ = [
 ]
 
 
-def _int_tuple(value, name: str, minimum: int = 1) -> Tuple[int, ...]:
+@lru_cache(maxsize=None)
+def _field_names(cls) -> Tuple[str, ...]:
+    return tuple(f.name for f in fields(cls))
+
+
+def _object(cls, payload: object, what: str) -> dict:
+    """``payload`` as a JSON object holding only fields of ``cls``."""
+    if not isinstance(payload, dict):
+        raise ValueError(f"{what} must be a JSON object")
+    accepted = _field_names(cls)
+    unknown = sorted(set(payload) - set(accepted))
+    if unknown:
+        raise ValueError(
+            f"unknown {what} fields {unknown}; accepted: {sorted(accepted)}"
+        )
+    return payload
+
+
+def _int(
+    value, name: str, minimum: Optional[int] = None, kind: str = "an integer"
+) -> int:
+    """``value`` as a non-bool ``int``, at least ``minimum`` if given."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be {kind}")
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}")
+    return int(value)
+
+
+def _positive(value, name: str) -> float:
+    """``value`` as a positive finite float (NaN, inf and ints past
+    the float range are refused, not converted)."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, (int, float))
+        or not 0 < value <= sys.float_info.max
+    ):
+        raise ValueError(f"{name} must be a positive number")
+    return float(value)
+
+
+def _text(value, name: str) -> str:
+    if not isinstance(value, str) or not value:
+        raise ValueError(f"{name} must be a non-empty string")
+    return value
+
+
+def _flag(value, name: str) -> bool:
+    if not isinstance(value, bool):
+        raise ValueError(f"{name} must be a boolean")
+    return value
+
+
+def _optional(check, value, *args):
+    """``None`` passes; anything else goes through ``check``."""
+    return None if value is None else check(value, *args)
+
+
+def _int_tuple(
+    value, name: str, minimum: Optional[int] = 1
+) -> Tuple[int, ...]:
     if not isinstance(value, (list, tuple)):
         raise ValueError(f"{name} must be a list of integers")
-    out = []
-    for item in value:
-        if isinstance(item, bool) or not isinstance(item, int):
-            raise ValueError(f"{name} entries must be integers")
-        if item < minimum:
-            raise ValueError(f"{name} entries must be >= {minimum}")
-        out.append(int(item))
-    return tuple(out)
+    return tuple(
+        _int(item, f"{name} entries", minimum, "integers") for item in value
+    )
 
 
 def _str_tuple(value, name: str) -> Tuple[str, ...]:
     if not isinstance(value, (list, tuple)):
         raise ValueError(f"{name} must be a list of strings")
-    for item in value:
-        if not isinstance(item, str) or not item:
-            raise ValueError(f"{name} entries must be non-empty strings")
-    return tuple(value)
+    return tuple(_text(item, f"{name} entries") for item in value)
+
+
+def _to_wire(self) -> dict:
+    """The dataclass's fields as JSON-ready data: tuples become lists
+    and nested dataclasses their ``to_dict``; nothing else is copied."""
+    return {
+        name: _wire(getattr(self, name)) for name in _field_names(type(self))
+    }
+
+
+def _wire(value: object) -> object:
+    if isinstance(value, tuple):
+        return [_wire(item) for item in value]
+    if is_dataclass(value):
+        return value.to_dict()
+    return value
+
+
+def _from_wire(cls, payload: dict, **items):
+    """``cls`` from a :func:`_to_wire` dict; ``items`` maps each field
+    holding a list of nested objects to their class."""
+    values = {
+        name: payload[name] for name in _field_names(cls) if name in payload
+    }
+    for name, item in items.items():
+        values[name] = tuple(item(**entry) for entry in values.get(name, ()))
+    return cls(**values)
 
 
 @dataclass(frozen=True)
@@ -82,110 +163,50 @@ class SweepRequest:
     strict: bool = False
     timeout_s: Optional[float] = None
 
-    _FIELDS = (
-        "dims",
-        "sides",
-        "universes",
-        "curves",
-        "metrics",
-        "chunk_cells",
-        "threads",
-        "backend",
-        "strict",
-        "timeout_s",
-    )
-
     @classmethod
     def from_dict(cls, payload: object) -> "SweepRequest":
         """Validate a decoded JSON body; raises ``ValueError`` loudly."""
-        if not isinstance(payload, dict):
-            raise ValueError("request body must be a JSON object")
-        unknown = sorted(set(payload) - set(cls._FIELDS))
-        if unknown:
-            raise ValueError(
-                f"unknown request fields {unknown}; "
-                f"accepted: {sorted(cls._FIELDS)}"
-            )
-        dims = _int_tuple(payload.get("dims", []), "dims")
-        sides = _int_tuple(payload.get("sides", []), "sides")
-        universes = []
-        raw_universes = payload.get("universes", [])
-        if not isinstance(raw_universes, (list, tuple)):
+        payload = _object(cls, payload, "request")
+        universes = payload.get("universes", [])
+        if not isinstance(universes, (list, tuple)):
             raise ValueError("universes must be a list of [d, side] pairs")
-        for pair in raw_universes:
-            geom = _int_tuple(pair, "universes [d, side] pair")
-            if len(geom) != 2:
-                raise ValueError("universes entries must be [d, side] pairs")
-            universes.append(geom)
-        if not dims and not sides and not universes:
+        universes = tuple(
+            _int_tuple(pair, "universes [d, side] pair") for pair in universes
+        )
+        if any(len(pair) != 2 for pair in universes):
+            raise ValueError("universes entries must be [d, side] pairs")
+        threads = payload.get("threads")
+        if threads not in (None, "auto"):
+            threads = _int(threads, "threads", 1, 'a positive int or "auto"')
+        backend = payload.get("backend")
+        if backend not in (None, "numpy", "native", "auto"):
+            raise ValueError(
+                'backend must be one of "numpy", "native", "auto"'
+            )
+        request = cls(
+            dims=_int_tuple(payload.get("dims", []), "dims"),
+            sides=_int_tuple(payload.get("sides", []), "sides"),
+            universes=universes,
+            curves=_optional(_str_tuple, payload.get("curves"), "curves"),
+            metrics=_optional(_str_tuple, payload.get("metrics"), "metrics"),
+            chunk_cells=_optional(
+                _int, payload.get("chunk_cells"), "chunk_cells", 0
+            ),
+            threads=threads,
+            backend=backend,
+            strict=_flag(payload.get("strict", False), "strict"),
+            timeout_s=_optional(
+                _positive, payload.get("timeout_s"), "timeout_s"
+            ),
+        )
+        if not (request.dims or request.sides or request.universes):
             raise ValueError(
                 "request selects no universes: give dims+sides "
                 "and/or universes"
             )
-        curves = payload.get("curves")
-        if curves is not None:
-            curves = _str_tuple(curves, "curves")
-        metrics = payload.get("metrics")
-        if metrics is not None:
-            metrics = _str_tuple(metrics, "metrics")
-        chunk_cells = payload.get("chunk_cells")
-        if chunk_cells is not None:
-            if isinstance(chunk_cells, bool) or not isinstance(
-                chunk_cells, int
-            ):
-                raise ValueError("chunk_cells must be an integer")
-            if chunk_cells < 0:
-                raise ValueError("chunk_cells must be >= 0 (0 forces dense)")
-        threads = payload.get("threads")
-        if threads is not None and threads != "auto":
-            if isinstance(threads, bool) or not isinstance(threads, int):
-                raise ValueError('threads must be a positive int or "auto"')
-            if threads < 1:
-                raise ValueError("threads must be >= 1")
-        backend = payload.get("backend")
-        if backend is not None and backend not in ("numpy", "native", "auto"):
-            raise ValueError(
-                'backend must be one of "numpy", "native", "auto"'
-            )
-        strict = payload.get("strict", False)
-        if not isinstance(strict, bool):
-            raise ValueError("strict must be a boolean")
-        timeout_s = payload.get("timeout_s")
-        if timeout_s is not None:
-            if isinstance(timeout_s, bool) or not isinstance(
-                timeout_s, (int, float)
-            ):
-                raise ValueError("timeout_s must be a number")
-            if timeout_s <= 0:
-                raise ValueError("timeout_s must be positive")
-            timeout_s = float(timeout_s)
-        return cls(
-            dims=dims,
-            sides=sides,
-            universes=tuple(universes),
-            curves=curves,
-            metrics=metrics,
-            chunk_cells=chunk_cells,
-            threads=threads,
-            backend=backend,
-            strict=strict,
-            timeout_s=timeout_s,
-        )
+        return request
 
-    def to_dict(self) -> dict:
-        """JSON-ready form; ``from_dict(to_dict(r)) == r``."""
-        return {
-            "dims": list(self.dims),
-            "sides": list(self.sides),
-            "universes": [list(pair) for pair in self.universes],
-            "curves": None if self.curves is None else list(self.curves),
-            "metrics": None if self.metrics is None else list(self.metrics),
-            "chunk_cells": self.chunk_cells,
-            "threads": self.threads,
-            "backend": self.backend,
-            "strict": self.strict,
-            "timeout_s": self.timeout_s,
-        }
+    to_dict = _to_wire
 
     def to_sweep(
         self,
@@ -267,15 +288,7 @@ class CellRecord:
             },
         )
 
-    def to_dict(self) -> dict:
-        return {
-            "spec": self.spec,
-            "curve": self.curve,
-            "d": self.d,
-            "side": self.side,
-            "n": self.n,
-            "values": dict(self.values),
-        }
+    to_dict = _to_wire
 
 
 @dataclass(frozen=True)
@@ -291,13 +304,7 @@ class CellSkip:
     def from_skip(cls, skip: SkippedCell) -> "CellSkip":
         return cls(spec=skip.spec, d=skip.d, side=skip.side, reason=skip.reason)
 
-    def to_dict(self) -> dict:
-        return {
-            "spec": self.spec,
-            "d": self.d,
-            "side": self.side,
-            "reason": self.reason,
-        }
+    to_dict = _to_wire
 
 
 @dataclass(frozen=True)
@@ -315,79 +322,36 @@ class DynamicCreate:
     seed_points: int = 0
     seed: int = 0
 
-    _FIELDS = (
-        "d",
-        "side",
-        "curve",
-        "parts",
-        "window",
-        "reselect_threshold",
-        "candidates",
-        "seed_points",
-        "seed",
-    )
-
     @classmethod
     def from_dict(cls, payload: object) -> "DynamicCreate":
-        if not isinstance(payload, dict):
-            raise ValueError("create must be a JSON object")
-        unknown = sorted(set(payload) - set(cls._FIELDS))
-        if unknown:
-            raise ValueError(
-                f"unknown create fields {unknown}; "
-                f"accepted: {sorted(cls._FIELDS)}"
-            )
-        values = {}
-        for name, minimum in (
-            ("d", 1),
-            ("side", 1),
-            ("parts", 1),
-            ("window", 1),
-        ):
-            value = payload.get(name, getattr(cls, name, None))
-            if value is None:
+        payload = _object(cls, payload, "create")
+        for name in ("d", "side"):
+            if payload.get(name) is None:
                 raise ValueError(f"create requires {name}")
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ValueError(f"create.{name} must be an integer")
-            if value < minimum:
-                raise ValueError(f"create.{name} must be >= {minimum}")
-            values[name] = int(value)
-        curve = payload.get("curve", cls.curve)
-        if not isinstance(curve, str) or not curve:
-            raise ValueError("create.curve must be a non-empty string")
-        threshold = payload.get("reselect_threshold")
-        if threshold is not None:
-            if isinstance(threshold, bool) or not isinstance(
-                threshold, (int, float)
-            ):
-                raise ValueError(
-                    "create.reselect_threshold must be a number"
-                )
-            if threshold <= 0:
-                raise ValueError(
-                    "create.reselect_threshold must be positive"
-                )
-            threshold = float(threshold)
-        candidates = payload.get("candidates")
-        if candidates is not None:
-            candidates = _str_tuple(candidates, "create.candidates")
-        for name in ("seed_points", "seed"):
-            value = payload.get(name, 0)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ValueError(f"create.{name} must be an integer")
-            if value < 0:
-                raise ValueError(f"create.{name} must be >= 0")
-            values[name] = int(value)
+
+        def count(name: str, minimum: int) -> int:
+            return _int(
+                payload.get(name, getattr(cls, name, None)),
+                f"create.{name}",
+                minimum,
+            )
+
         return cls(
-            d=values["d"],
-            side=values["side"],
-            curve=curve,
-            parts=values["parts"],
-            window=values["window"],
-            reselect_threshold=threshold,
-            candidates=candidates,
-            seed_points=values["seed_points"],
-            seed=values["seed"],
+            d=count("d", 1),
+            side=count("side", 1),
+            curve=_text(payload.get("curve", cls.curve), "create.curve"),
+            parts=count("parts", 1),
+            window=count("window", 1),
+            reselect_threshold=_optional(
+                _positive,
+                payload.get("reselect_threshold"),
+                "create.reselect_threshold",
+            ),
+            candidates=_optional(
+                _str_tuple, payload.get("candidates"), "create.candidates"
+            ),
+            seed_points=count("seed_points", 0),
+            seed=count("seed", 0),
         )
 
 
@@ -407,26 +371,13 @@ def _parse_moves(raw: object) -> Tuple[tuple, ...]:
         extra = sorted(set(item) - {"op", "id", "coords"})
         if extra:
             raise ValueError(f"unknown move fields {extra}")
+        op = [kind]
         if kind in ("delete", "move"):
-            pid = item.get("id")
-            if isinstance(pid, bool) or not isinstance(pid, int):
-                raise ValueError(f'{kind} moves need an integer "id"')
+            op.append(_int(item.get("id"), f"{kind} move id"))
         if kind in ("insert", "move"):
             coords = item.get("coords")
-            if not isinstance(coords, (list, tuple)) or not all(
-                isinstance(c, int) and not isinstance(c, bool)
-                for c in coords
-            ):
-                raise ValueError(
-                    f'{kind} moves need integer-list "coords"'
-                )
-            coords = tuple(int(c) for c in coords)
-        if kind == "insert":
-            ops.append(("insert", coords))
-        elif kind == "delete":
-            ops.append(("delete", int(pid)))
-        else:
-            ops.append(("move", int(pid), coords))
+            op.append(_int_tuple(coords, f"{kind} move coords", None))
+        ops.append(tuple(op))
     return tuple(ops)
 
 
@@ -446,43 +397,17 @@ class DynamicStepRequest:
     verify: bool = False
     timeout_s: Optional[float] = None
 
-    _FIELDS = ("session", "create", "moves", "verify", "timeout_s")
-
     @classmethod
     def from_dict(cls, payload: object) -> "DynamicStepRequest":
-        if not isinstance(payload, dict):
-            raise ValueError("request body must be a JSON object")
-        unknown = sorted(set(payload) - set(cls._FIELDS))
-        if unknown:
-            raise ValueError(
-                f"unknown request fields {unknown}; "
-                f"accepted: {sorted(cls._FIELDS)}"
-            )
-        session = payload.get("session")
-        if not isinstance(session, str) or not session:
-            raise ValueError("session must be a non-empty string")
-        create = payload.get("create")
-        if create is not None:
-            create = DynamicCreate.from_dict(create)
-        moves = _parse_moves(payload.get("moves", []))
-        verify = payload.get("verify", False)
-        if not isinstance(verify, bool):
-            raise ValueError("verify must be a boolean")
-        timeout_s = payload.get("timeout_s")
-        if timeout_s is not None:
-            if isinstance(timeout_s, bool) or not isinstance(
-                timeout_s, (int, float)
-            ):
-                raise ValueError("timeout_s must be a number")
-            if timeout_s <= 0:
-                raise ValueError("timeout_s must be positive")
-            timeout_s = float(timeout_s)
+        payload = _object(cls, payload, "request")
         return cls(
-            session=session,
-            create=create,
-            moves=moves,
-            verify=verify,
-            timeout_s=timeout_s,
+            session=_text(payload.get("session"), "session"),
+            create=_optional(DynamicCreate.from_dict, payload.get("create")),
+            moves=_parse_moves(payload.get("moves", [])),
+            verify=_flag(payload.get("verify", False), "verify"),
+            timeout_s=_optional(
+                _positive, payload.get("timeout_s"), "timeout_s"
+            ),
         )
 
 
@@ -502,31 +427,14 @@ class DynamicStepResponse:
     parity: Optional[bool] = None
 
     def to_dict(self) -> dict:
-        payload = {
-            "session": self.session,
-            "spec": self.spec,
-            "step": self.step,
-            "metrics": dict(self.metrics),
-            "drift": self.drift,
-            "reselections": self.reselections,
-            "created": self.created,
-        }
-        if self.parity is not None:
-            payload["parity"] = self.parity
+        payload = _to_wire(self)
+        if self.parity is None:
+            del payload["parity"]
         return payload
 
     @classmethod
     def from_dict(cls, payload: dict) -> "DynamicStepResponse":
-        return cls(
-            session=payload["session"],
-            spec=payload["spec"],
-            step=int(payload["step"]),
-            metrics=dict(payload["metrics"]),
-            drift=float(payload["drift"]),
-            reselections=int(payload["reselections"]),
-            created=bool(payload.get("created", False)),
-            parity=payload.get("parity"),
-        )
+        return _from_wire(cls, payload)
 
 
 @dataclass(frozen=True)
@@ -542,37 +450,8 @@ class SweepResponse:
     #: set, so their grids were resident before the request arrived.
     served_from_warm: int = 0
 
-    def to_dict(self) -> dict:
-        return {
-            "records": [record.to_dict() for record in self.records],
-            "skipped": [skip.to_dict() for skip in self.skipped],
-            "deduped_cells": self.deduped_cells,
-            "served_from_warm": self.served_from_warm,
-        }
+    to_dict = _to_wire
 
     @classmethod
     def from_dict(cls, payload: dict) -> "SweepResponse":
-        return cls(
-            records=tuple(
-                CellRecord(
-                    spec=item["spec"],
-                    curve=item["curve"],
-                    d=item["d"],
-                    side=item["side"],
-                    n=item["n"],
-                    values=dict(item["values"]),
-                )
-                for item in payload.get("records", [])
-            ),
-            skipped=tuple(
-                CellSkip(
-                    spec=item["spec"],
-                    d=item["d"],
-                    side=item["side"],
-                    reason=item["reason"],
-                )
-                for item in payload.get("skipped", [])
-            ),
-            deduped_cells=int(payload.get("deduped_cells", 0)),
-            served_from_warm=int(payload.get("served_from_warm", 0)),
-        )
+        return _from_wire(cls, payload, records=CellRecord, skipped=CellSkip)

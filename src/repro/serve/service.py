@@ -23,6 +23,7 @@ in-flight cell count past ``max_inflight`` get a 429 with a retry hint
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -30,7 +31,7 @@ from typing import Dict, Optional, Tuple, Union
 
 from repro.engine.context import DEFAULT_CACHE_BYTES, CacheStats
 from repro.engine.pool import ContextPool
-from repro.engine.sweep import CurveSpec, SkippedCell, _run_cell
+from repro.engine.sweep import CurveSpec, _assemble, _run_cell
 from repro.engine.threads import resolve_threads
 from repro.grid.universe import Universe
 from repro.serve.batching import MicroBatcher
@@ -182,11 +183,17 @@ class SweepService:
     # ------------------------------------------------------------------
     def _pool_for(
         self,
-        chunk_cells: Optional[int],
-        threads: Optional[int],
-        backend: str = "auto",
+        chunk_cells: Optional[int] = None,
+        threads: Optional[int] = None,
+        backend: Optional[str] = None,
     ) -> ContextPool:
-        """The persistent pool of one execution mode (created once)."""
+        """The persistent pool of one execution mode (created once).
+
+        ``threads`` and ``backend`` default to the server's, so
+        ``_pool_for()`` is the default pool.
+        """
+        threads = threads or self._default_threads
+        backend = backend or self.config.backend
         key = (chunk_cells, threads, backend)
         with self._pool_lock:
             pool = self._pools.get(key)
@@ -220,10 +227,7 @@ class SweepService:
         for spec_text, d, side in self.config.hot_set:
             spec = CurveSpec.parse(spec_text)
             curve = spec.make(Universe(d=d, side=side))
-            pool = self._pool_for(
-                None, self._default_threads, self.config.backend
-            )
-            pool.get(curve).key_grid()
+            self._pool_for().get(curve).key_grid()
             self._warm_pairs.add((d, side, spec.label))
 
     def run_batch(self, tasks: list) -> list:
@@ -293,9 +297,55 @@ class SweepService:
     # ------------------------------------------------------------------
     # Request handling
     # ------------------------------------------------------------------
+    async def _settle(
+        self, futures: list, request, what: str
+    ) -> Optional[Tuple[int, dict]]:
+        """``None`` once every future holds a result; else the 504 of
+        a timeout or the failure of the first future that raised.
+
+        The timeout is the request's, else the server's.  A timeout
+        never cancels the futures: they are shared with concurrent
+        requests through the single-flight table, and the work goes on
+        server-side.
+        """
+        timeout = (
+            request.timeout_s
+            if request.timeout_s is not None
+            else self.config.timeout_s
+        )
+        _, pending = await asyncio.wait(futures, timeout=timeout)
+        if pending:
+            self.counters["timeouts"] += 1
+            return 504, {
+                "error": (
+                    f"{what} timed out after {timeout}s; it continues "
+                    "server-side"
+                )
+            }
+        for future in futures:
+            if future.exception() is not None:
+                return self._failure(future.exception())
+        return None
+
+    def _failure(self, exc: BaseException) -> Tuple[int, dict]:
+        """The response for a plan, cell or session exception: the
+        errors a caller can cause are 400s, anything else a 500."""
+        self.counters["errors"] += 1
+        if isinstance(exc, (ValueError, KeyError)):
+            # A KeyError's str() is the repr of its message.
+            message = exc.args[0] if len(exc.args) == 1 else exc
+            return 400, {"error": str(message)}
+        return 500, {"error": f"{type(exc).__name__}: {exc}"}
+
     async def handle_sweep(self, request: SweepRequest) -> Tuple[int, dict]:
         """``(status, payload)`` for one validated sweep request."""
         self.counters["requests"] += 1
+        if isinstance(request.threads, int):
+            # Values are bit-for-bit equal at any thread count; more
+            # threads than cores only adds OS threads and pools.
+            request = dataclasses.replace(
+                request, threads=min(request.threads, resolve_threads("auto"))
+            )
         try:
             sweep = request.to_sweep(
                 max_bytes=self.config.max_bytes,
@@ -305,8 +355,7 @@ class SweepService:
             )
             tasks, planned_skips = sweep._plan()
         except (ValueError, KeyError) as exc:
-            self.counters["errors"] += 1
-            return 400, {"error": str(exc).strip("'\"")}
+            return self._failure(exc)
         unique = list(dict.fromkeys(tasks))
         self.counters["cells_planned"] += len(unique)
         if self.config.max_request_bytes is not None:
@@ -349,50 +398,20 @@ class SweepService:
             else:
                 deduped += 1
             futures[task] = future
-        timeout = (
-            request.timeout_s
-            if request.timeout_s is not None
-            else self.config.timeout_s
-        )
         if futures:
-            # asyncio.wait (not wait_for+gather): futures are shared
-            # with concurrent requests through the single-flight table,
-            # and a timeout here must never cancel them under a request
-            # that is still waiting.
-            done, pending = await asyncio.wait(
-                set(futures.values()), timeout=timeout
+            failed = await self._settle(
+                list(futures.values()), request, "sweep"
             )
-            if pending:
-                self.counters["timeouts"] += 1
-                return 504, {
-                    "error": (
-                        f"sweep timed out after {timeout}s; the "
-                        "computation continues server-side and a retry "
-                        "will reuse it"
-                    )
-                }
-        records = []
-        skipped = [CellSkip.from_skip(skip) for skip in planned_skips]
-        # Original task order, spec-keyed reuse positionally — exactly
-        # Sweep.run's assembly.
-        for task in tasks:
-            future = futures[task]
-            exc = future.exception()
-            if exc is not None:
-                self.counters["errors"] += 1
-                if isinstance(exc, (ValueError, KeyError)):
-                    return 400, {"error": str(exc).strip("'\"")}
-                return 500, {
-                    "error": f"{type(exc).__name__}: {exc}"
-                }
-            outcome = future.result()
-            if isinstance(outcome, SkippedCell):
-                skipped.append(CellSkip.from_skip(outcome))
-            else:
-                records.append(CellRecord.from_record(outcome))
+            if failed:
+                return failed
+        records, skipped = _assemble(
+            tasks,
+            {task: future.result() for task, future in futures.items()},
+            planned_skips,
+        )
         response = SweepResponse(
-            records=tuple(records),
-            skipped=tuple(skipped),
+            records=tuple(map(CellRecord.from_record, records)),
+            skipped=tuple(map(CellSkip.from_skip, skipped)),
             deduped_cells=deduped,
             served_from_warm=warm_hits,
         )
@@ -415,11 +434,6 @@ class SweepService:
         interleave.
         """
         self.counters["dynamic_requests"] += 1
-        timeout = (
-            request.timeout_s
-            if request.timeout_s is not None
-            else self.config.timeout_s
-        )
         name = request.session
         created = False
         session = self._sessions.get(name)
@@ -442,9 +456,8 @@ class SweepService:
                     "retry_after_s": 1.0,
                 }
             key = ("dynamic", name)
-            future, opened = self.flight.admit(key, self._loop)
-            if opened:
-                created = True
+            future, created = self.flight.admit(key, self._loop)
+            if created:
 
                 def build() -> object:
                     try:
@@ -461,22 +474,11 @@ class SweepService:
                     self.flight.resolve(key, outcome)
 
                 handle.add_done_callback(publish)
-            done, pending = await asyncio.wait({future}, timeout=timeout)
-            if pending:
-                self.counters["timeouts"] += 1
-                return 504, {
-                    "error": (
-                        f"session bootstrap timed out after {timeout}s; "
-                        "it continues server-side and a retry will "
-                        "attach to it"
-                    )
-                }
-            exc = future.exception()
-            if exc is not None:
-                self.counters["errors"] += 1
-                if isinstance(exc, (ValueError, KeyError)):
-                    return 400, {"error": str(exc).strip("'\"")}
-                return 500, {"error": f"{type(exc).__name__}: {exc}"}
+            failed = await self._settle(
+                [future], request, "session bootstrap"
+            )
+            if failed:
+                return failed
             session = future.result()
         # The step task owns the session lock for its full compute, so
         # a request timeout returns 504 without breaking serialization
@@ -484,33 +486,12 @@ class SweepService:
         task = self._loop.create_task(
             self._step_session(session, request)
         )
-        done, pending = await asyncio.wait({task}, timeout=timeout)
-        if pending:
-            self.counters["timeouts"] += 1
-            return 504, {
-                "error": (
-                    f"dynamic step timed out after {timeout}s; the "
-                    "batch continues server-side"
-                )
-            }
-        exc = task.exception()
-        if exc is not None:
-            self.counters["errors"] += 1
-            if isinstance(exc, (ValueError, KeyError)):
-                return 400, {"error": str(exc).strip("'\"")}
-            return 500, {"error": f"{type(exc).__name__}: {exc}"}
+        failed = await self._settle([task], request, "dynamic step")
+        if failed:
+            return failed
         response: DynamicStepResponse = task.result()
         if created:
-            response = DynamicStepResponse(
-                session=response.session,
-                spec=response.spec,
-                step=response.step,
-                metrics=response.metrics,
-                drift=response.drift,
-                reselections=response.reselections,
-                created=True,
-                parity=response.parity,
-            )
+            response = dataclasses.replace(response, created=True)
         return 200, response.to_dict()
 
     def _build_session(self, create) -> "_DynamicSession":
@@ -525,13 +506,10 @@ class SweepService:
         from repro.engine.dynamic import DynamicUniverse
 
         universe = Universe(d=create.d, side=create.side)
-        pool = self._pool_for(
-            None, self._default_threads, self.config.backend
-        )
         dyn = DynamicUniverse(
             create.curve,
             universe=universe,
-            pool=pool,
+            pool=self._pool_for(),
             parts=create.parts,
             window=create.window,
             reselect_threshold=create.reselect_threshold,

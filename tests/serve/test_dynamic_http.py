@@ -131,6 +131,18 @@ class TestEndpoint:
         )
         assert status == 400
 
+    def test_bad_curve_kwargs_400(self, server):
+        # A keyword the curve does not take fails construction; the
+        # session is not created and the server keeps answering.
+        status, body = fetch(
+            step_url(server),
+            {"session": "k", "create": dict(CREATE, curve="z:bogus=1")},
+        )
+        assert status == 400
+        assert "bogus" in body["error"]
+        status, _ = fetch(step_url(server), {"session": "k"})
+        assert status == 404
+
     def test_malformed_json_400(self, server):
         status, _ = fetch(step_url(server), {"session": ["not-a-str"]})
         assert status == 400

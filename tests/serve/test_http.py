@@ -83,6 +83,20 @@ class TestEndpoints:
         finally:
             connection.close()
 
+    @pytest.mark.parametrize("route", ("/sweep", "/dynamic/step"))
+    def test_deeply_nested_json_400(self, server, route):
+        # 100 KB of "[" is far under the body cap but nests deeper
+        # than the JSON decoder's stack.
+        connection = http.client.HTTPConnection("127.0.0.1", server.port)
+        try:
+            connection.request("POST", route, body=b"[" * 100_000)
+            response = connection.getresponse()
+            assert response.status == 400
+            assert "invalid JSON" in json.loads(response.read())["error"]
+        finally:
+            connection.close()
+        assert fetch(server.url + "/healthz") == (200, {"status": "ok"})
+
     def test_unknown_field_400(self, server):
         status, payload = fetch(
             server.url + "/sweep", payload={"dims": [2], "side": [8]}

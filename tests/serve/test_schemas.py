@@ -68,6 +68,9 @@ class TestSweepRequest:
             {"dims": [2], "sides": [8], "strict": 1},
             {"dims": [2], "sides": [8], "timeout_s": 0},
             {"dims": [2], "sides": [8], "timeout_s": "soon"},
+            {"dims": [2], "sides": [8], "timeout_s": float("nan")},
+            {"dims": [2], "sides": [8], "timeout_s": float("inf")},
+            {"dims": [2], "sides": [8], "timeout_s": 10**400},
         ),
     )
     def test_invalid_payloads_rejected(self, payload):

@@ -7,6 +7,7 @@ tested deterministically, one mechanism at a time.
 
 import asyncio
 import dataclasses
+import os
 import time
 
 import pytest
@@ -205,6 +206,20 @@ class TestAdmission:
             assert status == 200
 
         run_with_service(ServeConfig(port=0, max_inflight=1), scenario)
+
+    def test_request_threads_capped_at_cores(self):
+        cores = os.cpu_count() or 1
+
+        async def scenario(service):
+            status, _ = await service.handle_sweep(
+                _request(threads=cores + 1)
+            )
+            assert status == 200
+            return list(service._pools)
+
+        keys = run_with_service(ServeConfig(port=0), scenario)
+        assert keys
+        assert all(threads <= cores for _, threads, _ in keys)
 
     def test_timeout_is_504_and_computation_survives(self, sleepy_metric):
         async def scenario(service):
