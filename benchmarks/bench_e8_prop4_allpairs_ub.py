@@ -13,7 +13,6 @@ from repro.core.asymptotics import (
     allpairs_simple_manhattan_ub,
 )
 from repro.curves.simple import SimpleCurve
-from repro.grid.metrics import pairwise_euclidean, pairwise_manhattan
 from repro.viz.tables import format_table
 
 from _bench_utils import run_once
@@ -32,8 +31,9 @@ def _per_pair_max_ratios(curve):
     cells = universe.all_coords()
     keys = curve.index(cells).astype(np.float64)
     key_dist = np.abs(keys[:, None] - keys[None, :])
-    m = pairwise_manhattan(cells, cells).astype(np.float64)
-    e = pairwise_euclidean(cells, cells)
+    delta = cells[:, None, :] - cells[None, :, :]
+    m = np.abs(delta).sum(axis=-1).astype(np.float64)
+    e = np.sqrt((delta * delta).sum(axis=-1).astype(np.float64))
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio_m = np.where(m > 0, key_dist / m, 0.0)
         ratio_e = np.where(e > 0, key_dist / e, 0.0)

@@ -8,12 +8,14 @@ natural object is the *stretch profile*
 
 over uniformly random pairs at each grid distance r: how the stretch
 decays from the NN regime (r = 1, the paper's focus) to the diameter.
-Exact (chunked all-pairs) for small universes; seeded sampling for
+Exact for small universes, from the all-pairs fold's integer totals
+(``profile(r) = T_r / (r·count_r)``, see
+:meth:`repro.engine.MetricContext.pair_totals`); seeded sampling for
 large ones.
 
 Functions accept a curve or a :class:`repro.engine.MetricContext`; keys
-come from the context's cached rank-ordered flat key array instead of
-re-evaluating the curve.
+come from the context's cached key grid (exact) and rank-ordered flat
+key array (sampled) instead of re-evaluating the curve.
 """
 
 from __future__ import annotations
@@ -21,46 +23,21 @@ from __future__ import annotations
 import numpy as np
 
 from repro.engine.context import get_context
-from repro.grid.metrics import pairwise_manhattan
 
 __all__ = ["stretch_profile_exact", "stretch_profile_sampled"]
 
 
-def stretch_profile_exact(
-    curve, chunk: int = 1024
-) -> dict[int, float]:
+def stretch_profile_exact(curve) -> dict[int, float]:
     """Exact ``profile(r)`` for every realized Manhattan distance r.
 
-    ``O(n²)`` chunked; intended for universes up to ~10⁴ cells.
+    Each value is the correctly rounded ``T_r / (r·count_r)`` of the
+    context's memoized pair totals, the ``O(n²)`` fold the all-pairs
+    stretch shares; intended for universes up to ~10⁴ cells.
     """
     ctx = get_context(curve)
-    universe = ctx.universe
-    n = universe.n
-    if n < 2:
+    if ctx.universe.n < 2:
         raise ValueError("need n >= 2")
-    cells = universe.all_coords()
-    keys = ctx.flat_keys().astype(np.float64)
-    max_r = universe.d * (universe.side - 1)
-    sums = np.zeros(max_r + 1, dtype=np.float64)
-    counts = np.zeros(max_r + 1, dtype=np.int64)
-    for start in range(0, n, chunk):
-        stop = min(start + chunk, n)
-        dist = pairwise_manhattan(cells[start:stop], cells)
-        key_dist = np.abs(keys[start:stop, None] - keys[None, :])
-        flat_r = dist.reshape(-1)
-        ratio = np.divide(
-            key_dist.reshape(-1),
-            flat_r,
-            out=np.zeros(flat_r.size),
-            where=flat_r > 0,
-        )
-        sums += np.bincount(flat_r, weights=ratio, minlength=max_r + 1)
-        counts += np.bincount(flat_r, minlength=max_r + 1)
-    return {
-        r: float(sums[r] / counts[r])
-        for r in range(1, max_r + 1)
-        if counts[r] > 0
-    }
+    return ctx.pair_totals().profile()
 
 
 def stretch_profile_sampled(

@@ -6,35 +6,50 @@ The average all-pairs stretch under grid metric ``m`` is
 
 Computed two ways:
 
-* **exactly**, by chunked ``O(n²)`` evaluation (feasible to n ≈ 10⁴ cells
-  comfortably), and
+* **exactly**, from the integer totals of ``∆π`` per grid distance
+  (:func:`pair_totals`, an ``O(n²)`` fold for up to some ``10⁴``
+  cells), each metric rounded once (:meth:`PairTotals.stretch`); and
 * **estimated**, by uniform sampling of ordered pairs with a CLT-based
   confidence interval, for large universes.
 
 Lemma 2 — ``Σ_{ordered pairs} ∆π(α,β) = (n−1)n(n+1)/3`` for **every**
 bijection π — is provided both as a closed form and as an ``O(n log n)``
 measurement from the actual keys, so the identity can be checked per
-curve.
+curve.  It also checks the fold: ``2·Σ_m T_m`` is that sum.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 
 from repro.curves.base import SpaceFillingCurve
-from repro.grid.metrics import pairwise_euclidean, pairwise_manhattan
 
 __all__ = [
     "lemma2_sum_exact",
     "lemma2_sum_measured",
+    "PairTotals",
+    "pair_totals",
     "average_allpairs_stretch_exact",
     "average_allpairs_stretch_sampled",
     "AllPairsEstimate",
 ]
 
-_METRICS = {"manhattan": pairwise_manhattan, "euclidean": pairwise_euclidean}
+_METRICS = ("manhattan", "euclidean")
+
+#: Most cells of the block :func:`pair_totals` pairs all against all.
+_BLOCK_CELLS = 64
+#: Most int64 values one broadcast of :func:`pair_totals` holds.
+_BROADCAST_VALUES = 2**18
+
+
+def _check_metric(metric: str) -> None:
+    if metric not in _METRICS:
+        raise ValueError(f"metric must be one of {sorted(_METRICS)}")
 
 
 def lemma2_sum_exact(n: int) -> int:
@@ -59,75 +74,127 @@ def lemma2_sum_measured(curve: SpaceFillingCurve) -> int:
     return int(2 * (coeff * keys).sum())
 
 
-def _ratio_chunk_sum(
-    pairwise, cells: np.ndarray, keys: np.ndarray, start: int, stop: int
-) -> float:
-    """``Σ ∆π/m`` over the ordered pairs with first index in [start, stop).
+@dataclass(frozen=True)
+class PairTotals:
+    """Totals of ``∆π`` over the unordered pairs of cells, by distance.
 
-    The shared per-chunk core of the serial and threaded exact paths;
-    keeping it single-sourced is what makes their results bit-for-bit
-    identical (the merge order is the only other degree of freedom, and
-    both merge in chunk order).
+    ``manhattan[m]`` totals the pairs at Manhattan distance ``m``, and
+    ``counts[m]`` counts them; ``euclidean[s]`` totals the pairs at
+    squared Euclidean distance ``s``.  Only non-empty classes appear,
+    in ascending order.
     """
-    grid_dist = pairwise(cells[start:stop], cells).astype(np.float64)
-    key_dist = np.abs(keys[start:stop, None] - keys[None, :])
-    ratio = np.divide(
-        key_dist,
-        grid_dist,
-        out=np.zeros_like(key_dist),
-        where=grid_dist > 0,
+
+    n: int
+    manhattan: dict
+    counts: dict
+    euclidean: dict
+
+    def stretch(self, metric: str = "manhattan") -> float:
+        """``str_{avg,metric}``, rounded once: Manhattan is the rational
+        ``2·Σ_m T_m/m / (n(n−1))``; the irrational Euclidean sum
+        ``Σ_s T_s/√s`` is taken in 40-digit decimal (a float sum of
+        float quotients lands more than 1 ulp off)."""
+        _check_metric(metric)
+        pairs = self.n * (self.n - 1)
+        if metric == "manhattan":
+            total = sum(Fraction(t, m) for m, t in self.manhattan.items())
+            return float(2 * total / pairs)
+        with localcontext(prec=40):
+            total = sum(
+                Decimal(t) / Decimal(s).sqrt()
+                for s, t in self.euclidean.items()
+            )
+            return float(2 * total / pairs)
+
+    def profile(self) -> dict[int, float]:
+        """``E[∆π/∆ | ∆ = m] = T_m / (m·count_m)`` per non-empty ``m``."""
+        return {
+            m: t / (m * self.counts[m]) for m, t in self.manhattan.items()
+        }
+
+
+def _class_sums(keys: np.ndarray, values: np.ndarray) -> dict:
+    """``{key: Σ values}`` in int64 over the distinct non-zero keys."""
+    distinct, where = np.unique(keys, return_inverse=True)
+    sums = np.zeros(distinct.size, dtype=np.int64)
+    np.add.at(sums, where.reshape(-1), values.reshape(-1))
+    return {int(k): int(v) for k, v in zip(distinct, sums) if k}
+
+
+def pair_totals(keys: np.ndarray) -> PairTotals:
+    """Fold a key grid ``(side,)*d`` into its :class:`PairTotals`.
+
+    The trailing axes, the most that hold at most 64 cells, form a
+    block.  Every offset ``δ`` of the leading axes whose first non-zero
+    entry is positive, and ``δ = 0``, pairs two slices of the grid; the
+    broadcast ``|π(a) − π(b)|`` over every cell pair ``(i, k)`` of two
+    facing blocks is summed per class ``(|·|₁, |·|²)`` of the inner
+    offset, to which ``δ`` adds its own.  ``δ = 0`` meets each pair as
+    ``(i, k)`` and ``(k, i)`` and is halved.  ``O(n²)`` integer work:
+    the block keeps the offsets few in high dimension.  A class total
+    is at most ``n³/6``, inside int64 for ``n < 2·10⁶``.
+    """
+    keys = np.asarray(keys, dtype=np.int64)
+    d, side = keys.ndim, keys.shape[0]
+    inner = 0
+    while inner < d and side ** (inner + 1) <= _BLOCK_CELLS:
+        inner += 1
+    block = side**inner
+    cells = np.indices((side,) * inner).reshape(inner, block).T
+    step = (cells[None] - cells[:, None]).reshape(block * block, inner)
+    classes, which = np.unique(
+        [np.abs(step).sum(1), (step * step).sum(1)],
+        axis=1,
+        return_inverse=True,
     )
-    return float(ratio.sum())
+    which = which.reshape(-1)
+    order = np.argsort(which, kind="stable")
+    sizes = np.bincount(which)
+    starts = np.cumsum(sizes) - sizes
+
+    offsets = [
+        delta
+        for delta in itertools.product(range(1 - side, side), repeat=d - inner)
+        if next((t for t in delta if t), 1) > 0
+    ]
+    rows = max(1, _BROADCAST_VALUES // block**2)
+    totals = np.empty((len(offsets), len(sizes)), dtype=np.int64)
+    for o, delta in enumerate(offsets):
+        x = keys[tuple(slice(max(0, -t), side - max(0, t)) for t in delta)]
+        y = keys[tuple(slice(max(0, t), side - max(0, -t)) for t in delta)]
+        x, y = x.reshape(-1, block), y.reshape(-1, block)
+        sums = np.zeros((block, block), dtype=np.int64)
+        for r in range(0, len(x), rows):
+            diff = x[r : r + rows, :, None] - y[r : r + rows, None]
+            sums += np.abs(diff).sum(axis=0)
+        totals[o] = np.add.reduceat(sums.reshape(-1)[order], starts)
+    lead = np.array(offsets, dtype=np.int64).reshape(len(offsets), -1)
+    counts = np.prod(side - np.abs(lead), axis=1)[:, None] * sizes
+    zero = offsets.index((0,) * (d - inner))
+    totals[zero] //= 2
+    counts[zero] //= 2
+    m = np.abs(lead).sum(1)[:, None] + classes[0]
+    s = (lead * lead).sum(1)[:, None] + classes[1]
+    return PairTotals(
+        n=keys.size,
+        manhattan=_class_sums(m, totals),
+        counts=_class_sums(m, counts),
+        euclidean=_class_sums(s, totals),
+    )
 
 
 def average_allpairs_stretch_exact(
-    curve: SpaceFillingCurve,
-    metric: str = "manhattan",
-    chunk: int = 1024,
-    scheduler=None,
+    curve: SpaceFillingCurve, metric: str = "manhattan"
 ) -> float:
-    """Exact ``str_{avg,m}(π)`` by chunked pairwise evaluation.
+    """Exact ``str_{avg,m}(π)`` of the curve's context
+    (:meth:`repro.engine.MetricContext.allpairs_exact`); ``metric`` is
+    ``"manhattan"`` (the paper's ``∆``) or ``"euclidean"`` (``∆_E``)."""
+    from repro.engine.context import get_context
 
-    Parameters
-    ----------
-    curve:
-        Any SFC.
-    metric:
-        ``"manhattan"`` (the paper's ``∆``) or ``"euclidean"`` (``∆_E``).
-    chunk:
-        Row-chunk size bounding transient memory at ``O(chunk · n · d)``.
-    scheduler:
-        Optional :class:`repro.engine.threads.BlockScheduler`; when
-        given, row chunks are evaluated on its worker threads.  Partial
-        sums are merged in submission order — the serial loop's order —
-        so the result is bit-for-bit the serial one.
-    """
-    if metric not in _METRICS:
-        raise ValueError(f"metric must be one of {sorted(_METRICS)}")
-    pairwise = _METRICS[metric]
-    universe = curve.universe
-    n = universe.n
-    if n < 2:
+    _check_metric(metric)
+    if curve.universe.n < 2:
         raise ValueError("all-pairs stretch needs n >= 2")
-    cells = universe.all_coords()
-    keys = curve.index(cells).astype(np.float64)
-    spans = [
-        (start, min(start + chunk, n)) for start in range(0, n, chunk)
-    ]
-    total = 0.0
-    if scheduler is not None:
-        tasks = [
-            (lambda lo=lo, hi=hi: _ratio_chunk_sum(pairwise, cells, keys, lo, hi))
-            for lo, hi in spans
-        ]
-        for part in scheduler.imap(tasks):
-            total += part
-    else:
-        for lo, hi in spans:
-            total += _ratio_chunk_sum(pairwise, cells, keys, lo, hi)
-    # `total` sums over ordered pairs (diagonal contributes 0); the
-    # unordered-average definition equals total / (n(n-1)).
-    return total / (n * (n - 1))
+    return get_context(curve).allpairs_exact(metric)
 
 
 @dataclass(frozen=True)
@@ -197,8 +264,7 @@ def average_allpairs_stretch_sampled(
     elementwise, so the reassembled array — and hence the mean and
     standard error — is bit-for-bit the serial result.
     """
-    if metric not in _METRICS:
-        raise ValueError(f"metric must be one of {sorted(_METRICS)}")
+    _check_metric(metric)
     if n_pairs < 2:
         raise ValueError("need n_pairs >= 2 for a standard error")
     universe = curve.universe

@@ -112,8 +112,9 @@ import numpy as np
 
 from repro.core.allpairs import (
     AllPairsEstimate,
-    average_allpairs_stretch_exact,
+    PairTotals,
     average_allpairs_stretch_sampled,
+    pair_totals,
 )
 from repro.core.lower_bounds import davg_lower_bound
 from repro.curves.base import SpaceFillingCurve
@@ -1095,23 +1096,26 @@ class MetricContext:
     # ------------------------------------------------------------------
     # All-pairs stretch (Section V-B)
     # ------------------------------------------------------------------
-    def allpairs_exact(
-        self, metric: str = "manhattan", chunk: int = 1024
-    ) -> float:
-        """Exact ``str_{avg,m}(π)``, memoized per grid metric.
+    def pair_totals(self) -> PairTotals:
+        """Memoized :func:`repro.core.allpairs.pair_totals` of the key
+        grid joined from :meth:`iter_key_slabs`: the integer totals
+        behind both all-pairs metrics and the stretch profile, equal in
+        every mode and on every backend."""
+        return self._scalar(
+            ("pair_totals",),
+            lambda: pair_totals(
+                np.concatenate([slab for *_, slab in self.iter_key_slabs()])
+            ),
+        )
 
-        0.0 on the 1-cell universe (average over zero pairs).
-        """
+    def allpairs_exact(self, metric: str = "manhattan") -> float:
+        """Exact ``str_{avg,m}(π)`` from :meth:`pair_totals`, memoized
+        per grid metric; 0.0 on the 1-cell universe (no pairs)."""
         if self.universe.n < 2:
             return 0.0
         return self._scalar(
             ("allpairs_exact", metric),
-            lambda: average_allpairs_stretch_exact(
-                self.curve,
-                metric,
-                chunk,
-                scheduler=self.scheduler,
-            ),
+            lambda: self.pair_totals().stretch(metric),
         )
 
     def allpairs_sampled(

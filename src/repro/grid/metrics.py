@@ -17,8 +17,6 @@ __all__ = [
     "chebyshev",
     "grid_diameter_manhattan",
     "grid_diameter_euclidean",
-    "pairwise_manhattan",
-    "pairwise_euclidean",
 ]
 
 
@@ -62,21 +60,3 @@ def grid_diameter_euclidean(d: int, side: int) -> float:
         raise ValueError("need d >= 1 and side >= 1")
     return math.sqrt(d) * (side - 1)
 
-
-def pairwise_manhattan(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """All-pairs L1 distances: shapes ``(m, d) × (p, d) → (m, p)``.
-
-    Used by the chunked exact all-pairs stretch computation; memory is
-    ``O(m·p·d)`` transiently, so callers chunk the first argument.
-    """
-    a_arr = np.asarray(a, dtype=np.int64)
-    b_arr = np.asarray(b, dtype=np.int64)
-    return np.abs(a_arr[:, None, :] - b_arr[None, :, :]).sum(axis=-1)
-
-
-def pairwise_euclidean(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """All-pairs L2 distances: shapes ``(m, d) × (p, d) → (m, p)`` floats."""
-    a_arr = np.asarray(a, dtype=np.float64)
-    b_arr = np.asarray(b, dtype=np.float64)
-    diff = a_arr[:, None, :] - b_arr[None, :, :]
-    return np.sqrt((diff * diff).sum(axis=-1))

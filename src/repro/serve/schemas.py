@@ -336,11 +336,14 @@ class DynamicCreate:
                 minimum,
             )
 
+        parts = count("parts", 1)
+        if parts > sys.maxsize:  # the engine lists one load per part
+            raise ValueError(f"create.parts must be <= {sys.maxsize}")
         return cls(
             d=count("d", 1),
             side=count("side", 1),
             curve=_text(payload.get("curve", cls.curve), "create.curve"),
-            parts=count("parts", 1),
+            parts=parts,
             window=count("window", 1),
             reselect_threshold=_optional(
                 _positive,

@@ -122,6 +122,14 @@ class ServeConfig:
     store_dir: Optional[str] = None
 
 
+def _dense_bytes(d: int, side: int) -> int:
+    """A dense cell's engine state, 32 bytes per cell: the key grid plus
+    the same-order derived arrays (flat keys, curve order, per-cell
+    grids).  Past ``2**64`` cells ``side**d`` is not computed: a huge
+    ``d`` would make the power itself the cost."""
+    return (side**d if (side.bit_length() - 1) * d < 64 else 2**64) * 32
+
+
 class _DynamicSession:
     """One live :class:`repro.engine.dynamic.DynamicUniverse` + its lock.
 
@@ -254,14 +262,39 @@ class SweepService:
         """Rough resident engine state of one cell (admission check).
 
         Chunked cells hold ~64 bytes per block cell (keys, coordinates,
-        reduction temporaries); dense cells hold the key grid plus the
-        same-order derived arrays (flat keys, curve order, per-cell
-        grids).
+        reduction temporaries); dense cells see :func:`_dense_bytes`.
         """
-        n = task.side**task.d
         if task.chunk_cells:
-            return min(n, task.chunk_cells) * 64
-        return n * 8 * 4
+            return min(task.side**task.d, task.chunk_cells) * 64
+        return _dense_bytes(task.d, task.side)
+
+    @staticmethod
+    def estimate_session_bytes(create) -> int:
+        """Rough resident state of one ``/dynamic/step`` session
+        (admission check), capped at ``2**64``: its universe as a dense
+        cell (a table curve holds its whole key table), 64 bytes per
+        axis and per part (strides; loads, also in every response) and
+        ~256 per seeded point (coordinates, key, order and occupancy
+        entries)."""
+        return min(
+            _dense_bytes(create.d, create.side)
+            + 64 * (create.d + create.parts)
+            + create.seed_points * (256 + 8 * create.d),
+            2**64,
+        )
+
+    def _over_budget(self, estimate: int, what: str, advice: str):
+        """The 413 answer when ``estimate`` exceeds the byte budget."""
+        budget = self.config.max_request_bytes
+        if budget is None or estimate <= budget:
+            return None
+        self.counters["rejected"] += 1
+        return 413, {
+            "error": (
+                f"{what} needs ~{estimate} bytes of engine state, over "
+                f"the server's {budget}-byte budget; {advice}"
+            )
+        }
 
     # ------------------------------------------------------------------
     # Async lifecycle
@@ -358,18 +391,13 @@ class SweepService:
             return self._failure(exc)
         unique = list(dict.fromkeys(tasks))
         self.counters["cells_planned"] += len(unique)
-        if self.config.max_request_bytes is not None:
-            estimate = sum(map(self.estimate_task_bytes, unique))
-            if estimate > self.config.max_request_bytes:
-                self.counters["rejected"] += 1
-                return 413, {
-                    "error": (
-                        f"request needs ~{estimate} bytes of engine "
-                        f"state, over the server's "
-                        f"{self.config.max_request_bytes}-byte budget; "
-                        "split the sweep or pass chunk_cells"
-                    )
-                }
+        rejected = self._over_budget(
+            sum(map(self.estimate_task_bytes, unique)),
+            "request",
+            "split the sweep or pass chunk_cells",
+        )
+        if rejected:
+            return rejected
         if (
             len(self.flight) + self.flight.new_keys(unique)
             > self.config.max_inflight
@@ -446,6 +474,13 @@ class SweepService:
                         '"create" block to bootstrap it'
                     )
                 }
+            rejected = self._over_budget(
+                self.estimate_session_bytes(request.create),
+                "session",
+                "use a smaller universe, fewer seed_points or fewer parts",
+            )
+            if rejected:
+                return rejected
             if len(self._sessions) >= self.config.max_sessions:
                 self.counters["rejected"] += 1
                 return 429, {

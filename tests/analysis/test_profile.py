@@ -1,6 +1,9 @@
 """Tests for the stretch-by-distance profile."""
 
-import numpy as np
+import itertools
+from collections import Counter
+from fractions import Fraction
+
 import pytest
 
 from repro import Universe
@@ -30,32 +33,27 @@ class TestExactProfile:
             float(nn_distance_values(z).mean())
         )
 
-    def test_chunking_invariance(self):
-        u = Universe(d=2, side=8)
-        z = ZCurve(u)
-        full = stretch_profile_exact(z, chunk=u.n)
-        tiny = stretch_profile_exact(z, chunk=5)
-        for r in full:
-            assert full[r] == pytest.approx(tiny[r])
-
     def test_weighted_average_is_allpairs_stretch(self):
         """Averaging profile(r) with the pair-count weights recovers
-        str_{avg,M} — consistency between the two modules."""
+        str_{avg,M} exactly: profile(r) = T_r/(r·count_r), so the
+        weighted sum is Σ_r T_r/r — consistency between the modules,
+        with the pair counts taken from the cells."""
         from repro.core.allpairs import average_allpairs_stretch_exact
-        from repro.grid.metrics import pairwise_manhattan
+        from repro.engine.context import get_context
 
         u = Universe(d=2, side=4)
         z = ZCurve(u)
+        totals = get_context(z).pair_totals().manhattan
+        counts = Counter(
+            sum(abs(x - y) for x, y in zip(a, b))
+            for a, b in itertools.combinations(u.iter_cells(), 2)
+        )
+        exact = {r: Fraction(totals[r], r * counts[r]) for r in counts}
         profile = stretch_profile_exact(z)
-        cells = u.all_coords()
-        dist = pairwise_manhattan(cells, cells).reshape(-1)
-        counts = np.bincount(dist)
-        total_pairs = u.n * (u.n - 1)
-        weighted = sum(
-            profile[r] * counts[r] for r in profile
-        ) / total_pairs
-        assert weighted == pytest.approx(
-            average_allpairs_stretch_exact(z), rel=1e-9
+        assert profile == {r: float(p) for r, p in sorted(exact.items())}
+        weighted = sum(exact[r] * counts[r] for r in counts)
+        assert float(2 * weighted / (u.n * (u.n - 1))) == (
+            average_allpairs_stretch_exact(z)
         )
 
     def test_random_curve_flat_key_distance(self):

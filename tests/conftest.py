@@ -174,21 +174,3 @@ def brute_force_dmax(curve) -> float:
         me = int(curve.index(np.asarray(cell)))
         total += float(np.abs(keys - me).max())
     return total / universe.n
-
-
-def brute_force_allpairs(curve, metric: str = "manhattan") -> float:
-    """Slow all-pairs stretch oracle (Section V-B definition verbatim)."""
-    from repro.grid.metrics import euclidean, manhattan
-
-    universe = curve.universe
-    cells = list(universe.iter_cells())
-    n = len(cells)
-    total = 0.0
-    dist = manhattan if metric == "manhattan" else euclidean
-    for i in range(n):
-        for j in range(i + 1, n):
-            a = np.asarray(cells[i])
-            b = np.asarray(cells[j])
-            dpi = abs(int(curve.index(a)) - int(curve.index(b)))
-            total += dpi / float(dist(a, b))
-    return 2.0 * total / (n * (n - 1))

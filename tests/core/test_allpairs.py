@@ -1,5 +1,8 @@
 """Tests for the all-pairs stretch and the Lemma 2 identity."""
 
+import math
+from decimal import Decimal
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,12 +14,13 @@ from repro.core.allpairs import (
     average_allpairs_stretch_sampled,
     lemma2_sum_exact,
     lemma2_sum_measured,
+    pair_totals,
 )
 from repro.curves.random_curve import RandomCurve
 from repro.curves.simple import SimpleCurve
 from repro.curves.zcurve import ZCurve
 
-from tests.conftest import brute_force_allpairs
+from tests.core.test_exact_oracle import exact_metrics
 
 
 class TestLemma2:
@@ -59,29 +63,25 @@ class TestLemma2:
             lemma2_sum_exact(0)
 
 
+def _assert_oracle(curve, metric):
+    """Manhattan is ``float`` of the exact Fraction; Euclidean is
+    within 1 ulp of the 50-digit Decimal."""
+    *_, manhattan, euclidean = exact_metrics(curve)
+    value = average_allpairs_stretch_exact(curve, metric)
+    if metric == "manhattan":
+        assert value == float(manhattan)
+    else:
+        assert abs(Decimal(value) - euclidean) <= Decimal(math.ulp(value))
+
+
 class TestExactAllPairs:
     @pytest.mark.parametrize("metric", ["manhattan", "euclidean"])
     def test_matches_brute_force_simple(self, metric):
-        u = Universe(d=2, side=4)
-        s = SimpleCurve(u)
-        assert average_allpairs_stretch_exact(s, metric) == pytest.approx(
-            brute_force_allpairs(s, metric)
-        )
+        _assert_oracle(SimpleCurve(Universe(d=2, side=4)), metric)
 
     @pytest.mark.parametrize("metric", ["manhattan", "euclidean"])
     def test_matches_brute_force_z(self, metric):
-        u = Universe(d=2, side=4)
-        z = ZCurve(u)
-        assert average_allpairs_stretch_exact(z, metric) == pytest.approx(
-            brute_force_allpairs(z, metric)
-        )
-
-    def test_chunking_invariance(self):
-        u = Universe(d=2, side=8)
-        z = ZCurve(u)
-        full = average_allpairs_stretch_exact(z, chunk=u.n)
-        tiny = average_allpairs_stretch_exact(z, chunk=7)
-        assert full == pytest.approx(tiny)
+        _assert_oracle(ZCurve(Universe(d=2, side=4)), metric)
 
     def test_euclidean_le_sqrt2_manhattan_relation(self):
         """∆_E ≥ ∆/√2 in the paper's Lemma 7 proof ⇒ str_E ≤ √2·str_M
@@ -104,6 +104,53 @@ class TestExactAllPairs:
             average_allpairs_stretch_exact(
                 SimpleCurve(Universe(d=1, side=1))
             )
+
+
+def _class_totals(keys: np.ndarray, rows: int = 256) -> tuple:
+    """``(T_m, count_m, T_s)`` pair by pair, in row blocks: every pair
+    of cells with the first of rank below the second, binned by its
+    Manhattan and squared Euclidean distance (float bins, exact while
+    the totals stay below 2^53)."""
+    cells = np.indices(keys.shape).reshape(keys.ndim, -1).T
+    flat = keys.reshape(-1)
+    n = flat.size
+    top = keys.ndim * (keys.shape[0] - 1) ** 2 + 1
+    sums = np.zeros((3, top))
+    for lo in range(0, n, rows):
+        hi = min(lo + rows, n)
+        delta = cells[lo:hi, None, :] - cells[None, :, :]
+        later = np.arange(lo, hi)[:, None] < np.arange(n)[None, :]
+        key_dist = np.abs(flat[lo:hi, None] - flat[None, :])[later]
+        m = np.abs(delta).sum(-1)[later]
+        s = (delta * delta).sum(-1)[later]
+        sums[0] += np.bincount(m, weights=key_dist, minlength=top)
+        sums[1] += np.bincount(m, minlength=top)
+        sums[2] += np.bincount(s, weights=key_dist, minlength=top)
+    return tuple({k: int(v) for k, v in enumerate(row) if v} for row in sums)
+
+
+class TestPairTotals:
+    """The fold against a pair-by-pair count, on universes where it
+    pairs slices along several leading axes (offsets with negative
+    entries), along one, or none (one block)."""
+
+    @pytest.mark.parametrize(
+        "d, side",
+        [(1, 100), (2, 65), (3, 9), (8, 2), (2, 8)],
+        ids=lambda v: str(v),
+    )
+    def test_matches_pair_by_pair_totals(self, d, side):
+        universe = Universe(d=d, side=side)
+        rng = np.random.default_rng(d * 1000 + side)
+        keys = rng.permutation(universe.n).reshape(universe.shape)
+        totals = pair_totals(keys)
+        manhattan, counts, euclidean = _class_totals(keys)
+        assert totals.manhattan == manhattan
+        assert totals.counts == counts
+        assert totals.euclidean == euclidean
+        assert 2 * sum(totals.manhattan.values()) == lemma2_sum_exact(
+            universe.n
+        )
 
 
 class TestSampledAllPairs:
@@ -160,25 +207,9 @@ class TestSampledAllPairs:
 
 
 class TestSchedulerParity:
-    """The scheduler parameter (PR 6) fans the serial loops out over
-    worker threads without changing a single bit of the result."""
-
-    @pytest.mark.parametrize("threads", (2, 4))
-    @pytest.mark.parametrize("metric", ("manhattan", "euclidean"))
-    def test_exact_threaded_matches_serial(self, threads, metric):
-        from repro.engine.threads import BlockScheduler
-
-        u = Universe(d=2, side=8)
-        z = ZCurve(u)
-        serial = average_allpairs_stretch_exact(z, metric, chunk=17)
-        scheduler = BlockScheduler(threads)
-        try:
-            threaded = average_allpairs_stretch_exact(
-                z, metric, chunk=17, scheduler=scheduler
-            )
-        finally:
-            scheduler.close()
-        assert threaded == serial
+    """The sampled estimate's scheduler parameter fans its ratio
+    evaluation out over worker threads without changing a single bit
+    of the result."""
 
     @pytest.mark.parametrize("threads", (2, 4))
     def test_sampled_threaded_matches_serial(self, threads):

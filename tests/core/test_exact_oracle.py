@@ -1,17 +1,24 @@
-"""D^avg and the NN mean against an exact ``fractions.Fraction`` oracle.
+"""D^avg, the NN mean and the all-pairs stretch against exact oracles.
 
 The oracle evaluates Definition 2 in rational arithmetic from the
 curve's NumPy reference keys: ``D^avg = (1/n) Σ_α (1/|N(α)|) Σ_{β ∈
 N(α)} |π(α) − π(β)|`` and the NN mean as the pair sum over the pair
-count.  Every registry curve (and the three transforms over
-``hilbert``), on both backends and in dense, chunked and threaded
-contexts, must agree with it:
+count.  A pure-Python loop over the unordered pairs gives the
+all-pairs stretch of Section V-B: Manhattan as a ``Fraction``,
+Euclidean as a 50-digit ``Decimal``.  Every registry curve (and the
+three transforms over ``hilbert``), on both backends and in dense,
+chunked and threaded contexts, must agree with it:
 
 * ``nn_mean`` is ``float(Fraction)`` exactly: the pair sum and count
   are exact integers and the one division is correctly rounded;
 * ``davg`` is ``float(Fraction)`` exactly too: the fold sums the
   stretch sums per neighbour-count class as integers and divides
-  once, ``Σ_c T_c·(L/c) / (L·n)`` with ``L = lcm(d, …, 2d)``.
+  once, ``Σ_c T_c·(L/c) / (L·n)`` with ``L = lcm(d, …, 2d)``;
+* ``allpairs_exact("manhattan")`` is ``float(Fraction)`` exactly: the
+  pair fold's integer totals per distance class divide once;
+* ``allpairs_exact("euclidean")`` is within 1 ulp of the ``Decimal``;
+* every all-pairs value is the same bits in every mode and on every
+  backend, and the fold's totals sum to Lemma 2's closed form.
 
 A hypothesis property runs the same oracle on random permutation
 curves of random small universes.  The paper's closed forms are
@@ -26,6 +33,9 @@ anything large.
 
 from __future__ import annotations
 
+import itertools
+import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -33,6 +43,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.core.allpairs import lemma2_sum_exact
 from repro.core.asymptotics import davg_simple_exact, lambda_z_exact
 from repro.core.zexact import davg_z_exact
 from repro.curves.base import PermutationCurve
@@ -82,7 +93,9 @@ def _make(spec: str, universe: Universe):
 
 
 def exact_metrics(curve) -> tuple:
-    """``(D^avg, NN mean)`` as Fractions, cell by cell."""
+    """``(D^avg, NN mean, all-pairs Manhattan)`` as Fractions and
+    all-pairs Euclidean as a 50-digit Decimal, cell by cell and pair
+    by pair."""
     universe = curve.universe
     keys = [int(k) for k in curve.index(universe.all_coords())]
     side, d = universe.side, universe.d
@@ -104,7 +117,23 @@ def exact_metrics(curve) -> tuple:
                         pair_sum += dists[-1]
                         pair_count += 1
         total += Fraction(sum(dists), len(dists))
-    return total / universe.n, Fraction(pair_sum, pair_count)
+
+    pairs = Fraction(universe.n * (universe.n - 1), 2)
+    manhattan = Fraction(0)
+    with localcontext(prec=50):
+        euclidean = Decimal(0)
+        for a, b in itertools.combinations(universe.iter_cells(), 2):
+            key_dist = abs(keys[rank(a)] - keys[rank(b)])
+            delta = [x - y for x, y in zip(a, b)]
+            manhattan += Fraction(key_dist, sum(abs(t) for t in delta))
+            euclidean += key_dist / Decimal(sum(t * t for t in delta)).sqrt()
+        euclidean /= pairs.numerator
+    return (
+        total / universe.n,
+        Fraction(pair_sum, pair_count),
+        manhattan / pairs,
+        euclidean,
+    )
 
 
 CASES = [
@@ -121,25 +150,37 @@ def test_cases_cover_every_visible_registry_curve():
     assert visible | {"reversed", "reflected", "axisperm"} == covered
 
 
-def _assert_rounds_exactly(make, davg_exact, nn_exact) -> None:
+def _assert_rounds_exactly(make, exact) -> None:
     """Every backend and mode of ``make()``'s curve gives the
-    correctly rounded D^avg and NN mean."""
+    correctly rounded D^avg, NN mean and all-pairs Manhattan, the
+    all-pairs Euclidean within 1 ulp, and one all-pairs value per
+    metric."""
+    davg_exact, nn_exact, manhattan_exact, euclidean_exact = exact
+    seen = set()
     for backend in BACKENDS:
         for mode, kwargs in MODES.items():
             ctx = MetricContext(make(), backend=backend, **kwargs)
             label = f"{backend}/{mode}"
             assert ctx.nn_mean() == float(nn_exact), label
             assert ctx.davg() == float(davg_exact), label
+            manhattan = ctx.allpairs_exact("manhattan")
+            euclidean = ctx.allpairs_exact("euclidean")
+            assert manhattan == float(manhattan_exact), label
+            error = abs(Decimal(euclidean) - euclidean_exact)
+            assert error <= Decimal(math.ulp(euclidean)), label
+            totals = ctx.pair_totals().manhattan.values()
+            n = ctx.universe.n
+            assert 2 * sum(totals) == lemma2_sum_exact(n), label
+            seen.add((manhattan, euclidean))
             if ctx.threaded:
                 ctx.scheduler.close()
+    assert len(seen) == 1
 
 
 @pytest.mark.parametrize("universe, spec", CASES)
 def test_metrics_round_to_the_exact_oracle(universe, spec):
-    davg_exact, nn_exact = exact_metrics(_make(spec, universe))
-    _assert_rounds_exactly(
-        lambda: _make(spec, universe), davg_exact, nn_exact
-    )
+    exact = exact_metrics(_make(spec, universe))
+    _assert_rounds_exactly(lambda: _make(spec, universe), exact)
 
 
 @settings(
@@ -157,8 +198,9 @@ def test_metrics_round_to_the_exact_oracle(universe, spec):
     seed=st.integers(0, 2**32 - 1),
 )
 def test_random_permutations_round_to_the_exact_oracle(shape, seed):
-    """A random bijection of a random small universe: D^avg and the NN
-    mean are ``float(Fraction)`` on both backends, dense, chunked and
+    """A random bijection of a random small universe: D^avg, the NN
+    mean and all-pairs Manhattan are ``float(Fraction)``, all-pairs
+    Euclidean within 1 ulp, on both backends, dense, chunked and
     threaded."""
     universe = Universe(d=shape[0], side=shape[1])
     keys = np.random.default_rng(seed).permutation(universe.n)
@@ -167,18 +209,20 @@ def test_random_permutations_round_to_the_exact_oracle(shape, seed):
     def make():
         return PermutationCurve(universe, key_grid=grid)
 
-    davg_exact, nn_exact = exact_metrics(make())
-    _assert_rounds_exactly(make, davg_exact, nn_exact)
+    _assert_rounds_exactly(make, exact_metrics(make()))
 
 
 def test_oracle_matches_a_hand_count():
     """2x2 simple curve: keys 0 1 / 2 3, every cell has two
-    neighbours at distances 1 and 2."""
+    neighbours at distances 1 and 2; the two diagonal pairs have key
+    distances 3 and 1 at Manhattan distance 2, Euclidean √2."""
     curve = CurveSpec.parse("simple").make(Universe(d=2, side=2))
-    davg, nn = exact_metrics(curve)
+    davg, nn, manhattan, euclidean = exact_metrics(curve)
     assert davg == Fraction(3, 2)
     assert nn == Fraction(1 + 1 + 2 + 2, 4)
     assert np.isclose(float(davg), 1.5)
+    assert manhattan == Fraction(1 + 1 + 2 + 2 + Fraction(3 + 1, 2), 6)
+    assert np.isclose(float(euclidean), (6 + 4 / math.sqrt(2)) / 6)
 
 
 LARGE = [Universe(d=2, side=2048), Universe(d=3, side=128)]

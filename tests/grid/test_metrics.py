@@ -13,8 +13,6 @@ from repro.grid.metrics import (
     grid_diameter_euclidean,
     grid_diameter_manhattan,
     manhattan,
-    pairwise_euclidean,
-    pairwise_manhattan,
 )
 
 coords_strategy = st.lists(
@@ -81,26 +79,6 @@ class TestDiameters:
             grid_diameter_manhattan(0, 4)
         with pytest.raises(ValueError):
             grid_diameter_euclidean(2, 0)
-
-
-class TestPairwise:
-    def test_pairwise_manhattan_matches_scalar(self):
-        rng = np.random.default_rng(0)
-        a = rng.integers(0, 10, size=(4, 3))
-        b = rng.integers(0, 10, size=(5, 3))
-        full = pairwise_manhattan(a, b)
-        for i in range(4):
-            for j in range(5):
-                assert full[i, j] == manhattan(a[i], b[j])
-
-    def test_pairwise_euclidean_matches_scalar(self):
-        rng = np.random.default_rng(1)
-        a = rng.integers(0, 10, size=(3, 2))
-        b = rng.integers(0, 10, size=(6, 2))
-        full = pairwise_euclidean(a, b)
-        for i in range(3):
-            for j in range(6):
-                assert full[i, j] == pytest.approx(euclidean(a[i], b[j]))
 
 
 @settings(max_examples=80, deadline=None)

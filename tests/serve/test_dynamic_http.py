@@ -143,6 +143,36 @@ class TestEndpoint:
         status, _ = fetch(step_url(server), {"session": "k"})
         assert status == 404
 
+    @pytest.mark.parametrize(
+        "create",
+        [
+            {"d": 3, "side": 4096},
+            {"d": 2**70, "side": 2},
+            {"d": 2**70, "side": 1},
+            dict(CREATE, seed_points=10**9),
+            dict(CREATE, parts=2**40),
+        ],
+        ids=["universe", "dims", "axes", "seed_points", "parts"],
+    )
+    def test_oversized_create_413(self, server, create):
+        # Refused by the byte estimate: nothing is built, so the
+        # session does not exist afterwards.
+        status, body = fetch(
+            step_url(server), {"session": "big", "create": create}
+        )
+        assert status == 413
+        assert "session needs" in body["error"]
+        status, _ = fetch(step_url(server), {"session": "big"})
+        assert status == 404
+
+    def test_unindexable_parts_400(self, server):
+        status, body = fetch(
+            step_url(server),
+            {"session": "p", "create": dict(CREATE, parts=2**70)},
+        )
+        assert status == 400
+        assert "create.parts" in body["error"]
+
     def test_malformed_json_400(self, server):
         status, _ = fetch(step_url(server), {"session": ["not-a-str"]})
         assert status == 400

@@ -4,8 +4,12 @@ The bar for any bytes a client can send: the request reader either
 returns, rejects with a 4xx it can answer, or sees the stream end
 early; ``dispatch`` on a POST route answers a JSON-renderable payload
 that is never a 500, and every flight the request opened resolves.
-Integers are drawn from a small range, so no request builds a
-universe above side 4 in 4 dimensions.
+Sweep integers are drawn from a small range, so no sweep builds a
+universe above side 4 in 4 dimensions.  A ``/dynamic/step`` session's
+``d``, ``side``, ``parts``, ``window`` and ``seed_points`` range up to
+``10**400``: the service's byte estimate must refuse the large ones
+before anything is built, which the fuzzed service asserts on every
+build, under a 16 MiB budget.
 """
 
 from __future__ import annotations
@@ -148,6 +152,14 @@ SIZES = st.integers(0, 3).flatmap(
     lambda pick: SMALL if pick == 0 else st.integers(1, 4)
 )
 CURVES = _specs("z", "hilbert", "gray", "random:seed=1", "z:bogus=1")
+#: Session geometry: mostly small, now and then far past any budget.
+WIDE = st.one_of(
+    SIZES,
+    st.integers(5, 2**80),
+    st.sampled_from([2**63, 2**64, 2**70, 10**400]),
+)
+#: The fuzzed service's byte budget (``max_request_bytes``).
+BUDGET = 1 << 24
 METRICS = _specs("davg", "dmax", "lambdas", "dilation:window=0")
 TIMEOUTS = st.one_of(st.none(), SMALL, st.floats())
 SWEEPS = _object(
@@ -174,14 +186,14 @@ STEPS = _object(
     session=st.just("s"),
     create=_object(
         ("d", "side"),
-        d=SIZES,
-        side=SIZES,
+        d=WIDE,
+        side=WIDE,
         curve=st.sampled_from(["hilbert", "z", "z:bogus=1", "bogus"]),
-        parts=SIZES,
-        window=SIZES,
+        parts=WIDE,
+        window=WIDE,
         reselect_threshold=st.one_of(st.none(), st.floats()),
         candidates=st.one_of(st.none(), CURVES),
-        seed_points=SMALL,
+        seed_points=WIDE,
         seed=SMALL,
     ),
     moves=st.lists(MOVES, max_size=3),
@@ -204,8 +216,21 @@ def _dispatch(route: str, body: bytes):
 
     async def main():
         service = SweepService(
-            ServeConfig(port=0, backend="numpy", batch_window_s=0.0)
+            ServeConfig(
+                port=0,
+                backend="numpy",
+                batch_window_s=0.0,
+                max_request_bytes=BUDGET,
+            )
         )
+        build = service._build_session
+
+        def admitted_build(create):
+            # Admission runs first: nothing over the budget is built.
+            assert service.estimate_session_bytes(create) <= BUDGET
+            return build(create)
+
+        service._build_session = admitted_build
         await service.start()
         try:
             status, payload = await HttpServer(service).dispatch(

@@ -14,7 +14,7 @@ import pytest
 
 from repro.engine.sweep import METRICS, Sweep, register_metric
 from repro.serve.batching import MicroBatcher
-from repro.serve.schemas import SweepRequest
+from repro.serve.schemas import DynamicCreate, SweepRequest
 from repro.serve.service import ServeConfig, SweepService, parse_hot_set
 from repro.serve.singleflight import SingleFlight
 
@@ -325,3 +325,12 @@ class TestDedupAndWarm:
         chunked = dataclasses.replace(dense, chunk_cells=256)
         assert SweepService.estimate_task_bytes(dense) == 64**2 * 8 * 4
         assert SweepService.estimate_task_bytes(chunked) == 256 * 64
+
+    def test_estimate_session_bytes(self):
+        create = DynamicCreate(d=2, side=64, parts=8, seed_points=100)
+        assert SweepService.estimate_session_bytes(create) == (
+            64**2 * 8 * 4 + 2 * 64 + 100 * (256 + 16) + 8 * 64
+        )
+        # A huge d is estimated without building side**d.
+        huge = DynamicCreate(d=10**300, side=3)
+        assert SweepService.estimate_session_bytes(huge) >= 2**64
